@@ -15,7 +15,6 @@ from .parsing import ParseError, UnknownVariableError, parse_polynomial
 from .groebner import (
     DEFAULT_DEGREE_GUARD,
     DegreeGuardExceeded,
-    GradedMembership,
     Ideal,
     LiftVerificationError,
     NoLiftExists,
@@ -32,7 +31,6 @@ from .monomials import (
     FracMonomialModule,
     MonomialIdeal,
     SemigroupSpec,
-    frac_membership,
     frac_twisted_product,
     graded_piece,
     mono_colon,

@@ -2,15 +2,13 @@
 
 Exit codes: 0 success with all expectations passing, 1 failed expectation,
 2 usage or parse errors, 3 degree-guard abort.  Environment: FROBTOOL_CACHE
-(basis cache directory), FROBTOOL_THREADS (0 = auto; execution is
-sequential either way, the value is validated and recorded).
+(basis cache directory).
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 
@@ -20,7 +18,6 @@ from .frobenius import degree_growth, fingen_probe
 from .gallery import CASE_NAMES, probe_rows, run_case
 from .groebner import (
     DegreeGuardExceeded,
-    Ideal,
     colon,
     frobenius_power,
     set_persistent_cache,
@@ -91,21 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_setting() -> int:
-    raw = os.environ.get("FROBTOOL_THREADS", "0")
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise InputFileError(f"FROBTOOL_THREADS must be a non-negative integer, got {raw!r}")
-    return value
-
-
-def _load_ideal(doc, name: str) -> Ideal:
-    return doc.ideal(name)
-
-
 def _basis_component(kind: str, name: str, basis) -> dict:
     return {"kind": kind, "name": name, "generators": [str(g) for g in basis]}
 
@@ -113,7 +95,6 @@ def _basis_component(kind: str, name: str, basis) -> dict:
 def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = _threads_setting()
 
     cache = None
     if not args.no_cache:
@@ -133,22 +114,22 @@ def _run(argv) -> int:
             components = []
             expectations = []
             if args.command == "gb":
-                ideal = _load_ideal(doc, args.ideal)
+                ideal = doc.ideal(args.ideal)
                 basis = ideal.groebner_basis(degree_guard=guard)
                 components.append(_basis_component("basis", args.ideal, basis))
             elif args.command == "colon":
-                lhs = _load_ideal(doc, args.lhs)
-                rhs = _load_ideal(doc, args.rhs)
+                lhs = doc.ideal(args.lhs)
+                rhs = doc.ideal(args.rhs)
                 result = colon(lhs, rhs, guard)
                 components.append(_basis_component(
                     "basis", f"{args.lhs}:{args.rhs}", result.generators))
             elif args.command == "fpow":
-                ideal = _load_ideal(doc, args.ideal)
+                ideal = doc.ideal(args.ideal)
                 result = frobenius_power(ideal, args.e)
                 components.append(_basis_component(
                     "generators", f"{args.ideal}^[p^{args.e}]", result.generators))
             else:  # fops
-                ideal = _load_ideal(doc, args.ideal)
+                ideal = doc.ideal(args.ideal)
                 probe = fingen_probe(ideal, args.emax, guard)
                 components = probe_rows(probe.report, probe.components)
                 growth = degree_growth(ideal, args.emax, guard, probe=probe)
@@ -175,7 +156,7 @@ def _run(argv) -> int:
         if cache is not None:
             set_persistent_cache(None)
 
-    timing = {"seconds": round(time.monotonic() - started, 6), "threads": threads}
+    timing = {"seconds": round(time.monotonic() - started, 6)}
     if cache is not None:
         timing["persistent_cache"] = cache.stats()
     report["timing"] = timing

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .groebner import (
-    GradedMembership,
     Ideal,
     colon,
     frobenius_power,
@@ -130,7 +129,8 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
         return FrobeniusComponent(FrobeniusDegree(0, 1), unit, ideal, (ring.one(),))
     modulus = frobenius_power(ideal, e)
     col = colon(modulus, ideal, degree_guard)
-    raw = minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard), modulus)
+    raw = minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard), modulus,
+                                 degree_guard)
     key = _key_function(ring, ring.order)
     min_gens = tuple(sorted((modulus.normal_form(g, degree_guard=degree_guard).monic()
                              for g in raw),
@@ -152,9 +152,8 @@ def twisted_mul_reps(a: Polynomial, e1: int, b: Polynomial, e2: int,
     result = twisted_mul(a, e1, b)
     if check:
         target = frobenius_power(ideal, e1 + e2)
-        membership = GradedMembership(target.generators, ideal.ring)
         for g in ideal.generators:
-            if not membership.contains(result * g):
+            if not target.contains(result * g):
                 raise ArithmeticError(
                     "twisted product left the colon ideal of degree "
                     f"{e1 + e2}; inputs were not valid representatives")
@@ -203,7 +202,7 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None,
             products.extend(product_component(comps[e1 - 1], comps[e - e1 - 1],
                                               ideal, check_products))
         lower = Ideal(ideal.ring, tuple(comp_e.modulus.generators) + tuple(products))
-        survivors = minimal_generators_mod(comp_e.min_gens, lower)
+        survivors = minimal_generators_mod(comp_e.min_gens, lower, degree_guard)
         new_count = len(survivors)
         rows.append(DegreeRecord(e, p ** e, len(comp_e.min_gens), new_count,
                                  comp_e.max_gen_degree(), new_count == 0))

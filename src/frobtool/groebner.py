@@ -342,19 +342,22 @@ class Ideal:
             self.gb_cache[order.tag] = basis
         return basis
 
+    def _basis_entries(self, order: Order, degree_guard: Optional[int]):
+        """The reduced basis as the (lead, tail) pairs that _reduce_full takes."""
+        return [(g.leading_monomial(), g.terms[1:])
+                for g in self.groebner_basis(order, degree_guard)]
+
     def normal_form(self, f: Polynomial, order: Optional[Order] = None,
                     degree_guard: Optional[int] = None) -> Polynomial:
         """Unique remainder of f against the reduced basis; 0 iff f is a member."""
         if f.ring != self.ring:
             raise ValueError("ring mismatch")
         order = order or self.ring.order
-        basis = self.groebner_basis(order, degree_guard)
-        if not basis:
+        entries = self._basis_entries(order, degree_guard)
+        if not entries:
             return f
         p = self.ring.field.p
         key = _key_function(self.ring, order)
-        entries = [(g.leading_monomial(), tuple((m, c) for m, c in g.terms[1:]))
-                   for g in basis]
         r = _reduce_full(dict(f.terms), entries, key, p)
         return Polynomial(self.ring, r)
 
@@ -506,7 +509,7 @@ def ideal_power(ideal: Ideal, n: int) -> Ideal:
 
 
 # --------------------------------------------------------------------------
-# homogeneous degree-slice linear algebra
+# minimal generators of graded modules over normal forms
 
 _MONO_SLICE_MEMO: dict = {}
 
@@ -548,11 +551,6 @@ class _Echelon:
         self.p = p
         self.pivots: dict = {}
 
-    def copy(self) -> "_Echelon":
-        dup = _Echelon(self.key, self.p)
-        dup.pivots = dict(self.pivots)
-        return dup
-
     def _reduce(self, row: dict) -> dict:
         p = self.p
         key = self.key
@@ -572,6 +570,7 @@ class _Echelon:
         return row
 
     def add_row(self, row: dict) -> bool:
+        """Insert row; True exactly when it raises the rank."""
         row = self._reduce(dict(row))
         if not row:
             return False
@@ -580,69 +579,26 @@ class _Echelon:
         self.pivots[m] = {mm: cc * inv % self.p for mm, cc in row.items()}
         return True
 
-    def reduces_to_zero(self, row: dict) -> bool:
-        return not self._reduce(dict(row))
 
-
-class GradedMembership:
-    """Exact membership in a homogeneous ideal, one degree slice at a time.
-
-    The degree-d piece of an ideal with homogeneous generators h_i is the
-    GF(p)-span of the monomial shifts m*h_i with deg(m*h_i) = d, so
-    membership of a homogeneous element is a finite linear-algebra check;
-    no basis computation is involved.
-    """
-
-    def __init__(self, generators: Sequence[Polynomial], ring: RingSpec):
-        self.ring = ring
-        gens = []
-        for g in generators:
-            if g.is_zero():
-                continue
-            if g.ring != ring:
-                raise ValueError("ring mismatch")
-            if not g.is_homogeneous():
-                raise ValueError("graded membership needs homogeneous generators")
-            gens.append(g)
-        self.generators = tuple(gens)
-        self._slices: dict = {}
-
-    def _slice(self, d: int) -> _Echelon:
-        ech = self._slices.get(d)
-        if ech is None:
-            key = _key_function(self.ring, self.ring.order)
-            ech = _Echelon(key, self.ring.field.p)
-            for g in self.generators:
-                dg = g.weighted_degree()
-                if dg > d:
-                    continue
-                for m in monomials_of_weighted_degree(self.ring, d - dg):
-                    row = {tuple(a + b for a, b in zip(mm, m)): c for mm, c in g.terms}
-                    ech.add_row(row)
-            self._slices[d] = ech
-        return ech
-
-    def slice_echelon(self, d: int) -> _Echelon:
-        return self._slice(d).copy()
-
-    def contains(self, f: Polynomial) -> bool:
-        if f.is_zero():
-            return True
-        if f.ring != self.ring:
-            raise ValueError("ring mismatch")
-        if not f.is_homogeneous():
-            raise ValueError("graded membership needs a homogeneous element")
-        return self._slice(f.weighted_degree()).reduces_to_zero(dict(f.terms))
-
-
-def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal):
+def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
+                           degree_guard: Optional[int] = None):
     """Greedy minimalization of module generators modulo an ideal.
 
-    Processes candidates in ascending weighted degree (ties by the ring
-    order) and drops g whenever g lies in modulus + (the remaining
+    Candidates are taken in ascending weighted degree (ties by the ring
+    order) and g is dropped whenever it lies in modulus + (the remaining
     candidates).  All inputs must be homogeneous; by graded Nakayama the
     surviving count is an invariant of the module even though the chosen
     representatives are not.
+
+    The work happens on normal forms modulo the reduced basis of the
+    modulus, which for a homogeneous ideal is a linear map on each degree
+    slice with the modulus's slice as kernel.  Each degree d gets one
+    echelon: first the normal forms of every shift, to degree d, of the
+    generators kept in lower degrees, then the degree-d candidates in
+    descending order, each kept exactly when it raises the rank.  Inserting
+    in descending order keeps the same basis as deleting in ascending order
+    (both give the unique greedy basis of the quotient matroid), so the
+    survivors are those of the drop-if-redundant rule above.
     """
     ring = modulus.ring
     cands = []
@@ -659,25 +615,25 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal):
             cands.append(g)
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
+    p = ring.field.p
     key = _key_function(ring, ring.order)
+    basis = modulus._basis_entries(ring.order, degree_guard)
     cands.sort(key=lambda g: (g.weighted_degree(), key(g.leading_monomial())))
-    base = GradedMembership(modulus.generators, ring)
-    alive = [True] * len(cands)
-    for i, g in enumerate(cands):
-        d = g.weighted_degree()
-        ech = base.slice_echelon(d)
-        for j, h in enumerate(cands):
-            if j == i or not alive[j]:
-                continue
-            dh = h.weighted_degree()
-            if dh > d:
-                continue
+    kept = []  # (generator, degree, normal form), ascending
+    for d, group in itertools.groupby(cands, key=lambda g: g.weighted_degree()):
+        ech = _Echelon(key, p)
+        for _, dh, form in kept:
             for m in monomials_of_weighted_degree(ring, d - dh):
-                row = {tuple(a + b for a, b in zip(mm, m)): c for mm, c in h.terms}
-                ech.add_row(row)
-        if ech.reduces_to_zero(dict(g.terms)):
-            alive[i] = False
-    return [g for i, g in enumerate(cands) if alive[i]]
+                ech.add_row(_reduce_full(
+                    {tuple(a + b for a, b in zip(mm, m)): c for mm, c in form.items()},
+                    basis, key, p))
+        survivors = []
+        for g in reversed(list(group)):
+            form = _reduce_full(dict(g.terms), basis, key, p)
+            if ech.add_row(form):
+                survivors.append((g, d, form))
+        kept.extend(reversed(survivors))
+    return [g for g, _, _ in kept]
 
 
 def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,
@@ -704,7 +660,7 @@ def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,
                    and modulus.is_homogeneous())
     if homogeneous:
         candidates = minimal_generators_mod(colon_ideal.groebner_basis(degree_guard=degree_guard),
-                                            modulus)
+                                            modulus, degree_guard)
         target = g.weighted_degree() - m.weighted_degree()
         candidates = [f for f in candidates if f.weighted_degree() == target]
     else:

@@ -237,10 +237,6 @@ class FracMonomialModule:
         return FracMonomialModule(self.semigroup, kept, self.degree)
 
 
-def frac_membership(v: Sequence[int], module: FracMonomialModule) -> bool:
-    return module.contains(v)
-
-
 def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,
                          p: int) -> FracMonomialModule:
     """Twisted product on fractional modules: generators g_a + p^{e1} * g_b.

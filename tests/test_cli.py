@@ -142,12 +142,6 @@ def test_cache_dir_env_and_hits(capsys, katzman_file, tmp_path, monkeypatch):
     assert rep1 == rep2
 
 
-def test_threads_env_validated(capsys, katzman_file, monkeypatch):
-    monkeypatch.setenv("FROBTOOL_THREADS", "quick")
-    assert main(["gb", "--input", katzman_file, "--ideal", "I", "--no-cache"]) == 2
-    monkeypatch.setenv("FROBTOOL_THREADS", "2")
-    assert main(["gb", "--input", katzman_file, "--ideal", "I", "--no-cache"]) == 0
-    capsys.readouterr()
 
 
 def test_human_output(capsys, katzman_file):

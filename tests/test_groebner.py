@@ -1,14 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
     NoLiftExists,
+    clear_memo,
     colon,
     frobenius_power,
-    GradedMembership,
     ideal_equal,
     ideal_power,
     intersect,
@@ -17,9 +18,18 @@ from frobtool.groebner import (
     monomials_of_weighted_degree,
 )
 from frobtool.parsing import parse_polynomial
-from frobtool.polyring import PrimeField, RingSpec, mono_div, mono_lcm
+from frobtool.polyring import (
+    GREVLEX,
+    LEX,
+    Polynomial,
+    PrimeField,
+    RingSpec,
+    mono_div,
+    mono_lcm,
+)
 
 from conftest import random_poly
+from slice_oracle import GradedMembership, slice_minimal_generators_mod
 
 
 def spoly(f, g):
@@ -249,6 +259,13 @@ class TestMinimalGenerators:
             augmented = shuffled + [J.generators[0] * P("x"), J.generators[1] * P("z^2")]
             assert len(minimal_generators_mod(augmented, J)) == base
 
+    def test_degree_guard_reaches_modulus_basis(self, gf2_xyz):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        J = Ideal(gf2_xyz, (P("x^2*y + z^3"), P("x*y*z + y^3")))
+        clear_memo()  # a basis memoized by another test would skip the guard
+        with pytest.raises(DegreeGuardExceeded):
+            minimal_generators_mod([P("x")], J, degree_guard=2)
+
 
 class TestGradedMembership:
     def test_against_normal_form(self, gf2_xyz):
@@ -266,6 +283,69 @@ class TestGradedMembership:
         assert len(monomials_of_weighted_degree(gf2_xyz, 3)) == 10
         weighted = RingSpec(PrimeField(2), ("x", "y"), (2, 3))
         assert set(monomials_of_weighted_degree(weighted, 6)) == {(3, 0), (0, 2)}
+
+
+def _random_homogeneous(ring, rng, d):
+    monos = monomials_of_weighted_degree(ring, d)
+    if not monos:
+        return ring.zero()
+    p = ring.field.p
+    chosen = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+    return Polynomial(ring, {m: rng.randint(1, p - 1) for m in chosen})
+
+
+@st.composite
+def graded_instances(draw):
+    """A random homogeneous modulus over GF(2), GF(3) or GF(5) and candidates
+    that include shifts and sums of each other and of the modulus."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    ring = RingSpec(PrimeField(p), ("x", "y", "z"), weights, order)
+    rng = draw(st.randoms(use_true_random=False))
+    modulus = Ideal(ring, [_random_homogeneous(ring, rng, rng.randint(1, 3))
+                           for _ in range(rng.randint(1, 3))])
+    cands = [_random_homogeneous(ring, rng, rng.randint(1, 3))
+             for _ in range(rng.randint(1, 5))]
+    cands = [g for g in cands if not g.is_zero()] or [ring.variable("x")]
+    for _ in range(rng.randint(0, 4)):
+        a = rng.choice(cands + list(modulus.generators))
+        b = rng.choice(cands)
+        shifted = a * ring.variable(rng.choice(ring.variables))
+        if b.weighted_degree() == shifted.weighted_degree():
+            shifted = shifted + b.scale(rng.randint(1, p - 1))
+        cands.append(shifted)
+    rng.shuffle(cands)
+    return ring, modulus, [g for g in cands if not g.is_zero()], rng
+
+
+class TestSliceOracle:
+    """The normal-form engine against the slice oracle in tests/."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graded_instances())
+    def test_membership_matches_normal_form(self, instance):
+        ring, modulus, cands, rng = instance
+        oracle = GradedMembership(modulus.generators, ring)
+        members = []
+        for f in cands:
+            d = f.weighted_degree()
+            member = ring.zero()
+            for g in modulus.generators:
+                if g.weighted_degree() <= d:
+                    member = member + g * _random_homogeneous(ring, rng, d - g.weighted_degree())
+            members.append(member)
+        for f in cands + members + [f + m for f, m in zip(cands, members)]:
+            assert oracle.contains(f) == modulus.contains(f)
+        for m in members:
+            assert oracle.contains(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graded_instances())
+    def test_survivors_match_oracle(self, instance):
+        ring, modulus, cands, _ = instance
+        assert minimal_generators_mod(cands, modulus) == \
+            slice_minimal_generators_mod(cands, modulus)
 
 
 class TestLift:
