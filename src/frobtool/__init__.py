@@ -1,7 +1,6 @@
 """Exact Frobenius-operator computations over prime fields."""
 
 from .polyring import (
-    FieldElement,
     GREVLEX,
     LEX,
     Order,
@@ -32,7 +31,6 @@ from .monomials import (
     MonomialIdeal,
     SemigroupSpec,
     frac_twisted_product,
-    graded_piece,
     mono_colon,
     mono_frobenius_power,
     mono_intersect,

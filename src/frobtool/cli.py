@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success with all expectations passing, 1 failed expectation,
-2 usage or parse errors, 3 degree-guard abort.  Environment: FROBTOOL_CACHE
+2 usage or parse errors, 3 degree-guard abort, 4 internal error (a failed
+arithmetic invariant or lift verification).  Environment: FROBTOOL_CACHE
 (basis cache directory).
 """
 
@@ -18,6 +19,7 @@ from .frobenius import degree_growth, fingen_probe
 from .gallery import CASE_NAMES, probe_rows, run_case
 from .groebner import (
     DegreeGuardExceeded,
+    LiftVerificationError,
     colon,
     frobenius_power,
     set_persistent_cache,
@@ -207,6 +209,9 @@ def main(argv=None) -> int:
     except DegreeGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (ArithmeticError, LiftVerificationError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (InputFileError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

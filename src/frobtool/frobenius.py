@@ -8,6 +8,7 @@ degree by degree, and reports generator-degree growth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,14 +147,15 @@ def twisted_mul(a: Polynomial, e1: int, b: Polynomial) -> Polynomial:
 
 
 def twisted_mul_reps(a: Polynomial, e1: int, b: Polynomial, e2: int,
-                     ideal: Ideal, check: bool = True) -> Polynomial:
+                     ideal: Ideal, check: bool = True,
+                     degree_guard: Optional[int] = None) -> Polynomial:
     """Twisted product of colon representatives, asserting that the result
     represents an element of the degree e1+e2 component."""
     result = twisted_mul(a, e1, b)
     if check:
         target = frobenius_power(ideal, e1 + e2)
         for g in ideal.generators:
-            if not target.contains(result * g):
+            if not target.contains(result * g, degree_guard):
                 raise ArithmeticError(
                     "twisted product left the colon ideal of degree "
                     f"{e1 + e2}; inputs were not valid representatives")
@@ -170,43 +172,54 @@ def product_component(comp1: FrobeniusComponent, comp2: FrobeniusComponent,
     return out
 
 
+def generation_report(p: int, gens, product, outside, degree=None) -> FinGenReport:
+    """The degree-by-degree generation probe, shared by every path.
+
+    gens[e - 1] holds the minimal generators of the degree-e component.
+    For each e >= 2, product(e1, e2) yields the twisted products of the
+    degree-e1 and degree-e2 generators, and outside(e, products) returns
+    the degree-e generators not in the span of the products of every split
+    e = e1 + e2 (and of I^[q]), which it gets as one iterable to be read
+    once; the degree is generated from lower exactly
+    when none are.  degree(g) is a generator's weighted degree; without it
+    the maximum degree is recorded as 0.
+    """
+    rows = []
+    for e, comp in enumerate(gens, start=1):
+        if e == 1:
+            new = len(comp)  # no positive splits: every generator is new
+        else:
+            products = itertools.chain.from_iterable(
+                product(e1, e - e1) for e1 in range(1, e))
+            new = len(outside(e, products))
+        top = max(map(degree, comp), default=0) if degree else 0
+        rows.append(DegreeRecord(e, p ** e, len(comp), new, top, e > 1 and new == 0))
+    return FinGenReport(p, len(gens), tuple(rows))
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     report: FinGenReport
     components: tuple
 
-    def component(self, e: int) -> FrobeniusComponent:
-        return self.components[e - 1]
 
-
-def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None,
-                 check_products: bool = False) -> ProbeResult:
-    """Degree-by-degree generation probe.
-
-    For each e >= 2, the ideal generated by all twisted products of full
-    lower components plus I^[q] is compared with the colon ideal; a degree
-    is generated from lower exactly when no new generators survive.
-    """
+def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) -> ProbeResult:
+    """Generation probe on the Groebner path: for each e >= 2, the degree-e
+    generators are minimalized modulo the ideal generated by I^[q] and all
+    twisted products of full lower components."""
     if emax < 1:
         raise ValueError("emax must be >= 1")
-    p = ideal.ring.field.p
-    comps = [component(ideal, e, degree_guard) for e in range(1, emax + 1)]
-    rows = []
-    c1 = comps[0]
-    rows.append(DegreeRecord(1, p, len(c1.min_gens), len(c1.min_gens),
-                             c1.max_gen_degree(), False))
-    for e in range(2, emax + 1):
-        comp_e = comps[e - 1]
-        products = []
-        for e1 in range(1, e):
-            products.extend(product_component(comps[e1 - 1], comps[e - e1 - 1],
-                                              ideal, check_products))
-        lower = Ideal(ideal.ring, tuple(comp_e.modulus.generators) + tuple(products))
-        survivors = minimal_generators_mod(comp_e.min_gens, lower, degree_guard)
-        new_count = len(survivors)
-        rows.append(DegreeRecord(e, p ** e, len(comp_e.min_gens), new_count,
-                                 comp_e.max_gen_degree(), new_count == 0))
-    return ProbeResult(FinGenReport(p, emax, tuple(rows)), tuple(comps))
+    ring = ideal.ring
+    comps = tuple(component(ideal, e, degree_guard) for e in range(1, emax + 1))
+    report = generation_report(
+        ring.field.p, [c.min_gens for c in comps],
+        lambda e1, e2: product_component(comps[e1 - 1], comps[e2 - 1], ideal),
+        lambda e, products: minimal_generators_mod(
+            comps[e - 1].min_gens,
+            Ideal(ring, tuple(comps[e - 1].modulus.generators) + tuple(products)),
+            degree_guard),
+        degree=Polynomial.weighted_degree)
+    return ProbeResult(report, comps)
 
 
 def degree_growth(ideal: Ideal, emax: int, degree_guard: Optional[int] = None,
@@ -237,30 +250,19 @@ def monomial_fingen_probe(ideal, emax: int) -> FinGenReport:
         raise ValueError("emax must be >= 1")
     ring = ideal.ring
     p = ring.field.p
-    mingens = {}
-    moduli = {}
-    for e in range(1, emax + 1):
-        iq = mono_frobenius_power(ideal, e)
-        col = mono_colon(iq, ideal)
-        moduli[e] = iq
-        mingens[e] = tuple(g for g in col.generators if not iq.contains(g))
-    rows = []
-    wd = ring.weighted_degree
-    rows.append(DegreeRecord(1, p, len(mingens[1]), len(mingens[1]),
-                             max((wd(g) for g in mingens[1]), default=0), False))
-    for e in range(2, emax + 1):
-        products = []
-        for e1 in range(1, e):
-            q1 = p ** e1
-            for g in mingens[e1]:
-                for h in mingens[e - e1]:
-                    products.append(tuple(a + q1 * b for a, b in zip(g, h)))
-        lower = MonomialIdeal(ring, tuple(products) + moduli[e].generators)
-        new = [g for g in mingens[e] if not lower.contains(g)]
-        rows.append(DegreeRecord(e, p ** e, len(mingens[e]), len(new),
-                                 max((wd(g) for g in mingens[e]), default=0),
-                                 not new))
-    return FinGenReport(p, emax, tuple(rows))
+    moduli = [mono_frobenius_power(ideal, e) for e in range(1, emax + 1)]
+    mingens = [tuple(g for g in mono_colon(iq, ideal).generators if not iq.contains(g))
+               for iq in moduli]
+
+    def outside(e, products):
+        lower = MonomialIdeal(ring, tuple(products) + moduli[e - 1].generators)
+        return [g for g in mingens[e - 1] if not lower.contains(g)]
+
+    return generation_report(
+        p, mingens,
+        lambda e1, e2: [tuple(a + p ** e1 * b for a, b in zip(g, h))
+                        for g in mingens[e1 - 1] for h in mingens[e2 - 1]],
+        outside, degree=ring.weighted_degree)
 
 
 def qgor_expected_bound(m: int, p: int) -> Optional[int]:

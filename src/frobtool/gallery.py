@@ -16,6 +16,7 @@ from .frobenius import (
     FinGenReport,
     degree_growth,
     fingen_probe,
+    generation_report,
     monomial_fingen_probe,
     qgor_expected_bound,
 )
@@ -229,21 +230,16 @@ def katzman_case(p: int = 2, emax: int = 3,
 
 def _veronese_monomial_probe(p: int, emax: int) -> FinGenReport:
     """Independent fractional-monomial path for the cubic Veronese."""
-    from .frobenius import DegreeRecord
+    comps = [veronese_component(2, 3, p, e) for e in range(1, emax + 1)]
 
-    comps = {e: veronese_component(2, 3, p, e) for e in range(1, emax + 1)}
-    rows = []
-    c1 = comps[1]
-    rows.append(DegreeRecord(1, p, len(c1.generators), len(c1.generators), 0, False))
-    for e in range(2, emax + 1):
-        gens = []
-        for e1 in range(1, e):
-            gens.extend(frac_twisted_product(comps[e1], comps[e - e1], p).generators)
-        union = FracMonomialModule(c1.semigroup, gens, e)
-        new = [g for g in comps[e].generators if not union.contains(g)]
-        rows.append(DegreeRecord(e, p ** e, len(comps[e].generators), len(new),
-                                 0, not new))
-    return FinGenReport(p, emax, tuple(rows))
+    def outside(e, products):
+        union = FracMonomialModule(comps[0].semigroup, products, e)
+        return [g for g in comps[e - 1].generators if not union.contains(g)]
+
+    return generation_report(
+        p, [c.generators for c in comps],
+        lambda e1, e2: frac_twisted_product(comps[e1 - 1], comps[e2 - 1], p).generators,
+        outside)
 
 
 def veronese_case(p: int, emax: Optional[int] = None,
@@ -332,6 +328,13 @@ def _segre_witness(p: int, e: int):
     return (-(q - 1), -(q - 1), -(q - 2), -(q - q // p), -(q // p))
 
 
+def _splits_excluded(comps: dict, e: int, w, p: int) -> list:
+    """Per split e = e1 + e2, whether w lies outside the product of the
+    degree-e1 and degree-e2 components."""
+    return [not frac_twisted_product(comps[e1], comps[e - e1], p).contains(w)
+            for e1 in range(1, e)]
+
+
 def determinantal_case(p: int = 2, emax_groebner: int = 2, emax_monomial: int = 4,
                        degree_guard: Optional[int] = None) -> CaseResult:
     """The 2x3 determinantal ring on both presentations.
@@ -347,10 +350,7 @@ def determinantal_case(p: int = 2, emax_groebner: int = 2, emax_monomial: int = 
     for e in range(2, emax_monomial + 1):
         w = _segre_witness(p, e)
         in_component = comps[e].contains(w)
-        excluded = []
-        for e1 in range(1, e):
-            prod = frac_twisted_product(comps[e1], comps[e - e1], p)
-            excluded.append(not prod.contains(w))
+        excluded = _splits_excluded(comps, e, w, p)
         witness_flags[e] = all(excluded)
         result.expectations.append(_expect(
             f"witness_excluded_e{e}", in_component and all(excluded),
@@ -392,17 +392,15 @@ def poly_twisted_case(dim: int, p: int = 2, emax: Optional[int] = None) -> CaseR
         raise ValueError(f"emax for dimension {dim} is capped at {limit}")
     result = CaseResult("twisted", {"dim": dim, "p": p, "emax": emax})
     comps = {e: poly_twisted_component(dim, p, e) for e in range(1, emax + 1)}
-    rows = [{"e": 1, "q": p, "component_size": len(comps[1].generators),
-             "generated_from_lower": False, "missing_count": len(comps[1].generators)}]
-    for e in range(2, emax + 1):
-        produced = set()
-        for e1 in range(1, e):
-            produced.update(frac_twisted_product(comps[e1], comps[e - e1], p).generators)
-        missing = [g for g in comps[e].generators if g not in produced]
-        rows.append({"e": e, "q": p ** e,
-                     "component_size": len(comps[e].generators),
-                     "generated_from_lower": not missing,
-                     "missing_count": len(missing)})
+    # every generator has total degree q - 1, so module membership of a
+    # generator among the products is plain equality
+    report = generation_report(
+        p, [comps[e].generators for e in range(1, emax + 1)],
+        lambda e1, e2: frac_twisted_product(comps[e1], comps[e2], p).generators,
+        lambda e, products: set(comps[e].generators).difference(products))
+    rows = [{"e": r.e, "q": r.q, "component_size": r.min_gen_count,
+             "generated_from_lower": r.generated_from_lower,
+             "missing_count": r.new_gen_count} for r in report.rows]
     result.components = rows
     if dim == 1:
         a = comps[1].generators[0]
@@ -420,10 +418,7 @@ def poly_twisted_case(dim: int, p: int = 2, emax: Optional[int] = None) -> CaseR
         for e in range(2, emax + 1):
             q = p ** e
             w = (1, q // p - 1, q - q // p - 1)
-            excluded = []
-            for e1 in range(1, e):
-                prod = frac_twisted_product(comps[e1], comps[e - e1], p)
-                excluded.append(not prod.contains(w))
+            excluded = _splits_excluded(comps, e, w, p)
             result.expectations.append(_expect(
                 f"witness_excluded_e{e}", all(excluded),
                 {"witness": list(w), "splits_excluded": excluded}, "identity"))

@@ -26,6 +26,7 @@ from .polyring import (
     _key_function,
     mono_divides,
     mono_lcm,
+    monomials_of_weighted_degree,
 )
 
 DEFAULT_DEGREE_GUARD = 120
@@ -511,38 +512,6 @@ def ideal_power(ideal: Ideal, n: int) -> Ideal:
 # --------------------------------------------------------------------------
 # minimal generators of graded modules over normal forms
 
-_MONO_SLICE_MEMO: dict = {}
-
-
-def monomials_of_weighted_degree(ring: RingSpec, d: int):
-    """All exponent vectors of weighted degree exactly d, in a fixed order."""
-    if d < 0:
-        return ()
-    ck = (ring.weights, d)
-    hit = _MONO_SLICE_MEMO.get(ck)
-    if hit is not None:
-        return hit
-    weights = ring.weights
-    n = len(weights)
-    out = []
-    stack = [()]
-
-    def rec(prefix, remaining, i):
-        if i == n - 1:
-            w = weights[i]
-            if remaining % w == 0:
-                out.append(prefix + (remaining // w,))
-            return
-        w = weights[i]
-        for e in range(remaining // w, -1, -1):
-            rec(prefix + (e,), remaining - e * w, i + 1)
-
-    rec((), d, 0)
-    result = tuple(out)
-    _MONO_SLICE_MEMO[ck] = result
-    return result
-
-
 class _Echelon:
     """Sparse row echelon over GF(p), pivot-monomial indexed."""
 
@@ -623,7 +592,7 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     for d, group in itertools.groupby(cands, key=lambda g: g.weighted_degree()):
         ech = _Echelon(key, p)
         for _, dh, form in kept:
-            for m in monomials_of_weighted_degree(ring, d - dh):
+            for m in monomials_of_weighted_degree(ring.weights, d - dh):
                 ech.add_row(_reduce_full(
                     {tuple(a + b for a, b in zip(mm, m)): c for mm, c in form.items()},
                     basis, key, p))

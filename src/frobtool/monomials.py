@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .polyring import (
@@ -22,6 +21,7 @@ from .polyring import (
     mono_divides,
     mono_gcd,
     mono_lcm,
+    monomials_of_weighted_degree,
     _key_function,
 )
 
@@ -105,28 +105,6 @@ def mono_frobenius_power(ideal: MonomialIdeal, e: int, p: Optional[int] = None) 
     return MonomialIdeal(ideal.ring, [tuple(x * q for x in m) for m in ideal.generators])
 
 
-def graded_piece(ring: RingSpec, degree: int):
-    """All monomials of total degree n for a standard-weight ring;
-    the count is C(n + d - 1, d - 1)."""
-    if any(w != 1 for w in ring.weights):
-        raise ValueError("graded pieces are defined for standard weights")
-    if degree < 0:
-        return ()
-    d = ring.nvars
-    out = []
-
-    def rec(prefix, remaining, i):
-        if i == d - 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, i + 1)
-
-    rec((), degree, 0)
-    assert len(out) == comb(degree + d - 1, d - 1)
-    return tuple(out)
-
-
 # --------------------------------------------------------------------------
 # affine semigroups and fractional monomial modules
 
@@ -198,7 +176,9 @@ class FracMonomialModule:
         object.__setattr__(self, "semigroup", semigroup)
         gens = []
         for g in generators:
-            g = tuple(int(x) for x in g)
+            g = tuple(g)  # int tuples are shared, not copied: a component can hold 10^5
+            if not all(type(x) is int for x in g):
+                g = tuple(int(x) for x in g)
             if len(g) != semigroup.dim:
                 raise ValueError("generator vector has wrong length")
             gens.append(g)
@@ -297,18 +277,7 @@ def poly_twisted_component(d: int, p: int, e: int) -> FracMonomialModule:
     semigroup = free_semigroup(d)
     if e == 0:
         return FracMonomialModule(semigroup, [(0,) * d], 0)
-    q = p ** e
-    out = []
-
-    def rec(prefix, remaining, i):
-        if i == d - 1:
-            out.append(prefix + (remaining,))
-            return
-        for x in range(remaining, -1, -1):
-            rec(prefix + (x,), remaining - x, i + 1)
-
-    rec((), q - 1, 0)
-    return FracMonomialModule(semigroup, out, e)
+    return FracMonomialModule(semigroup, monomials_of_weighted_degree((1,) * d, p ** e - 1), e)
 
 
 def segre_semigroup_2x3() -> SemigroupSpec:

@@ -11,6 +11,7 @@ declared variable order, so all outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 Mono = tuple  # exponent vector, one entry per ring variable
@@ -54,98 +55,11 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"characteristic must be prime: {self.p}")
 
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1 % self.p, self)
-
-    def elements(self):
-        """All field elements, ascending by residue (use for small p only)."""
-        return [FieldElement(v, self) for v in range(self.p)]
-
     def inv(self, value: int) -> int:
         value %= self.p
         if value == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(value, self.p - 2, self.p)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in GF(p); always fully reduced."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.p:
-            object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value + v) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value - v) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((v - self.value) % self.field.p, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.field.p, self.field)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * self.field.inv(v) % self.field.p, self.field)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return FieldElement(pow(self.field.inv(self.value), -n, self.field.p), self.field)
-        return FieldElement(pow(self.value, n, self.field.p), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 @dataclass(frozen=True)
@@ -172,16 +86,6 @@ LEX = Order("lex")
 
 def elimination(k: int) -> Order:
     return Order("elim", k)
-
-
-def order_from_tag(tag: str) -> Order:
-    if tag == "grevlex":
-        return GREVLEX
-    if tag == "lex":
-        return LEX
-    if tag.startswith("elim"):
-        return Order("elim", int(tag[4:]))
-    raise ValueError(f"unknown monomial order tag: {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -247,9 +151,6 @@ class RingSpec:
     def monomial(self, mono: Mono, coeff: int = 1) -> "Polynomial":
         return Polynomial(self, {tuple(mono): coeff})
 
-    def gens(self) -> tuple:
-        return tuple(self.variable(v) for v in self.variables)
-
 
 _KEY_FUNCS: dict = {}
 
@@ -295,10 +196,6 @@ def _key_function(ring: RingSpec, order: Order):
     return fn
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_div(a: Mono, b: Mono) -> Mono:
     """a / b; raises if not divisible."""
     q = tuple(x - y for x, y in zip(a, b))
@@ -317,6 +214,27 @@ def mono_gcd(a: Mono, b: Mono) -> Mono:
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+@lru_cache(maxsize=256)
+def monomials_of_weighted_degree(weights: tuple, d: int) -> tuple:
+    """All exponent vectors of weighted degree exactly d, lexicographically
+    descending (the first exponent largest first)."""
+    n = len(weights)
+    out = []
+
+    def rec(prefix, remaining, i):
+        w = weights[i]
+        if i == n - 1:
+            if remaining % w == 0:
+                out.append(prefix + (remaining // w,))
+            return
+        for e in range(remaining // w, -1, -1):
+            rec(prefix + (e,), remaining - e * w, i + 1)
+
+    if d >= 0:
+        rec((), d, 0)
+    return tuple(out)
 
 
 class Polynomial:
@@ -377,15 +295,12 @@ class Polynomial:
         degs = {wd(m) for m, _ in self.terms}
         return len(degs) == 1
 
-    def coefficient(self, mono: Mono) -> FieldElement:
+    def coefficient(self, mono: Mono) -> int:
         mono = tuple(mono)
         for m, c in self.terms:
             if m == mono:
-                return FieldElement(c, self.ring.field)
-        return self.ring.field.zero
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
+                return c
+        return 0
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -450,10 +365,6 @@ class Polynomial:
             return other
         if isinstance(other, int):
             return self.ring.constant(other)
-        if isinstance(other, FieldElement):
-            if other.field != self.ring.field:
-                raise ValueError("field mismatch")
-            return self.ring.constant(other.value)
         return NotImplemented
 
     def __pow__(self, n: int):

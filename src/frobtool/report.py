@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
-
 from . import __version__
 
 
@@ -23,14 +21,14 @@ def digest_params(params: dict) -> str:
 
 
 def make_report(command: str, input_digest: str, components=None,
-                expectations=None, timing: Optional[dict] = None) -> dict:
+                expectations=None) -> dict:
     return {
         "version": __version__,
         "input_digest": input_digest,
         "command": command,
         "components": components or [],
         "expectations": expectations or [],
-        "timing": timing or {},
+        "timing": {},
     }
 
 

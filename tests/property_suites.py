@@ -4,7 +4,7 @@ violation and returns a count of checked instances."""
 
 import random
 
-from frobtool.frobenius import component, twisted_mul
+from frobtool.frobenius import component, fingen_probe, monomial_fingen_probe, twisted_mul
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
@@ -204,4 +204,35 @@ def run_twisted_mul_suite(count=100, seed=500):
             diff = twisted_mul(a + i1, e1, b + i2) - twisted_mul(a, e1, b)
             assert target.contains(diff)
             checked += 1
+    return checked
+
+
+def _probe_signature(report):
+    return [(r.e, r.min_gen_count, r.new_gen_count, r.max_gen_degree,
+             r.generated_from_lower) for r in report.rows]
+
+
+def run_probe_cross_oracle_suite(count=24, seed=600):
+    """The Groebner probe and the monomial probe agree row for row on
+    random monomial ideals; new generators never outnumber the minimal
+    ones."""
+    rng = random.Random(seed)
+    settings = [(RingSpec(PrimeField(p), ("x", "y", "z")), emax)
+                for p, emax in ((2, 3), (3, 2), (5, 2))]
+    checked = 0
+    while checked < count:
+        ring, emax = settings[checked % len(settings)]
+        monos = [m for m in (random_monomial(rng, ring.nvars, 2)
+                             for _ in range(rng.randint(1, 3))) if any(m)]
+        if not monos:
+            continue
+        mono = MonomialIdeal(ring, monos)
+        try:
+            report = fingen_probe(Ideal(ring, mono.polynomials()), emax, GUARD).report
+        except DegreeGuardExceeded:
+            continue
+        oracle = monomial_fingen_probe(mono, emax)
+        assert _probe_signature(report) == _probe_signature(oracle), mono.generators
+        assert all(r.new_gen_count <= r.min_gen_count for r in report.rows)
+        checked += 1
     return checked

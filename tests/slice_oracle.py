@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from frobtool.groebner import Ideal, _Echelon, monomials_of_weighted_degree
-from frobtool.polyring import Polynomial, RingSpec, _key_function
+from frobtool.groebner import Ideal, _Echelon
+from frobtool.polyring import (
+    Polynomial,
+    RingSpec,
+    _key_function,
+    monomials_of_weighted_degree,
+)
 
 
 class SliceEchelon(_Echelon):
@@ -59,7 +64,7 @@ class GradedMembership:
                 dg = g.weighted_degree()
                 if dg > d:
                     continue
-                for m in monomials_of_weighted_degree(self.ring, d - dg):
+                for m in monomials_of_weighted_degree(self.ring.weights, d - dg):
                     row = {tuple(a + b for a, b in zip(mm, m)): c for mm, c in g.terms}
                     ech.add_row(row)
             self._slices[d] = ech
@@ -115,7 +120,7 @@ def slice_minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal):
             dh = h.weighted_degree()
             if dh > d:
                 continue
-            for m in monomials_of_weighted_degree(ring, d - dh):
+            for m in monomials_of_weighted_degree(ring.weights, d - dh):
                 row = {tuple(a + b for a, b in zip(mm, m)): c for mm, c in h.terms}
                 ech.add_row(row)
         if ech.reduces_to_zero(dict(g.terms)):

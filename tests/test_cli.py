@@ -3,7 +3,7 @@ import json
 import pytest
 
 from frobtool.cli import main
-from frobtool.groebner import clear_memo, set_persistent_cache
+from frobtool.groebner import LiftVerificationError, clear_memo, set_persistent_cache
 
 KATZMAN = """\
 char 2
@@ -89,6 +89,21 @@ def test_degree_guard_exit3(capsys, tmp_path):
     code = main(["gb", "--input", str(path), "--ideal", "I", "--no-cache"])
     assert code == 3
     assert "degree guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, LiftVerificationError])
+def test_internal_error_exit4(capsys, katzman_file, monkeypatch, error):
+    import frobtool.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise error("planted failure")
+
+    monkeypatch.setattr(cli_mod, "colon", broken)
+    code = main(["colon", "--input", katzman_file, "--lhs", "I", "--rhs", "I",
+                 "--no-cache"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "internal error: planted failure\n"
 
 
 def test_gallery_pass_and_fail_exit_codes(capsys, monkeypatch):

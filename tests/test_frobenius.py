@@ -7,13 +7,14 @@ from frobtool.frobenius import (
     component,
     degree_growth,
     fingen_probe,
+    generation_report,
     monomial_fingen_probe,
     product_component,
     qgor_expected_bound,
     twisted_mul,
     twisted_mul_reps,
 )
-from frobtool.groebner import Ideal
+from frobtool.groebner import DegreeGuardExceeded, Ideal, clear_memo
 from frobtool.monomials import MonomialIdeal
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import PrimeField, RingSpec
@@ -88,6 +89,12 @@ class TestTwistedMul:
         with pytest.raises(ArithmeticError):
             twisted_mul_reps(bad, 1, bad, 1, katzman, check=True)
 
+    def test_check_honours_degree_guard(self, katzman):
+        g = component(katzman, 1).min_gens[0]
+        clear_memo()  # a basis memoized by another test would skip the guard
+        with pytest.raises(DegreeGuardExceeded):
+            twisted_mul_reps(g, 1, g, 1, katzman, check=True, degree_guard=2)
+
 
 class TestProductComponent:
     def test_principal(self, gf2_xyz):
@@ -139,6 +146,25 @@ class TestFinGenProbe:
         for row in report.rows:
             if row.e >= 2:
                 assert row.generated_from_lower == (row.new_gen_count == 0)
+
+    def test_generation_report_convention(self):
+        gens = [("a", "b"), ("c",), ("d", "e")]
+        seen = []
+
+        def outside(e, products):
+            products = list(products)
+            seen.append((e, products))
+            return [] if e == 2 else list(gens[e - 1])
+
+        report = generation_report(
+            3, gens, lambda e1, e2: [f"{a}{b}" for a in gens[e1 - 1] for b in gens[e2 - 1]],
+            outside)
+        assert [(r.e, r.q, r.min_gen_count, r.new_gen_count, r.max_gen_degree,
+                 r.generated_from_lower) for r in report.rows] == [
+            (1, 3, 2, 2, 0, False), (2, 9, 1, 0, 0, True), (3, 27, 2, 2, 0, False)]
+        assert seen == [(2, ["aa", "ab", "ba", "bb"]),
+                        (3, ["ac", "bc", "ca", "cb"])]
+        assert report.emax == 3 and report.first_new_degree == 3
 
     def test_summary_wording(self, katzman):
         lines = fingen_probe(katzman, 3).report.summary_lines()

@@ -10,7 +10,6 @@ from frobtool.monomials import (
     SemigroupSpec,
     frac_twisted_product,
     free_semigroup,
-    graded_piece,
     mono_colon,
     mono_frobenius_power,
     mono_intersect,
@@ -20,7 +19,7 @@ from frobtool.monomials import (
     veronese_component,
     veronese_semigroup,
 )
-from frobtool.polyring import PrimeField, RingSpec
+from frobtool.polyring import PrimeField, RingSpec, monomials_of_weighted_degree
 
 from conftest import random_monomial
 
@@ -88,13 +87,17 @@ class TestCrossOracle:
 class TestGradedPiece:
     def test_dim2_degree1(self):
         R2 = RingSpec(PrimeField(2), ("x", "y"))
-        assert set(graded_piece(R2, 1)) == {(1, 0), (0, 1)}
+        assert monomials_of_weighted_degree(R2.weights, 1) == ((1, 0), (0, 1))
 
     def test_dim3_degree3_count(self, R3):
-        assert len(graded_piece(R3, 3)) == comb(5, 2) == 10
+        piece = monomials_of_weighted_degree(R3.weights, 3)
+        assert len(piece) == len(set(piece)) == comb(5, 2) == 10
+        assert all(sum(m) == 3 for m in piece)
+        assert list(piece) == sorted(piece, reverse=True)
 
     def test_degree0(self, R3):
-        assert graded_piece(R3, 0) == ((0, 0, 0),)
+        assert monomials_of_weighted_degree(R3.weights, 0) == ((0, 0, 0),)
+        assert monomials_of_weighted_degree(R3.weights, -1) == ()
 
 
 class TestSemigroup:
@@ -126,6 +129,13 @@ class TestFracModules:
         mod = poly_twisted_component(2, 2, 1)
         for g in mod.generators:
             assert mod.contains(g)
+
+    def test_generators_shared_or_converted(self):
+        given = (-1, 0)
+        mod = FracMonomialModule(free_semigroup(2), [given, [True, 2.0]])
+        assert mod.generators == ((-1, 0), (1, 2))
+        assert mod.generators[0] is given
+        assert all(type(x) is int for x in mod.generators[1])
 
     def test_twisted_product_dim2(self):
         t1 = poly_twisted_component(2, 2, 1)

@@ -36,6 +36,10 @@ def test_cross_oracle_50_ideals():
     assert property_suites.run_cross_oracle_suite(50) == 50
 
 
+def test_probe_cross_oracle_24_monomial_ideals():
+    assert property_suites.run_probe_cross_oracle_suite(24) == 24
+
+
 def test_twisted_mul_laws_100_elements():
     assert property_suites.run_twisted_mul_suite(100) >= 100
 
