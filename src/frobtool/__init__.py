@@ -6,8 +6,8 @@ from .polyring import (
     Order,
     Polynomial,
     PrimeField,
+    RingMismatch,
     RingSpec,
-    elimination,
     is_prime,
 )
 from .parsing import ParseError, UnknownVariableError, parse_polynomial
@@ -41,7 +41,6 @@ from .monomials import (
 from .frobenius import (
     FinGenReport,
     FrobeniusComponent,
-    FrobeniusDegree,
     component,
     degree_growth,
     fingen_probe,

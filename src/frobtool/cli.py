@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success with all expectations passing, 1 failed expectation,
-2 usage or parse errors, 3 degree-guard abort, 4 internal error (a failed
-arithmetic invariant or lift verification).  Environment: FROBTOOL_CACHE
-(basis cache directory).
+Subcommands: gb, colon, fpow and fops read a .frob input file; gallery runs
+a named case.  Exit codes: 0 success with all expectations passing, 1 failed
+expectation, 2 usage or parse errors, 3 degree-guard abort, 4 internal error
+(a failed arithmetic invariant, a lift verification or a ring mismatch).
+Environment: FROBTOOL_CACHE (basis cache directory).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .groebner import (
 )
 from .inputfile import InputFileError, parse_input_file
 from .parsing import ParseError
+from .polyring import RingMismatch
 from .report import (
     digest_bytes,
     digest_params,
@@ -52,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cap on intermediate weighted degree (default 120)")
         p.add_argument("--no-cache", action="store_true",
                        help="disable the persistent basis cache")
-        p.add_argument("--deep", action="store_true",
-                       help="enable slower extended ranges where a case offers them")
 
     p_gb = sub.add_parser("gb", help="reduced basis of a named ideal")
     common(p_gb)
@@ -73,13 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_fops)
     p_fops.add_argument("--ideal", required=True)
     p_fops.add_argument("--emax", type=int, default=2)
-
-    p_tw = sub.add_parser("twisted-poly",
-                          help="twisted algebra of a polynomial ring, monomial path")
-    common(p_tw, needs_input=False)
-    p_tw.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
-    p_tw.add_argument("--p", type=int, default=2)
-    p_tw.add_argument("--emax", type=int, default=None)
 
     p_gal = sub.add_parser("gallery", help="run a named gallery case")
     common(p_gal, needs_input=False)
@@ -140,16 +133,9 @@ def _run(argv) -> int:
             report = make_report(
                 " ".join(["frobtool", args.command]), input_digest,
                 components, expectations)
-        elif args.command == "twisted-poly":
-            case = run_case("twisted", p=args.p, emax=args.emax, dim=args.dim,
-                            deep=args.deep, degree_guard=args.degree_guard)
-            passed = case.passed
-            report = make_report(
-                "frobtool twisted-poly", digest_params(case.params),
-                case.components, expectations_payload(case.expectations))
         else:  # gallery
             case = run_case(args.case, p=args.p, emax=args.emax, dim=args.dim,
-                            deep=args.deep, degree_guard=args.degree_guard)
+                            degree_guard=args.degree_guard)
             passed = case.passed
             report = make_report(
                 f"frobtool gallery {args.case}", digest_params(case.params),
@@ -209,7 +195,7 @@ def main(argv=None) -> int:
     except DegreeGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ArithmeticError, LiftVerificationError) as exc:
+    except (ArithmeticError, LiftVerificationError, RingMismatch) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except (InputFileError, ParseError, ValueError, OSError) as exc:

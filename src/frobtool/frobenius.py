@@ -21,36 +21,20 @@ from .groebner import (
     minimal_generators_mod,
     _key_function,
 )
-from .polyring import Polynomial
-
-
-@dataclass(frozen=True)
-class FrobeniusDegree:
-    e: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.e < 0:
-            raise ValueError("Frobenius degree must be non-negative")
+from .polyring import Polynomial, RingMismatch
 
 
 @dataclass(frozen=True)
 class FrobeniusComponent:
-    """Degree-e component: the colon ideal I^[q]:I, the modulus I^[q], and
-    minimal generator representatives in ascending weighted degree."""
+    """Degree-e component, q = p^e: the colon ideal I^[q]:I, the modulus
+    I^[q], and minimal generator representatives in ascending weighted
+    degree."""
 
-    degree: FrobeniusDegree
+    e: int
+    q: int
     colon: Ideal
     modulus: Ideal
     min_gens: tuple
-
-    @property
-    def e(self) -> int:
-        return self.degree.e
-
-    @property
-    def q(self) -> int:
-        return self.degree.q
 
     def max_gen_degree(self) -> int:
         return max((g.weighted_degree() for g in self.min_gens), default=0)
@@ -127,7 +111,7 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     q = p ** e
     if e == 0:
         unit = Ideal(ring, (ring.one(),))
-        return FrobeniusComponent(FrobeniusDegree(0, 1), unit, ideal, (ring.one(),))
+        return FrobeniusComponent(0, 1, unit, ideal, (ring.one(),))
     modulus = frobenius_power(ideal, e)
     col = colon(modulus, ideal, degree_guard)
     raw = minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard), modulus,
@@ -136,40 +120,33 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     min_gens = tuple(sorted((modulus.normal_form(g, degree_guard=degree_guard).monic()
                              for g in raw),
                             key=lambda g: (g.weighted_degree(), key(g.leading_monomial()))))
-    return FrobeniusComponent(FrobeniusDegree(e, q), col, modulus, min_gens)
+    return FrobeniusComponent(e, q, col, modulus, min_gens)
 
 
 def twisted_mul(a: Polynomial, e1: int, b: Polynomial) -> Polynomial:
     """a * b for a of Frobenius degree e1: the product a * b^{p^{e1}}."""
     if a.ring != b.ring:
-        raise ValueError("ring mismatch")
+        raise RingMismatch("ring mismatch")
     return a * b.frobenius_power(e1)
 
 
 def twisted_mul_reps(a: Polynomial, e1: int, b: Polynomial, e2: int,
-                     ideal: Ideal, check: bool = True,
-                     degree_guard: Optional[int] = None) -> Polynomial:
+                     ideal: Ideal, degree_guard: Optional[int] = None) -> Polynomial:
     """Twisted product of colon representatives, asserting that the result
     represents an element of the degree e1+e2 component."""
     result = twisted_mul(a, e1, b)
-    if check:
-        target = frobenius_power(ideal, e1 + e2)
-        for g in ideal.generators:
-            if not target.contains(result * g, degree_guard):
-                raise ArithmeticError(
-                    "twisted product left the colon ideal of degree "
-                    f"{e1 + e2}; inputs were not valid representatives")
+    target = frobenius_power(ideal, e1 + e2)
+    for g in ideal.generators:
+        if not target.contains(result * g, degree_guard):
+            raise ArithmeticError(
+                "twisted product left the colon ideal of degree "
+                f"{e1 + e2}; inputs were not valid representatives")
     return result
 
 
-def product_component(comp1: FrobeniusComponent, comp2: FrobeniusComponent,
-                      ideal: Ideal, check: bool = False):
+def product_component(comp1: FrobeniusComponent, comp2: FrobeniusComponent):
     """All pairwise twisted products of the two components' generators."""
-    out = []
-    for g in comp1.min_gens:
-        for h in comp2.min_gens:
-            out.append(twisted_mul_reps(g, comp1.e, h, comp2.e, ideal, check))
-    return out
+    return [twisted_mul(g, comp1.e, h) for g in comp1.min_gens for h in comp2.min_gens]
 
 
 def generation_report(p: int, gens, product, outside, degree=None) -> FinGenReport:
@@ -213,7 +190,7 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
     comps = tuple(component(ideal, e, degree_guard) for e in range(1, emax + 1))
     report = generation_report(
         ring.field.p, [c.min_gens for c in comps],
-        lambda e1, e2: product_component(comps[e1 - 1], comps[e2 - 1], ideal),
+        lambda e1, e2: product_component(comps[e1 - 1], comps[e2 - 1]),
         lambda e, products: minimal_generators_mod(
             comps[e - 1].min_gens,
             Ideal(ring, tuple(comps[e - 1].modulus.generators) + tuple(products)),

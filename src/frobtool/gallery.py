@@ -35,6 +35,7 @@ from .monomials import (
     frac_twisted_product,
     poly_twisted_component,
     segre_component_2x3,
+    twisted_product_contains,
     veronese_component,
 )
 from .parsing import parse_polynomial
@@ -119,7 +120,7 @@ def _report_signature(report: FinGenReport) -> list:
 # --------------------------------------------------------------------------
 # cases
 
-def fedder_identity_check(p: int, strictness: Optional[bool] = None,
+def fedder_identity_check(p: int = 2, strictness: Optional[bool] = None,
                           degree_guard: Optional[int] = None) -> CaseResult:
     """Exact shape of the first Frobenius colon of the 2x3 minors ideal:
     I^[p]:I = I^{2p-2} + I^[p]; strict growth at q = p^2."""
@@ -242,7 +243,7 @@ def _veronese_monomial_probe(p: int, emax: int) -> FinGenReport:
         outside)
 
 
-def veronese_case(p: int, emax: Optional[int] = None,
+def veronese_case(p: int = 2, emax: Optional[int] = None,
                   degree_guard: Optional[int] = None) -> CaseResult:
     """Cubic Veronese of a polynomial plane, both presentations.
 
@@ -331,7 +332,7 @@ def _segre_witness(p: int, e: int):
 def _splits_excluded(comps: dict, e: int, w, p: int) -> list:
     """Per split e = e1 + e2, whether w lies outside the product of the
     degree-e1 and degree-e2 components."""
-    return [not frac_twisted_product(comps[e1], comps[e - e1], p).contains(w)
+    return [not twisted_product_contains(comps[e1], comps[e - e1], p, w)
             for e1 in range(1, e)]
 
 
@@ -429,31 +430,25 @@ def poly_twisted_case(dim: int, p: int = 2, emax: Optional[int] = None) -> CaseR
 # registry
 
 def run_case(name: str, p: Optional[int] = None, emax: Optional[int] = None,
-             dim: Optional[int] = None, deep: bool = False,
+             dim: Optional[int] = None,
              degree_guard: Optional[int] = None) -> CaseResult:
+    """Run a named case.  Arguments left as None take the case's own
+    defaults; a case ignores the arguments it has no use for."""
+    given = {} if p is None else {"p": p}
     if name == "fedder":
-        return fedder_identity_check(p if p is not None else 2,
-                                     degree_guard=degree_guard)
-    if name == "lifts":
-        return lift_family_check(p if p is not None else 2,
-                                 emax if emax is not None else 2,
-                                 degree_guard=degree_guard)
-    if name == "katzman":
-        default_emax = 4 if deep else 3
-        return katzman_case(p if p is not None else 2,
-                            emax if emax is not None else default_emax,
-                            degree_guard=degree_guard)
-    if name == "veronese":
-        return veronese_case(p if p is not None else 2, emax,
-                             degree_guard=degree_guard)
-    if name == "determinantal":
-        return determinantal_case(p if p is not None else 2,
-                                  emax_groebner=emax if emax is not None else 2,
-                                  emax_monomial=4,
-                                  degree_guard=degree_guard)
+        return fedder_identity_check(**given, degree_guard=degree_guard)
     if name == "twisted":
-        return poly_twisted_case(dim if dim is not None else 2,
-                                 p if p is not None else 2, emax)
+        return poly_twisted_case(2 if dim is None else dim, emax=emax, **given)
+    if emax is not None:
+        given["emax_groebner" if name == "determinantal" else "emax"] = emax
+    if name == "lifts":
+        return lift_family_check(**given, degree_guard=degree_guard)
+    if name == "katzman":
+        return katzman_case(**given, degree_guard=degree_guard)
+    if name == "veronese":
+        return veronese_case(**given, degree_guard=degree_guard)
+    if name == "determinantal":
+        return determinantal_case(**given, degree_guard=degree_guard)
     raise ValueError(f"unknown gallery case {name!r}")
 
 

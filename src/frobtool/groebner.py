@@ -22,6 +22,7 @@ from .polyring import (
     GREVLEX,
     Order,
     Polynomial,
+    RingMismatch,
     RingSpec,
     _key_function,
     mono_divides,
@@ -248,10 +249,6 @@ def set_persistent_cache(store) -> None:
     _PERSISTENT = store
 
 
-def get_persistent_cache():
-    return _PERSISTENT
-
-
 def clear_memo() -> None:
     _GB_MEMO.clear()
 
@@ -317,7 +314,7 @@ class Ideal:
             if not isinstance(g, Polynomial):
                 raise TypeError(f"ideal generators must be polynomials: {g!r}")
             if g.ring != ring:
-                raise ValueError("ring mismatch")
+                raise RingMismatch("ring mismatch")
             if not g.is_zero():
                 gens.append(g)
         self.ring = ring
@@ -352,7 +349,7 @@ class Ideal:
                     degree_guard: Optional[int] = None) -> Polynomial:
         """Unique remainder of f against the reduced basis; 0 iff f is a member."""
         if f.ring != self.ring:
-            raise ValueError("ring mismatch")
+            raise RingMismatch("ring mismatch")
         order = order or self.ring.order
         entries = self._basis_entries(order, degree_guard)
         if not entries:
@@ -367,7 +364,7 @@ class Ideal:
 
     def contains_ideal(self, other: "Ideal", degree_guard: Optional[int] = None) -> bool:
         if other.ring != self.ring:
-            raise ValueError("ring mismatch")
+            raise RingMismatch("ring mismatch")
         return all(self.contains(g, degree_guard) for g in other.generators)
 
     def is_proper(self, degree_guard: Optional[int] = None) -> bool:
@@ -378,7 +375,7 @@ class Ideal:
         if not isinstance(other, Ideal):
             return NotImplemented
         if other.ring != self.ring:
-            raise ValueError("ring mismatch")
+            raise RingMismatch("ring mismatch")
         return Ideal(self.ring, self.generators + other.generators)
 
     def __eq__(self, other) -> bool:
@@ -392,7 +389,7 @@ class Ideal:
 def ideal_equal(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> bool:
     """True iff the reduced bases under a common order coincide term for term."""
     if lhs.ring != rhs.ring:
-        raise ValueError("ring mismatch")
+        raise RingMismatch("ring mismatch")
     return lhs.groebner_basis(degree_guard=degree_guard) == rhs.groebner_basis(degree_guard=degree_guard)
 
 
@@ -418,7 +415,7 @@ def _project_poly(f: Polynomial, ring: RingSpec) -> Polynomial:
 def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     """Ideal intersection via an auxiliary variable and elimination."""
     if lhs.ring != rhs.ring:
-        raise ValueError("ring mismatch")
+        raise RingMismatch("ring mismatch")
     ring = lhs.ring
     if lhs.is_zero() or rhs.is_zero():
         return Ideal(ring, ())
@@ -472,7 +469,7 @@ def _divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     """The colon ideal lhs : rhs = { g : g*rhs contained in lhs }."""
     if lhs.ring != rhs.ring:
-        raise ValueError("ring mismatch")
+        raise RingMismatch("ring mismatch")
     if rhs.is_zero():
         raise ValueError("colon by the zero ideal")
     ring = lhs.ring
@@ -574,7 +571,7 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     seen = set()
     for g in gens:
         if g.ring != ring:
-            raise ValueError("ring mismatch")
+            raise RingMismatch("ring mismatch")
         if g.is_zero():
             continue
         if not g.is_homogeneous():
@@ -615,7 +612,7 @@ def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,
     """
     ring = modulus.ring
     if g.ring != ring or m.ring != ring:
-        raise ValueError("ring mismatch")
+        raise RingMismatch("ring mismatch")
     if m.is_zero():
         raise ValueError("cannot lift along the zero divisor candidate 0")
     s = modulus.normal_form(g, degree_guard=degree_guard)

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .polyring import (
     Mono,
+    RingMismatch,
     RingSpec,
     mono_div,
     mono_divides,
@@ -74,7 +75,7 @@ class MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             raise TypeError("expected a MonomialIdeal")
         if other.ring != self.ring:
-            raise ValueError("ring mismatch")
+            raise RingMismatch("ring mismatch")
 
 
 def mono_intersect(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
@@ -217,6 +218,15 @@ class FracMonomialModule:
         return FracMonomialModule(self.semigroup, kept, self.degree)
 
 
+def _twist(lhs: FracMonomialModule, rhs: FracMonomialModule, p: int) -> int:
+    """p^{e1} for the twisted product of lhs (degree e1) and rhs."""
+    if lhs.semigroup != rhs.semigroup:
+        raise ValueError("semigroup mismatch")
+    if lhs.degree is None or rhs.degree is None:
+        raise ValueError("twisted products need the Frobenius degree of both factors")
+    return p ** lhs.degree
+
+
 def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,
                          p: int) -> FracMonomialModule:
     """Twisted product on fractional modules: generators g_a + p^{e1} * g_b.
@@ -225,14 +235,24 @@ def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,
     semigroup ring (bilinearity of the twisted multiplication).  Kept as a
     plain generator list, without minimalization.
     """
-    if lhs.semigroup != rhs.semigroup:
-        raise ValueError("semigroup mismatch")
-    if lhs.degree is None or rhs.degree is None:
-        raise ValueError("twisted products need the Frobenius degree of both factors")
-    q1 = p ** lhs.degree
+    q1 = _twist(lhs, rhs, p)
     gens = [tuple(a + q1 * b for a, b in zip(ga, gb))
             for ga in lhs.generators for gb in rhs.generators]
     return FracMonomialModule(lhs.semigroup, gens, lhs.degree + rhs.degree)
+
+
+def twisted_product_contains(lhs: FracMonomialModule, rhs: FracMonomialModule,
+                             p: int, v: Sequence[int]) -> bool:
+    """frac_twisted_product(lhs, rhs, p).contains(v), tested pair by pair
+    without building the product module."""
+    q1 = _twist(lhs, rhs, p)
+    adm = lhs.semigroup.admissible
+    v = tuple(int(x) for x in v)
+    for ga in lhs.generators:
+        r = tuple(x - a for x, a in zip(v, ga))
+        if any(adm(tuple(x - q1 * b for x, b in zip(r, gb))) for gb in rhs.generators):
+            return True
+    return False
 
 
 def free_semigroup(d: int) -> SemigroupSpec:

@@ -144,7 +144,12 @@ class _Parser:
                     raise UnknownVariableError(f"unknown variable {text!r}", line, col)
                 expo[ring.variables.index(text)] += self._opt_exponent()
             elif kind == "op" and text == "(":
-                factor = self.power()
+                self.advance()
+                factor = self.expr()
+                kind, text, line, col = self.advance()
+                if not (kind == "op" and text == ")"):
+                    raise ParseError("expected ')'", line, col)
+                factor = factor ** self._opt_exponent()
                 poly = factor if poly is None else poly * factor
             else:
                 self.error(f"expected a number, variable or '(': got {text!r}")
@@ -169,33 +174,6 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer", line, col)
             return int(text)
         return 1
-
-    def power(self) -> Polynomial:
-        base = self.atom()
-        kind, text, _, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            kind, text, line, col = self.advance()
-            if kind != "int":
-                raise ParseError("exponent must be a non-negative integer", line, col)
-            return base ** int(text)
-        return base
-
-    def atom(self) -> Polynomial:
-        kind, text, line, col = self.advance()
-        if kind == "int":
-            return self.ring.constant(int(text))
-        if kind == "name":
-            if text not in self.ring.variables:
-                raise UnknownVariableError(f"unknown variable {text!r}", line, col)
-            return self.ring.variable(text)
-        if kind == "op" and text == "(":
-            poly = self.expr()
-            kind, text, line, col = self.advance()
-            if not (kind == "op" and text == ")"):
-                raise ParseError("expected ')'", line, col)
-            return poly
-        raise ParseError(f"expected a number, variable or '(': got {text!r}", line, col)
 
 
 def parse_polynomial(src: str, ring: RingSpec) -> Polynomial:

@@ -84,8 +84,8 @@ GREVLEX = Order("grevlex")
 LEX = Order("lex")
 
 
-def elimination(k: int) -> Order:
-    return Order("elim", k)
+class RingMismatch(ValueError):
+    """Operands from different rings met: an internal error, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,7 @@ def _key_function(ring: RingSpec, order: Order):
     n = ring.nvars
     memo: dict = {}
     if order.kind == "lex":
-        def fn(m, _memo=memo):
-            k = _memo.get(m)
-            if k is None:
-                k = _memo[m] = tuple(m)
-            return k
+        fn = tuple  # an exponent tuple is its own lex key
     elif order.kind == "grevlex":
         rng = tuple(range(n - 1, -1, -1))
         def fn(m, _memo=memo, _w=weights, _r=rng):
@@ -306,7 +302,7 @@ class Polynomial:
 
     def _check_ring(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
-            raise ValueError("ring mismatch")
+            raise RingMismatch("ring mismatch")
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -4,6 +4,7 @@ import pytest
 
 from frobtool.cli import main
 from frobtool.groebner import LiftVerificationError, clear_memo, set_persistent_cache
+from frobtool.polyring import RingMismatch
 
 KATZMAN = """\
 char 2
@@ -82,6 +83,11 @@ def test_usage_error_exit2(capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_removed_options_exit2(capsys):
+    assert main(["twisted-poly", "--dim", "2", "--no-cache"]) == 2
+    assert main(["gallery", "katzman", "--deep", "--no-cache"]) == 2
+
+
 def test_degree_guard_exit3(capsys, tmp_path):
     path = tmp_path / "guarded.frob"
     path.write_text("char 2\nvars x y z\ndegree_guard 2\n"
@@ -91,7 +97,7 @@ def test_degree_guard_exit3(capsys, tmp_path):
     assert "degree guard" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [ArithmeticError, LiftVerificationError])
+@pytest.mark.parametrize("error", [ArithmeticError, LiftVerificationError, RingMismatch])
 def test_internal_error_exit4(capsys, katzman_file, monkeypatch, error):
     import frobtool.cli as cli_mod
 
@@ -124,7 +130,7 @@ def test_gallery_pass_and_fail_exit_codes(capsys, monkeypatch):
 
 
 def test_twisted_poly(capsys):
-    code, report = run_json(capsys, ["twisted-poly", "--dim", "2", "--p", "3",
+    code, report = run_json(capsys, ["gallery", "twisted", "--dim", "2", "--p", "3",
                                      "--emax", "4", "--json", "--no-cache"])
     assert code == 0
     assert all(r["generated_from_lower"] for r in report["components"] if r["e"] >= 2)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobtool.polyring import PrimeField, RingSpec, is_prime
+from frobtool.polyring import PrimeField, RingMismatch, RingSpec, is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17]
 
@@ -78,7 +78,7 @@ def test_arithmetic_matches_int_mod_p(x, y):
 def test_mixed_field_operations_rejected():
     a = RingSpec(PrimeField(3), ("x",)).one()
     b = RingSpec(PrimeField(5), ("x",)).one()
-    with pytest.raises(ValueError, match="ring mismatch"):
+    with pytest.raises(RingMismatch, match="ring mismatch"):
         a + b
 
 

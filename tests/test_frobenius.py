@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from frobtool.frobenius import (
-    FrobeniusDegree,
     component,
     degree_growth,
     fingen_probe,
@@ -81,19 +80,19 @@ class TestTwistedMul:
     def test_checked_product_accepts_valid_reps(self, katzman):
         c1 = component(katzman, 1)
         g = c1.min_gens[0]
-        result = twisted_mul_reps(g, 1, g, 1, katzman, check=True)
+        result = twisted_mul_reps(g, 1, g, 1, katzman)
         assert result == g * g.frobenius_power(1)
 
     def test_checked_product_rejects_invalid(self, gf2_xyz, katzman):
         bad = gf2_xyz.variable("x")  # x is not in the colon of degree 1
         with pytest.raises(ArithmeticError):
-            twisted_mul_reps(bad, 1, bad, 1, katzman, check=True)
+            twisted_mul_reps(bad, 1, bad, 1, katzman)
 
     def test_check_honours_degree_guard(self, katzman):
         g = component(katzman, 1).min_gens[0]
         clear_memo()  # a basis memoized by another test would skip the guard
         with pytest.raises(DegreeGuardExceeded):
-            twisted_mul_reps(g, 1, g, 1, katzman, check=True, degree_guard=2)
+            twisted_mul_reps(g, 1, g, 1, katzman, degree_guard=2)
 
 
 class TestProductComponent:
@@ -101,13 +100,13 @@ class TestProductComponent:
         f = parse_polynomial("x*y - z^2", gf2_xyz)
         ideal = Ideal(gf2_xyz, (f,))
         c1 = component(ideal, 1)
-        prods = product_component(c1, c1, ideal)
+        prods = product_component(c1, c1)
         assert len(prods) == 1
         assert prods[0] == (f ** 3).monic()
 
     def test_katzman_nine_products(self, katzman):
         c1 = component(katzman, 1)
-        prods = product_component(c1, c1, katzman)
+        prods = product_component(c1, c1)
         assert len(prods) == 9
         membership = component(katzman, 2)
         for prod in prods:
@@ -201,7 +200,7 @@ class TestExpectedBound:
             qgor_expected_bound(0, 2)
 
 
-def test_frobenius_degree_validation():
-    assert FrobeniusDegree(3, 8).q == 8
+def test_frobenius_degree_validation(katzman):
+    assert component(katzman, 3).q == 8
     with pytest.raises(ValueError):
-        FrobeniusDegree(-1, 1)
+        component(katzman, -1)

@@ -16,6 +16,7 @@ from frobtool.monomials import (
     poly_twisted_component,
     segre_component_2x3,
     segre_semigroup_2x3,
+    twisted_product_contains,
     veronese_component,
     veronese_semigroup,
 )
@@ -257,3 +258,37 @@ class TestSegre:
                 prod = frac_twisted_product(segre_component_2x3(p, e1),
                                             segre_component_2x3(p, e - e1), p)
                 assert not prod.contains(witness)
+
+
+class TestTwistedProductContains:
+    def test_agrees_with_built_product(self):
+        rng = random.Random(29)
+        families = [
+            (2, lambda p, e: poly_twisted_component(2, p, e)),
+            (3, lambda p, e: poly_twisted_component(3, p, e)),
+            (2, lambda p, e: veronese_component(2, 3, p, e)),
+            (5, lambda p, e: segre_component_2x3(p, e)),
+        ]
+        seen = set()
+        for dim, build in families:
+            for p in (2, 3):
+                for e1, e2 in ((0, 1), (1, 1), (1, 2), (2, 1)):
+                    lhs, rhs = build(p, e1), build(p, e2)
+                    prod = frac_twisted_product(lhs, rhs, p)
+                    for _ in range(30):
+                        base = rng.choice(prod.generators)
+                        v = tuple(x + rng.randint(-2, 2) for x in base)
+                        expected = prod.contains(v)
+                        assert twisted_product_contains(lhs, rhs, p, v) == expected
+                        seen.add(expected)
+        assert seen == {True, False}
+
+    def test_checks_as_built_product(self):
+        t1 = poly_twisted_component(2, 2, 1)
+        loose = FracMonomialModule(t1.semigroup, t1.generators)
+        other = veronese_component(2, 3, 2, 1)
+        for lhs, rhs in ((t1, loose), (t1, other)):
+            with pytest.raises(ValueError):
+                frac_twisted_product(lhs, rhs, 2)
+            with pytest.raises(ValueError):
+                twisted_product_contains(lhs, rhs, 2, (0, 0))
