@@ -433,7 +433,14 @@ def run_case(name: str, p: Optional[int] = None, emax: Optional[int] = None,
              dim: Optional[int] = None,
              degree_guard: Optional[int] = None) -> CaseResult:
     """Run a named case.  Arguments left as None take the case's own
-    defaults; a case ignores the arguments it has no use for."""
+    defaults; an argument the case has no use for raises ValueError."""
+    if name not in CASE_NAMES:
+        raise ValueError(f"unknown gallery case {name!r}")
+    for arg, value, used in (("dim", dim, name == "twisted"),
+                             ("emax", emax, name != "fedder"),
+                             ("degree_guard", degree_guard, name != "twisted")):
+        if value is not None and not used:
+            raise ValueError(f"gallery case {name!r} does not use {arg}")
     given = {} if p is None else {"p": p}
     if name == "fedder":
         return fedder_identity_check(**given, degree_guard=degree_guard)
@@ -447,9 +454,7 @@ def run_case(name: str, p: Optional[int] = None, emax: Optional[int] = None,
         return katzman_case(**given, degree_guard=degree_guard)
     if name == "veronese":
         return veronese_case(**given, degree_guard=degree_guard)
-    if name == "determinantal":
-        return determinantal_case(**given, degree_guard=degree_guard)
-    raise ValueError(f"unknown gallery case {name!r}")
+    return determinantal_case(**given, degree_guard=degree_guard)
 
 
 CASE_NAMES = ("fedder", "lifts", "katzman", "veronese", "determinantal", "twisted")

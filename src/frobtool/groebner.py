@@ -6,6 +6,15 @@ and colon ideals through a single elimination mechanism, Frobenius powers,
 minimal generators of graded quotient modules, and division-lifting by a
 nonzerodivisor.
 
+Buchberger keeps each live S-pair with the lcm of its leads and takes
+pairs from a heap keyed by (weighted degree of the lcm, order key of the
+lcm, pair), so no pair's lcm or degree is recomputed.  A pair that a
+Gebauer-Moeller update drops stays in the heap and is skipped when popped;
+updates only ever add pairs with the new element, so a dropped pair never
+returns.  Reduction screens divisors with divisibility masks (one bit per
+variable that occurs) before the exact exponent test, and still takes the
+first divisor in basis order.  Heaps and masks live for one call.
+
 Ideal values are logically immutable; the per-ideal basis cache and the
 process-wide content-addressed memo are the only mutation points, and
 concurrent fills of one key always carry identical canonical values.
@@ -16,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 from typing import Iterable, Optional, Sequence
 
 from .polyring import (
@@ -26,7 +36,6 @@ from .polyring import (
     RingSpec,
     _key_function,
     mono_divides,
-    mono_lcm,
     monomials_of_weighted_degree,
 )
 
@@ -34,15 +43,20 @@ DEFAULT_DEGREE_GUARD = 120
 
 
 class DegreeGuardExceeded(RuntimeError):
-    """Raised when an intermediate polynomial exceeds the weighted-degree cap."""
+    """Raised when an intermediate polynomial exceeds the weighted-degree cap.
 
-    def __init__(self, degree: int, guard: int):
+    `phase` says where: "pair lcm" when the next S-pair's lcm is above the
+    guard, "remainder" when a reduced S-polynomial is.
+    """
+
+    def __init__(self, degree: int, guard: int, phase: str):
         super().__init__(
-            f"intermediate weighted degree {degree} exceeds the degree guard {guard}; "
-            "the input is likely intractable at this setting"
+            f"intermediate weighted degree {degree} ({phase}) exceeds the degree "
+            f"guard {guard}; the input is likely intractable at this setting"
         )
         self.degree = degree
         self.guard = guard
+        self.phase = phase
 
 
 class NoLiftExists(ValueError):
@@ -56,19 +70,16 @@ class LiftVerificationError(RuntimeError):
 # --------------------------------------------------------------------------
 # core engine on plain dicts {mono: coeff}
 
-def _spoly(f, g, p):
-    """S-polynomial of monic (lm, tail) pairs; returns a dict."""
+def _spoly(f, g, lcm, p):
+    """S-polynomial of monic (lm, tail) pairs whose leads have this lcm;
+    returns a dict."""
     lmf, tailf = f
     lmg, tailg = g
-    lcm = mono_lcm(lmf, lmg)
-    sf = tuple(a - b for a, b in zip(lcm, lmf))
-    sg = tuple(a - b for a, b in zip(lcm, lmg))
-    acc = {}
-    for m, c in tailf:
-        mm = tuple(x + y for x, y in zip(m, sf))
-        acc[mm] = c
+    sf = tuple(map(sub, lcm, lmf))
+    sg = tuple(map(sub, lcm, lmg))
+    acc = {tuple(map(add, m, sf)): c for m, c in tailf}
     for m, c in tailg:
-        mm = tuple(x + y for x, y in zip(m, sg))
+        mm = tuple(map(add, m, sg))
         v = (acc.get(mm, 0) - c) % p
         if v:
             acc[mm] = v
@@ -78,41 +89,48 @@ def _spoly(f, g, p):
 
 
 def _reduce_full(fd, basis, key, p):
-    """Full normal form of the dict fd against monic basis [(lm, tail), ...]."""
+    """Full normal form of the dict fd against monic basis [(lm, tail), ...].
+
+    Each term, largest first, is reduced by the first entry in basis order
+    whose lead divides it.  A lead can divide m only if its divisibility
+    mask (bit k set when variable k occurs) lies inside the mask of m, so
+    the entries that pass that test are listed once per mask of m, and only
+    they get the exact test.
+    """
     work = dict(fd)
     if not work:
         return work
-    heap = [(tuple(-x for x in key(m)), m) for m in work]
+    bits = tuple(1 << k for k in range(len(next(iter(work)))))
+    masks = [sum(itertools.compress(bits, lm)) for lm, _ in basis]
+    fits = {}  # mask of m -> the entries whose lead mask lies inside it
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
     heapify(heap)
     remainder = {}
     while heap:
-        _, m = heappop(heap)
+        m = heappop(heap)[1]
         c = work.pop(m, 0)
         if not c:
             continue
-        reducer = None
-        for lm, tail in basis:
-            ok = True
-            for a, b in zip(lm, m):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                reducer = (lm, tail)
+        mask = sum(itertools.compress(bits, m))
+        candidates = fits.get(mask)
+        if candidates is None:
+            candidates = fits[mask] = [entry for entry, lmask in zip(basis, masks)
+                                       if not lmask & ~mask]
+        for lm, tail in candidates:
+            if all(map(le, lm, m)):
                 break
-        if reducer is None:
+        else:
             remainder[m] = c
             continue
-        lm, tail = reducer
-        shift = tuple(a - b for a, b in zip(m, lm))
+        shift = tuple(map(sub, m, lm))
         for mm, cc in tail:
-            mono = tuple(x + y for x, y in zip(mm, shift))
+            mono = tuple(map(add, mm, shift))
             old = work.get(mono)
             v = ((old or 0) - c * cc) % p
             if v:
                 work[mono] = v
                 if old is None:
-                    heappush(heap, (tuple(-x for x in key(mono)), mono))
+                    heappush(heap, (tuple(map(neg, key(mono))), mono))
             elif old is not None:
                 del work[mono]
     return remainder
@@ -141,26 +159,29 @@ def _gm_update(lms, pairs, t, key):
 
     Implements both Buchberger criteria: pairs whose leading monomials are
     coprime are never created, and pairs made redundant by the new element
-    (chain criterion) are discarded.
+    (chain criterion) are discarded.  `pairs` maps each live pair (i, j) to
+    the lcm of its leads.  Returns the pairs that stay live, in the same
+    form, and the list of new pairs ((i, t), lcm); every new pair involves
+    t, so no pair dropped here ever comes back.
     """
     lmt = lms[t]
-    kept = set()
-    for i, j in pairs:
-        lij = mono_lcm(lms[i], lms[j])
-        if (not mono_divides(lmt, lij)) or mono_lcm(lms[i], lmt) == lij or mono_lcm(lms[j], lmt) == lij:
-            kept.add((i, j))
+    with_t = [tuple(map(max, lm, lmt)) for lm in lms[:t]]  # lcm(lms[i], lmt)
+    kept = {ij: lij for ij, lij in pairs.items()
+            if not mono_divides(lmt, lij) or with_t[ij[0]] == lij or with_t[ij[1]] == lij}
     by_lcm = {}
-    for i in range(t):
-        by_lcm.setdefault(mono_lcm(lms[i], lmt), []).append(i)
+    for i, lcm in enumerate(with_t):
+        by_lcm.setdefault(lcm, []).append(i)
     minimal = []
     for lcm in sorted(by_lcm, key=key):
         if not any(mono_divides(prev, lcm) for prev in minimal):
             minimal.append(lcm)
-    prod = lambda i: tuple(a + b for a, b in zip(lms[i], lmt))
+    new = []
     for lcm in minimal:
-        if not any(prod(i) == lcm for i in by_lcm[lcm]):
-            kept.add((min(by_lcm[lcm]), t))
-    return kept
+        group = by_lcm[lcm]  # ascending
+        if not any(tuple(map(add, lms[i], lmt)) == lcm for i in group):
+            new.append(((group[0], t), lcm))
+    kept.update(new)
+    return kept, new
 
 
 def _buchberger(inputs, ring, order, guard):
@@ -184,35 +205,36 @@ def _buchberger(inputs, ring, order, guard):
 
     basis = []
     lms = []
-    pairs = set()
-    for entry in start:
-        fd = _entry_dict(entry, p)
-        r = _reduce_full(fd, basis, key, p)
-        if not r:
-            continue
+    pairs = {}  # live pair (i, j) -> lcm of the two leads
+    queue = []  # (wdeg(lcm), key(lcm), (i, j), lcm), live or dropped
+
+    def extend_basis(r):
+        nonlocal pairs
         basis.append(_make_entry(r, key, p))
         lms.append(basis[-1][0])
-        pairs = _gm_update(lms, pairs, len(basis) - 1, key)
+        pairs, new = _gm_update(lms, pairs, len(basis) - 1, key)
+        for ij, lcm in new:
+            heappush(queue, (wdeg(lcm), key(lcm), ij, lcm))
 
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (wdeg(mono_lcm(lms[ij[0]], lms[ij[1]])),
-                                          key(mono_lcm(lms[ij[0]], lms[ij[1]])),
-                                          ij))
-        pairs.discard((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
-        d = wdeg(lcm)
+    for entry in start:
+        r = _reduce_full(_entry_dict(entry, p), basis, key, p)
+        if r:
+            extend_basis(r)
+
+    while queue:
+        d, _, ij, lcm = heappop(queue)
+        if pairs.pop(ij, None) is None:
+            continue
         if d > guard:
-            raise DegreeGuardExceeded(d, guard)
-        s = _spoly(basis[i], basis[j], p)
+            raise DegreeGuardExceeded(d, guard, "pair lcm")
+        s = _spoly(basis[ij[0]], basis[ij[1]], lcm, p)
         r = _reduce_full(s, basis, key, p)
         if not r:
             continue
         top = max(wdeg(m) for m in r)
         if top > guard:
-            raise DegreeGuardExceeded(top, guard)
-        basis.append(_make_entry(r, key, p))
-        lms.append(basis[-1][0])
-        pairs = _gm_update(lms, pairs, len(basis) - 1, key)
+            raise DegreeGuardExceeded(top, guard, "remainder")
+        extend_basis(r)
 
     # minimalize: drop entries whose lead is a multiple of another lead
     order_idx = sorted(range(len(basis)), key=lambda i: key(lms[i]))

@@ -88,13 +88,25 @@ def test_removed_options_exit2(capsys):
     assert main(["gallery", "katzman", "--deep", "--no-cache"]) == 2
 
 
+@pytest.mark.parametrize("argv,arg", [
+    (["gallery", "fedder", "--emax", "9"], "emax"),
+    (["gallery", "katzman", "--dim", "3"], "dim"),
+    (["gallery", "twisted", "--degree-guard", "50"], "degree_guard"),
+])
+def test_unused_gallery_option_exit2(capsys, argv, arg):
+    assert main(argv + ["--no-cache"]) == 2
+    assert capsys.readouterr().err.endswith(f"does not use {arg}\n")
+
+
 def test_degree_guard_exit3(capsys, tmp_path):
     path = tmp_path / "guarded.frob"
     path.write_text("char 2\nvars x y z\ndegree_guard 2\n"
                     "ideal I = x^2 + y*z, x*y + z^2\n", encoding="utf-8")
     code = main(["gb", "--input", str(path), "--ideal", "I", "--no-cache"])
     assert code == 3
-    assert "degree guard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "degree guard" in err
+    assert "(pair lcm)" in err
 
 
 @pytest.mark.parametrize("error", [ArithmeticError, LiftVerificationError, RingMismatch])

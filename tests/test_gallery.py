@@ -143,10 +143,21 @@ def test_run_case_unknown():
 
 def test_run_case_routes_given_arguments():
     # arguments left as None fall to each case's own defaults; emax is the
-    # Groebner depth of determinantal; a case ignores what it cannot use
+    # Groebner depth of determinantal; a case rejects what it cannot use
     assert gallery.run_case("determinantal", emax=1).params == {
         "p": 2, "emax_groebner": 1, "emax_monomial": 4}
-    assert gallery.run_case("lifts", emax=1, dim=3).params == {"p": 2, "emax": 1}
+    assert gallery.run_case("lifts", emax=1).params == {"p": 2, "emax": 1}
     assert gallery.run_case("twisted", p=3, emax=2).params == {
         "dim": 2, "p": 3, "emax": 2}
-    assert gallery.run_case("fedder", emax=5).params == {"p": 2, "strictness": True}
+    assert gallery.run_case("fedder").params == {"p": 2, "strictness": True}
+
+
+@pytest.mark.parametrize("name,kwargs,arg", [
+    ("lifts", {"emax": 1, "dim": 3}, "dim"),
+    ("katzman", {"dim": 3}, "dim"),
+    ("fedder", {"emax": 5}, "emax"),
+    ("twisted", {"degree_guard": 50}, "degree_guard"),
+])
+def test_run_case_rejects_unused_arguments(name, kwargs, arg):
+    with pytest.raises(ValueError, match=f"does not use {arg}$"):
+        gallery.run_case(name, **kwargs)

@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unittest.mock import patch
+
+from frobtool import groebner
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
@@ -20,14 +23,17 @@ from frobtool.parsing import parse_polynomial
 from frobtool.polyring import (
     GREVLEX,
     LEX,
+    Order,
     Polynomial,
     PrimeField,
     RingSpec,
     mono_div,
     mono_lcm,
+    _key_function,
     monomials_of_weighted_degree,
 )
 
+import buchberger_oracle
 from conftest import random_poly
 from slice_oracle import GradedMembership, slice_minimal_generators_mod
 
@@ -95,6 +101,21 @@ class TestBasis:
         with pytest.raises(DegreeGuardExceeded):
             Ideal(gf2_xyz, (f, g)).groebner_basis(degree_guard=2)
         Ideal(gf2_xyz, (f, g)).groebner_basis(degree_guard=10)
+
+    @pytest.mark.parametrize("gens,order,guard,degree,phase", [
+        # the first S-pair's lcm x^2*y has degree 3
+        (("x^2 + y*z", "x*y + z^2"), GREVLEX, 2, 3, "pair lcm"),
+        # lex: the S-pair of x*y + z^5 and x*z + y^5 has lcm x*y*z of degree
+        # 3, but its remainder z^6 - y^6 has degree 6
+        (("x*y + z^5", "x*z + y^5"), LEX, 4, 6, "remainder"),
+    ], ids=("pair_lcm", "remainder"))
+    def test_degree_guard_names_phase(self, gens, order, guard, degree, phase):
+        ring = RingSpec(PrimeField(2), ("x", "y", "z"), order=order)
+        ideal = Ideal(ring, [parse_polynomial(g, ring) for g in gens])
+        clear_memo()
+        with pytest.raises(DegreeGuardExceeded, match=f"\\({phase}\\)") as info:
+            ideal.groebner_basis(degree_guard=guard)
+        assert (info.value.degree, info.value.guard, info.value.phase) == (degree, guard, phase)
 
 
 class TestNormalForm:
@@ -346,6 +367,95 @@ class TestSliceOracle:
         ring, modulus, cands, _ = instance
         assert minimal_generators_mod(cands, modulus) == \
             slice_minimal_generators_mod(cands, modulus)
+
+
+def _traced_buchberger(module, inputs, ring, order, guard):
+    """Run one engine's _buchberger and record its steps: the leads of every
+    S-pair it takes and every entry it makes, in order.  A guard abort is
+    part of the outcome."""
+    steps = []
+    spoly, make_entry = module._spoly, module._make_entry
+
+    def traced_spoly(f, g, *rest):
+        steps.append(("pair", f[0], g[0]))
+        return spoly(f, g, *rest)
+
+    def traced_make_entry(fd, key, p):
+        entry = make_entry(fd, key, p)
+        steps.append(("entry", entry))
+        return entry
+
+    with patch.object(module, "_spoly", traced_spoly), \
+            patch.object(module, "_make_entry", traced_make_entry):
+        try:
+            outcome = module._buchberger(inputs, ring, order, guard)
+        except DegreeGuardExceeded as exc:
+            outcome = ("guard", exc.degree, exc.phase)
+    return outcome, steps
+
+
+@st.composite
+def buchberger_instances(draw):
+    """Random input dicts over GF(2), GF(3) or GF(5) under grevlex, lex or
+    the elimination order, the last also as the inhomogeneous
+    t*I + (1-t)*J inputs that intersect builds."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    kind = draw(st.sampled_from(("grevlex", "lex", "elim", "intersect")))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    rng = draw(st.randoms(use_true_random=False))
+    field = PrimeField(p)
+
+    def gens(ring, count):
+        return [random_poly(ring, rng, max_terms=3, max_exp=2) for _ in range(count)]
+
+    if kind == "intersect":
+        base = RingSpec(field, ("x", "y", "z"), weights)
+        ring = groebner._extended_ring(base)
+        t = ring.variable(ring.variables[0])
+        polys = [t * groebner._lift_poly(g, ring) for g in gens(base, rng.randint(1, 2))]
+        polys += [(ring.one() - t) * groebner._lift_poly(g, ring)
+                  for g in gens(base, rng.randint(1, 2))]
+    else:
+        order = {"grevlex": GREVLEX, "lex": LEX, "elim": Order("elim", 1)}[kind]
+        ring = RingSpec(field, ("x", "y", "z"), weights, order)
+        polys = gens(ring, rng.randint(1, 4))
+    return ring, [dict(f.terms) for f in polys if not f.is_zero()], rng
+
+
+class TestBuchbergerOracle:
+    """The heap-ordered, mask-screened engine against the earlier engine
+    kept in tests/buchberger_oracle.py: the same S-pairs in the same order,
+    the same entries, the same guard aborts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(buchberger_instances())
+    def test_steps_match_oracle(self, instance):
+        ring, inputs, _ = instance
+        new = _traced_buchberger(groebner, inputs, ring, ring.order, 40)
+        old = _traced_buchberger(buchberger_oracle, inputs, ring, ring.order, 40)
+        assert new == old
+
+    @settings(max_examples=100, deadline=None)
+    @given(buchberger_instances(), st.integers(2, 6))
+    def test_guard_matches_oracle(self, instance, guard):
+        ring, inputs, _ = instance
+        new = _traced_buchberger(groebner, inputs, ring, ring.order, guard)
+        old = _traced_buchberger(buchberger_oracle, inputs, ring, ring.order, guard)
+        assert new == old
+
+    @settings(max_examples=100, deadline=None)
+    @given(buchberger_instances())
+    def test_reducer_choice_matches_oracle(self, instance):
+        # the inputs are no Groebner basis, so the remainder depends on
+        # which divisor reduces each term
+        ring, inputs, rng = instance
+        key = _key_function(ring, ring.order)
+        p = ring.field.p
+        basis = [groebner._make_entry(fd, key, p) for fd in inputs]
+        for _ in range(3):
+            fd = dict(random_poly(ring, rng, max_terms=5, max_exp=4).terms)
+            assert groebner._reduce_full(fd, basis, key, p) == \
+                buchberger_oracle._reduce_full(fd, basis, key, p)
 
 
 class TestLift:
