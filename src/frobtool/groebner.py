@@ -6,14 +6,37 @@ and colon ideals through a single elimination mechanism, Frobenius powers,
 minimal generators of graded quotient modules, and division-lifting by a
 nonzerodivisor.
 
+Inside the engine a monomial is one int, M = (K << W*n) | P (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps and packed exponent
+vectors", CASC 2007).  P packs the n exponents in fields of W bits; K packs
+n nonnegative linear forms whose integer order is the monomial order:
+grevlex packs (d, sum_{i<n-1} w_i m_i, sum_{i<n-2} w_i m_i, ...), with d
+the weighted degree; an elimination order packs that per block, head block
+on top; lex packs the exponents themselves.  So a product is an addition,
+an order comparison is an int comparison, and lm divides m exactly when
+m - lm borrows from no field, i.e. leaves every field's top (guard) bit
+clear.  A `Packing` is made per call, at the boundary: inputs are packed
+once on entry and results unpacked once on exit, already in canonical
+order when the engine's order is the ring's own.
+
+Width rule.  Every field holds at most the weighted degree, so W is the
+bit length of the largest weighted degree among the inputs, the basis and
+the degree guard, plus 32 spare bits, plus the guard bit.  Packing checks
+the degree of every monomial against the field size, and reduction checks
+the guard bits of every new product: a sum of two valid fields cannot
+carry, so an overflow always shows there and raises ArithmeticError
+instead of wrapping into a wrong answer.
+
 Buchberger keeps each live S-pair with the lcm of its leads and takes
-pairs from a heap keyed by (weighted degree of the lcm, order key of the
-lcm, pair), so no pair's lcm or degree is recomputed.  A pair that a
-Gebauer-Moeller update drops stays in the heap and is skipped when popped;
-updates only ever add pairs with the new element, so a dropped pair never
-returns.  Reduction screens divisors with divisibility masks (one bit per
-variable that occurs) before the exact exponent test, and still takes the
-first divisor in basis order.  Heaps and masks live for one call.
+pairs from a heap keyed by (weighted degree of the lcm, lcm, pair), so no
+pair's lcm or degree is recomputed.  A pair that a Gebauer-Moeller update
+drops stays in the heap and is skipped when popped; updates only ever add
+pairs with the new element, so a dropped pair never returns.  Reduction
+takes the first divisor in basis order, found through a first-divisor memo
+{M: index of the first divisor, or ~(entries scanned without one)}.  The
+memo lives for one Buchberger main loop, where the basis only grows, so a
+recorded divisor stays first and a scan resumes where it stopped;
+interreduction and each normal form start a fresh one.
 
 Ideal values are logically immutable; the per-ideal basis cache and the
 process-wide content-addressed memo are the only mutation points, and
@@ -25,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from heapq import heapify, heappop, heappush
-from operator import add, le, neg, sub
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .polyring import (
@@ -35,11 +58,11 @@ from .polyring import (
     RingMismatch,
     RingSpec,
     _key_function,
-    mono_divides,
     monomials_of_weighted_degree,
 )
 
 DEFAULT_DEGREE_GUARD = 120
+SPARE_BITS = 32  # headroom of each packed field over the largest input degree
 
 
 class DegreeGuardExceeded(RuntimeError):
@@ -68,18 +91,90 @@ class LiftVerificationError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# core engine on plain dicts {mono: coeff}
+# packed monomials
+
+def _overflow(width: int) -> ArithmeticError:
+    return ArithmeticError(f"a monomial outgrew its {width}-bit packed exponent fields")
+
+
+class Packing:
+    """The monomials of one ring under one order, packed into ints of 2n
+    fields of `width` bits each (see the module docstring)."""
+
+    def __init__(self, ring: RingSpec, order: Order, width: int):
+        n, weights = ring.nvars, ring.weights
+        if order.kind == "lex":
+            forms = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        else:
+            cut = order.block if order.kind == "elim" else n
+            forms = [tuple(weights[i] if lo <= i < k else 0 for i in range(n))
+                     for lo, hi in ((0, cut), (cut, n)) for k in range(hi, lo, -1)]
+        shifts = [width * (2 * n - 1 - f) for f in range(2 * n)]  # most significant first
+        self.ring = ring
+        self.order = order
+        self.width = width
+        self.p = ring.field.p
+        self.mask = (1 << width) - 1
+        self.guard_bits = sum(1 << (s + width - 1) for s in shifts)
+        self._limit = (1 << (width - 1)) - 1  # largest value a field may hold
+        self._weights = weights
+        self._units = tuple(sum(form[i] << s for form, s in zip(forms, shifts))
+                            + (1 << shifts[n + i]) for i in range(n))
+        self._exponent_shifts = tuple(shifts[n:])
+        # the K fields whose sum is the weighted degree; lex has none
+        self._degree_shifts = ((shifts[0],) if order.kind == "grevlex" else
+                               (shifts[0], shifts[order.block]) if order.kind == "elim"
+                               else None)
+
+    def pack(self, mono) -> int:
+        if sum(map(mul, mono, self._weights)) > self._limit:
+            raise _overflow(self.width)
+        return sum(map(mul, mono, self._units))
+
+    def unpack(self, m: int) -> tuple:
+        mask = self.mask
+        return tuple((m >> s) & mask for s in self._exponent_shifts)
+
+    def degree(self, m: int) -> int:
+        """Weighted degree of a packed monomial."""
+        if self._degree_shifts is None:
+            return sum(map(mul, self.unpack(m), self._weights))
+        mask = self.mask
+        return sum((m >> s) & mask for s in self._degree_shifts)
+
+    def pack_terms(self, terms) -> dict:
+        pack = self.pack
+        return {pack(m): c for m, c in terms}
+
+    def polynomial(self, items) -> Polynomial:
+        """The Polynomial of packed (monomial, coefficient) items; sorted by
+        the packed ints when the packing's order is the ring's own."""
+        unpack = self.unpack
+        if self.order == self.ring.order:
+            return Polynomial._from_sorted(self.ring, tuple(
+                (unpack(m), c) for m, c in sorted(items, reverse=True)))
+        return Polynomial(self.ring, [(unpack(m), c) for m, c in items])
+
+
+def _packing(ring: RingSpec, order: Order, degree: int) -> Packing:
+    """The packing whose fields hold weighted degrees up to `degree`
+    with SPARE_BITS bits to spare."""
+    return Packing(ring, order, max(degree, 1).bit_length() + SPARE_BITS + 1)
+
+
+# --------------------------------------------------------------------------
+# core engine on packed dicts {M: coeff}
 
 def _spoly(f, g, lcm, p):
     """S-polynomial of monic (lm, tail) pairs whose leads have this lcm;
     returns a dict."""
     lmf, tailf = f
     lmg, tailg = g
-    sf = tuple(map(sub, lcm, lmf))
-    sg = tuple(map(sub, lcm, lmg))
-    acc = {tuple(map(add, m, sf)): c for m, c in tailf}
+    sf = lcm - lmf
+    sg = lcm - lmg
+    acc = {m + sf: c for m, c in tailf}
     for m, c in tailg:
-        mm = tuple(map(add, m, sg))
+        mm = m + sg
         v = (acc.get(mm, 0) - c) % p
         if v:
             acc[mm] = v
@@ -88,62 +183,62 @@ def _spoly(f, g, lcm, p):
     return acc
 
 
-def _reduce_full(fd, basis, key, p):
-    """Full normal form of the dict fd against monic basis [(lm, tail), ...].
+def _reduce_full(fd, basis, pk, memo):
+    """Full normal form of the packed dict fd against monic packed entries
+    [(lm, tail), ...].
 
     Each term, largest first, is reduced by the first entry in basis order
-    whose lead divides it.  A lead can divide m only if its divisibility
-    mask (bit k set when variable k occurs) lies inside the mask of m, so
-    the entries that pass that test are listed once per mask of m, and only
-    they get the exact test.
+    whose lead divides it.  `memo` maps a monomial to the index of that
+    entry, or to ~k when the first k entries hold no divisor; it stays
+    valid for as long as `basis` only grows.
     """
+    p, gbits = pk.p, pk.guard_bits
+    if any(m & gbits for m in fd):
+        raise _overflow(pk.width)
     work = dict(fd)
-    if not work:
-        return work
-    bits = tuple(1 << k for k in range(len(next(iter(work)))))
-    masks = [sum(itertools.compress(bits, lm)) for lm, _ in basis]
-    fits = {}  # mask of m -> the entries whose lead mask lies inside it
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    lms = [lm for lm, _ in basis]
+    nb = len(lms)
+    heap = [-m for m in work]
     heapify(heap)
     remainder = {}
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
-        mask = sum(itertools.compress(bits, m))
-        candidates = fits.get(mask)
-        if candidates is None:
-            candidates = fits[mask] = [entry for entry, lmask in zip(basis, masks)
-                                       if not lmask & ~mask]
-        for lm, tail in candidates:
-            if all(map(le, lm, m)):
-                break
-        else:
-            remainder[m] = c
-            continue
-        shift = tuple(map(sub, m, lm))
+        i = memo.get(m, -1)
+        if i < 0:
+            for i in range(~i, nb):
+                if not (m - lms[i]) & gbits:
+                    break
+            else:
+                memo[m] = ~nb
+                remainder[m] = c
+                continue
+            memo[m] = i
+        lm, tail = basis[i]
+        shift = m - lm
         for mm, cc in tail:
-            mono = tuple(map(add, mm, shift))
+            mono = mm + shift
             old = work.get(mono)
             v = ((old or 0) - c * cc) % p
             if v:
                 work[mono] = v
                 if old is None:
-                    heappush(heap, (tuple(map(neg, key(mono))), mono))
+                    if mono & gbits:
+                        raise _overflow(pk.width)
+                    heappush(heap, -mono)
             elif old is not None:
                 del work[mono]
     return remainder
 
 
-def _make_entry(fd, key, p):
+def _make_entry(fd, p):
     """(lm, tail) with unit leading coefficient, tail sorted descending."""
-    lm = max(fd, key=key)
+    lm = max(fd)
     inv = pow(fd[lm], p - 2, p)
-    tail = tuple(
-        sorted(((m, c * inv % p) for m, c in fd.items() if m != lm),
-               key=lambda t: key(t[0]), reverse=True)
-    )
+    tail = tuple(sorted(((m, c * inv % p) for m, c in fd.items() if m != lm),
+                        reverse=True))
     return lm, tail
 
 
@@ -154,93 +249,96 @@ def _entry_dict(entry, p):
     return d
 
 
-def _gm_update(lms, pairs, t, key):
+def _gm_update(lms, exps, pairs, t, pk):
     """Gebauer-Moeller pair update when basis element t is appended.
 
     Implements both Buchberger criteria: pairs whose leading monomials are
     coprime are never created, and pairs made redundant by the new element
-    (chain criterion) are discarded.  `pairs` maps each live pair (i, j) to
-    the lcm of its leads.  Returns the pairs that stay live, in the same
-    form, and the list of new pairs ((i, t), lcm); every new pair involves
-    t, so no pair dropped here ever comes back.
+    (chain criterion) are discarded.  `lms` holds the packed leads and
+    `exps` their exponent tuples.  `pairs` maps each live pair (i, j) to
+    the packed lcm of its leads.  Returns the pairs that stay live, in the
+    same form, and the list of new pairs ((i, t), lcm); every new pair
+    involves t, so no pair dropped here ever comes back.
     """
-    lmt = lms[t]
-    with_t = [tuple(map(max, lm, lmt)) for lm in lms[:t]]  # lcm(lms[i], lmt)
+    gbits = pk.guard_bits
+    pack = pk.pack
+    lmt, et = lms[t], exps[t]
+    with_t = [pack(tuple(map(max, e, et))) for e in exps[:t]]  # lcm(lms[i], lmt)
     kept = {ij: lij for ij, lij in pairs.items()
-            if not mono_divides(lmt, lij) or with_t[ij[0]] == lij or with_t[ij[1]] == lij}
+            if (lij - lmt) & gbits or with_t[ij[0]] == lij or with_t[ij[1]] == lij}
     by_lcm = {}
     for i, lcm in enumerate(with_t):
         by_lcm.setdefault(lcm, []).append(i)
     minimal = []
-    for lcm in sorted(by_lcm, key=key):
-        if not any(mono_divides(prev, lcm) for prev in minimal):
+    for lcm in sorted(by_lcm):
+        if all((lcm - prev) & gbits for prev in minimal):
             minimal.append(lcm)
     new = []
     for lcm in minimal:
         group = by_lcm[lcm]  # ascending
-        if not any(tuple(map(add, lms[i], lmt)) == lcm for i in group):
+        if not any(lms[i] + lmt == lcm for i in group):
             new.append(((group[0], t), lcm))
     kept.update(new)
     return kept, new
 
 
-def _buchberger(inputs, ring, order, guard):
-    """Reduced Groebner basis of the input dicts; returns [(lm, tail), ...]
-    sorted ascending by leading monomial."""
-    p = ring.field.p
-    key = _key_function(ring, order)
-    wdeg = ring.weighted_degree
+def _buchberger(inputs, pk, guard):
+    """Reduced Groebner basis of the packed input dicts; returns packed
+    [(lm, tail), ...] sorted ascending by leading monomial."""
+    p, gbits = pk.p, pk.guard_bits
+    degree = pk.degree
 
     seen = set()
     start = []
     for fd in inputs:
         if not fd:
             continue
-        entry = _make_entry(fd, key, p)
-        sig = (entry[0], entry[1])
-        if sig not in seen:
-            seen.add(sig)
+        entry = _make_entry(fd, p)
+        if entry not in seen:
+            seen.add(entry)
             start.append(entry)
-    start.sort(key=lambda e: key(e[0]))
+    start.sort(key=itemgetter(0))
 
     basis = []
     lms = []
+    exps = []
+    memo = {}  # first-divisor memo, valid while basis only grows
     pairs = {}  # live pair (i, j) -> lcm of the two leads
-    queue = []  # (wdeg(lcm), key(lcm), (i, j), lcm), live or dropped
+    queue = []  # (degree(lcm), lcm, (i, j)), live or dropped
 
     def extend_basis(r):
         nonlocal pairs
-        basis.append(_make_entry(r, key, p))
+        basis.append(_make_entry(r, p))
         lms.append(basis[-1][0])
-        pairs, new = _gm_update(lms, pairs, len(basis) - 1, key)
+        exps.append(pk.unpack(lms[-1]))
+        pairs, new = _gm_update(lms, exps, pairs, len(basis) - 1, pk)
         for ij, lcm in new:
-            heappush(queue, (wdeg(lcm), key(lcm), ij, lcm))
+            heappush(queue, (degree(lcm), lcm, ij))
 
     for entry in start:
-        r = _reduce_full(_entry_dict(entry, p), basis, key, p)
+        r = _reduce_full(_entry_dict(entry, p), basis, pk, memo)
         if r:
             extend_basis(r)
 
     while queue:
-        d, _, ij, lcm = heappop(queue)
+        d, lcm, ij = heappop(queue)
         if pairs.pop(ij, None) is None:
             continue
         if d > guard:
             raise DegreeGuardExceeded(d, guard, "pair lcm")
         s = _spoly(basis[ij[0]], basis[ij[1]], lcm, p)
-        r = _reduce_full(s, basis, key, p)
+        r = _reduce_full(s, basis, pk, memo)
         if not r:
             continue
-        top = max(wdeg(m) for m in r)
+        top = max(map(degree, r))
         if top > guard:
             raise DegreeGuardExceeded(top, guard, "remainder")
         extend_basis(r)
 
     # minimalize: drop entries whose lead is a multiple of another lead
-    order_idx = sorted(range(len(basis)), key=lambda i: key(lms[i]))
     kept = []
-    for i in order_idx:
-        if not any(mono_divides(lms[j], lms[i]) for j in kept):
+    for i in sorted(range(len(basis)), key=lms.__getitem__):
+        if all((lms[i] - lms[j]) & gbits for j in kept):
             kept.append(i)
     minimal = [basis[i] for i in kept]
 
@@ -248,9 +346,9 @@ def _buchberger(inputs, ring, order, guard):
     reduced = []
     for i, entry in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = _reduce_full(_entry_dict(entry, p), others, key, p)
-        reduced.append(_make_entry(r, key, p))
-    reduced.sort(key=lambda e: key(e[0]))
+        r = _reduce_full(_entry_dict(entry, p), others, pk, {})
+        reduced.append(_make_entry(r, p))
+    reduced.sort(key=itemgetter(0))
     return reduced
 
 
@@ -276,16 +374,18 @@ def clear_memo() -> None:
 
 
 def _normalized_gens(gens: Sequence[Polynomial]):
-    out = sorted({g.monic() for g in gens if not g.is_zero()}, key=lambda g: str(g))
-    return tuple(out)
+    """The distinct monic nonzero generators as (text, polynomial) pairs,
+    sorted by text; each text is computed once."""
+    monic = {g.monic() for g in gens if not g.is_zero()}
+    return tuple(sorted(((str(g), g) for g in monic), key=itemgetter(0)))
 
 
 def _content_key(ring: RingSpec, order: Order, normalized) -> str:
     h = hashlib.sha256()
     h.update(repr((ring.field.p, ring.variables, ring.weights, order.tag)).encode())
-    for g in normalized:
+    for text, _ in normalized:
         h.update(b"\x00")
-        h.update(str(g).encode())
+        h.update(text.encode())
     return h.hexdigest()
 
 
@@ -309,9 +409,9 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
             basis = tuple(stored)
             _GB_MEMO[key] = basis
             return basis
-    p = ring.field.p
-    entries = _buchberger([dict(g.terms) for g in normalized], ring, order, guard)
-    basis = tuple(Polynomial(ring, _entry_dict(e, p)) for e in entries)
+    pk = _packing(ring, order, max([guard] + [g.weighted_degree() for _, g in normalized]))
+    entries = _buchberger([pk.pack_terms(g.terms) for _, g in normalized], pk, guard)
+    basis = tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
     _GB_MEMO[key] = basis
     if _PERSISTENT is not None:
         _PERSISTENT.put(key, ring, basis)
@@ -342,6 +442,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self.gb_cache: dict = {}
+        self._reducers: dict = {}
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -362,24 +463,31 @@ class Ideal:
             self.gb_cache[order.tag] = basis
         return basis
 
-    def _basis_entries(self, order: Order, degree_guard: Optional[int]):
-        """The reduced basis as the (lead, tail) pairs that _reduce_full takes."""
-        return [(g.leading_monomial(), g.terms[1:])
-                for g in self.groebner_basis(order, degree_guard)]
+    def _reducer(self, order: Order, degree: int, degree_guard: Optional[int]):
+        """(packing, packed entries) of the reduced basis under `order`, for
+        reducing polynomials of weighted degree up to `degree`; kept per
+        order and remade when a larger degree needs wider fields."""
+        held = self._reducers.get(order.tag)
+        if held is None or held[0] < degree:
+            basis = self.groebner_basis(order, degree_guard)
+            degree = max([degree] + [g.weighted_degree() for g in basis])
+            pk = _packing(self.ring, order, degree)
+            held = self._reducers[order.tag] = (
+                degree, pk, [_make_entry(pk.pack_terms(g.terms), pk.p) for g in basis])
+        return held[1], held[2]
 
     def normal_form(self, f: Polynomial, order: Optional[Order] = None,
                     degree_guard: Optional[int] = None) -> Polynomial:
         """Unique remainder of f against the reduced basis; 0 iff f is a member."""
         if f.ring != self.ring:
             raise RingMismatch("ring mismatch")
-        order = order or self.ring.order
-        entries = self._basis_entries(order, degree_guard)
+        if f.is_zero():
+            return f
+        pk, entries = self._reducer(order or self.ring.order, f.weighted_degree(),
+                                    degree_guard)
         if not entries:
             return f
-        p = self.ring.field.p
-        key = _key_function(self.ring, order)
-        r = _reduce_full(dict(f.terms), entries, key, p)
-        return Polynomial(self.ring, r)
+        return pk.polynomial(_reduce_full(pk.pack_terms(f.terms), entries, pk, {}).items())
 
     def contains(self, f: Polynomial, degree_guard: Optional[int] = None) -> bool:
         return self.normal_form(f, degree_guard=degree_guard).is_zero()
@@ -426,12 +534,24 @@ def _extended_ring(ring: RingSpec) -> RingSpec:
                     Order("elim", 1))
 
 
-def _lift_poly(f: Polynomial, ext: RingSpec) -> Polynomial:
-    return Polynomial(ext, {(0,) + m: c for m, c in f.terms})
+# The extended ring orders by t-degree first, then by weighted grevlex on
+# the other variables.  On a grevlex ring, lifting and projecting therefore
+# keep the term order, and the polynomials are built without re-sorting.
+
+def _lift_poly(f: Polynomial, ext: RingSpec, t_factor=((0, 1),)) -> Polynomial:
+    """f times the sum of c*t^a over t_factor's (a, c), a descending."""
+    p = ext.field.p
+    terms = tuple(((a,) + m, c * ct % p) for a, ct in t_factor for m, c in f.terms)
+    if f.ring.order == GREVLEX:
+        return Polynomial._from_sorted(ext, terms)
+    return Polynomial(ext, terms)
 
 
 def _project_poly(f: Polynomial, ring: RingSpec) -> Polynomial:
-    return Polynomial(ring, {m[1:]: c for m, c in f.terms})
+    terms = tuple((m[1:], c) for m, c in f.terms)
+    if ring.order == GREVLEX:
+        return Polynomial._from_sorted(ring, terms)
+    return Polynomial(ring, terms)
 
 
 def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
@@ -442,10 +562,9 @@ def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ide
     if lhs.is_zero() or rhs.is_zero():
         return Ideal(ring, ())
     ext = _extended_ring(ring)
-    t = ext.variable(ext.variables[0])
-    one_minus_t = ext.one() - t
-    gens = [t * _lift_poly(g, ext) for g in lhs.generators]
-    gens += [one_minus_t * _lift_poly(g, ext) for g in rhs.generators]
+    gens = [_lift_poly(g, ext, ((1, 1),)) for g in lhs.generators]  # t*g
+    gens += [_lift_poly(g, ext, ((1, ring.field.p - 1), (0, 1)))  # (1-t)*g
+             for g in rhs.generators]
     basis = groebner_basis(gens, ext, ext.order, degree_guard)
     kept = [g for g in basis if g.leading_monomial()[0] == 0]
     projected = [_project_poly(g, ring) for g in kept]
@@ -532,19 +651,17 @@ def ideal_power(ideal: Ideal, n: int) -> Ideal:
 # minimal generators of graded modules over normal forms
 
 class _Echelon:
-    """Sparse row echelon over GF(p), pivot-monomial indexed."""
+    """Sparse row echelon over GF(p) on packed monomials, pivot indexed."""
 
-    def __init__(self, key, p):
-        self.key = key
+    def __init__(self, p):
         self.p = p
         self.pivots: dict = {}
 
     def _reduce(self, row: dict) -> dict:
         p = self.p
-        key = self.key
         pivots = self.pivots
         while row:
-            m = max(row, key=key)
+            m = max(row)
             piv = pivots.get(m)
             if piv is None:
                 return row
@@ -562,7 +679,7 @@ class _Echelon:
         row = self._reduce(dict(row))
         if not row:
             return False
-        m = max(row, key=self.key)
+        m = max(row)
         inv = pow(row[m], self.p - 2, self.p)
         self.pivots[m] = {mm: cc * inv % self.p for mm, cc in row.items()}
         return True
@@ -586,7 +703,9 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     descending order, each kept exactly when it raises the rank.  Inserting
     in descending order keeps the same basis as deleting in ascending order
     (both give the unique greedy basis of the quotient matroid), so the
-    survivors are those of the drop-if-redundant rule above.
+    survivors are those of the drop-if-redundant rule above.  The modulus
+    basis never changes during the call, so all reductions share one
+    first-divisor memo.
     """
     ring = modulus.ring
     cands = []
@@ -603,21 +722,22 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
             cands.append(g)
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
-    p = ring.field.p
     key = _key_function(ring, ring.order)
-    basis = modulus._basis_entries(ring.order, degree_guard)
     cands.sort(key=lambda g: (g.weighted_degree(), key(g.leading_monomial())))
-    kept = []  # (generator, degree, normal form), ascending
+    pk, basis = modulus._reducer(ring.order, max([0] + [g.weighted_degree() for g in cands]),
+                                 degree_guard)
+    memo = {}
+    kept = []  # (generator, degree, packed normal form), ascending
     for d, group in itertools.groupby(cands, key=lambda g: g.weighted_degree()):
-        ech = _Echelon(key, p)
+        ech = _Echelon(pk.p)
         for _, dh, form in kept:
             for m in monomials_of_weighted_degree(ring.weights, d - dh):
-                ech.add_row(_reduce_full(
-                    {tuple(a + b for a, b in zip(mm, m)): c for mm, c in form.items()},
-                    basis, key, p))
+                s = pk.pack(m)
+                ech.add_row(_reduce_full({mm + s: c for mm, c in form.items()},
+                                         basis, pk, memo))
         survivors = []
         for g in reversed(list(group)):
-            form = _reduce_full(dict(g.terms), basis, key, p)
+            form = _reduce_full(pk.pack_terms(g.terms), basis, pk, memo)
             if ech.add_row(form):
                 survivors.append((g, d, form))
         kept.extend(reversed(survivors))

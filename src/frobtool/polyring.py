@@ -152,44 +152,33 @@ class RingSpec:
         return Polynomial(self, {tuple(mono): coeff})
 
 
-_KEY_FUNCS: dict = {}
+KEY_MEMO_SIZE = 1 << 12  # keys each grevlex or elimination key function remembers
 
 
+@lru_cache(maxsize=64)
 def _key_function(ring: RingSpec, order: Order):
-    ck = (ring, order)
-    fn = _KEY_FUNCS.get(ck)
-    if fn is not None:
-        return fn
     weights = ring.weights
     n = ring.nvars
-    memo: dict = {}
     if order.kind == "lex":
-        fn = tuple  # an exponent tuple is its own lex key
-    elif order.kind == "grevlex":
+        return tuple  # an exponent tuple is its own lex key
+    if order.kind == "grevlex":
         rng = tuple(range(n - 1, -1, -1))
-        def fn(m, _memo=memo, _w=weights, _r=rng):
-            k = _memo.get(m)
-            if k is None:
-                d = 0
-                for w, e in zip(_w, m):
-                    d += w * e
-                k = _memo[m] = (d,) + tuple(-m[i] for i in _r)
-            return k
+        def fn(m):
+            d = 0
+            for w, e in zip(weights, m):
+                d += w * e
+            return (d,) + tuple(-m[i] for i in rng)
     else:  # elimination: leading block dominates, grevlex inside each block
         kb = order.block
         wh, wt = weights[:kb], weights[kb:]
         rh = tuple(range(kb - 1, -1, -1))
         rt = tuple(range(n - 1, kb - 1, -1))
-        def fn(m, _memo=memo):
-            k = _memo.get(m)
-            if k is None:
-                dh = sum(w * e for w, e in zip(wh, m))
-                dt = sum(w * e for w, e in zip(wt, m[kb:]))
-                k = _memo[m] = ((dh,) + tuple(-m[i] for i in rh)
-                                + (dt,) + tuple(-m[i] for i in rt))
-            return k
-    _KEY_FUNCS[ck] = fn
-    return fn
+        def fn(m):
+            dh = sum(w * e for w, e in zip(wh, m))
+            dt = sum(w * e for w, e in zip(wt, m[kb:]))
+            return ((dh,) + tuple(-m[i] for i in rh)
+                    + (dt,) + tuple(-m[i] for i in rt))
+    return lru_cache(maxsize=KEY_MEMO_SIZE)(fn)
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
@@ -258,6 +247,16 @@ class Polynomial:
         key = ring.monomial_key()
         self.terms = tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
         self._hash = None
+
+    @classmethod
+    def _from_sorted(cls, ring: RingSpec, terms: tuple) -> "Polynomial":
+        """A polynomial from terms that are already canonical: strictly
+        descending in the ring order, coefficients reduced and nonzero."""
+        self = cls.__new__(cls)
+        self.ring = ring
+        self.terms = terms
+        self._hash = None
+        return self
 
     # -- queries --------------------------------------------------------------
 

@@ -1,20 +1,40 @@
 """Reference Buchberger engine: the pair selection and reduction loops as
-they were before the heap-ordered pair queue and the divisibility masks.
+they were before the heap-ordered pair queue, on exponent tuples ordered by
+a key function, before packed monomials.
 
 `_spoly`, `_reduce_full`, `_gm_update` and `_buchberger` below are the
 earlier code, unchanged except that each `DegreeGuardExceeded` names its
-phase.  Every step recomputes what the library now carries: `min` over all
-live pairs recomputes every pair's lcm and weighted degree, and the divisor
+phase; `_make_entry` and `_entry_dict` are the tuple versions, unchanged.
+Every step recomputes what the library now carries: `min` over all live
+pairs recomputes every pair's lcm and weighted degree, and the divisor
 search tests every basis lead in turn.  The tests compare the two engines
-entry for entry.
+entry for entry, unpacking the library's side.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from frobtool.groebner import DegreeGuardExceeded, _entry_dict, _make_entry
+from frobtool.groebner import DegreeGuardExceeded
 from frobtool.polyring import _key_function, mono_divides, mono_lcm
+
+
+def _make_entry(fd, key, p):
+    """(lm, tail) with unit leading coefficient, tail sorted descending."""
+    lm = max(fd, key=key)
+    inv = pow(fd[lm], p - 2, p)
+    tail = tuple(
+        sorted(((m, c * inv % p) for m, c in fd.items() if m != lm),
+               key=lambda t: key(t[0]), reverse=True)
+    )
+    return lm, tail
+
+
+def _entry_dict(entry, p):
+    lm, tail = entry
+    d = dict(tail)
+    d[lm] = 1
+    return d
 
 
 def _spoly(f, g, p):

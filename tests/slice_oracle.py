@@ -11,13 +11,54 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from frobtool.groebner import Ideal, _Echelon
+from frobtool.groebner import Ideal
 from frobtool.polyring import (
     Polynomial,
     RingSpec,
     _key_function,
     monomials_of_weighted_degree,
 )
+
+
+class _Echelon:
+    """Sparse row echelon over GF(p), pivot-monomial indexed.
+
+    The library's echelon as it was before packed monomials, unchanged:
+    the oracle works on exponent tuples ordered by a key function.
+    """
+
+    def __init__(self, key, p):
+        self.key = key
+        self.p = p
+        self.pivots: dict = {}
+
+    def _reduce(self, row: dict) -> dict:
+        p = self.p
+        key = self.key
+        pivots = self.pivots
+        while row:
+            m = max(row, key=key)
+            piv = pivots.get(m)
+            if piv is None:
+                return row
+            c = row[m]
+            for mm, cc in piv.items():
+                v = (row.get(mm, 0) - c * cc) % p
+                if v:
+                    row[mm] = v
+                elif mm in row:
+                    del row[mm]
+        return row
+
+    def add_row(self, row: dict) -> bool:
+        """Insert row; True exactly when it raises the rank."""
+        row = self._reduce(dict(row))
+        if not row:
+            return False
+        m = max(row, key=self.key)
+        inv = pow(row[m], self.p - 2, self.p)
+        self.pivots[m] = {mm: cc * inv % self.p for mm, cc in row.items()}
+        return True
 
 
 class SliceEchelon(_Echelon):

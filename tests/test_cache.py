@@ -12,7 +12,7 @@ from frobtool.groebner import (
     _normalized_gens,
 )
 from frobtool.parsing import parse_polynomial
-from frobtool.polyring import PrimeField, RingSpec
+from frobtool.polyring import Order, PrimeField, RingSpec
 
 
 @pytest.fixture
@@ -111,3 +111,18 @@ def test_entry_payload_is_canonical_text(tmp_path, ring, gens):
     entry = json.loads((tmp_path / f"{key}.json").read_text())
     assert entry["basis"] == [str(g) for g in basis]
     assert entry["ring"]["p"] == 2
+
+
+def test_content_key_is_stable():
+    # digests of the key text from before each generator's text was
+    # computed once; memo and persistent-cache keys must not move
+    ring = RingSpec(PrimeField(3), ("x", "y", "z"), (1, 2, 1))
+    gens = [parse_polynomial(s, ring)
+            for s in ("2*x*y + z^3", "y^2 + 2*x^2*z^2", "x*z - y", "2*x*z + y", "x^4")]
+    normalized = _normalized_gens(gens)
+    assert [text for text, _ in normalized] == \
+        ["x*y + 2*z^3", "x^4", "y + 2*x*z", "y^2 + 2*x^2*z^2"]
+    assert _content_key(ring, ring.order, normalized) == \
+        "8e46aa6a5e1f459f15c97785921df380889f69055ada92808c92a3a2d18c1447"
+    assert _content_key(ring, Order("elim", 1), normalized) == \
+        "f2f0f23908d390892f72a9d53c8391f7d02902765d681fe7ba1de8664311821f"

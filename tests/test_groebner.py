@@ -1,4 +1,6 @@
+import itertools
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from frobtool.polyring import (
     PrimeField,
     RingSpec,
     mono_div,
+    mono_divides,
     mono_lcm,
     _key_function,
     monomials_of_weighted_degree,
@@ -135,6 +138,15 @@ class TestNormalForm:
         once = ideal.normal_form(f)
         assert ideal.normal_form(once) == once
 
+    def test_foreign_order(self):
+        # under lex the basis element x + y^2 + z leads with x, where the
+        # ring's grevlex order puts y^2 first
+        ring = RingSpec(PrimeField(3), ("x", "y", "z"))
+        P = lambda s: parse_polynomial(s, ring)
+        ideal = Ideal(ring, [P("x + y^2 + z"), P("y*z + 2*x^2"), P("z^3 + x*y")])
+        assert ideal.normal_form(P("x"), order=LEX) == P("2*y^2 + 2*z")
+        assert ideal.normal_form(P("x^2*y"), order=LEX) == P("z^9 + z^7 + z^5")
+
     def test_additivity_invariant(self, gf2_xyz):
         rng = random.Random(4)
         ideal = Ideal(gf2_xyz, (parse_polynomial("x*y + z^2", gf2_xyz),))
@@ -186,6 +198,24 @@ class TestIntersect:
     def test_idempotent(self, minors):
         _, ideal = minors
         assert ideal_equal(intersect(ideal, ideal), ideal)
+
+    @pytest.mark.parametrize("weights,order", (((1, 1, 1), GREVLEX), ((1, 2, 1), GREVLEX),
+                                               ((1, 1, 1), LEX)))
+    def test_lift_and_project_are_canonical(self, weights, order):
+        ring = RingSpec(PrimeField(5), ("x", "y", "z"), weights, order)
+        ext = groebner._extended_ring(ring)
+        t = ext.variable(ext.variables[0])
+        rng = random.Random(14)
+        for _ in range(20):
+            f = random_poly(ring, rng, max_terms=6, max_exp=3)
+            lifted = groebner._lift_poly(f, ext)
+            assert groebner._lift_poly(f, ext, ((1, 1),)) == t * lifted
+            minus = groebner._lift_poly(f, ext, ((1, 4), (0, 1)))
+            assert minus == (ext.one() - t) * lifted
+            for g in (lifted, minus):
+                assert g.terms == Polynomial(ext, g.terms).terms
+            projected = groebner._project_poly(lifted, ring)
+            assert projected.terms == f.terms
 
 
 class TestColon:
@@ -369,26 +399,41 @@ class TestSliceOracle:
             slice_minimal_generators_mod(cands, modulus)
 
 
+def _unpack_entry(pk, entry):
+    lm, tail = entry
+    return pk.unpack(lm), tuple((pk.unpack(m), c) for m, c in tail)
+
+
 def _traced_buchberger(module, inputs, ring, order, guard):
     """Run one engine's _buchberger and record its steps: the leads of every
-    S-pair it takes and every entry it makes, in order.  A guard abort is
-    part of the outcome."""
+    S-pair it takes and every entry it makes, in order, as exponent tuples.
+    The library's engine gets its inputs packed as groebner_basis packs
+    them, and its steps and result are unpacked through that packing.  A
+    guard abort is part of the outcome."""
     steps = []
+    if module is groebner:
+        pk = groebner._packing(ring, order, max([guard] + [
+            ring.weighted_degree(m) for fd in inputs for m in fd]))
+        args = ([pk.pack_terms(fd.items()) for fd in inputs], pk, guard)
+        unpack, unpack_entry = pk.unpack, lambda entry: _unpack_entry(pk, entry)
+    else:
+        args = (inputs, ring, order, guard)
+        unpack = unpack_entry = lambda x: x
     spoly, make_entry = module._spoly, module._make_entry
 
     def traced_spoly(f, g, *rest):
-        steps.append(("pair", f[0], g[0]))
+        steps.append(("pair", unpack(f[0]), unpack(g[0])))
         return spoly(f, g, *rest)
 
-    def traced_make_entry(fd, key, p):
-        entry = make_entry(fd, key, p)
-        steps.append(("entry", entry))
+    def traced_make_entry(*rest):
+        entry = make_entry(*rest)
+        steps.append(("entry", unpack_entry(entry)))
         return entry
 
     with patch.object(module, "_spoly", traced_spoly), \
             patch.object(module, "_make_entry", traced_make_entry):
         try:
-            outcome = module._buchberger(inputs, ring, order, guard)
+            outcome = [unpack_entry(e) for e in module._buchberger(*args)]
         except DegreeGuardExceeded as exc:
             outcome = ("guard", exc.degree, exc.phase)
     return outcome, steps
@@ -423,9 +468,9 @@ def buchberger_instances(draw):
 
 
 class TestBuchbergerOracle:
-    """The heap-ordered, mask-screened engine against the earlier engine
-    kept in tests/buchberger_oracle.py: the same S-pairs in the same order,
-    the same entries, the same guard aborts."""
+    """The heap-ordered engine on packed monomials against the earlier
+    engine on exponent tuples kept in tests/buchberger_oracle.py: the same
+    S-pairs in the same order, the same entries, the same guard aborts."""
 
     @settings(max_examples=200, deadline=None)
     @given(buchberger_instances())
@@ -447,15 +492,117 @@ class TestBuchbergerOracle:
     @given(buchberger_instances())
     def test_reducer_choice_matches_oracle(self, instance):
         # the inputs are no Groebner basis, so the remainder depends on
-        # which divisor reduces each term
+        # which divisor reduces each term; the basis is fixed, so one
+        # first-divisor memo serves all three reductions
         ring, inputs, rng = instance
         key = _key_function(ring, ring.order)
         p = ring.field.p
-        basis = [groebner._make_entry(fd, key, p) for fd in inputs]
-        for _ in range(3):
-            fd = dict(random_poly(ring, rng, max_terms=5, max_exp=4).terms)
-            assert groebner._reduce_full(fd, basis, key, p) == \
-                buchberger_oracle._reduce_full(fd, basis, key, p)
+        basis = [buchberger_oracle._make_entry(fd, key, p) for fd in inputs]
+        polys = [random_poly(ring, rng, max_terms=5, max_exp=4) for _ in range(3)]
+        pk = groebner._packing(ring, ring.order, max(
+            [f.weighted_degree() for f in polys]
+            + [ring.weighted_degree(m) for fd in inputs for m in fd]))
+        packed = [groebner._make_entry(pk.pack_terms(fd.items()), p) for fd in inputs]
+        memo = {}
+        for f in polys:
+            r = groebner._reduce_full(pk.pack_terms(f.terms), packed, pk, memo)
+            assert {pk.unpack(m): c for m, c in r.items()} == \
+                buchberger_oracle._reduce_full(dict(f.terms), basis, key, p)
+
+
+@st.composite
+def packing_instances(draw):
+    """A few monomials under grevlex, lex or the elimination order: every
+    permutation of one of them, which makes ties in degree, and others
+    drawn freely or as its multiples.  A common scale, which keeps every
+    order and divisibility relation, takes them past 2^45."""
+    order = draw(st.sampled_from((GREVLEX, LEX, Order("elim", 1))))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    ring = RingSpec(PrimeField(2), ("x", "y", "z"), weights, order)
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    a = draw(exps)
+    monos = sorted(set(itertools.permutations(a))) + draw(st.lists(st.one_of(
+        exps, exps.map(lambda c: tuple(map(add, a, c)))), min_size=1, max_size=5))
+    scale = draw(st.sampled_from((1, 2 ** 45 + 1)))
+    monos = [tuple(scale * e for e in m) for m in monos]
+    pk = groebner._packing(ring, order, 2 * max(map(ring.weighted_degree, monos)))
+    return ring, pk, monos
+
+
+class TestPacking:
+    """Packed monomials against the exponent tuples they stand for."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(packing_instances())
+    def test_order_agrees_with_key_function(self, instance):
+        ring, pk, monos = instance
+        key = _key_function(ring, ring.order)
+        assert sorted(monos, key=pk.pack) == sorted(monos, key=key)
+        assert len({pk.pack(m) for m in monos}) == len(set(monos))
+
+    @settings(max_examples=200, deadline=None)
+    @given(packing_instances())
+    def test_respects_addition(self, instance):
+        ring, pk, monos = instance
+        for a in monos:
+            for b in monos:
+                assert pk.pack(a) + pk.pack(b) == pk.pack(tuple(map(add, a, b)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(packing_instances())
+    def test_divisibility_agrees_with_mono_divides(self, instance):
+        ring, pk, monos = instance
+        for a in monos:
+            for b in monos:
+                assert (not (pk.pack(b) - pk.pack(a)) & pk.guard_bits) == mono_divides(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(packing_instances())
+    def test_unpack_inverts_pack(self, instance):
+        ring, pk, monos = instance
+        for m in monos:
+            assert pk.unpack(pk.pack(m)) == m
+            assert pk.degree(pk.pack(m)) == ring.weighted_degree(m)
+
+    def test_big_exponent_colon(self):
+        # q = 2^40 needs fields wider than 32 bits; a fixed 32-bit width
+        # wraps and answers (1)
+        q = 2 ** 40
+        ring = RingSpec(PrimeField(2), ("x", "y", "z"))
+        ideal = Ideal(ring, [parse_polynomial(s, ring) for s in ("x*y", "z^2")])
+        clear_memo()
+        result = colon(frobenius_power(ideal, 40), ideal, 2 ** 44)
+        assert [str(g) for g in result.generators] == [
+            f"z^{2 * q}", f"x^{q}*y^{q}", f"x^{q - 1}*y^{q - 1}*z^{2 * q - 2}"]
+
+    def test_lex_normal_form_outgrows_input_degree(self):
+        ring = RingSpec(PrimeField(3), ("x", "y", "z"), order=LEX)
+        P = lambda s: parse_polynomial(s, ring)
+        ideal = Ideal(ring, (P("x - y^2"), P("y - 2*z^3")))
+        assert ideal.normal_form(P("x^1000 + x*y")) == P("z^6000 + 2*z^9")
+
+    def test_overflow_raises(self, monkeypatch):
+        ring = RingSpec(PrimeField(3), ("x", "y", "z"), order=LEX)
+        P = lambda s: parse_polynomial(s, ring)
+        with pytest.raises(ArithmeticError):
+            groebner.Packing(ring, LEX, 3).pack((4, 0, 0))  # fields hold 0..3
+        # with no spare bits the fields hold the input degree 3, and
+        # reducing x^3 reaches x*y^4 on the way to z^18
+        monkeypatch.setattr(groebner, "SPARE_BITS", 0)
+        ideal = Ideal(ring, (P("x - y^2"), P("y - 2*z^3")))
+        with pytest.raises(ArithmeticError):
+            ideal.normal_form(P("x^3"))
+
+    def test_foreign_order_output_is_canonical(self):
+        # a lex basis on a grevlex ring: terms come back in grevlex order
+        ring = RingSpec(PrimeField(3), ("x", "y", "z"))
+        gens = [parse_polynomial(s, ring) for s in ("x + y^2 + z", "y*z + 2*x^2", "z^3 + x*y")]
+        clear_memo()
+        basis = groebner.groebner_basis(gens, ring, LEX)
+        assert all(g.terms == Polynomial(ring, g.terms).terms for g in basis)
+        oracle = buchberger_oracle._buchberger([dict(g.terms) for g in gens], ring, LEX, 120)
+        assert basis == tuple(Polynomial(ring, buchberger_oracle._entry_dict(e, 3))
+                              for e in oracle)
 
 
 class TestLift:

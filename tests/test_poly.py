@@ -5,10 +5,12 @@ import pytest
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import (
     GREVLEX,
+    KEY_MEMO_SIZE,
     LEX,
     Order,
     PrimeField,
     RingSpec,
+    _key_function,
 )
 
 from conftest import random_poly
@@ -138,6 +140,18 @@ class TestMonomialOrder:
             monos = [m for m, _ in f.terms]
             for a, b in zip(monos, monos[1:]):
                 assert gf2_xyz.compare(a, b) == 1
+
+
+    def test_key_memos_stay_bounded(self):
+        for order in (GREVLEX, Order("elim", 1)):
+            key = _key_function(ring(2, ("x", "y", "z")), order)
+            for i in range(KEY_MEMO_SIZE + 100):
+                key((i, 1, 2))
+            assert key.cache_info().currsize <= KEY_MEMO_SIZE
+        maxsize = _key_function.cache_info().maxsize
+        for i in range(maxsize + 10):
+            _key_function(ring(2, ("x", "y"), (1, i + 1)), GREVLEX)
+        assert _key_function.cache_info().currsize <= maxsize
 
 
 class TestRingSpecValidation:
