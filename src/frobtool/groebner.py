@@ -31,12 +31,18 @@ Buchberger keeps each live S-pair with the lcm of its leads and takes
 pairs from a heap keyed by (weighted degree of the lcm, lcm, pair), so no
 pair's lcm or degree is recomputed.  A pair that a Gebauer-Moeller update
 drops stays in the heap and is skipped when popped; updates only ever add
-pairs with the new element, so a dropped pair never returns.  Reduction
-takes the first divisor in basis order, found through a first-divisor memo
-{M: index of the first divisor, or ~(entries scanned without one)}.  The
-memo lives for one Buchberger main loop, where the basis only grows, so a
-recorded divisor stays first and a scan resumes where it stopped;
-interreduction and each normal form start a fresh one.
+pairs with the new element, so a dropped pair never returns.
+
+Reduction takes the first divisor in basis order, found through a divisor
+index kept beside the basis (`_Divisors`): per variable, the distinct lead
+exponents in ascending order, each with the bitset of the entries whose
+lead has at most that exponent there.  The AND over the variables of the
+sets at a term's exponents holds exactly the leads that divide it, and its
+lowest bit is the first of them; an empty AND ends the lookup early.  The
+index catches up with its basis lazily, so it serves as long as the basis
+only grows: one per Buchberger main loop and one for interreduction.  Each
+ideal keeps one per order, complete when made, for all its normal forms
+and minimal generators.
 
 Ideal values are logically immutable; the per-ideal basis cache and the
 process-wide content-addressed memo are the only mutation points, and
@@ -47,6 +53,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import threading
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
@@ -63,6 +72,10 @@ from .polyring import (
 
 DEFAULT_DEGREE_GUARD = 120
 SPARE_BITS = 32  # headroom of each packed field over the largest input degree
+# Reduced bases the process-wide memo keeps, least recently used evicted
+# first.  A benchmark pass or golden case makes at most 63 distinct keys,
+# the deep lifts cases (p=2 e=3, p=3 e=2) 188.
+GB_MEMO_SIZE = 512
 
 
 class DegreeGuardExceeded(RuntimeError):
@@ -183,21 +196,66 @@ def _spoly(f, g, lcm, p):
     return acc
 
 
-def _reduce_full(fd, basis, pk, memo):
+class _Divisors:
+    """Divisor index over the leads of a basis that only grows.
+
+    One column per variable k: its shift in the packing, `vals`, the
+    distinct exponents of k among the leads in ascending order, and
+    `sets`, where `sets[j]` is the bitset of the entries whose lead has
+    exponent at most `vals[j]` in k.  `vals` always starts at 0, so every
+    exponent has a slot.  A lead divides m exactly when it lies in every
+    column's set at m's exponent, so the AND of those sets holds all
+    divisors of m, and its lowest bit is the first in basis order.  Only
+    distinct values get a set, so adding an entry costs one set per value
+    at or above its exponent.
+    """
+
+    def __init__(self, pk):
+        self.mask = pk.mask
+        self.columns = [(s, [0], [0]) for s in pk._exponent_shifts]
+        self.size = 0
+
+    def sync(self, basis):
+        """Index the entries appended to `basis` since the last call."""
+        mask = self.mask
+        for i in range(self.size, len(basis)):
+            bit = 1 << i
+            lm = basis[i][0]
+            for s, vals, sets in self.columns:
+                e = (lm >> s) & mask
+                j = bisect_left(vals, e)
+                if j == len(vals) or vals[j] != e:
+                    vals.insert(j, e)
+                    sets.insert(j, sets[j - 1])
+                for j in range(j, len(sets)):
+                    sets[j] |= bit
+        self.size = len(basis)
+
+    def first(self, m):
+        """Index of the first entry whose lead divides m, or -1."""
+        mask = self.mask
+        x = -1
+        for s, vals, sets in self.columns:
+            x &= sets[bisect_right(vals, (m >> s) & mask) - 1]
+            if not x:
+                return -1
+        return (x & -x).bit_length() - 1
+
+
+def _reduce_full(fd, basis, pk, index):
     """Full normal form of the packed dict fd against monic packed entries
     [(lm, tail), ...].
 
     Each term, largest first, is reduced by the first entry in basis order
-    whose lead divides it.  `memo` maps a monomial to the index of that
-    entry, or to ~k when the first k entries hold no divisor; it stays
-    valid for as long as `basis` only grows.
+    whose lead divides it, found through `index`: the _Divisors kept beside
+    `basis`, which it brings up to date first.
     """
     p, gbits = pk.p, pk.guard_bits
     if any(m & gbits for m in fd):
         raise _overflow(pk.width)
+    index.sync(basis)
+    first = index.first
     work = dict(fd)
-    lms = [lm for lm, _ in basis]
-    nb = len(lms)
     heap = [-m for m in work]
     heapify(heap)
     remainder = {}
@@ -206,16 +264,10 @@ def _reduce_full(fd, basis, pk, memo):
         c = work.pop(m, 0)
         if not c:
             continue
-        i = memo.get(m, -1)
+        i = first(m)
         if i < 0:
-            for i in range(~i, nb):
-                if not (m - lms[i]) & gbits:
-                    break
-            else:
-                memo[m] = ~nb
-                remainder[m] = c
-                continue
-            memo[m] = i
+            remainder[m] = c
+            continue
         lm, tail = basis[i]
         shift = m - lm
         for mm, cc in tail:
@@ -302,7 +354,7 @@ def _buchberger(inputs, pk, guard):
     basis = []
     lms = []
     exps = []
-    memo = {}  # first-divisor memo, valid while basis only grows
+    index = _Divisors(pk)
     pairs = {}  # live pair (i, j) -> lcm of the two leads
     queue = []  # (degree(lcm), lcm, (i, j)), live or dropped
 
@@ -316,7 +368,7 @@ def _buchberger(inputs, pk, guard):
             heappush(queue, (degree(lcm), lcm, ij))
 
     for entry in start:
-        r = _reduce_full(_entry_dict(entry, p), basis, pk, memo)
+        r = _reduce_full(_entry_dict(entry, p), basis, pk, index)
         if r:
             extend_basis(r)
 
@@ -327,7 +379,7 @@ def _buchberger(inputs, pk, guard):
         if d > guard:
             raise DegreeGuardExceeded(d, guard, "pair lcm")
         s = _spoly(basis[ij[0]], basis[ij[1]], lcm, p)
-        r = _reduce_full(s, basis, pk, memo)
+        r = _reduce_full(s, basis, pk, index)
         if not r:
             continue
         top = max(map(degree, r))
@@ -342,11 +394,13 @@ def _buchberger(inputs, pk, guard):
             kept.append(i)
     minimal = [basis[i] for i in kept]
 
-    # interreduce tails against the full minimal set
+    # interreduce each tail against the whole minimal set: no lead divides
+    # a term below itself, so an entry is never picked for its own tail
+    index = _Divisors(pk)
     reduced = []
-    for i, entry in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = _reduce_full(_entry_dict(entry, p), others, pk, {})
+    for lm, tail in minimal:
+        r = _reduce_full(dict(tail), minimal, pk, index)
+        r[lm] = 1
         reduced.append(_make_entry(r, p))
     reduced.sort(key=itemgetter(0))
     return reduced
@@ -355,7 +409,8 @@ def _buchberger(inputs, pk, guard):
 # --------------------------------------------------------------------------
 # content-addressed caching
 
-_GB_MEMO: dict = {}
+_GB_MEMO: OrderedDict = OrderedDict()
+_GB_MEMO_LOCK = threading.Lock()  # an LRU lookup or insertion is two steps
 _PERSISTENT = None
 
 
@@ -371,6 +426,22 @@ def set_persistent_cache(store) -> None:
 
 def clear_memo() -> None:
     _GB_MEMO.clear()
+
+
+def _memo_get(key: str):
+    with _GB_MEMO_LOCK:
+        basis = _GB_MEMO.get(key)
+        if basis is not None:
+            _GB_MEMO.move_to_end(key)
+        return basis
+
+
+def _memo_put(key: str, basis) -> None:
+    with _GB_MEMO_LOCK:
+        _GB_MEMO[key] = basis
+        _GB_MEMO.move_to_end(key)
+        if len(_GB_MEMO) > GB_MEMO_SIZE:
+            _GB_MEMO.popitem(last=False)
 
 
 def _normalized_gens(gens: Sequence[Polynomial]):
@@ -400,19 +471,19 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
     if not normalized:
         return ()
     key = _content_key(ring, order, normalized)
-    hit = _GB_MEMO.get(key)
+    hit = _memo_get(key)
     if hit is not None:
         return hit
     if _PERSISTENT is not None:
         stored = _PERSISTENT.get(key, ring)
         if stored is not None:
             basis = tuple(stored)
-            _GB_MEMO[key] = basis
+            _memo_put(key, basis)
             return basis
     pk = _packing(ring, order, max([guard] + [g.weighted_degree() for _, g in normalized]))
     entries = _buchberger([pk.pack_terms(g.terms) for _, g in normalized], pk, guard)
     basis = tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
-    _GB_MEMO[key] = basis
+    _memo_put(key, basis)
     if _PERSISTENT is not None:
         _PERSISTENT.put(key, ring, basis)
     return basis
@@ -420,8 +491,9 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
 
 def _seed_memo(ring: RingSpec, order: Order, basis) -> None:
     """Record an already-reduced basis under its own content key."""
-    normalized = _normalized_gens(basis)
-    _GB_MEMO.setdefault(_content_key(ring, order, normalized), tuple(basis))
+    key = _content_key(ring, order, _normalized_gens(basis))
+    if _memo_get(key) is None:
+        _memo_put(key, tuple(basis))
 
 
 # --------------------------------------------------------------------------
@@ -464,17 +536,21 @@ class Ideal:
         return basis
 
     def _reducer(self, order: Order, degree: int, degree_guard: Optional[int]):
-        """(packing, packed entries) of the reduced basis under `order`, for
-        reducing polynomials of weighted degree up to `degree`; kept per
-        order and remade when a larger degree needs wider fields."""
+        """(packing, packed entries, their _Divisors) of the reduced basis
+        under `order`, for reducing polynomials of weighted degree up to
+        `degree`; kept per order, so every reduction against it shares one
+        divisor index, and remade when a larger degree needs wider fields.
+        The index is complete when made, so reductions only read it."""
         held = self._reducers.get(order.tag)
         if held is None or held[0] < degree:
             basis = self.groebner_basis(order, degree_guard)
             degree = max([degree] + [g.weighted_degree() for g in basis])
             pk = _packing(self.ring, order, degree)
-            held = self._reducers[order.tag] = (
-                degree, pk, [_make_entry(pk.pack_terms(g.terms), pk.p) for g in basis])
-        return held[1], held[2]
+            entries = [_make_entry(pk.pack_terms(g.terms), pk.p) for g in basis]
+            index = _Divisors(pk)
+            index.sync(entries)
+            held = self._reducers[order.tag] = (degree, pk, entries, index)
+        return held[1:]
 
     def normal_form(self, f: Polynomial, order: Optional[Order] = None,
                     degree_guard: Optional[int] = None) -> Polynomial:
@@ -483,11 +559,11 @@ class Ideal:
             raise RingMismatch("ring mismatch")
         if f.is_zero():
             return f
-        pk, entries = self._reducer(order or self.ring.order, f.weighted_degree(),
-                                    degree_guard)
+        pk, entries, index = self._reducer(order or self.ring.order, f.weighted_degree(),
+                                           degree_guard)
         if not entries:
             return f
-        return pk.polynomial(_reduce_full(pk.pack_terms(f.terms), entries, pk, {}).items())
+        return pk.polynomial(_reduce_full(pk.pack_terms(f.terms), entries, pk, index).items())
 
     def contains(self, f: Polynomial, degree_guard: Optional[int] = None) -> bool:
         return self.normal_form(f, degree_guard=degree_guard).is_zero()
@@ -703,9 +779,8 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     descending order, each kept exactly when it raises the rank.  Inserting
     in descending order keeps the same basis as deleting in ascending order
     (both give the unique greedy basis of the quotient matroid), so the
-    survivors are those of the drop-if-redundant rule above.  The modulus
-    basis never changes during the call, so all reductions share one
-    first-divisor memo.
+    survivors are those of the drop-if-redundant rule above.  All
+    reductions share the modulus's divisor index (see Ideal._reducer).
     """
     ring = modulus.ring
     cands = []
@@ -724,9 +799,8 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
         raise ValueError("minimal generators need a homogeneous modulus")
     key = _key_function(ring, ring.order)
     cands.sort(key=lambda g: (g.weighted_degree(), key(g.leading_monomial())))
-    pk, basis = modulus._reducer(ring.order, max([0] + [g.weighted_degree() for g in cands]),
-                                 degree_guard)
-    memo = {}
+    pk, basis, index = modulus._reducer(
+        ring.order, max([0] + [g.weighted_degree() for g in cands]), degree_guard)
     kept = []  # (generator, degree, packed normal form), ascending
     for d, group in itertools.groupby(cands, key=lambda g: g.weighted_degree()):
         ech = _Echelon(pk.p)
@@ -734,10 +808,10 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
             for m in monomials_of_weighted_degree(ring.weights, d - dh):
                 s = pk.pack(m)
                 ech.add_row(_reduce_full({mm + s: c for mm, c in form.items()},
-                                         basis, pk, memo))
+                                         basis, pk, index))
         survivors = []
         for g in reversed(list(group)):
-            form = _reduce_full(pk.pack_terms(g.terms), basis, pk, memo)
+            form = _reduce_full(pk.pack_terms(g.terms), basis, pk, index)
             if ech.add_row(form):
                 survivors.append((g, d, form))
         kept.extend(reversed(survivors))
@@ -767,10 +841,12 @@ def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,
     homogeneous = (g.is_homogeneous() and m.is_homogeneous()
                    and modulus.is_homogeneous())
     if homogeneous:
-        candidates = minimal_generators_mod(colon_ideal.groebner_basis(degree_guard=degree_guard),
-                                            modulus, degree_guard)
+        # survivors up to the target degree never depend on higher degrees
         target = g.weighted_degree() - m.weighted_degree()
-        candidates = [f for f in candidates if f.weighted_degree() == target]
+        low = [f for f in colon_ideal.groebner_basis(degree_guard=degree_guard)
+               if f.weighted_degree() <= target]
+        candidates = [f for f in minimal_generators_mod(low, modulus, degree_guard)
+                      if f.weighted_degree() == target]
     else:
         candidates = [f for f in colon_ideal.groebner_basis(degree_guard=degree_guard)
                       if not modulus.contains(f, degree_guard)]

@@ -37,6 +37,8 @@ GALLERY_CASES = [
     ("gallery_veronese_p3_e3", "veronese", {"p": 3}),
     ("gallery_veronese_p7_e2", "veronese", {"p": 7}),
     ("gallery_determinantal_p2", "determinantal", {}),
+    ("gallery_determinantal_p2_e4", "determinantal",
+     {"p": 2, "emax": 4, "degree_guard": 1000}),
     ("gallery_twisted_d1_p2", "twisted", {"dim": 1}),
     ("gallery_twisted_d2_p3", "twisted", {"dim": 2, "p": 3}),
     ("gallery_twisted_d3_p2", "twisted", {"dim": 3}),

@@ -120,6 +120,20 @@ class TestBasis:
             ideal.groebner_basis(degree_guard=guard)
         assert (info.value.degree, info.value.guard, info.value.phase) == (degree, guard, phase)
 
+    def test_memo_stays_bounded(self, gf2_xyz):
+        # more distinct bases than the memo holds; the basis used between
+        # them stays, the least recently used ones go
+        clear_memo()
+        x = gf2_xyz.variable("x")
+        first = groebner.groebner_basis([x], gf2_xyz)
+        for a, b in itertools.islice(itertools.product(range(1, 40), repeat=2),
+                                     groebner.GB_MEMO_SIZE + 100):
+            groebner.groebner_basis([gf2_xyz.monomial((0, a, b))], gf2_xyz)
+            assert groebner.groebner_basis([x], gf2_xyz) is first
+            assert len(groebner._GB_MEMO) <= groebner.GB_MEMO_SIZE
+        assert len(groebner._GB_MEMO) == groebner.GB_MEMO_SIZE
+        clear_memo()
+
 
 class TestNormalForm:
     def test_generators_reduce_to_zero(self, minors):
@@ -493,7 +507,7 @@ class TestBuchbergerOracle:
     def test_reducer_choice_matches_oracle(self, instance):
         # the inputs are no Groebner basis, so the remainder depends on
         # which divisor reduces each term; the basis is fixed, so one
-        # first-divisor memo serves all three reductions
+        # divisor index serves all three reductions
         ring, inputs, rng = instance
         key = _key_function(ring, ring.order)
         p = ring.field.p
@@ -503,11 +517,41 @@ class TestBuchbergerOracle:
             [f.weighted_degree() for f in polys]
             + [ring.weighted_degree(m) for fd in inputs for m in fd]))
         packed = [groebner._make_entry(pk.pack_terms(fd.items()), p) for fd in inputs]
-        memo = {}
+        index = groebner._Divisors(pk)
         for f in polys:
-            r = groebner._reduce_full(pk.pack_terms(f.terms), packed, pk, memo)
+            r = groebner._reduce_full(pk.pack_terms(f.terms), packed, pk, index)
             assert {pk.unpack(m): c for m, c in r.items()} == \
                 buchberger_oracle._reduce_full(dict(f.terms), basis, key, p)
+
+
+def _basis_or_abort(gens, ring, guard):
+    try:
+        return groebner.groebner_basis(gens, ring, degree_guard=guard)
+    except DegreeGuardExceeded as exc:
+        return ("guard", exc.degree, exc.phase)
+
+
+class TestFrobeniusOracle:
+    """The closed form of the reduced basis of a Frobenius power: the q-th
+    power map keeps the monomial order and divisibility and fixes GF(p), so
+    the reduced basis of I^[q] is the reduced basis of I with every term
+    raised to the q-th power, and a guard g on I aborts exactly where the
+    guard g*q on I^[q] does.  This runs the engine at large, sparse
+    exponents, up to q = 5^30."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(buchberger_instances(), st.sampled_from((1, 2, 5, 30)))
+    def test_basis_of_frobenius_power(self, instance, e):
+        ring, inputs, _ = instance
+        q = ring.field.p ** e
+        gens = [Polynomial(ring, fd) for fd in inputs]
+        clear_memo()  # a memoized basis would skip the guard
+        base = _basis_or_abort(gens, ring, 40)
+        power = _basis_or_abort([g.frobenius_power(e) for g in gens], ring, 40 * q)
+        if base and base[0] == "guard":
+            assert power == ("guard", base[1] * q, base[2])
+        else:
+            assert power == tuple(g.frobenius_power(e) for g in base)
 
 
 @st.composite
@@ -603,6 +647,48 @@ class TestPacking:
         oracle = buchberger_oracle._buchberger([dict(g.terms) for g in gens], ring, LEX, 120)
         assert basis == tuple(Polynomial(ring, buchberger_oracle._entry_dict(e, 3))
                               for e in oracle)
+
+
+@st.composite
+def divisor_instances(draw):
+    """Leads drawn with repeats from a few exponent tuples, with zero and
+    repeated exponents, under grevlex, lex or the elimination order, cut
+    into chunks that the index takes in one sync each; query monomials are
+    the leads, their multiples and free draws.  A common scale takes some
+    past 2^45."""
+    order = draw(st.sampled_from((GREVLEX, LEX, Order("elim", 1))))
+    weights = draw(st.sampled_from(((1, 1, 1, 1), (1, 2, 1, 3))))
+    ring = RingSpec(PrimeField(2), ("t", "x", "y", "z"), weights, order)
+    exps = st.tuples(*[st.integers(0, 3)] * 4)
+    pool = draw(st.lists(exps, min_size=1, max_size=6))
+    leads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    cuts = sorted(draw(st.lists(st.integers(0, len(leads)), max_size=3)))
+    queries = leads + draw(st.lists(exps, max_size=10)) + [
+        tuple(map(add, a, b)) for a, b in zip(leads, draw(st.lists(exps, max_size=12)))]
+    scale = draw(st.sampled_from((1, 2 ** 45 + 1)))
+    leads = [tuple(scale * e for e in m) for m in leads]
+    queries = [tuple(scale * e for e in m) for m in queries]
+    pk = groebner._packing(ring, order, max(map(ring.weighted_degree, queries)))
+    return pk, leads, cuts, queries
+
+
+class TestDivisors:
+    """The divisor index against a linear first-divisor scan on exponent
+    tuples, over a basis that grows between lookups."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(divisor_instances())
+    def test_first_divisor_matches_linear_scan(self, instance):
+        pk, leads, cuts, queries = instance
+        index = groebner._Divisors(pk)
+        basis = []
+        for end in cuts + [len(leads)]:
+            basis.extend((pk.pack(lead), ()) for lead in leads[len(basis):end])
+            index.sync(basis)
+            for m in queries:
+                expected = next((i for i, lead in enumerate(leads[:end])
+                                 if mono_divides(lead, m)), -1)
+                assert index.first(pk.pack(m)) == expected
 
 
 class TestLift:
