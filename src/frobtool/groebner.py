@@ -31,7 +31,11 @@ Buchberger keeps each live S-pair with the lcm of its leads and takes
 pairs from a heap keyed by (weighted degree of the lcm, lcm, pair), so no
 pair's lcm or degree is recomputed.  A pair that a Gebauer-Moeller update
 drops stays in the heap and is skipped when popped; updates only ever add
-pairs with the new element, so a dropped pair never returns.
+pairs with the new element, so a dropped pair never returns.  The update
+works on the exponent parts P of the leads: the P part of an lcm is the
+fieldwise max, taken by SWAR operations on the packed ints, while the K
+fields of an lcm are no such max, so only the pairs it keeps as new get
+a full packed lcm.
 
 Reduction takes the first divisor in basis order, found through a divisor
 index kept beside the basis (`_Divisors`): per variable, the distinct lead
@@ -43,6 +47,20 @@ index catches up with its basis lazily, so it serves as long as the basis
 only grows: one per Buchberger main loop and one for interreduction.  Each
 ideal keeps one per order, complete when made, for all its normal forms
 and minimal generators.
+
+Colon.  lhs : (f_1..f_k) is a chain of k eliminations: R_0 = (1) and
+R_i = (lhs ∩ f_i*R_{i-1})/f_i.  Two identities make it exact.  First,
+lhs : (f_1..f_k) is the intersection of the lhs : f_i.  Second, because
+the polynomial ring is a domain, R ∩ (J : f) = (J ∩ f*R)/f: g lies in R
+with f*g in J exactly when f*g lies in J ∩ f*R.  So R_i = R_{i-1} ∩
+(lhs : f_i), and R_k = lhs : rhs, without intersecting quotients with
+each other.  The last step also gives the final basis: on a grevlex ring
+intersect returns the reduced basis of J ∩ f*R, the leading terms of
+f*R are lm(f) times those of R, and division keeps the leads in order,
+lm(b/f) = lm(b)/lm(f).  So the monic quotients are a Groebner basis of R
+whose leads form an antichain, that is a minimal basis, and interreducing
+their tails gives the reduced basis.  On any other ring order intersect
+returns no basis in that order, and the final basis is a groebner_basis.
 
 Ideal values are logically immutable; the per-ideal basis cache and the
 process-wide content-addressed memo are the only mutation points, and
@@ -129,6 +147,8 @@ class Packing:
         self.p = ring.field.p
         self.mask = (1 << width) - 1
         self.guard_bits = sum(1 << (s + width - 1) for s in shifts)
+        self.exps_mask = (1 << width * n) - 1  # the exponent fields P
+        self.exps_guards = self.guard_bits & self.exps_mask
         self._limit = (1 << (width - 1)) - 1  # largest value a field may hold
         self._weights = weights
         self._units = tuple(sum(form[i] << s for form, s in zip(forms, shifts))
@@ -301,37 +321,57 @@ def _entry_dict(entry, p):
     return d
 
 
-def _gm_update(lms, exps, pairs, t, pk):
+def _gm_update(exps, pairs, t, pk):
     """Gebauer-Moeller pair update when basis element t is appended.
 
     Implements both Buchberger criteria: pairs whose leading monomials are
     coprime are never created, and pairs made redundant by the new element
-    (chain criterion) are discarded.  `lms` holds the packed leads and
-    `exps` their exponent tuples.  `pairs` maps each live pair (i, j) to
-    the packed lcm of its leads.  Returns the pairs that stay live, in the
-    same form, and the list of new pairs ((i, t), lcm); every new pair
-    involves t, so no pair dropped here ever comes back.
+    (chain criterion) are discarded.  `exps` holds the exponent parts P of
+    the packed leads, and `pairs` maps each live pair (i, j) to the P part
+    of the lcm of its leads; every test here runs on P, whose integer order
+    (lex) extends divisibility.  Returns the pairs that stay live, in the
+    same form, and the list of new pairs ((i, t), lcm) with the full packed
+    lcm; every new pair involves t, so no pair dropped here ever comes back.
     """
-    gbits = pk.guard_bits
-    pack = pk.pack
-    lmt, et = lms[t], exps[t]
-    with_t = [pack(tuple(map(max, e, et))) for e in exps[:t]]  # lcm(lms[i], lmt)
+    hbits = pk.exps_guards
+    top = pk.width - 1
+    b = exps[t]
+    with_t = []  # exponent part of lcm(lead i, lead t): the fieldwise max
+    for a in exps[:t]:
+        ge = ((a | hbits) - b) & hbits  # guard bit set where a's field >= b's
+        ge -= ge >> top  # ... spread over that field's value bits
+        with_t.append(a & ge | b & ~ge)
     kept = {ij: lij for ij, lij in pairs.items()
-            if (lij - lmt) & gbits or with_t[ij[0]] == lij or with_t[ij[1]] == lij}
+            if (lij - b) & hbits or with_t[ij[0]] == lij or with_t[ij[1]] == lij}
     by_lcm = {}
     for i, lcm in enumerate(with_t):
         by_lcm.setdefault(lcm, []).append(i)
     minimal = []
     for lcm in sorted(by_lcm):
-        if all((lcm - prev) & gbits for prev in minimal):
+        if all((lcm - prev) & hbits for prev in minimal):
             minimal.append(lcm)
     new = []
     for lcm in minimal:
         group = by_lcm[lcm]  # ascending
-        if not any(lms[i] + lmt == lcm for i in group):
-            new.append(((group[0], t), lcm))
-    kept.update(new)
+        if not any(exps[i] + b == lcm for i in group):
+            kept[group[0], t] = lcm
+            new.append(((group[0], t), pk.pack(pk.unpack(lcm))))
     return kept, new
+
+
+def _interreduce(minimal, pk):
+    """The reduced basis, ascending by lead, of a minimal Groebner basis of
+    monic packed entries: each tail is reduced against the whole minimal
+    set.  No lead divides a term below itself, so an entry is never picked
+    for its own tail."""
+    index = _Divisors(pk)
+    reduced = []
+    for lm, tail in minimal:
+        r = _reduce_full(dict(tail), minimal, pk, index)
+        r[lm] = 1
+        reduced.append(_make_entry(r, pk.p))
+    reduced.sort(key=itemgetter(0))
+    return reduced
 
 
 def _buchberger(inputs, pk, guard):
@@ -355,15 +395,15 @@ def _buchberger(inputs, pk, guard):
     lms = []
     exps = []
     index = _Divisors(pk)
-    pairs = {}  # live pair (i, j) -> lcm of the two leads
+    pairs = {}  # live pair (i, j) -> exponent part of the lcm of its leads
     queue = []  # (degree(lcm), lcm, (i, j)), live or dropped
 
     def extend_basis(r):
         nonlocal pairs
         basis.append(_make_entry(r, p))
         lms.append(basis[-1][0])
-        exps.append(pk.unpack(lms[-1]))
-        pairs, new = _gm_update(lms, exps, pairs, len(basis) - 1, pk)
+        exps.append(lms[-1] & pk.exps_mask)
+        pairs, new = _gm_update(exps, pairs, len(basis) - 1, pk)
         for ij, lcm in new:
             heappush(queue, (degree(lcm), lcm, ij))
 
@@ -392,18 +432,7 @@ def _buchberger(inputs, pk, guard):
     for i in sorted(range(len(basis)), key=lms.__getitem__):
         if all((lms[i] - lms[j]) & gbits for j in kept):
             kept.append(i)
-    minimal = [basis[i] for i in kept]
-
-    # interreduce each tail against the whole minimal set: no lead divides
-    # a term below itself, so an entry is never picked for its own tail
-    index = _Divisors(pk)
-    reduced = []
-    for lm, tail in minimal:
-        r = _reduce_full(dict(tail), minimal, pk, index)
-        r[lm] = 1
-        reduced.append(_make_entry(r, p))
-    reduced.sort(key=itemgetter(0))
-    return reduced
+    return _interreduce([basis[i] for i in kept], pk)
 
 
 # --------------------------------------------------------------------------
@@ -487,13 +516,6 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
     if _PERSISTENT is not None:
         _PERSISTENT.put(key, ring, basis)
     return basis
-
-
-def _seed_memo(ring: RingSpec, order: Order, basis) -> None:
-    """Record an already-reduced basis under its own content key."""
-    key = _content_key(ring, order, _normalized_gens(basis))
-    if _memo_get(key) is None:
-        _memo_put(key, tuple(basis))
 
 
 # --------------------------------------------------------------------------
@@ -648,54 +670,76 @@ def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ide
     if ring.order == GREVLEX and projected:
         # the t-free part of the elimination basis is already the reduced
         # grevlex basis of the intersection
-        _seed_memo(ring, GREVLEX, projected)
         result.gb_cache[GREVLEX.tag] = tuple(projected)
     return result
 
 
 def _divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g for exactly divisible f; internal assertion otherwise."""
+    """The quotient f/g of an exact multiple f of g; ArithmeticError otherwise.
+
+    A heap over the packed dividend, as in _reduce_full: each largest term
+    left gives the next quotient term, largest first.  A term that the lead
+    of g does not divide (the shift borrows from a field) means f is no
+    multiple of g.
+    """
     ring = f.ring
-    p = ring.field.p
-    key = _key_function(ring, ring.order)
-    lmg = g.leading_monomial()
-    lcg_inv = ring.field.inv(g.leading_coefficient())
-    work = dict(f.terms)
-    quotient: dict = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        shift = tuple(a - b for a, b in zip(m, lmg))
-        if any(e < 0 for e in shift):
+    pk = _packing(ring, ring.order, max(f.weighted_degree(), g.weighted_degree()))
+    p, gbits = pk.p, pk.guard_bits
+    lmg, tail = _make_entry(pk.pack_terms(g.terms), p)
+    inv = ring.field.inv(g.leading_coefficient())
+    work = pk.pack_terms(f.terms)
+    heap = [-m for m in work]
+    heapify(heap)
+    quotient = []
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        shift = m - lmg
+        if shift & gbits:
             raise ArithmeticError("colon division failure: intersection element "
                                   "not exactly divisible")
-        qc = c * lcg_inv % p
-        quotient[shift] = qc
-        for mm, cc in g.terms:
-            if mm == lmg:
-                continue
-            mono = tuple(x + y for x, y in zip(mm, shift))
-            v = (work.get(mono, 0) - qc * cc) % p
+        quotient.append((shift, c * inv % p))
+        for mm, cc in tail:  # subtract c*shift*(g/lc(g))
+            mono = mm + shift
+            old = work.get(mono)
+            v = ((old or 0) - c * cc) % p
             if v:
                 work[mono] = v
-            elif mono in work:
+                if old is None:
+                    if mono & gbits:
+                        raise _overflow(pk.width)
+                    heappush(heap, -mono)
+            elif old is not None:
                 del work[mono]
-    return Polynomial(ring, quotient)
+    return pk.polynomial(quotient)
 
 
 def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
-    """The colon ideal lhs : rhs = { g : g*rhs contained in lhs }."""
+    """The colon ideal lhs : rhs = { g : g*rhs contained in lhs }.
+
+    Chained over the generators f_1..f_k of rhs, one elimination each:
+    R_0 = (1) and R_i = (lhs ∩ f_i*R_{i-1})/f_i, so R_k = lhs : rhs (see
+    the module docstring).
+    """
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     if rhs.is_zero():
         raise ValueError("colon by the zero ideal")
     ring = lhs.ring
-    result: Optional[Ideal] = None
+    quotients = [ring.one()]
     for f in rhs.generators:
-        meet = intersect(lhs, Ideal(ring, (f,)), degree_guard)
-        quotient = Ideal(ring, [_divide_exact(b, f) for b in meet.generators])
-        result = quotient if result is None else intersect(result, quotient, degree_guard)
-    basis = result.groebner_basis(degree_guard=degree_guard)
+        meet = intersect(lhs, Ideal(ring, [f * g for g in quotients]), degree_guard)
+        quotients = [_divide_exact(b, f) for b in meet.generators]
+    if ring.order == GREVLEX:
+        # the quotients of a reduced basis by f are a minimal basis, and
+        # interreducing it under grevlex raises no degree
+        pk = _packing(ring, GREVLEX, max([0] + [g.weighted_degree() for g in quotients]))
+        minimal = [_make_entry(pk.pack_terms(g.terms), pk.p) for g in quotients]
+        basis = tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in _interreduce(minimal, pk))
+    else:
+        basis = groebner_basis(quotients, ring, degree_guard=degree_guard)
     final = Ideal(ring, basis)
     final.gb_cache[ring.order.tag] = basis
     return final

@@ -36,6 +36,7 @@ GALLERY_CASES = [
     ("gallery_veronese_p2_e3", "veronese", {"p": 2}),
     ("gallery_veronese_p3_e3", "veronese", {"p": 3}),
     ("gallery_veronese_p7_e2", "veronese", {"p": 7}),
+    ("gallery_veronese_p7_e3", "veronese", {"p": 7, "emax": 3}),
     ("gallery_determinantal_p2", "determinantal", {}),
     ("gallery_determinantal_p2_e4", "determinantal",
      {"p": 2, "emax": 4, "degree_guard": 1000}),
