@@ -5,12 +5,30 @@ Monomial ideals get gcd/lcm-based colon, intersection and Frobenius powers
 modules over congruence-presented affine semigroups carry the twisted
 product on raw integer exponent vectors; membership is pure lattice
 arithmetic plus the admissibility predicate, with no denominator clearing.
+
+Product membership and minimalization ask, for a vector r and a scale q,
+which generators g leave r - q*g admissible.  `_Dominance` answers that
+for all generators at once, in the layout of `groebner._Divisors`: per
+coordinate, the bitset of generators whose entry is at most each value
+(r - q*g >= 0 there exactly when g_k <= r_k // q), and per congruence
+(w, m) the bitset of each class of w.g mod m (of w.g when m = 0).  A query
+ANDs one set per coordinate and keeps the classes that satisfy the
+congruence, so a product test costs one query per left-hand generator
+instead of one admissibility check per pair.  The index is rebuilt on
+every call rather than kept on the module: building it takes one sort
+per coordinate, small beside the queries it serves, while an index held
+by the module would keep its bitsets alive as long as the module, for
+every component a probe holds at once, and raise peak memory with no
+gain in speed.  A single `contains` test keeps its linear scan, which is
+cheaper than building the index.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -175,19 +193,18 @@ class FracMonomialModule:
     def __init__(self, semigroup: SemigroupSpec, generators: Iterable,
                  degree: Optional[int] = None):
         object.__setattr__(self, "semigroup", semigroup)
-        gens = []
-        for g in generators:
-            g = tuple(g)  # int tuples are shared, not copied: a component can hold 10^5
-            if not all(type(x) is int for x in g):
-                g = tuple(int(x) for x in g)
-            if len(g) != semigroup.dim:
-                raise ValueError("generator vector has wrong length")
-            gens.append(g)
+        # int tuples are shared, not copied: a component can hold 10^5
+        gens = list(map(tuple, generators))
+        if not set(map(type, itertools.chain.from_iterable(gens))) <= {int}:
+            gens = [g if all(type(x) is int for x in g) else tuple(map(int, g))
+                    for g in gens]
+        if not set(map(len, gens)) <= {semigroup.dim}:
+            raise ValueError("generator vector has wrong length")
         object.__setattr__(self, "generators", tuple(sorted(set(gens))))
         object.__setattr__(self, "degree", degree)
 
     def contains(self, v: Sequence[int]) -> bool:
-        v = tuple(int(x) for x in v)
+        v = _vector(self.semigroup, v)
         adm = self.semigroup.admissible
         return any(adm(tuple(a - b for a, b in zip(v, g))) for g in self.generators)
 
@@ -201,21 +218,84 @@ class FracMonomialModule:
 
     def minimalize(self) -> "FracMonomialModule":
         """Drop generators reachable from another generator."""
-        adm = self.semigroup.admissible
-        gens = list(self.generators)
-        kept = []
-        for i, g in enumerate(gens):
-            dominated = False
-            for j, h in enumerate(gens):
-                if i == j:
-                    continue
-                diff = tuple(a - b for a, b in zip(g, h))
-                if adm(diff) and any(diff):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(g)
+        gens = self.generators
+        below = _Dominance(gens, self.semigroup.congruences).below
+        kept = [g for i, g in enumerate(gens) if not below(g, 1) & ~(1 << i)]
         return FracMonomialModule(self.semigroup, kept, self.degree)
+
+
+def _vector(semigroup: SemigroupSpec, v: Sequence[int]) -> tuple:
+    v = tuple(int(x) for x in v)
+    if len(v) != semigroup.dim:
+        raise ValueError("vector has wrong length")
+    return v
+
+
+def _bitset_classes(keys) -> dict:
+    """key -> bitset of the positions i with keys[i] == key."""
+    members = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    out = {}
+    for key, idx in members.items():
+        buf = bytearray(idx[-1] // 8 + 1)
+        for i in idx:
+            buf[i >> 3] |= 1 << (i & 7)
+        out[key] = int.from_bytes(buf, "little")
+    return out
+
+
+class _Dominance:
+    """Which generators g leave r - q*g admissible, for a whole list at once.
+
+    One column per coordinate k: `vals`, the distinct values of g_k in
+    ascending order, and `sets`, where `sets[j]` is the bitset of the
+    entries with g_k <= vals[j]; one sort of the distinct values and one
+    OR per value build it.  One entry per congruence (w, m): the bitset of
+    each class of w.g mod m, keyed by the class, so a query tests at most
+    m classes, or keyed by w.g itself when m = 0, so a query looks up one.
+    """
+
+    def __init__(self, generators: Sequence[tuple], congruences: tuple):
+        n = len(generators)
+        self.full = (1 << n) - 1
+        self.columns = []
+        for k in range(len(generators[0]) if n else 0):
+            exact = _bitset_classes([g[k] for g in generators])
+            vals = sorted(exact)
+            sets = list(itertools.accumulate((exact[x] for x in vals), operator.or_))
+            self.columns.append((vals, sets))
+        self.congruences = []
+        for weights, modulus in congruences:
+            dots = [sum(w * x for w, x in zip(weights, g)) for g in generators]
+            if modulus:
+                dots = [d % modulus for d in dots]
+            self.congruences.append((weights, modulus, _bitset_classes(dots)))
+
+    def below(self, r: Sequence[int], q: int) -> int:
+        """Bitset of the entries g with r - q*g admissible."""
+        x = self.full
+        for rk, (vals, sets) in zip(r, self.columns):
+            j = bisect_right(vals, rk // q)  # g_k <= r_k / q, floored for r_k < 0
+            if not j:
+                return 0
+            x &= sets[j - 1]
+            if not x:
+                return 0
+        for weights, modulus, classes in self.congruences:
+            wr = sum(w * a for w, a in zip(weights, r))
+            if modulus:
+                keep = 0
+                for c, bits in classes.items():
+                    if (wr - q * c) % modulus == 0:
+                        keep |= bits
+            else:
+                c, rem = divmod(wr, q)
+                keep = 0 if rem else classes.get(c, 0)
+            x &= keep
+            if not x:
+                return 0
+        return x
 
 
 def _twist(lhs: FracMonomialModule, rhs: FracMonomialModule, p: int) -> int:
@@ -243,16 +323,12 @@ def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,
 
 def twisted_product_contains(lhs: FracMonomialModule, rhs: FracMonomialModule,
                              p: int, v: Sequence[int]) -> bool:
-    """frac_twisted_product(lhs, rhs, p).contains(v), tested pair by pair
-    without building the product module."""
+    """frac_twisted_product(lhs, rhs, p).contains(v) without building the
+    product module: one dominance query on rhs per lhs generator."""
     q1 = _twist(lhs, rhs, p)
-    adm = lhs.semigroup.admissible
-    v = tuple(int(x) for x in v)
-    for ga in lhs.generators:
-        r = tuple(x - a for x, a in zip(v, ga))
-        if any(adm(tuple(x - q1 * b for x, b in zip(r, gb))) for gb in rhs.generators):
-            return True
-    return False
+    v = _vector(lhs.semigroup, v)
+    below = _Dominance(rhs.generators, rhs.semigroup.congruences).below
+    return any(below([x - a for x, a in zip(v, ga)], q1) for ga in lhs.generators)
 
 
 def free_semigroup(d: int) -> SemigroupSpec:

@@ -281,6 +281,9 @@ class Polynomial:
         if not self.terms:
             return None
         wd = self.ring.weighted_degree
+        if self.ring.order.kind == "grevlex":
+            # the weighted degree is the order's first key field: the lead has the largest
+            return wd(self.terms[0][0])
         return max(wd(m) for m, _ in self.terms)
 
     def is_homogeneous(self) -> bool:

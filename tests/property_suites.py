@@ -4,7 +4,14 @@ violation and returns a count of checked instances."""
 
 import random
 
-from frobtool.frobenius import component, fingen_probe, monomial_fingen_probe, twisted_mul
+from frobtool.frobenius import (
+    component,
+    fingen_probe,
+    generation_report,
+    monomial_fingen_probe,
+    twisted_mul,
+)
+from frobtool.gallery import _segre_witness, _splits_excluded, minors_ideal
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
@@ -19,10 +26,13 @@ from frobtool.groebner import (
 # counted
 GUARD = 400
 from frobtool.monomials import (
+    FracMonomialModule,
     MonomialIdeal,
+    frac_twisted_product,
     mono_colon,
     mono_frobenius_power,
     mono_intersect,
+    segre_component_2x3,
 )
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import PrimeField, RingSpec, mono_div, mono_lcm
@@ -235,4 +245,49 @@ def run_probe_cross_oracle_suite(count=24, seed=600):
         assert _probe_signature(report) == _probe_signature(oracle), mono.generators
         assert all(r.new_gen_count <= r.min_gen_count for r in report.rows)
         checked += 1
+    return checked
+
+
+def segre_monomial_probe(p, emax):
+    """The generation probe on the Segre-semigroup components of the 2x3
+    determinantal ring, in the pattern of gallery._veronese_monomial_probe."""
+    comps = [segre_component_2x3(p, e).minimalize() for e in range(1, emax + 1)]
+
+    def outside(e, products):
+        union = FracMonomialModule(comps[0].semigroup, products, e)
+        return [g for g in comps[e - 1].generators if not union.contains(g)]
+
+    return generation_report(
+        p, [c.generators for c in comps],
+        lambda e1, e2: frac_twisted_product(comps[e1 - 1], comps[e2 - 1], p).generators,
+        outside)
+
+
+def _segre_signature(report):
+    return [(r.e, r.min_gen_count, r.new_gen_count, r.generated_from_lower)
+            for r in report.rows]
+
+
+def run_segre_probe_suite():
+    """The Segre probe against the Groebner probe on the minors, row for
+    row; deeper, where only the monomial path reaches, no degree at which
+    the gallery's witness avoids every split product is generated from
+    lower.  Returns the number of rows checked."""
+    checked = 0
+    for p, emax, counts in ((2, 3, [(3, 3), (10, 1), (36, 3)]),
+                            (3, 2, [(6, 6), (45, 9)])):
+        rows = _segre_signature(segre_monomial_probe(p, emax))
+        assert [(r[1], r[2]) for r in rows] == counts, rows
+        _, ideal = minors_ideal(p)
+        assert rows == _segre_signature(fingen_probe(ideal, emax, GUARD).report)
+        checked += len(rows)
+    for p, emax in ((2, 4), (3, 3)):
+        comps = {e: segre_component_2x3(p, e) for e in range(1, emax + 1)}
+        excluded_rows = 0
+        for row in segre_monomial_probe(p, emax).rows[1:]:
+            if all(_splits_excluded(comps, row.e, _segre_witness(p, row.e), p)):
+                assert not row.generated_from_lower, (p, row)
+                excluded_rows += 1
+        assert excluded_rows, (p, emax)  # the implication was tested somewhere
+        checked += emax - 1
     return checked

@@ -2,12 +2,14 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobtool.groebner import Ideal, colon, frobenius_power, ideal_equal
 from frobtool.monomials import (
     FracMonomialModule,
     MonomialIdeal,
     SemigroupSpec,
+    _Dominance,
     frac_twisted_product,
     free_semigroup,
     mono_colon,
@@ -22,6 +24,7 @@ from frobtool.monomials import (
 )
 from frobtool.polyring import PrimeField, RingSpec, monomials_of_weighted_degree
 
+import monomial_oracle
 from conftest import random_monomial
 
 
@@ -292,3 +295,110 @@ class TestTwistedProductContains:
                 frac_twisted_product(lhs, rhs, 2)
             with pytest.raises(ValueError):
                 twisted_product_contains(lhs, rhs, 2, (0, 0))
+
+
+def _random_semigroup(rng, p):
+    """Dimension 1-5 with up to two congruences: an exact one (m = 0) with
+    weights of both signs where the dimension allows, or one modulo an m
+    that often shares a factor with p."""
+    dim = rng.randint(1, 5)
+    congruences = []
+    for _ in range(rng.randint(0, 2)):
+        weights = [rng.randint(-3, 3) for _ in range(dim)]
+        if rng.random() < 0.5:
+            if dim > 1:
+                weights[0], weights[-1] = rng.randint(1, 3), -rng.randint(1, 3)
+            modulus = 0
+        else:
+            modulus = p * rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(1, 9)
+        congruences.append((weights, modulus))
+    return SemigroupSpec(dim, congruences)
+
+
+def _near(rng, semigroup, v):
+    """v moved by an admissible step, by noise, or not at all."""
+    roll = rng.random()
+    if roll < 0.2:
+        return tuple(v)
+    if roll < 0.6:
+        for _ in range(20):
+            step = [rng.randint(0, 3) for _ in v]
+            if semigroup.admissible(step):
+                return tuple(x + s for x, s in zip(v, step))
+    return tuple(x + rng.randint(-2, 2) for x in v)
+
+
+def _random_gens(rng, semigroup, low=0):
+    return [tuple(rng.randint(-6, 6) for _ in range(semigroup.dim))
+            for _ in range(rng.randint(low, 10))]
+
+
+def _product_instance(rng):
+    """(lhs, rhs, p, v): q = p^e1 up to p^4, v near a generator sum
+    ga + q*gb or drawn freely."""
+    p = rng.choice((2, 3, 5))
+    semigroup = _random_semigroup(rng, p)
+    lhs = FracMonomialModule(semigroup, _random_gens(rng, semigroup), rng.randint(0, 4))
+    rhs = FracMonomialModule(semigroup, _random_gens(rng, semigroup), rng.randint(0, 2))
+    q = p ** lhs.degree
+    if lhs.generators and rhs.generators and rng.random() < 0.9:
+        ga, gb = rng.choice(lhs.generators), rng.choice(rhs.generators)
+        v = _near(rng, semigroup, [a + q * b for a, b in zip(ga, gb)])
+    else:
+        v = tuple(rng.randint(-12, 12) for _ in range(semigroup.dim))
+    return lhs, rhs, p, v
+
+
+def _module_instance(rng):
+    """A module where some generators are admissible steps above others."""
+    p = rng.choice((2, 3, 5))
+    semigroup = _random_semigroup(rng, p)
+    gens = _random_gens(rng, semigroup, low=1)
+    gens += [_near(rng, semigroup, rng.choice(gens)) for _ in range(rng.randint(0, 8))]
+    return FracMonomialModule(semigroup, gens, 1)
+
+
+class TestDominanceOracle:
+    """The dominance index against the pair scans it replaced
+    (tests/monomial_oracle.py) and against `admissible` itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_below_is_the_admissible_set(self, rng):
+        lhs, rhs, p, v = _product_instance(rng)
+        index = _Dominance(rhs.generators, rhs.semigroup.congruences)
+        q = p ** lhs.degree
+        for r in [v] + [tuple(x - a for x, a in zip(v, ga)) for ga in lhs.generators]:
+            expected = sum(1 << i for i, g in enumerate(rhs.generators)
+                           if rhs.semigroup.admissible([x - q * b for x, b in zip(r, g)]))
+            assert index.below(r, q) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_product_contains_matches_oracle(self, rng):
+        lhs, rhs, p, v = _product_instance(rng)
+        assert twisted_product_contains(lhs, rhs, p, v) == \
+            monomial_oracle.twisted_product_contains(lhs, rhs, p, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_minimalize_matches_oracle(self, rng):
+        module = _module_instance(rng)
+        assert module.minimalize() == monomial_oracle.minimalize(module)
+
+    def test_instances_reach_both_answers(self):
+        rng = random.Random(31)
+        answers = [twisted_product_contains(*_product_instance(rng)) for _ in range(400)]
+        assert 0.2 < sum(answers) / len(answers) < 0.8
+        rng = random.Random(32)
+        dropped = [len(m.generators) - len(m.minimalize().generators)
+                   for m in (_module_instance(rng) for _ in range(200))]
+        assert 0.2 < sum(map(bool, dropped)) / len(dropped) < 0.9
+
+    def test_wrong_length_vector_raises(self):
+        t1 = poly_twisted_component(2, 2, 1)
+        for v in ((0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match="wrong length"):
+                twisted_product_contains(t1, t1, 2, v)
+            with pytest.raises(ValueError, match="wrong length"):
+                t1.contains(v)

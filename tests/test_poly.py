@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import (
@@ -95,6 +96,16 @@ class TestWeightedDegree:
         R = ring(2, ("x", "y"), weights=(2, 3))
         assert parse_polynomial("x*y^2", R).weighted_degree() == 8
         assert parse_polynomial("x^3 + y^2", R).is_homogeneous()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((GREVLEX, LEX, Order("elim", 1), Order("elim", 2))),
+           st.sampled_from(((1, 1, 1), (1, 2, 1), (3, 1, 2))),
+           st.randoms(use_true_random=False))
+    def test_equals_max_over_terms(self, order, weights, rng):
+        # grevlex reads the lead; lex and elim leads need not have the top degree
+        R = ring(rng.choice((2, 3, 5)), ("x", "y", "z"), weights, order)
+        f = random_poly(R, rng, max_terms=5, max_exp=4)
+        assert f.weighted_degree() == max(R.weighted_degree(m) for m, _ in f.terms)
 
 
 class TestMonomialOrder:

@@ -109,6 +109,13 @@ def test_veronese_generation_bands():
     assert all(r.new_gen_count >= 1 for r in rows3)
 
 
+def test_segre_probe_matches_minors_probe():
+    """ROADMAP item 7: the Segre-semigroup probe agrees row for row with the
+    Groebner probe on the 2x3 minors, and deeper it never calls a degree
+    generated from lower where the gallery's witness is excluded."""
+    assert property_suites.run_segre_probe_suite() == 10
+
+
 def test_probe_flag_convention():
     gf2 = RingSpec(PrimeField(2), ("x", "y", "z"))
     hyper = Ideal(gf2, (parse_polynomial("x*y - z^2", gf2),))
