@@ -15,9 +15,9 @@ the weighted degree; an elimination order packs that per block, head block
 on top; lex packs the exponents themselves.  So a product is an addition,
 an order comparison is an int comparison, and lm divides m exactly when
 m - lm borrows from no field, i.e. leaves every field's top (guard) bit
-clear.  A `Packing` is made per call, at the boundary: inputs are packed
-once on entry and results unpacked once on exit, already in canonical
-order when the engine's order is the ring's own.
+clear.  A `Packing` is made per call, at the boundary (a whole colon is one
+call): inputs are packed once on entry and results unpacked once on exit,
+already in canonical order when the engine's order is the ring's own.
 
 Width rule.  Every field holds at most the weighted degree, so W is the
 bit length of the largest weighted degree among the inputs, the basis and
@@ -54,13 +54,22 @@ lhs : (f_1..f_k) is the intersection of the lhs : f_i.  Second, because
 the polynomial ring is a domain, R ∩ (J : f) = (J ∩ f*R)/f: g lies in R
 with f*g in J exactly when f*g lies in J ∩ f*R.  So R_i = R_{i-1} ∩
 (lhs : f_i), and R_k = lhs : rhs, without intersecting quotients with
-each other.  The last step also gives the final basis: on a grevlex ring
-intersect returns the reduced basis of J ∩ f*R, the leading terms of
-f*R are lm(f) times those of R, and division keeps the leads in order,
-lm(b/f) = lm(b)/lm(f).  So the monic quotients are a Groebner basis of R
-whose leads form an antichain, that is a minimal basis, and interreducing
-their tails gives the reduced basis.  On any other ring order intersect
-returns no basis in that order, and the final basis is a groebner_basis.
+each other.  The whole chain runs in one packing of the ring extended by
+t, ordered by t-degree and then by weighted grevlex (`_Elimination`): t*g
+is packed once per generator g of lhs, each (1-t)*f_i*q is formed by
+adding packed monomials, the t-free entries are taken straight from the
+Buchberger output (a t-free lead means a t-free entry), and the division
+by f_i is exact on packed dicts.  The last step also gives the final
+basis: on a grevlex ring the t-free part is the reduced basis of
+J ∩ f*R, the leading terms of f*R are lm(f) times those of R, and
+division keeps the leads in order, lm(b/f) = lm(b)/lm(f).  So the monic
+quotients are a Groebner basis of R whose leads form an antichain, that
+is a minimal basis, and interreducing their tails in the same packing,
+whose order on t-free monomials is the ring's grevlex, gives the reduced
+basis; it is unpacked once.  On any other ring order the final basis is a
+groebner_basis of the quotients.  The memo and the persistent store see
+whole colons: one entry per colon, keyed by its normalized lhs and rhs.
+intersect runs the same packed step, with no memo.
 
 Ideal values are logically immutable; the per-ideal basis cache and the
 process-wide content-addressed memo are the only mutation points, and
@@ -90,9 +99,9 @@ from .polyring import (
 
 DEFAULT_DEGREE_GUARD = 120
 SPARE_BITS = 32  # headroom of each packed field over the largest input degree
-# Reduced bases the process-wide memo keeps, least recently used evicted
-# first.  A benchmark pass or golden case makes at most 63 distinct keys,
-# the deep lifts cases (p=2 e=3, p=3 e=2) 188.
+# Reduced bases and colons the process-wide memo keeps, least recently used
+# evicted first.  A benchmark pass or golden case makes at most 25 distinct
+# keys (gallery lifts), the deep lifts cases (p=2 e=3, p=3 e=2) 72 and 69.
 GB_MEMO_SIZE = 512
 
 
@@ -480,13 +489,42 @@ def _normalized_gens(gens: Sequence[Polynomial]):
     return tuple(sorted(((str(g), g) for g in monic), key=itemgetter(0)))
 
 
-def _content_key(ring: RingSpec, order: Order, normalized) -> str:
+def _content_key(ring: RingSpec, order: Order, normalized, divisors=None) -> str:
+    """The memo and store key of the basis of `normalized`, or with
+    `divisors`, of the colon normalized : divisors; a colon key starts with
+    its own tag, so it never equals a basis key."""
     h = hashlib.sha256()
+    if divisors is not None:
+        h.update(b"colon\x01")
     h.update(repr((ring.field.p, ring.variables, ring.weights, order.tag)).encode())
     for text, _ in normalized:
         h.update(b"\x00")
         h.update(text.encode())
+    if divisors is not None:
+        h.update(b"\x01")
+        for text, _ in divisors:
+            h.update(b"\x00")
+            h.update(text.encode())
     return h.hexdigest()
+
+
+def _memoized(key: str, ring: RingSpec, compute):
+    """The basis under `key`: from the memo, else from the persistent
+    store, else compute() and keep it in both."""
+    basis = _memo_get(key)
+    if basis is not None:
+        return basis
+    if _PERSISTENT is not None:
+        stored = _PERSISTENT.get(key, ring)
+        if stored is not None:
+            basis = tuple(stored)
+            _memo_put(key, basis)
+            return basis
+    basis = compute()
+    _memo_put(key, basis)
+    if _PERSISTENT is not None:
+        _PERSISTENT.put(key, ring, basis)
+    return basis
 
 
 def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
@@ -499,23 +537,13 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
     normalized = _normalized_gens(gens)
     if not normalized:
         return ()
-    key = _content_key(ring, order, normalized)
-    hit = _memo_get(key)
-    if hit is not None:
-        return hit
-    if _PERSISTENT is not None:
-        stored = _PERSISTENT.get(key, ring)
-        if stored is not None:
-            basis = tuple(stored)
-            _memo_put(key, basis)
-            return basis
-    pk = _packing(ring, order, max([guard] + [g.weighted_degree() for _, g in normalized]))
-    entries = _buchberger([pk.pack_terms(g.terms) for _, g in normalized], pk, guard)
-    basis = tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
-    _memo_put(key, basis)
-    if _PERSISTENT is not None:
-        _PERSISTENT.put(key, ring, basis)
-    return basis
+
+    def compute():
+        pk = _packing(ring, order, max([guard] + [g.weighted_degree() for _, g in normalized]))
+        entries = _buchberger([pk.pack_terms(g.terms) for _, g in normalized], pk, guard)
+        return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
+
+    return _memoized(_content_key(ring, order, normalized), ring, compute)
 
 
 # --------------------------------------------------------------------------
@@ -632,65 +660,111 @@ def _extended_ring(ring: RingSpec) -> RingSpec:
                     Order("elim", 1))
 
 
-# The extended ring orders by t-degree first, then by weighted grevlex on
-# the other variables.  On a grevlex ring, lifting and projecting therefore
-# keep the term order, and the polynomials are built without re-sorting.
+class _Elimination:
+    """Elimination of a new variable t over `ring`, in one packing of
+    _extended_ring(ring) for fields holding weighted degrees up to `degree`.
 
-def _lift_poly(f: Polynomial, ext: RingSpec, t_factor=((0, 1),)) -> Polynomial:
-    """f times the sum of c*t^a over t_factor's (a, c), a descending."""
-    p = ext.field.p
-    terms = tuple(((a,) + m, c * ct % p) for a, ct in t_factor for m, c in f.terms)
-    if f.ring.order == GREVLEX:
-        return Polynomial._from_sorted(ext, terms)
-    return Polynomial(ext, terms)
+    The extended order is t-degree first, then weighted grevlex on the
+    variables of `ring`, so the t-free packed monomials are the monomials
+    of `ring`, ordered by its weighted grevlex, and a t-free lead means a
+    t-free entry.
+    """
 
+    def __init__(self, ring: RingSpec, degree: int):
+        ext = _extended_ring(ring)
+        self.ring = ring
+        self.pk = pk = _packing(ext, ext.order, degree)
+        self.t = pk._units[0]
+        self._free = 1 << pk._degree_shifts[0]  # t-free monomials lie below
+        self._shifts = pk._exponent_shifts[1:]
 
-def _project_poly(f: Polynomial, ring: RingSpec) -> Polynomial:
-    terms = tuple((m[1:], c) for m, c in f.terms)
-    if ring.order == GREVLEX:
-        return Polynomial._from_sorted(ring, terms)
-    return Polynomial(ring, terms)
+    def lift(self, f: Polynomial, a: int = 0) -> dict:
+        """The packed f*t^a."""
+        return self.pk.pack_terms([((a,) + m, c) for m, c in f.terms])
+
+    def meet(self, lifted, gens, guard):
+        """The t-free entries, ascending, of the reduced basis of the ideal
+        generated by `lifted` and (1-t)*g for each g in `gens`.  With
+        `lifted` the packed t*a over the generators a of A and `gens` the
+        packed generators of B, they are a Groebner basis of A ∩ B under
+        weighted grevlex, so its reduced basis on a grevlex ring."""
+        t, p = self.t, self.pk.p
+        inputs = list(lifted)
+        for g in gens:
+            d = {m + t: p - c for m, c in g.items()}
+            d.update(g)
+            inputs.append(d)
+        free = self._free
+        return [e for e in _buchberger(inputs, self.pk, guard) if e[0] < free]
+
+    def polynomial(self, items) -> Polynomial:
+        """The Polynomial over `ring` of t-free packed (monomial, coefficient)
+        items; built without re-sorting the terms on a grevlex ring."""
+        mask, shifts, ring = self.pk.mask, self._shifts, self.ring
+        terms = [(tuple((m >> s) & mask for s in shifts), c)
+                 for m, c in sorted(items, reverse=True)]
+        if ring.order == GREVLEX:
+            return Polynomial._from_sorted(ring, tuple(terms))
+        return Polynomial(ring, terms)
 
 
 def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
-    """Ideal intersection via an auxiliary variable and elimination."""
+    """Ideal intersection via an auxiliary variable and elimination, by the
+    packed step that colon runs; it consults no memo."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     ring = lhs.ring
     if lhs.is_zero() or rhs.is_zero():
         return Ideal(ring, ())
-    ext = _extended_ring(ring)
-    gens = [_lift_poly(g, ext, ((1, 1),)) for g in lhs.generators]  # t*g
-    gens += [_lift_poly(g, ext, ((1, ring.field.p - 1), (0, 1)))  # (1-t)*g
-             for g in rhs.generators]
-    basis = groebner_basis(gens, ext, ext.order, degree_guard)
-    kept = [g for g in basis if g.leading_monomial()[0] == 0]
-    projected = [_project_poly(g, ring) for g in kept]
+    guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
+    gens = lhs.generators + rhs.generators
+    el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in gens]))
+    meet = el.meet([el.lift(g, 1) for g in lhs.generators],
+                   [el.lift(g) for g in rhs.generators], guard)
+    projected = tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in meet)
     result = Ideal(ring, projected)
-    if ring.order == GREVLEX and projected:
+    if ring.order == GREVLEX:
         # the t-free part of the elimination basis is already the reduced
         # grevlex basis of the intersection
-        result.gb_cache[GREVLEX.tag] = tuple(projected)
+        result.gb_cache[GREVLEX.tag] = projected
     return result
 
 
-def _divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The quotient f/g of an exact multiple f of g; ArithmeticError otherwise.
+def _multiply(fd: dict, gd: dict, pk) -> dict:
+    """The packed product of two packed dicts; ArithmeticError when a
+    product sets a guard bit, as in _reduce_full."""
+    p = pk.p
+    acc = {}
+    for m, c in fd.items():
+        for mm, cc in gd.items():
+            mono = m + mm
+            v = (acc.get(mono, 0) + c * cc) % p
+            if v:
+                acc[mono] = v
+            elif mono in acc:
+                del acc[mono]
+    gbits = pk.guard_bits
+    if any(m & gbits for m in acc):
+        raise _overflow(pk.width)
+    return acc
 
-    A heap over the packed dividend, as in _reduce_full: each largest term
-    left gives the next quotient term, largest first.  A term that the lead
-    of g does not divide (the shift borrows from a field) means f is no
-    multiple of g.
+
+def _divide_exact(fd: dict, gd: dict, pk) -> dict:
+    """The packed quotient fd/gd of an exact multiple fd of gd;
+    ArithmeticError otherwise.
+
+    A heap over the dividend, as in _reduce_full: each largest term left
+    gives the next quotient term, largest first.  A term that the lead of
+    gd does not divide (the shift borrows from a field) means fd is no
+    multiple of gd.
     """
-    ring = f.ring
-    pk = _packing(ring, ring.order, max(f.weighted_degree(), g.weighted_degree()))
     p, gbits = pk.p, pk.guard_bits
-    lmg, tail = _make_entry(pk.pack_terms(g.terms), p)
-    inv = ring.field.inv(g.leading_coefficient())
-    work = pk.pack_terms(f.terms)
+    lmg, tail = _make_entry(gd, p)
+    inv = pow(gd[lmg], p - 2, p)
+    work = dict(fd)
     heap = [-m for m in work]
     heapify(heap)
-    quotient = []
+    quotient = {}
     while heap:
         m = -heappop(heap)
         c = work.pop(m, 0)
@@ -700,8 +774,8 @@ def _divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         if shift & gbits:
             raise ArithmeticError("colon division failure: intersection element "
                                   "not exactly divisible")
-        quotient.append((shift, c * inv % p))
-        for mm, cc in tail:  # subtract c*shift*(g/lc(g))
+        quotient[shift] = c * inv % p
+        for mm, cc in tail:  # subtract c*shift*(gd/lc(gd))
             mono = mm + shift
             old = work.get(mono)
             v = ((old or 0) - c * cc) % p
@@ -713,36 +787,53 @@ def _divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
                     heappush(heap, -mono)
             elif old is not None:
                 del work[mono]
-    return pk.polynomial(quotient)
+    return quotient
 
 
 def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     """The colon ideal lhs : rhs = { g : g*rhs contained in lhs }.
 
-    Chained over the generators f_1..f_k of rhs, one elimination each:
-    R_0 = (1) and R_i = (lhs ∩ f_i*R_{i-1})/f_i, so R_k = lhs : rhs (see
-    the module docstring).
+    Chained over the generators f_1..f_k of rhs, in their given order, one
+    elimination each: R_0 = (1) and R_i = (lhs ∩ f_i*R_{i-1})/f_i, so
+    R_k = lhs : rhs (see the module docstring).  The result is memoized,
+    and kept in the persistent store, as one entry per colon.
     """
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     if rhs.is_zero():
         raise ValueError("colon by the zero ideal")
     ring = lhs.ring
-    quotients = [ring.one()]
-    for f in rhs.generators:
-        meet = intersect(lhs, Ideal(ring, [f * g for g in quotients]), degree_guard)
-        quotients = [_divide_exact(b, f) for b in meet.generators]
-    if ring.order == GREVLEX:
-        # the quotients of a reduced basis by f are a minimal basis, and
-        # interreducing it under grevlex raises no degree
-        pk = _packing(ring, GREVLEX, max([0] + [g.weighted_degree() for g in quotients]))
-        minimal = [_make_entry(pk.pack_terms(g.terms), pk.p) for g in quotients]
-        basis = tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in _interreduce(minimal, pk))
-    else:
-        basis = groebner_basis(quotients, ring, degree_guard=degree_guard)
+    if lhs.is_zero():
+        return Ideal(ring, ())
+    key = _content_key(ring, ring.order, _normalized_gens(lhs.generators),
+                       _normalized_gens(rhs.generators))
+    basis = _memoized(key, ring, lambda: _colon_chain(lhs, rhs, degree_guard))
     final = Ideal(ring, basis)
     final.gb_cache[ring.order.tag] = basis
     return final
+
+
+def _colon_chain(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int]):
+    """The reduced basis of lhs : rhs, computed in one _Elimination packing
+    from the first elimination to the final basis."""
+    ring = lhs.ring
+    guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
+    el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in
+                                               lhs.generators + rhs.generators]))
+    pk, p = el.pk, el.pk.p
+    lifted = [el.lift(g, 1) for g in lhs.generators]
+    quotients = [{0: 1}]  # R_0 = (1); the monomial 1 packs to 0
+    for f in rhs.generators:
+        fd = el.lift(f)
+        meet = el.meet(lifted, [_multiply(fd, q, pk) for q in quotients], guard)
+        quotients = [_divide_exact(_entry_dict(b, p), fd, pk) for b in meet]
+    if ring.order == GREVLEX:
+        # the quotients of a reduced basis by f are a minimal basis, and
+        # interreducing it under grevlex raises no degree
+        minimal = [_make_entry(q, p) for q in quotients]
+        return tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in _interreduce(minimal, pk))
+    return groebner_basis([el.polynomial(q.items()) for q in quotients], ring,
+                          degree_guard=guard)
 
 
 def frobenius_power(ideal: Ideal, e: int) -> Ideal:

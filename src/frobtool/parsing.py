@@ -8,6 +8,8 @@ the canonical printer (str of a Polynomial).
 
 from __future__ import annotations
 
+import re
+
 from .polyring import Polynomial, RingSpec
 
 
@@ -25,54 +27,45 @@ class UnknownVariableError(ParseError):
     pass
 
 
-_OPS = set("+-*^()")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d_]\w*)|([-+*^()])|(\S))")
 
 
-def _tokenize(src: str):
-    """Yield (kind, text, line, col); kinds: int, name, op, end."""
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            yield ("int", src[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            yield ("name", src[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            yield ("op", ch, line, col)
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    yield ("end", "", line, col)
+def _tokenize(src: str) -> list:
+    """The tokens (kind, text, k), k counting from 0; kinds: int, name, op,
+    end.  Locations are found again only for an error (see _error)."""
+    tokens = []
+    for k, (num, name, op, bad) in enumerate(_TOKEN.findall(src)):
+        if num:
+            tokens.append(("int", num, k))
+        elif name:
+            tokens.append(("name", name, k))
+        elif op:
+            tokens.append(("op", op, k))
+        else:
+            raise _error(ParseError, f"unexpected character {bad!r}", src, k)
+    tokens.append(("end", "", len(tokens)))
+    return tokens
+
+
+def _error(cls, message: str, src: str, k: int) -> ParseError:
+    """A `cls` error at the k-th token of src (its end when there is none),
+    located by line and column, both from 1."""
+    index = len(src)
+    for i, m in enumerate(_TOKEN.finditer(src)):
+        if i == k:
+            index = m.start(m.lastindex)
+            break
+    line_start = src.rfind("\n", 0, index) + 1
+    return cls(message, src.count("\n", 0, index) + 1, index - line_start + 1)
 
 
 class _Parser:
     def __init__(self, src: str, ring: RingSpec):
-        self.tokens = list(_tokenize(src))
+        self.src = src
+        self.tokens = _tokenize(src)
         self.pos = 0
         self.ring = ring
+        self.index = {v: i for i, v in enumerate(ring.variables)}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -82,32 +75,32 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok=None):
+    def error(self, message: str, tok=None, cls=ParseError):
         tok = tok or self.peek()
-        raise ParseError(message, tok[2], tok[3])
+        raise _error(cls, message, self.src, tok[2])
 
     def parse(self) -> Polynomial:
         poly = self.expr()
-        kind, text, line, col = self.peek()
+        kind, text, _ = self.peek()
         if kind != "end":
             self.error(f"unexpected {text!r} after expression")
         return poly
 
     def expr(self) -> Polynomial:
-        # accumulate the term dicts and canonicalize once: long canonical
-        # sums (for example cached bases) parse in linear time
+        # accumulate the terms and canonicalize once: long canonical sums
+        # (for example cached bases) parse in linear time
         acc: dict = {}
         p = self.ring.field.p
         sign = 1
         term = self.term()
         while True:
-            for mono, coeff in term.terms:
+            for mono, coeff in term:
                 v = (acc.get(mono, 0) + sign * coeff) % p
                 if v:
                     acc[mono] = v
                 elif mono in acc:
                     del acc[mono]
-            kind, text, _, _ = self.peek()
+            kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 sign = 1 if text == "+" else -1
@@ -115,10 +108,10 @@ class _Parser:
             else:
                 return Polynomial(self.ring, acc)
 
-    def term(self) -> Polynomial:
-        # integer and variable factors fold directly into one
-        # (coefficient, exponent vector) pair; only parenthesized factors
-        # take the generic polynomial-product path
+    def term(self):
+        """The (exponent vector, coefficient) pairs of one product of
+        factors.  Integer and variable factors fold directly into one pair;
+        only parenthesized factors take the polynomial-product path."""
         ring = self.ring
         p = ring.field.p
         coeff = 1
@@ -127,52 +120,55 @@ class _Parser:
         while True:
             sign = 1
             while True:
-                kind, text, _, _ = self.peek()
+                kind, text, _ = self.peek()
                 if kind == "op" and text in "+-":
                     self.advance()
                     if text == "-":
                         sign = -sign
                 else:
                     break
-            kind, text, line, col = self.peek()
+            tok = self.peek()
+            kind, text, _ = tok
             if kind == "int":
                 self.advance()
                 coeff = coeff * pow(int(text) % p, self._opt_exponent(), p) % p
             elif kind == "name":
                 self.advance()
-                if text not in ring.variables:
-                    raise UnknownVariableError(f"unknown variable {text!r}", line, col)
-                expo[ring.variables.index(text)] += self._opt_exponent()
+                i = self.index.get(text)
+                if i is None:
+                    self.error(f"unknown variable {text!r}", tok, UnknownVariableError)
+                expo[i] += self._opt_exponent()
             elif kind == "op" and text == "(":
                 self.advance()
                 factor = self.expr()
-                kind, text, line, col = self.advance()
-                if not (kind == "op" and text == ")"):
-                    raise ParseError("expected ')'", line, col)
+                tok = self.advance()
+                if tok[:2] != ("op", ")"):
+                    self.error("expected ')'", tok)
                 factor = factor ** self._opt_exponent()
                 poly = factor if poly is None else poly * factor
             else:
                 self.error(f"expected a number, variable or '(': got {text!r}")
             if sign == -1:
                 coeff = -coeff % p
-            kind, text, _, _ = self.peek()
+            kind, text, _ = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
                 continue
             if kind in ("int", "name") or (kind == "op" and text == "("):
                 self.error("missing '*' between factors")
             break
-        head = Polynomial(ring, {tuple(expo): coeff})
-        return head if poly is None else head * poly
+        if poly is None:
+            return ((tuple(expo), coeff),)
+        return (Polynomial(ring, {tuple(expo): coeff}) * poly).terms
 
     def _opt_exponent(self) -> int:
-        kind, text, _, _ = self.peek()
+        kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            kind, text, line, col = self.advance()
-            if kind != "int":
-                raise ParseError("exponent must be a non-negative integer", line, col)
-            return int(text)
+            tok = self.advance()
+            if tok[0] != "int":
+                self.error("exponent must be a non-negative integer", tok)
+            return int(tok[1])
         return 1
 
 

@@ -126,3 +126,15 @@ def test_content_key_is_stable():
         "8e46aa6a5e1f459f15c97785921df380889f69055ada92808c92a3a2d18c1447"
     assert _content_key(ring, Order("elim", 1), normalized) == \
         "f2f0f23908d390892f72a9d53c8391f7d02902765d681fe7ba1de8664311821f"
+
+
+def test_colon_key_is_tagged(ring, gens):
+    # a colon entry never shares a key with a basis entry or with the
+    # colon taken the other way round
+    lhs, rhs = _normalized_gens(gens[:1]), _normalized_gens(gens[1:])
+    key = _content_key(ring, ring.order, lhs, rhs)
+    assert key not in {_content_key(ring, ring.order, lhs),
+                       _content_key(ring, ring.order, _normalized_gens(gens)),
+                       _content_key(ring, ring.order, rhs, lhs),
+                       _content_key(ring, ring.order, lhs + rhs, ())}
+    assert key == "9658c731da557a7d7d0b009007abd58e3c24f518cc8fedf036e459c3c41204f7"

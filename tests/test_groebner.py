@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import random
+import tempfile
 from operator import add
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from unittest.mock import patch
 
 from frobtool import groebner
+from frobtool.cache import BasisCache
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
@@ -20,6 +23,7 @@ from frobtool.groebner import (
     intersect,
     lift_by_nzd,
     minimal_generators_mod,
+    set_persistent_cache,
 )
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import (
@@ -220,17 +224,31 @@ class TestIntersect:
         ring = RingSpec(PrimeField(5), ("x", "y", "z"), weights, order)
         ext = groebner._extended_ring(ring)
         t = ext.variable(ext.variables[0])
+        el = groebner._Elimination(ring, 40)
         rng = random.Random(14)
         for _ in range(20):
             f = random_poly(ring, rng, max_terms=6, max_exp=3)
-            lifted = groebner._lift_poly(f, ext)
-            assert groebner._lift_poly(f, ext, ((1, 1),)) == t * lifted
-            minus = groebner._lift_poly(f, ext, ((1, 4), (0, 1)))
-            assert minus == (ext.one() - t) * lifted
-            for g in (lifted, minus):
-                assert g.terms == Polynomial(ext, g.terms).terms
-            projected = groebner._project_poly(lifted, ring)
+            g = random_poly(ring, rng, max_terms=6, max_exp=3)
+            lifted = _lift(f, ext)
+            assert el.lift(f) == el.pk.pack_terms(lifted.terms)
+            assert el.lift(f, 1) == el.pk.pack_terms((t * lifted).terms)
+            projected = el.polynomial(el.lift(f).items())
             assert projected.terms == f.terms
+            if f.is_zero() or g.is_zero():
+                continue
+            # the packed step against the elimination of t*(f) + (1-t)*(g)
+            # built from polynomials
+            meet = el.meet([el.lift(f, 1)], [el.lift(g)], 40)
+            basis = groebner.groebner_basis([t * lifted, (ext.one() - t) * _lift(g, ext)],
+                                            ext, degree_guard=40)
+            expected = [Polynomial(ring, [(m[1:], c) for m, c in b.terms])
+                        for b in basis if b.leading_monomial()[0] == 0]
+            assert [el.polynomial(((lm, 1),) + tail) for lm, tail in meet] == expected
+
+
+def _lift(f, ext):
+    """f as a polynomial of the extended ring, free of its first variable."""
+    return Polynomial(ext, [((0,) + m, c) for m, c in f.terms])
 
 
 class TestColon:
@@ -267,15 +285,20 @@ class TestColon:
             colon(Ideal(gf2_xyz, (x,)), Ideal(gf2_xyz, ()))
 
 
+ELIM1 = Order("elim", 1)
+
+
 @st.composite
-def colon_instances(draw):
-    """lhs : rhs over GF(2), GF(3) or GF(5) on a grevlex, weighted grevlex or
-    lex ring, with homogeneous or inhomogeneous generators.  rhs has 1 to 4
-    generators; each is random, a multiple of a generator of lhs, a unit or
-    a scaled repeat of an earlier one."""
+def colon_instances(draw, orders=(GREVLEX, LEX, ELIM1)):
+    """lhs : rhs over GF(2), GF(3) or GF(5) on a ring with one of `orders`
+    (by default grevlex, weighted grevlex, lex or an elimination order, the
+    last two taking the chain's non-grevlex final basis), with homogeneous
+    or inhomogeneous generators.  rhs has 1 to 4 generators; each is
+    random, a multiple of a generator of lhs, a unit or a scaled repeat of
+    an earlier one."""
     p = draw(st.sampled_from((2, 3, 5)))
     weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
-    order = draw(st.sampled_from((GREVLEX, LEX)))
+    order = draw(st.sampled_from(orders))
     homogeneous = draw(st.booleans())
     kinds = draw(st.lists(st.sampled_from(("random", "member", "unit", "repeat")),
                           min_size=1, max_size=4))
@@ -304,6 +327,21 @@ def colon_instances(draw):
 COLON_GUARD = 30
 
 
+@contextlib.contextmanager
+def _colon_store():
+    """A persistent store in a temporary directory, installed over an empty
+    memo for the duration."""
+    with tempfile.TemporaryDirectory() as root:
+        store = BasisCache(root)
+        clear_memo()
+        set_persistent_cache(store)
+        try:
+            yield store
+        finally:
+            set_persistent_cache(None)
+            clear_memo()
+
+
 def _colon_or_abort(module, lhs, rhs):
     try:
         return module.colon(lhs, rhs, COLON_GUARD).generators
@@ -326,36 +364,83 @@ class TestColonOracle:
         assume(new is not None and old is not None)
         assert new == old
 
+    @settings(max_examples=60, deadline=None)
+    @given(colon_instances())
+    def test_stored_colon_matches_computed(self, instance):
+        ring, lhs, rhs, _ = instance
+        assume(not lhs.is_zero())  # a zero colon is answered before the store
+        with _colon_store() as store:
+            computed = _colon_or_abort(groebner, lhs, rhs)
+            assume(computed is not None)
+            clear_memo()
+            hits = store.hits
+            stored = groebner.colon(lhs, rhs, COLON_GUARD).generators
+            assert store.hits == hits + 1
+        old = _colon_or_abort(colon_oracle, lhs, rhs)
+        assume(old is not None)
+        assert stored == computed == old
+
+    @settings(max_examples=30, deadline=None)
+    @given(colon_instances())
+    def test_corrupt_stored_colon_is_recomputed(self, instance):
+        ring, lhs, rhs, _ = instance
+        assume(not lhs.is_zero())  # a zero colon is answered before the store
+        with _colon_store() as store:
+            computed = _colon_or_abort(groebner, lhs, rhs)
+            assume(computed is not None)
+            key = groebner._content_key(ring, ring.order,
+                                        groebner._normalized_gens(lhs.generators),
+                                        groebner._normalized_gens(rhs.generators))
+            path = store.root / f"{key}.json"
+            path.write_text(path.read_text()[:20], encoding="utf-8")
+            clear_memo()
+            recomputed = groebner.colon(lhs, rhs, COLON_GUARD).generators
+            assert store.discarded == 1
+            # the recomputed colon is stored again
+            assert store.get(key, ring) == recomputed
+        assert recomputed == computed
+
     @settings(max_examples=200, deadline=None)
     @given(colon_instances(), st.sampled_from((0, 0, 1, 20)))
     def test_divide_exact_matches_oracle(self, instance, e):
         ring, lhs, rhs, rng = instance
         f = lhs.generators[0].frobenius_power(e)
         g = rhs.generators[0].frobenius_power(e)
-        quotient = groebner._divide_exact(f * g, g)
-        assert quotient == colon_oracle._divide_exact(f * g, g) == f
+        assert colon_oracle._divide_exact(f * g, g) == f
+        off = None
         if len(g.terms) > 1:
             # a monomial is no multiple of a polynomial of two or more terms
             off = f * g + ring.monomial(random_monomial(rng, ring.nvars, 4))
-            for module in (groebner, colon_oracle):
+            with pytest.raises(ArithmeticError, match="not exactly divisible"):
+                colon_oracle._divide_exact(off, g)
+        degree = max(h.weighted_degree() for h in (f * g, off) if h is not None)
+        # in the ring's own packing and in the elimination packing of the chain
+        pk = groebner._packing(ring, ring.order, degree)
+        el = groebner._Elimination(ring, degree + 1)
+        for lift, unlift, packing in ((lambda h: pk.pack_terms(h.terms), pk.polynomial, pk),
+                                      (el.lift, el.polynomial, el.pk)):
+            quotient = unlift(groebner._divide_exact(lift(f * g), lift(g), packing).items())
+            assert quotient == f
+            if off is not None:
                 with pytest.raises(ArithmeticError, match="not exactly divisible"):
-                    module._divide_exact(off, g)
+                    groebner._divide_exact(lift(off), lift(g), packing)
 
     @settings(max_examples=100, deadline=None)
-    @given(colon_instances())
+    @given(colon_instances(orders=(GREVLEX,)))
     def test_interreduce_matches_groebner_basis(self, instance):
         # on a grevlex ring, the quotients of the reduced basis of
         # lhs ∩ (f) by f are a minimal basis of lhs : f
         ring, lhs, rhs, _ = instance
-        assume(ring.order == GREVLEX)
         f = rhs.generators[0]
         try:
             meet = intersect(lhs, Ideal(ring, (f,)), COLON_GUARD)
         except DegreeGuardExceeded:
             assume(False)
-        quotients = [groebner._divide_exact(b, f) for b in meet.generators]
         pk = groebner._packing(ring, ring.order, max(
-            [COLON_GUARD] + [g.weighted_degree() for g in quotients]))
+            [COLON_GUARD] + [b.weighted_degree() for b in meet.generators]))
+        quotients = [pk.polynomial(groebner._divide_exact(
+            pk.pack_terms(b.terms), pk.pack_terms(f.terms), pk).items())
+            for b in meet.generators]
         minimal = [groebner._make_entry(pk.pack_terms(g.terms), pk.p) for g in quotients]
         reduced = tuple(pk.polynomial(((lm, 1),) + tail)
                         for lm, tail in groebner._interreduce(minimal, pk))
@@ -567,9 +652,8 @@ def buchberger_instances(draw):
         base = RingSpec(field, ("x", "y", "z"), weights)
         ring = groebner._extended_ring(base)
         t = ring.variable(ring.variables[0])
-        polys = [t * groebner._lift_poly(g, ring) for g in gens(base, rng.randint(1, 2))]
-        polys += [(ring.one() - t) * groebner._lift_poly(g, ring)
-                  for g in gens(base, rng.randint(1, 2))]
+        polys = [t * _lift(g, ring) for g in gens(base, rng.randint(1, 2))]
+        polys += [(ring.one() - t) * _lift(g, ring) for g in gens(base, rng.randint(1, 2))]
     else:
         order = {"grevlex": GREVLEX, "lex": LEX, "elim": Order("elim", 1)}[kind]
         ring = RingSpec(field, ("x", "y", "z"), weights, order)
