@@ -127,7 +127,7 @@ def _run(argv) -> int:
                 ideal = doc.ideal(args.ideal)
                 probe = fingen_probe(ideal, args.emax, guard)
                 components = probe_rows(probe.report, probe.components)
-                growth = degree_growth(ideal, args.emax, guard, probe=probe)
+                growth = degree_growth(probe.report)
                 for row, (_, _, ratio) in zip(components, growth):
                     row["max_gen_degree_ratio"] = str(ratio)
             report = make_report(

@@ -36,9 +36,6 @@ class FrobeniusComponent:
     modulus: Ideal
     min_gens: tuple
 
-    def max_gen_degree(self) -> int:
-        return max((g.weighted_degree() for g in self.min_gens), default=0)
-
 
 @dataclass(frozen=True)
 class DegreeRecord:
@@ -182,34 +179,29 @@ class ProbeResult:
 
 def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) -> ProbeResult:
     """Generation probe on the Groebner path: for each e >= 2, the degree-e
-    generators are minimalized modulo the ideal generated by I^[q] and all
-    twisted products of full lower components."""
+    generators are minimalized modulo I^[q] with the twisted products of
+    all full lower components as known elements.  They join the echelon
+    of normal forms modulo I^[q] that minimal_generators_mod builds anyway,
+    so no basis of I^[q] + (products) is computed, and degree_guard only
+    reaches the components and the bases of the moduli I^[q].  A guard
+    that aborted a Buchberger run on I^[q] + (products) may therefore let
+    the probe finish, never the other way round."""
     if emax < 1:
         raise ValueError("emax must be >= 1")
-    ring = ideal.ring
     comps = tuple(component(ideal, e, degree_guard) for e in range(1, emax + 1))
     report = generation_report(
-        ring.field.p, [c.min_gens for c in comps],
+        ideal.ring.field.p, [c.min_gens for c in comps],
         lambda e1, e2: product_component(comps[e1 - 1], comps[e2 - 1]),
         lambda e, products: minimal_generators_mod(
-            comps[e - 1].min_gens,
-            Ideal(ring, tuple(comps[e - 1].modulus.generators) + tuple(products)),
-            degree_guard),
+            comps[e - 1].min_gens, comps[e - 1].modulus, degree_guard, products),
         degree=Polynomial.weighted_degree)
     return ProbeResult(report, comps)
 
 
-def degree_growth(ideal: Ideal, emax: int, degree_guard: Optional[int] = None,
-                  probe: Optional[ProbeResult] = None):
-    """Max generator degree per component and its ratio to p^e (the
+def degree_growth(report: FinGenReport):
+    """Max generator degree per probe row and its ratio to q = p^e (the
     empirical growth constant)."""
-    if probe is None:
-        comps = [component(ideal, e, degree_guard) for e in range(1, emax + 1)]
-    else:
-        comps = list(probe.components[:emax])
-    p = ideal.ring.field.p
-    return [(c.e, c.max_gen_degree(), Fraction(c.max_gen_degree(), p ** c.e))
-            for c in comps]
+    return [(r.e, r.max_gen_degree, Fraction(r.max_gen_degree, r.q)) for r in report.rows]
 
 
 def monomial_fingen_probe(ideal, emax: int) -> FinGenReport:

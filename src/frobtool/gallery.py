@@ -221,7 +221,7 @@ def katzman_case(p: int = 2, emax: int = 3,
         result.expectations.append(_expect(
             f"new_generators_e{e}", row.new_gen_count >= 1,
             {"new_gen_count": row.new_gen_count}, "oracle"))
-    growth = degree_growth(ideal, emax, probe=probe)
+    growth = degree_growth(probe.report)
     result.expectations.append(_expect(
         "degree_growth_bounded", all(r <= 3 for _, _, r in growth),
         {"ratios": [[e, d, str(r)] for e, d, r in growth]}, "oracle"))
@@ -371,7 +371,7 @@ def determinantal_case(p: int = 2, emax_groebner: int = 2, emax_monomial: int = 
             (row.new_gen_count >= 1) and witness_flags.get(2, False),
             {"groebner_not_generated_e2": row.new_gen_count >= 1,
              "witness_excluded_e2": witness_flags.get(2)}, "oracle"))
-    growth = degree_growth(ideal, emax_groebner, probe=probe)
+    growth = degree_growth(probe.report)
     result.expectations.append(_expect(
         "degree_growth_bounded", all(r <= 4 for _, _, r in growth),
         {"ratios": [[e, d, str(r)] for e, d, r in growth]}, "oracle"))

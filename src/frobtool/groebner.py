@@ -897,46 +897,57 @@ class _Echelon:
 
 
 def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
-                           degree_guard: Optional[int] = None):
+                           degree_guard: Optional[int] = None, known=()):
     """Greedy minimalization of module generators modulo an ideal.
 
     Candidates are taken in ascending weighted degree (ties by the ring
-    order) and g is dropped whenever it lies in modulus + (the remaining
-    candidates).  All inputs must be homogeneous; by graded Nakayama the
-    surviving count is an invariant of the module even though the chosen
-    representatives are not.
+    order) and g is dropped whenever it lies in modulus + (known) + (the
+    remaining candidates).  All inputs must be homogeneous; by graded
+    Nakayama the surviving count is an invariant of the module even though
+    the chosen representatives are not.  The elements of `known` count as
+    part of the submodule and are never returned; one above the top
+    candidate degree cannot generate a candidate and is never packed.
 
     The work happens on normal forms modulo the reduced basis of the
     modulus, which for a homogeneous ideal is a linear map on each degree
     slice with the modulus's slice as kernel.  Each degree d gets one
     echelon: first the normal forms of every shift, to degree d, of the
-    generators kept in lower degrees, then the degree-d candidates in
-    descending order, each kept exactly when it raises the rank.  Inserting
-    in descending order keeps the same basis as deleting in ascending order
-    (both give the unique greedy basis of the quotient matroid), so the
-    survivors are those of the drop-if-redundant rule above.  All
-    reductions share the modulus's divisor index (see Ideal._reducer).
+    known elements and of the generators kept in lower degrees, then the
+    degree-d candidates in descending order, each kept exactly when it
+    raises the rank.  So g counts as inside (modulus + (known))_d exactly
+    when its normal form lies in the span of the normal forms of the
+    shifts m*f, f known, and no basis of modulus + (known) is computed.
+    Inserting in descending order keeps the same basis as deleting in
+    ascending order (both give the unique greedy basis of the quotient
+    matroid), so the survivors are those of the drop-if-redundant rule
+    above.  All reductions share the modulus's divisor index (see
+    Ideal._reducer).
     """
     ring = modulus.ring
-    cands = []
-    seen = set()
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatch("ring mismatch")
-        if g.is_zero():
-            continue
-        if not g.is_homogeneous():
-            raise ValueError("minimal generators need homogeneous input")
-        if g not in seen:
-            seen.add(g)
-            cands.append(g)
+    cands, seeds = [], []
+    for pile, items in ((cands, gens), (seeds, known)):
+        seen = set()
+        for g in items:
+            if g.ring != ring:
+                raise RingMismatch("ring mismatch")
+            if g.is_zero():
+                continue
+            if not g.is_homogeneous():
+                raise ValueError("minimal generators need homogeneous input")
+            if g not in seen:
+                seen.add(g)
+                pile.append(g)
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
     key = _key_function(ring, ring.order)
     cands.sort(key=lambda g: (g.weighted_degree(), key(g.leading_monomial())))
-    pk, basis, index = modulus._reducer(
-        ring.order, max([0] + [g.weighted_degree() for g in cands]), degree_guard)
-    kept = []  # (generator, degree, packed normal form), ascending
+    top = max([0] + [g.weighted_degree() for g in cands])
+    pk, basis, index = modulus._reducer(ring.order, top, degree_guard)
+    # (generator, degree, packed normal form): the known elements, then the
+    # survivors in ascending order
+    kept = [(f, f.weighted_degree(), _reduce_full(pk.pack_terms(f.terms), basis, pk, index))
+            for f in seeds if f.weighted_degree() <= top]
+    start = len(kept)
     for d, group in itertools.groupby(cands, key=lambda g: g.weighted_degree()):
         ech = _Echelon(pk.p)
         for _, dh, form in kept:
@@ -950,7 +961,7 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
             if ech.add_row(form):
                 survivors.append((g, d, form))
         kept.extend(reversed(survivors))
-    return [g for g, _, _ in kept]
+    return [g for g, _, _ in kept[start:]]
 
 
 def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,

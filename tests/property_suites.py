@@ -275,7 +275,8 @@ def run_segre_probe_suite():
     lower.  Returns the number of rows checked."""
     checked = 0
     for p, emax, counts in ((2, 3, [(3, 3), (10, 1), (36, 3)]),
-                            (3, 2, [(6, 6), (45, 9)])):
+                            (3, 2, [(6, 6), (45, 9)]),
+                            (5, 1, [(15, 15)])):
         rows = _segre_signature(segre_monomial_probe(p, emax))
         assert [(r[1], r[2]) for r in rows] == counts, rows
         _, ideal = minors_ideal(p)
@@ -290,4 +291,21 @@ def run_segre_probe_suite():
                 excluded_rows += 1
         assert excluded_rows, (p, emax)  # the implication was tested somewhere
         checked += emax - 1
+    return checked
+
+
+def run_deep_segre_rows():
+    """The Groebner probe on the minors against the Segre probe, row for
+    row, at depths too slow for the tier-1 suite (about half a minute in
+    all).  Not collected by pytest; from the repository root, run
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_segre_rows()"`.
+    Returns the number of rows checked."""
+    checked = 0
+    for p, emax, counts in ((5, 2, [(15, 15), (325, 100)]),
+                            (3, 3, [(6, 6), (45, 9), (378, 54)])):
+        rows = _segre_signature(segre_monomial_probe(p, emax))
+        assert [(r[1], r[2]) for r in rows] == counts, rows
+        _, ideal = minors_ideal(p)
+        assert rows == _segre_signature(fingen_probe(ideal, emax, 3000).report), p
+        checked += len(rows)
     return checked

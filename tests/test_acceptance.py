@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 from frobtool import gallery
-from frobtool.frobenius import degree_growth, qgor_expected_bound
+from frobtool.frobenius import degree_growth, fingen_probe, qgor_expected_bound
 from frobtool.groebner import Ideal
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import PrimeField, RingSpec
@@ -130,8 +130,8 @@ def test_criterion_9_degree_growth_goldens():
     katzman = Ideal(gf2, (parse_polynomial("x*y", gf2),
                           parse_polynomial("y*z", gf2)))
     _, det = minors_over(2)
-    katzman_growth = degree_growth(katzman, 3)
-    det_growth = degree_growth(det, 2)
+    katzman_growth = degree_growth(fingen_probe(katzman, 3).report)
+    det_growth = degree_growth(fingen_probe(det, 2).report)
     frozen_katzman = [(1, 3, Fraction(3, 2)), (2, 9, Fraction(9, 4)),
                       (3, 21, Fraction(21, 8))]
     frozen_det = [(1, 4, Fraction(2)), (2, 12, Fraction(3))]

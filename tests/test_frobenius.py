@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from frobtool import frobenius
 from frobtool.frobenius import (
     component,
     degree_growth,
@@ -13,10 +15,13 @@ from frobtool.frobenius import (
     twisted_mul,
     twisted_mul_reps,
 )
+from frobtool.gallery import katzman_ideal, minors_ideal, twisted_cubic_ideal
 from frobtool.groebner import DegreeGuardExceeded, Ideal, clear_memo
 from frobtool.monomials import MonomialIdeal
 from frobtool.parsing import parse_polynomial
-from frobtool.polyring import PrimeField, RingSpec
+from frobtool.polyring import Polynomial, PrimeField, RingSpec, monomials_of_weighted_degree
+
+import probe_oracle
 
 
 @pytest.fixture
@@ -171,18 +176,68 @@ class TestFinGenProbe:
         assert any("relative to full lower components" in line for line in lines)
 
 
+@st.composite
+def homogeneous_ideals(draw):
+    """A random proper homogeneous ideal over GF(2), GF(3) or GF(5), with
+    the probe depth each field can afford."""
+    p, emax = draw(st.sampled_from(((2, 3), (3, 2), (5, 2))))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    ring = RingSpec(PrimeField(p), ("x", "y", "z"), weights)
+    rng = draw(st.randoms(use_true_random=False))
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        monos = monomials_of_weighted_degree(weights, rng.randint(1, 3))
+        chosen = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+        gens.append(Polynomial(ring, {m: rng.randint(1, p - 1) for m in chosen}))
+    return Ideal(ring, gens), emax
+
+
+def _probe_or_abort(module, ideal, emax):
+    try:
+        return module.fingen_probe(ideal, emax, 400).report.rows
+    except DegreeGuardExceeded:
+        return None
+
+
+class TestProbeOracle:
+    """The probe with the twisted products in the components' echelon
+    against the earlier probe, which ran Buchberger on I^[q] + (products),
+    kept in tests/probe_oracle.py.  A guard abort of the probe is an abort
+    of the oracle; the oracle may abort alone, on its own Buchberger run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(homogeneous_ideals())
+    def test_random_ideals_match_oracle(self, drawn):
+        ideal, emax = drawn
+        rows = _probe_or_abort(frobenius, ideal, emax)
+        old = _probe_or_abort(probe_oracle, ideal, emax)
+        if rows is None:
+            assert old is None
+        elif old is not None:
+            assert rows == old
+
+    @pytest.mark.parametrize("make, p, emax", [
+        (katzman_ideal, 2, 3), (katzman_ideal, 3, 2), (minors_ideal, 2, 3),
+        (minors_ideal, 3, 2), (twisted_cubic_ideal, 2, 3), (twisted_cubic_ideal, 3, 2),
+        (twisted_cubic_ideal, 7, 2)])
+    def test_gallery_ideals_match_oracle(self, make, p, emax):
+        _, ideal = make(p)
+        assert fingen_probe(ideal, emax, 1000).report.rows == \
+            probe_oracle.fingen_probe(ideal, emax, 1000).report.rows
+
+
 class TestDegreeGrowth:
     def test_hypersurface_ratio(self, gf2_xyz):
         f = parse_polynomial("x*y - z^2", gf2_xyz)  # degree 2
         ideal = Ideal(gf2_xyz, (f,))
-        growth = degree_growth(ideal, 3)
+        growth = degree_growth(fingen_probe(ideal, 3).report)
         for e, deg, ratio in growth:
             q = 2 ** e
             assert deg == 2 * (q - 1)
             assert ratio == Fraction(2 * (q - 1), q)
 
     def test_katzman_frozen_values(self, katzman):
-        growth = degree_growth(katzman, 3)
+        growth = degree_growth(fingen_probe(katzman, 3).report)
         assert growth == [(1, 3, Fraction(3, 2)), (2, 9, Fraction(9, 4)),
                           (3, 21, Fraction(21, 8))]
 

@@ -32,6 +32,7 @@ from frobtool.polyring import (
     Order,
     Polynomial,
     PrimeField,
+    RingMismatch,
     RingSpec,
     mono_div,
     mono_divides,
@@ -512,6 +513,41 @@ class TestMinimalGenerators:
         with pytest.raises(DegreeGuardExceeded):
             minimal_generators_mod([P("x")], J, degree_guard=2)
 
+    def test_known_equal_to_candidate_drops_it(self, gf2_xyz):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        zero = Ideal(gf2_xyz, ())
+        assert minimal_generators_mod([P("x*y"), P("y^2")], zero, known=[P("x*y")]) == [P("y^2")]
+
+    def test_known_below_candidates_removes_what_it_generates(self, gf2_xyz):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        zero = Ideal(gf2_xyz, ())
+        assert minimal_generators_mod([P("x*y"), P("y^2")], zero, known=[P("x")]) == [P("y^2")]
+
+    def test_known_never_returned(self, gf2_xyz):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        J = Ideal(gf2_xyz, (P("z^3"),))
+        known = [P("x"), P("y^2"), P("y*z^2 + z^3")]
+        assert minimal_generators_mod([P("x")], J, known=known) == []
+        assert minimal_generators_mod([P("x*y"), P("z^2"), P("y*z^2")], J,
+                                      known=known) == [P("z^2")]
+
+    def test_known_above_top_degree_is_never_packed(self, gf2_xyz):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        huge = gf2_xyz.monomial((2 ** 40, 0, 0))
+        with pytest.raises(ArithmeticError):  # a packing for degree 1 cannot hold it
+            groebner._packing(gf2_xyz, gf2_xyz.order, 1).pack(huge.leading_monomial())
+        zero = Ideal(gf2_xyz, ())
+        assert minimal_generators_mod([P("y")], zero, known=[huge]) == [P("y")]
+
+    def test_known_is_validated(self, gf2_xyz, minors):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        zero = Ideal(gf2_xyz, ())
+        with pytest.raises(ValueError):
+            minimal_generators_mod([P("x")], zero, known=[P("x + y*z")])
+        ring, _ = minors
+        with pytest.raises(RingMismatch):
+            minimal_generators_mod([P("x")], zero, known=[ring.variable("u")])
+
 
 class TestGradedMembership:
     def test_against_normal_form(self, gf2_xyz):
@@ -592,6 +628,17 @@ class TestSliceOracle:
         ring, modulus, cands, _ = instance
         assert minimal_generators_mod(cands, modulus) == \
             slice_minimal_generators_mod(cands, modulus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graded_instances())
+    def test_known_matches_enlarged_modulus(self, instance):
+        """Known elements act exactly as generators added to the modulus."""
+        ring, modulus, cands, rng = instance
+        known = [_random_homogeneous(ring, rng, rng.randint(0, 4))
+                 for _ in range(rng.randint(1, 3))]
+        known += rng.sample(cands, rng.randint(0, min(2, len(cands))))
+        assert minimal_generators_mod(cands, modulus, known=known) == \
+            minimal_generators_mod(cands, modulus + Ideal(ring, known))
 
 
 def _unpack_entry(pk, entry):

@@ -78,7 +78,7 @@ def test_degree_growth_band_reported_not_asserted():
                           parse_polynomial("y*z", gf2)))
     _, det = minors_over(2)
     for name, ideal, emax in (("katzman", katzman, 3), ("determinantal", det, 2)):
-        growth = degree_growth(ideal, emax)
+        growth = degree_growth(fingen_probe(ideal, emax).report)
         ratios = [r for _, _, r in growth]
         non_increasing = all(b <= a for a, b in zip(ratios[1:], ratios[2:]))
         banded = all(r <= 2 * ratios[0] for r in ratios)
@@ -113,7 +113,7 @@ def test_segre_probe_matches_minors_probe():
     """ROADMAP item 7: the Segre-semigroup probe agrees row for row with the
     Groebner probe on the 2x3 minors, and deeper it never calls a degree
     generated from lower where the gallery's witness is excluded."""
-    assert property_suites.run_segre_probe_suite() == 10
+    assert property_suites.run_segre_probe_suite() == 11
 
 
 def test_probe_flag_convention():
