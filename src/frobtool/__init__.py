@@ -44,7 +44,6 @@ from .frobenius import (
     component,
     degree_growth,
     fingen_probe,
-    product_component,
     qgor_expected_bound,
     twisted_mul,
     twisted_mul_reps,

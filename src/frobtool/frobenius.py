@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .groebner import (
+    DegreeGuardExceeded,
     Ideal,
     colon,
     frobenius_power,
     minimal_generators_mod,
-    _key_function,
+    _make_entry,
+    _minimal_generators,
 )
 from .polyring import Polynomial, RingMismatch
 
@@ -95,28 +99,47 @@ class FinGenReport:
         return out
 
 
+@contextmanager
+def _step(e: int, q: int, step: str):
+    """Name the component and its step in a degree-guard abort."""
+    try:
+        yield
+    except DegreeGuardExceeded as exc:
+        raise DegreeGuardExceeded(exc.degree, exc.guard, exc.phase,
+                                  f"the {step} of component e={e} (q={q})") from exc
+
+
 def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> FrobeniusComponent:
-    """The degree-e component of the operator algebra of A/I."""
+    """The degree-e component of the operator algebra of A/I.
+
+    Its generators are the normal forms modulo I^[q] of the minimal
+    generators of the colon, monic, by weighted degree and then by leading
+    monomial; minimalization computes those normal forms anyway.  A
+    degree-guard abort names e, q and the step it happened in.
+    """
     ring = ideal.ring
     p = ring.field.p
     if e < 0:
         raise ValueError("Frobenius degree must be non-negative")
     if not ideal.is_homogeneous():
         raise ValueError("component computation needs a homogeneous ideal")
-    if not ideal.is_proper(degree_guard):
-        raise ValueError("component computation needs a proper ideal")
     q = p ** e
+    with _step(e, q, "basis of I"):
+        if not ideal.is_proper(degree_guard):
+            raise ValueError("component computation needs a proper ideal")
     if e == 0:
         unit = Ideal(ring, (ring.one(),))
         return FrobeniusComponent(0, 1, unit, ideal, (ring.one(),))
     modulus = frobenius_power(ideal, e)
-    col = colon(modulus, ideal, degree_guard)
-    raw = minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard), modulus,
-                                 degree_guard)
-    key = _key_function(ring, ring.order)
-    min_gens = tuple(sorted((modulus.normal_form(g, degree_guard=degree_guard).monic()
-                             for g in raw),
-                            key=lambda g: (g.weighted_degree(), key(g.leading_monomial()))))
+    with _step(e, q, "colon I^[q]:I"):
+        col = colon(modulus, ideal, degree_guard)
+    with _step(e, q, "basis of I^[q]"):
+        pk, survivors = _minimal_generators(col.groebner_basis(degree_guard=degree_guard),
+                                            modulus, degree_guard)
+    # (degree, lead, tail) of each survivor's monic normal form
+    entries = sorted(((d,) + _make_entry(form, pk.p) for _, d, form in survivors),
+                     key=itemgetter(0, 1))
+    min_gens = tuple(pk.polynomial(((lm, 1),) + tail) for _, lm, tail in entries)
     return FrobeniusComponent(e, q, col, modulus, min_gens)
 
 
@@ -141,17 +164,13 @@ def twisted_mul_reps(a: Polynomial, e1: int, b: Polynomial, e2: int,
     return result
 
 
-def product_component(comp1: FrobeniusComponent, comp2: FrobeniusComponent):
-    """All pairwise twisted products of the two components' generators."""
-    return [twisted_mul(g, comp1.e, h) for g in comp1.min_gens for h in comp2.min_gens]
-
-
 def generation_report(p: int, gens, product, outside, degree=None) -> FinGenReport:
     """The degree-by-degree generation probe, shared by every path.
 
     gens[e - 1] holds the minimal generators of the degree-e component.
     For each e >= 2, product(e1, e2) yields the twisted products of the
-    degree-e1 and degree-e2 generators, and outside(e, products) returns
+    degree-e1 and degree-e2 generators, in the form that outside reads
+    (the Groebner path passes factors), and outside(e, products) returns
     the degree-e generators not in the span of the products of every split
     e = e1 + e2 (and of I^[q]), which it gets as one iterable to be read
     once; the degree is generated from lower exactly
@@ -179,19 +198,24 @@ class ProbeResult:
 
 def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) -> ProbeResult:
     """Generation probe on the Groebner path: for each e >= 2, the degree-e
-    generators are minimalized modulo I^[q] with the twisted products of
-    all full lower components as known elements.  They join the echelon
-    of normal forms modulo I^[q] that minimal_generators_mod builds anyway,
-    so no basis of I^[q] + (products) is computed, and degree_guard only
-    reaches the components and the bases of the moduli I^[q].  A guard
-    that aborted a Buchberger run on I^[q] + (products) may therefore let
-    the probe finish, never the other way round."""
+    generators are minimalized modulo I^[q] with the twisted products
+    a*b^(q1) of the generators of all full lower components as known
+    elements.  Each product is passed as its factors (a, q1, b), so it is
+    formed only in the packing of the normal forms, and only when its
+    degree deg a + q1*deg b is at most the top generator degree.  The
+    products join the echelon of normal forms modulo I^[q] that
+    minimal_generators_mod builds anyway, so no basis of I^[q] +
+    (products) is computed, and degree_guard only reaches the components
+    and the bases of the moduli I^[q].  A guard that aborted a Buchberger
+    run on I^[q] + (products) may therefore let the probe finish, never
+    the other way round."""
     if emax < 1:
         raise ValueError("emax must be >= 1")
     comps = tuple(component(ideal, e, degree_guard) for e in range(1, emax + 1))
     report = generation_report(
         ideal.ring.field.p, [c.min_gens for c in comps],
-        lambda e1, e2: product_component(comps[e1 - 1], comps[e2 - 1]),
+        lambda e1, e2: [(g, comps[e1 - 1].q, h) for g in comps[e1 - 1].min_gens
+                        for h in comps[e2 - 1].min_gens],
         lambda e, products: minimal_generators_mod(
             comps[e - 1].min_gens, comps[e - 1].modulus, degree_guard, products),
         degree=Polynomial.weighted_degree)

@@ -45,8 +45,8 @@ sets at a term's exponents holds exactly the leads that divide it, and its
 lowest bit is the first of them; an empty AND ends the lookup early.  The
 index catches up with its basis lazily, so it serves as long as the basis
 only grows: one per Buchberger main loop and one for interreduction.  Each
-ideal keeps one per order, complete when made, for all its normal forms
-and minimal generators.
+ideal keeps one per order, complete when made, for all its normal forms;
+minimal_generators_mod makes its own in the packing of its candidates.
 
 Colon.  lhs : (f_1..f_k) is a chain of k eliminations: R_0 = (1) and
 R_i = (lhs ∩ f_i*R_{i-1})/f_i.  Two identities make it exact.  First,
@@ -109,17 +109,21 @@ class DegreeGuardExceeded(RuntimeError):
     """Raised when an intermediate polynomial exceeds the weighted-degree cap.
 
     `phase` says where: "pair lcm" when the next S-pair's lcm is above the
-    guard, "remainder" when a reduced S-polynomial is.
+    guard, "remainder" when a reduced S-polynomial is.  `context`, when
+    given, names the construction that ran the basis, such as the step of
+    a Frobenius component.
     """
 
-    def __init__(self, degree: int, guard: int, phase: str):
+    def __init__(self, degree: int, guard: int, phase: str, context: Optional[str] = None):
+        where = f" in {context}" if context else ""
         super().__init__(
             f"intermediate weighted degree {degree} ({phase}) exceeds the degree "
-            f"guard {guard}; the input is likely intractable at this setting"
+            f"guard {guard}{where}; the input is likely intractable at this setting"
         )
         self.degree = degree
         self.guard = guard
         self.phase = phase
+        self.context = context
 
 
 class NoLiftExists(ValueError):
@@ -183,6 +187,13 @@ class Packing:
             return sum(map(mul, self.unpack(m), self._weights))
         mask = self.mask
         return sum((m >> s) & mask for s in self._degree_shifts)
+
+    def degrees(self, ms) -> set:
+        """The weighted degrees of the packed monomials ms."""
+        if self.order.kind == "grevlex":  # the top field, with nothing above it
+            s = self._degree_shifts[0]
+            return {m >> s for m in ms}
+        return set(map(self.degree, ms))
 
     def pack_terms(self, terms) -> dict:
         pack = self.pack
@@ -896,6 +907,17 @@ class _Echelon:
         return True
 
 
+def _twisted_product(ad: dict, q1: int, bd: dict, pk) -> dict:
+    """The packed twisted product a*b^(q1) of packed homogeneous a and b,
+    q1 a power of p.  Every field is linear in the exponents, so b^(q1)
+    packs to {q1*M: c}, and c^(q1) = c on GF(p) (Fermat).  No field holds
+    more than the product's weighted degree, so one above the packing's
+    limit raises ArithmeticError before any field can wrap."""
+    if pk.degree(next(iter(ad))) + q1 * pk.degree(next(iter(bd))) > pk._limit:
+        raise _overflow(pk.width)
+    return _multiply(ad, {q1 * m: c for m, c in bd.items()}, pk)
+
+
 def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
                            degree_guard: Optional[int] = None, known=()):
     """Greedy minimalization of module generators modulo an ideal.
@@ -904,9 +926,13 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     order) and g is dropped whenever it lies in modulus + (known) + (the
     remaining candidates).  All inputs must be homogeneous; by graded
     Nakayama the surviving count is an invariant of the module even though
-    the chosen representatives are not.  The elements of `known` count as
-    part of the submodule and are never returned; one above the top
-    candidate degree cannot generate a candidate and is never packed.
+    the chosen representatives are not.  An element of `known` is a
+    polynomial, or a twisted product a*b^(q1) given by its factors
+    (a, q1, b), q1 a power of p; it counts as part of the submodule and is
+    never returned.  A product is formed in the packing of the normal
+    forms, and its homogeneity is that of its factors.  One above the top
+    candidate degree cannot generate a candidate and is never formed or
+    packed.
 
     The work happens on normal forms modulo the reduced basis of the
     modulus, which for a homogeneous ideal is a linear map on each degree
@@ -920,35 +946,77 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     Inserting in descending order keeps the same basis as deleting in
     ascending order (both give the unique greedy basis of the quotient
     matroid), so the survivors are those of the drop-if-redundant rule
-    above.  All reductions share the modulus's divisor index (see
-    Ideal._reducer).
+    above.
+    """
+    return [g for g, _, _ in _minimal_generators(gens, modulus, degree_guard, known)[1]]
+
+
+def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known=()):
+    """The work of minimal_generators_mod: returns the packing it ran in
+    and the survivors as (generator, weighted degree, packed normal form
+    modulo the modulus), in ascending order.
+
+    The packing's fields are sized for the top candidate degree before any
+    basis is computed, so the candidates are packed once, their
+    homogeneity is read from the degree fields of their packed terms, and
+    a bad input still raises before the modulus basis can abort.  Only the
+    basis entries up to the top degree are packed: the reduced basis of a
+    homogeneous ideal is homogeneous, so no other lead divides a term of
+    degree at most top.
     """
     ring = modulus.ring
-    cands, seeds = [], []
-    for pile, items in ((cands, gens), (seeds, known)):
-        seen = set()
-        for g in items:
-            if g.ring != ring:
-                raise RingMismatch("ring mismatch")
-            if g.is_zero():
-                continue
-            if not g.is_homogeneous():
+    order = ring.order
+    # foreign and zero candidates are reported or skipped in order below
+    top = max([0] + [g.weighted_degree() for g in gens if g.ring == ring and not g.is_zero()])
+    pk = _packing(ring, order, top)
+    cands, seen = [], set()
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatch("ring mismatch")
+        if g.is_zero() or g in seen:
+            continue
+        form = pk.pack_terms(g.terms)
+        degrees = pk.degrees(form)
+        if len(degrees) > 1:
+            raise ValueError("minimal generators need homogeneous input")
+        seen.add(g)
+        cands.append((g, degrees.pop(), form))
+    one = ring.one()
+    homogeneous = {}  # factor -> whether it is homogeneous, each checked once
+    packed = {}  # factor of a product up to the top degree -> its packed terms
+    products, seen = [], set()
+    for f in known:
+        a, q1, b = (f, 1, one) if isinstance(f, Polynomial) else f
+        if a.ring != ring or b.ring != ring:
+            raise RingMismatch("ring mismatch")
+        if a.is_zero() or b.is_zero() or (a, q1, b) in seen:
+            continue
+        for h in (a, b):
+            if h not in homogeneous:
+                homogeneous[h] = h.is_homogeneous()
+            if not homogeneous[h]:
                 raise ValueError("minimal generators need homogeneous input")
-            if g not in seen:
-                seen.add(g)
-                pile.append(g)
+        seen.add((a, q1, b))
+        d = a.weighted_degree() + q1 * b.weighted_degree()
+        if d <= top:
+            for h in (a, b):
+                if h not in packed:
+                    packed[h] = pk.pack_terms(h.terms)
+            products.append((d, a, q1, b))
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
-    key = _key_function(ring, ring.order)
-    cands.sort(key=lambda g: (g.weighted_degree(), key(g.leading_monomial())))
-    top = max([0] + [g.weighted_degree() for g in cands])
-    pk, basis, index = modulus._reducer(ring.order, top, degree_guard)
+    basis = [_make_entry(pk.pack_terms(g.terms), pk.p)
+             for g in modulus.groebner_basis(order, degree_guard) if g.weighted_degree() <= top]
+    index = _Divisors(pk)
+    key = _key_function(ring, order)
+    cands.sort(key=lambda c: (c[1], key(c[0].leading_monomial())))
     # (generator, degree, packed normal form): the known elements, then the
     # survivors in ascending order
-    kept = [(f, f.weighted_degree(), _reduce_full(pk.pack_terms(f.terms), basis, pk, index))
-            for f in seeds if f.weighted_degree() <= top]
+    kept = [(None, d, _reduce_full(_twisted_product(packed[a], q1, packed[b], pk),
+                                   basis, pk, index))
+            for d, a, q1, b in products]
     start = len(kept)
-    for d, group in itertools.groupby(cands, key=lambda g: g.weighted_degree()):
+    for d, group in itertools.groupby(cands, key=itemgetter(1)):
         ech = _Echelon(pk.p)
         for _, dh, form in kept:
             for m in monomials_of_weighted_degree(ring.weights, d - dh):
@@ -956,12 +1024,12 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
                 ech.add_row(_reduce_full({mm + s: c for mm, c in form.items()},
                                          basis, pk, index))
         survivors = []
-        for g in reversed(list(group)):
-            form = _reduce_full(pk.pack_terms(g.terms), basis, pk, index)
+        for g, _, packed_g in reversed(list(group)):
+            form = _reduce_full(packed_g, basis, pk, index)
             if ech.add_row(form):
                 survivors.append((g, d, form))
         kept.extend(reversed(survivors))
-    return [g for g, _, _ in kept[start:]]
+    return pk, kept[start:]
 
 
 def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,

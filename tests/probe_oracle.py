@@ -4,8 +4,11 @@ twisted products joined the components' echelon.
 `fingen_probe` below is the earlier code, unchanged.  Its `outside` step
 builds the ideal I^[q] + (twisted products of the full lower components)
 and minimalizes the degree-e generators modulo it, so `minimal_generators_mod`
-runs a Buchberger on that ideal to get its reducer.  The tests compare the
-library's probe with it row for row.
+runs a Buchberger on that ideal to get its reducer.  `product_component`
+forms those products as polynomials through `twisted_mul`, and
+`component_min_gens` is the earlier rule for a component's generators: a
+second normal form of every survivor.  The tests compare the library's
+probe and components with them.
 """
 
 from __future__ import annotations
@@ -13,13 +16,37 @@ from __future__ import annotations
 from typing import Optional
 
 from frobtool.frobenius import (
+    FrobeniusComponent,
     ProbeResult,
     component,
     generation_report,
-    product_component,
+    twisted_mul,
 )
-from frobtool.groebner import Ideal, minimal_generators_mod
-from frobtool.polyring import Polynomial
+from frobtool.groebner import Ideal, colon, frobenius_power, minimal_generators_mod
+from frobtool.polyring import Polynomial, _key_function
+
+
+def product_component(comp1: FrobeniusComponent, comp2: FrobeniusComponent):
+    """All pairwise twisted products of the two components' generators."""
+    return [twisted_mul(g, comp1.e, h) for g in comp1.min_gens for h in comp2.min_gens]
+
+
+def component_min_gens(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> tuple:
+    """The generators of the degree-e component (e >= 1) by the earlier
+    rule: the survivors of `minimal_generators_mod` on the colon basis,
+    each replaced by its monic normal form modulo I^[q], sorted by weighted
+    degree and then by leading monomial."""
+    ring = ideal.ring
+    if not ideal.is_proper(degree_guard):
+        raise ValueError("component computation needs a proper ideal")
+    modulus = frobenius_power(ideal, e)
+    col = colon(modulus, ideal, degree_guard)
+    raw = minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard), modulus,
+                                 degree_guard)
+    key = _key_function(ring, ring.order)
+    return tuple(sorted((modulus.normal_form(g, degree_guard=degree_guard).monic()
+                         for g in raw),
+                        key=lambda g: (g.weighted_degree(), key(g.leading_monomial()))))
 
 
 def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) -> ProbeResult:

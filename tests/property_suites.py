@@ -296,13 +296,15 @@ def run_segre_probe_suite():
 
 def run_deep_segre_rows():
     """The Groebner probe on the minors against the Segre probe, row for
-    row, at depths too slow for the tier-1 suite (about half a minute in
-    all).  Not collected by pytest; from the repository root, run
+    row, at depths too slow for the tier-1 suite (about a minute in all,
+    half of it p=2 e<=5).  Not collected by pytest; from the repository
+    root, run
     `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_segre_rows()"`.
     Returns the number of rows checked."""
     checked = 0
     for p, emax, counts in ((5, 2, [(15, 15), (325, 100)]),
-                            (3, 3, [(6, 6), (45, 9), (378, 54)])):
+                            (3, 3, [(6, 6), (45, 9), (378, 54)]),
+                            (2, 5, [(3, 3), (10, 1), (36, 3), (136, 9), (528, 27)])):
         rows = _segre_signature(segre_monomial_probe(p, emax))
         assert [(r[1], r[2]) for r in rows] == counts, rows
         _, ideal = minors_ideal(p)

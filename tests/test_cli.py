@@ -109,6 +109,18 @@ def test_degree_guard_exit3(capsys, tmp_path):
     assert "(pair lcm)" in err
 
 
+def test_fops_degree_guard_names_component(capsys, tmp_path):
+    path = tmp_path / "guarded.frob"
+    path.write_text("char 2\nvars x y z\nideal I = x^2 + y*z, x*y + z^2\n", encoding="utf-8")
+    code = main(["fops", "--input", str(path), "--ideal", "I", "--emax", "2",
+                 "--degree-guard", "6", "--no-cache"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: intermediate weighted degree 7 (pair lcm) exceeds the degree guard 6 "
+        "in the colon I^[q]:I of component e=1 (q=2); the input is likely intractable "
+        "at this setting\n")
+
+
 @pytest.mark.parametrize("error", [ArithmeticError, LiftVerificationError, RingMismatch])
 def test_internal_error_exit4(capsys, katzman_file, monkeypatch, error):
     import frobtool.cli as cli_mod

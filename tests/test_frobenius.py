@@ -3,25 +3,39 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobtool import frobenius
+from frobtool import frobenius, groebner
 from frobtool.frobenius import (
     component,
     degree_growth,
     fingen_probe,
     generation_report,
     monomial_fingen_probe,
-    product_component,
     qgor_expected_bound,
     twisted_mul,
     twisted_mul_reps,
 )
 from frobtool.gallery import katzman_ideal, minors_ideal, twisted_cubic_ideal
-from frobtool.groebner import DegreeGuardExceeded, Ideal, clear_memo
+from frobtool.groebner import (
+    DegreeGuardExceeded,
+    Ideal,
+    clear_memo,
+    colon,
+    frobenius_power,
+    minimal_generators_mod,
+)
 from frobtool.monomials import MonomialIdeal
 from frobtool.parsing import parse_polynomial
-from frobtool.polyring import Polynomial, PrimeField, RingSpec, monomials_of_weighted_degree
+from frobtool.polyring import (
+    GREVLEX,
+    LEX,
+    Polynomial,
+    PrimeField,
+    RingSpec,
+    monomials_of_weighted_degree,
+)
 
 import probe_oracle
+from probe_oracle import product_component
 
 
 @pytest.fixture
@@ -224,6 +238,143 @@ class TestProbeOracle:
         _, ideal = make(p)
         assert fingen_probe(ideal, emax, 1000).report.rows == \
             probe_oracle.fingen_probe(ideal, emax, 1000).report.rows
+
+
+class TestComponentOracle:
+    """component reads its generators from the echelon of the minimalization;
+    the earlier rule, a second normal form of every survivor, is kept in
+    tests/probe_oracle.py.  Both see the same guard aborts."""
+
+    @pytest.mark.parametrize("make, p, emax", [
+        (katzman_ideal, 2, 3), (katzman_ideal, 3, 2), (minors_ideal, 2, 3),
+        (minors_ideal, 3, 2), (twisted_cubic_ideal, 2, 3), (twisted_cubic_ideal, 3, 2),
+        (twisted_cubic_ideal, 7, 2)])
+    def test_gallery_components_match_oracle(self, make, p, emax):
+        _, ideal = make(p)
+        for e in range(1, emax + 1):
+            assert component(ideal, e, 1000).min_gens == \
+                probe_oracle.component_min_gens(ideal, e, 1000)
+
+    @settings(max_examples=40, deadline=None)
+    @given(homogeneous_ideals())
+    def test_random_components_match_oracle(self, drawn):
+        ideal, emax = drawn
+        for e in range(1, emax + 1):
+            outcomes = []
+            for build in (lambda: component(ideal, e, 400).min_gens,
+                          lambda: probe_oracle.component_min_gens(ideal, e, 400)):
+                try:
+                    outcomes.append(build())
+                except DegreeGuardExceeded:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def twisted_factors(draw):
+    """Homogeneous a and b and a Frobenius degree e1 over GF(2), GF(3),
+    GF(5) or GF(7), with weights (1,1,1) or (1,2,1), grevlex or lex."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    ring = RingSpec(PrimeField(p), ("x", "y", "z"), weights, order)
+    e1 = draw(st.integers(0, 2 if p < 5 else 1))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def homogeneous():
+        monos = monomials_of_weighted_degree(weights, rng.randint(0, 3))
+        chosen = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+        return Polynomial(ring, {m: rng.randint(1, p - 1) for m in chosen})
+
+    return ring, homogeneous(), e1, homogeneous(), rng
+
+
+class TestPackedProducts:
+    """Twisted products formed in a packing, against twisted_mul."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(twisted_factors())
+    def test_packed_product_is_twisted_mul(self, drawn):
+        ring, a, e1, b, _ = drawn
+        q1 = ring.field.p ** e1
+        pk = groebner._packing(ring, ring.order, a.weighted_degree() + q1 * b.weighted_degree())
+        packed = groebner._twisted_product(pk.pack_terms(a.terms), q1,
+                                           pk.pack_terms(b.terms), pk)
+        assert pk.polynomial(packed.items()) == twisted_mul(a, e1, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(twisted_factors())
+    def test_factored_known_acts_as_its_product(self, drawn):
+        ring, a, e1, b, rng = drawn
+        q1 = ring.field.p ** e1
+        product = twisted_mul(a, e1, b)
+        d = product.weighted_degree()
+        x, z = ring.variable("x"), ring.variable("z")
+        cands = [product * x + x ** (d + 1), product * z, x ** d + z ** d, z ** (d + 1)]
+        modulus = Ideal(ring, (x ** (d + 1) - z ** (d + 1) if rng.random() < 0.5 else x * z,))
+        assert minimal_generators_mod(cands, modulus, known=[(a, q1, b)]) == \
+            minimal_generators_mod(cands, modulus, known=[product])
+
+    def test_product_above_top_is_never_formed(self, gf2_xyz, monkeypatch):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        x, y = P("x"), P("y")
+        formed = []
+        real = groebner._twisted_product
+
+        def recording(ad, q1, bd, pk):
+            formed.append(q1)
+            return real(ad, q1, bd, pk)
+
+        monkeypatch.setattr(groebner, "_twisted_product", recording)
+        zero = Ideal(gf2_xyz, ())
+        assert minimal_generators_mod([P("x*y"), P("z^2")], zero,
+                                      known=[(x, 2 ** 40, y), (x, 1, y)]) == [P("z^2")]
+        assert formed == [1]
+        pk = groebner._packing(gf2_xyz, gf2_xyz.order, 2)
+        with pytest.raises(ArithmeticError):  # the skipped one does not fit that packing
+            real(pk.pack_terms(x.terms), 2 ** 40, pk.pack_terms(y.terms), pk)
+
+    def test_field_overflow_raises_and_never_wraps(self, gf2_xyz):
+        pk = groebner._packing(gf2_xyz, gf2_xyz.order, 1)
+        one, x, y = (pk.pack_terms(f.terms) for f in
+                     (gf2_xyz.one(), gf2_xyz.variable("x"), gf2_xyz.variable("y")))
+        fits = 2 ** (pk.width - 2)  # the largest power of 2 a field may hold
+        assert pk.polynomial(groebner._twisted_product(one, fits, y, pk).items()) == \
+            gf2_xyz.monomial((0, fits, 0))
+        # x*y^(2^(W-1)) needs the guard bit; y^(2^W) would carry into the next field
+        for a, q1 in ((x, 2 * fits), (one, 2 * fits), (one, 4 * fits), (x, 2 ** 80)):
+            with pytest.raises(ArithmeticError, match="outgrew"):
+                groebner._twisted_product(a, q1, y, pk)
+
+
+class TestGuardContext:
+    """A guard abort inside component names e, q and the step."""
+
+    def test_abort_names_component_and_step(self, gf2_xyz):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        ideal = Ideal(gf2_xyz, (P("x^2 + y*z"), P("x*y + z^2")))
+        clear_memo()
+        with pytest.raises(DegreeGuardExceeded, match=(
+                r"^intermediate weighted degree 7 \(pair lcm\) exceeds the degree guard 6 "
+                r"in the colon I\^\[q\]:I of component e=1 \(q=2\); ")) as info:
+            component(ideal, 1, 6)
+        assert (info.value.degree, info.value.guard, info.value.phase) == (7, 6, "pair lcm")
+        clear_memo()
+        colon(frobenius_power(ideal, 1), ideal, 100)  # the colon is remembered
+        with pytest.raises(DegreeGuardExceeded, match=(
+                r"in the basis of I\^\[q\] of component e=1 \(q=2\); ")):
+            component(ideal, 1, 5)
+        clear_memo()
+        with pytest.raises(DegreeGuardExceeded, match=(
+                r"exceeds the degree guard 9 in the colon I\^\[q\]:I of "
+                r"component e=2 \(q=4\); ")):
+            fingen_probe(ideal, 2, 9)
+        clear_memo()
+        with pytest.raises(DegreeGuardExceeded, match=(
+                r"\(pair lcm\) exceeds the degree guard 3 in the basis of I of "
+                r"component e=1 \(q=2\); ")):
+            component(Ideal(gf2_xyz, ideal.generators), 1, 3)  # no basis of I kept
+        clear_memo()
 
 
 class TestDegreeGrowth:

@@ -548,6 +548,47 @@ class TestMinimalGenerators:
         with pytest.raises(RingMismatch):
             minimal_generators_mod([P("x")], zero, known=[ring.variable("u")])
 
+    @pytest.mark.parametrize("order", [GREVLEX, LEX])
+    def test_inhomogeneous_input_raises_before_the_modulus_basis(self, order):
+        """A candidate's homogeneity is read from its packed terms, and a
+        product's from its factors; either error keeps its message and comes
+        before a guard abort of the modulus basis and before a ring
+        mismatch further on."""
+        ring = RingSpec(PrimeField(2), ("x", "y", "z"), (1, 2, 1), order)
+        P = lambda s: parse_polynomial(s, ring)
+        J = Ideal(ring, (P("x^2*y + z^4"), P("x*y*z + y^2")))
+        message = "minimal generators need homogeneous input"
+        clear_memo()
+        with pytest.raises(DegreeGuardExceeded):
+            minimal_generators_mod([P("x")], J, degree_guard=4)
+        clear_memo()
+        for gens, known in (([P("x + y")], ()), ([P("y + x*z^2")], ()),
+                            ([P("y + z^2"), P("x + y")], ()),
+                            ([P("y")], [(P("x"), 2, P("y + z"))]),
+                            ([P("y")], [(P("x + y"), 2, P("z"))]),
+                            ([P("y")], [P("x*y + z")])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                minimal_generators_mod(gens, J, degree_guard=4, known=known)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                minimal_generators_mod(gens, Ideal(ring, ()), known=known)
+        foreign = RingSpec(PrimeField(2), ("u", "v"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            minimal_generators_mod([P("x + y"), foreign.variable("u")], J, degree_guard=4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            minimal_generators_mod([P("x + y")], J, degree_guard=4,
+                                   known=[foreign.variable("u")])
+        with pytest.raises(RingMismatch):
+            minimal_generators_mod([P("y")], J, degree_guard=4,
+                                   known=[(P("x"), 2, foreign.variable("u"))])
+
+    def test_inhomogeneous_modulus_after_inputs(self, gf2_xyz):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        bad = Ideal(gf2_xyz, (P("x + y*z"),))
+        with pytest.raises(ValueError, match="homogeneous input"):
+            minimal_generators_mod([P("x + y^2")], bad)
+        with pytest.raises(ValueError, match="homogeneous modulus"):
+            minimal_generators_mod([P("x")], bad)
+
 
 class TestGradedMembership:
     def test_against_normal_form(self, gf2_xyz):
