@@ -10,6 +10,7 @@ frozen, "direct" for definitional checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Optional
 
 from .frobenius import (
@@ -31,11 +32,10 @@ from .groebner import (
 )
 from .monomials import (
     MonomialIdeal,
-    FracMonomialModule,
-    frac_twisted_product,
     poly_twisted_component,
     segre_component_2x3,
-    twisted_product_contains,
+    twisted_product_memberships,
+    twisted_products,
     veronese_component,
 )
 from .parsing import parse_polynomial
@@ -232,14 +232,16 @@ def katzman_case(p: int = 2, emax: int = 3,
 def _veronese_monomial_probe(p: int, emax: int) -> FinGenReport:
     """Independent fractional-monomial path for the cubic Veronese."""
     comps = [veronese_component(2, 3, p, e) for e in range(1, emax + 1)]
+    admissible = comps[0].semigroup.admissible
 
     def outside(e, products):
-        union = FracMonomialModule(comps[0].semigroup, products, e)
-        return [g for g in comps[e - 1].generators if not union.contains(g)]
+        products = list(products)
+        return [g for g in comps[e - 1].generators
+                if not any(admissible(tuple(map(sub, g, h))) for h in products)]
 
     return generation_report(
         p, [c.generators for c in comps],
-        lambda e1, e2: frac_twisted_product(comps[e1 - 1], comps[e2 - 1], p).generators,
+        lambda e1, e2: twisted_products(comps[e1 - 1], comps[e2 - 1], p),
         outside)
 
 
@@ -329,11 +331,24 @@ def _segre_witness(p: int, e: int):
     return (-(q - 1), -(q - 1), -(q - 2), -(q - q // p), -(q // p))
 
 
-def _splits_excluded(comps: dict, e: int, w, p: int) -> list:
-    """Per split e = e1 + e2, whether w lies outside the product of the
-    degree-e1 and degree-e2 components."""
-    return [not twisted_product_contains(comps[e1], comps[e - e1], p, w)
-            for e1 in range(1, e)]
+def _twisted_witness(p: int, e: int):
+    q = p ** e
+    return (1, q // p - 1, q - q // p - 1)
+
+
+def _splits_excluded(comps: dict, witnesses: dict, p: int) -> dict:
+    """For each degree e of witnesses, per split e = e1 + e2 in order of e1,
+    whether witnesses[e] lies outside the product of the degree-e1 and
+    degree-e2 components.  The splits are answered one right-hand
+    component at a time, each in one batch over its single index."""
+    excluded = {e: [None] * (e - 1) for e in witnesses}
+    for e2 in range(1, max(witnesses, default=1)):
+        degrees = [e for e in witnesses if e > e2]
+        inside = twisted_product_memberships(
+            comps[e2], p, [(comps[e - e2], witnesses[e]) for e in degrees])
+        for e, found in zip(degrees, inside):
+            excluded[e][e - e2 - 1] = not found
+    return excluded
 
 
 def determinantal_case(p: int = 2, emax_groebner: int = 2, emax_monomial: int = 4,
@@ -347,11 +362,12 @@ def determinantal_case(p: int = 2, emax_groebner: int = 2, emax_monomial: int = 
     result = CaseResult("determinantal", {
         "p": p, "emax_groebner": emax_groebner, "emax_monomial": emax_monomial})
     comps = {e: segre_component_2x3(p, e) for e in range(1, emax_monomial + 1)}
+    witnesses = {e: _segre_witness(p, e) for e in range(2, emax_monomial + 1)}
+    split_flags = _splits_excluded(comps, witnesses, p)
     witness_flags = {}
-    for e in range(2, emax_monomial + 1):
-        w = _segre_witness(p, e)
+    for e, w in witnesses.items():
         in_component = comps[e].contains(w)
-        excluded = _splits_excluded(comps, e, w, p)
+        excluded = split_flags[e]
         witness_flags[e] = all(excluded)
         result.expectations.append(_expect(
             f"witness_excluded_e{e}", in_component and all(excluded),
@@ -397,7 +413,7 @@ def poly_twisted_case(dim: int, p: int = 2, emax: Optional[int] = None) -> CaseR
     # generator among the products is plain equality
     report = generation_report(
         p, [comps[e].generators for e in range(1, emax + 1)],
-        lambda e1, e2: frac_twisted_product(comps[e1], comps[e2], p).generators,
+        lambda e1, e2: twisted_products(comps[e1], comps[e2], p),
         lambda e, products: set(comps[e].generators).difference(products))
     rows = [{"e": r.e, "q": r.q, "component_size": r.min_gen_count,
              "generated_from_lower": r.generated_from_lower,
@@ -416,13 +432,11 @@ def poly_twisted_case(dim: int, p: int = 2, emax: Optional[int] = None) -> CaseR
             all(r["generated_from_lower"] for r in rows if r["e"] >= 2),
             {"flags": [r["generated_from_lower"] for r in rows]}, "identity"))
     else:
-        for e in range(2, emax + 1):
-            q = p ** e
-            w = (1, q // p - 1, q - q // p - 1)
-            excluded = _splits_excluded(comps, e, w, p)
+        witnesses = {e: _twisted_witness(p, e) for e in range(2, emax + 1)}
+        for e, excluded in _splits_excluded(comps, witnesses, p).items():
             result.expectations.append(_expect(
                 f"witness_excluded_e{e}", all(excluded),
-                {"witness": list(w), "splits_excluded": excluded}, "identity"))
+                {"witness": list(witnesses[e]), "splits_excluded": excluded}, "identity"))
     return result
 
 

@@ -14,22 +14,28 @@ coordinate, the bitset of generators whose entry is at most each value
 (w, m) the bitset of each class of w.g mod m (of w.g when m = 0).  A query
 ANDs one set per coordinate and keeps the classes that satisfy the
 congruence, so a product test costs one query per left-hand generator
-instead of one admissibility check per pair.  The index is rebuilt on
-every call rather than kept on the module: building it takes one sort
-per coordinate, small beside the queries it serves, while an index held
-by the module would keep its bitsets alive as long as the module, for
-every component a probe holds at once, and raise peak memory with no
-gain in speed.  A single `contains` test keeps its linear scan, which is
-cheaper than building the index.
+instead of one admissibility check per pair.  `twisted_product_memberships`
+answers a batch of product tests that share a right-hand module with one
+index, built when the batch starts and dropped when it ends, so a caller
+looping over right-hand components holds one index at a time.  The index
+is not kept on the module: one held by the module would keep its bitsets
+alive as long as the module, for every component a probe holds at once,
+and raise peak memory with no gain in speed.  A single `contains` test
+keeps its linear scan, which is cheaper than building the index.
+
+The component builders emit their generators in ascending order and hand
+them to `FracMonomialModule._from_sorted`, which neither validates nor
+sorts them; so does `minimalize`, whose kept generators are a subsequence
+of a sorted tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .polyring import (
@@ -203,6 +209,17 @@ class FracMonomialModule:
         object.__setattr__(self, "generators", tuple(sorted(set(gens))))
         object.__setattr__(self, "degree", degree)
 
+    @classmethod
+    def _from_sorted(cls, semigroup: SemigroupSpec, generators: Iterable,
+                     degree: Optional[int] = None) -> "FracMonomialModule":
+        """A module from generators that are already canonical: distinct
+        int tuples of the semigroup's dimension, in ascending order."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "degree", degree)
+        return self
+
     def contains(self, v: Sequence[int]) -> bool:
         v = _vector(self.semigroup, v)
         adm = self.semigroup.admissible
@@ -221,7 +238,7 @@ class FracMonomialModule:
         gens = self.generators
         below = _Dominance(gens, self.semigroup.congruences).below
         kept = [g for i, g in enumerate(gens) if not below(g, 1) & ~(1 << i)]
-        return FracMonomialModule(self.semigroup, kept, self.degree)
+        return FracMonomialModule._from_sorted(self.semigroup, kept, self.degree)
 
 
 def _vector(semigroup: SemigroupSpec, v: Sequence[int]) -> tuple:
@@ -263,7 +280,7 @@ class _Dominance:
         for k in range(len(generators[0]) if n else 0):
             exact = _bitset_classes([g[k] for g in generators])
             vals = sorted(exact)
-            sets = list(itertools.accumulate((exact[x] for x in vals), operator.or_))
+            sets = list(itertools.accumulate((exact[x] for x in vals), or_))
             self.columns.append((vals, sets))
         self.congruences = []
         for weights, modulus in congruences:
@@ -307,6 +324,16 @@ def _twist(lhs: FracMonomialModule, rhs: FracMonomialModule, p: int) -> int:
     return p ** lhs.degree
 
 
+def twisted_products(lhs: FracMonomialModule, rhs: FracMonomialModule,
+                     p: int) -> list:
+    """The generators g_a + p^{e1} * g_b of the twisted product of lhs
+    (degree e1) and rhs, as a plain list, lhs-major, neither deduplicated
+    nor sorted.  Each rhs generator is scaled once."""
+    q1 = _twist(lhs, rhs, p)
+    scaled = [tuple(q1 * x for x in gb) for gb in rhs.generators]
+    return [tuple(map(add, ga, sb)) for ga in lhs.generators for sb in scaled]
+
+
 def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,
                          p: int) -> FracMonomialModule:
     """Twisted product on fractional modules: generators g_a + p^{e1} * g_b.
@@ -315,20 +342,26 @@ def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,
     semigroup ring (bilinearity of the twisted multiplication).  Kept as a
     plain generator list, without minimalization.
     """
-    q1 = _twist(lhs, rhs, p)
-    gens = [tuple(a + q1 * b for a, b in zip(ga, gb))
-            for ga in lhs.generators for gb in rhs.generators]
-    return FracMonomialModule(lhs.semigroup, gens, lhs.degree + rhs.degree)
+    return FracMonomialModule(lhs.semigroup, twisted_products(lhs, rhs, p),
+                              lhs.degree + rhs.degree)
+
+
+def twisted_product_memberships(rhs: FracMonomialModule, p: int, queries) -> list:
+    """[twisted_product_contains(lhs, rhs, p, v) for lhs, v in queries],
+    with one dominance index on rhs for the whole batch, dropped on return.
+    Every query is checked before the index is built."""
+    checked = [(_twist(lhs, rhs, p), lhs.generators, _vector(rhs.semigroup, v))
+               for lhs, v in queries]
+    below = _Dominance(rhs.generators, rhs.semigroup.congruences).below
+    return [any(below(list(map(sub, v, ga)), q1) for ga in gens)
+            for q1, gens, v in checked]
 
 
 def twisted_product_contains(lhs: FracMonomialModule, rhs: FracMonomialModule,
                              p: int, v: Sequence[int]) -> bool:
     """frac_twisted_product(lhs, rhs, p).contains(v) without building the
     product module: one dominance query on rhs per lhs generator."""
-    q1 = _twist(lhs, rhs, p)
-    v = _vector(lhs.semigroup, v)
-    below = _Dominance(rhs.generators, rhs.semigroup.congruences).below
-    return any(below([x - a for x, a in zip(v, ga)], q1) for ga in lhs.generators)
+    return twisted_product_memberships(rhs, p, [(lhs, v)])[0]
 
 
 def free_semigroup(d: int) -> SemigroupSpec:
@@ -372,8 +405,10 @@ def poly_twisted_component(d: int, p: int, e: int) -> FracMonomialModule:
     variables: all monomials of total degree p^e - 1."""
     semigroup = free_semigroup(d)
     if e == 0:
-        return FracMonomialModule(semigroup, [(0,) * d], 0)
-    return FracMonomialModule(semigroup, monomials_of_weighted_degree((1,) * d, p ** e - 1), e)
+        return FracMonomialModule._from_sorted(semigroup, [(0,) * d], 0)
+    # the enumeration is lex-descending, so its reverse is ascending
+    return FracMonomialModule._from_sorted(
+        semigroup, monomials_of_weighted_degree((1,) * d, p ** e - 1)[::-1], e)
 
 
 def segre_semigroup_2x3() -> SemigroupSpec:
@@ -384,15 +419,14 @@ def segre_semigroup_2x3() -> SemigroupSpec:
 
 def segre_component_2x3(p: int, e: int) -> FracMonomialModule:
     """Degree-e component for the 2x3 Segre/determinantal ring: the span of
-    1/((st)^{q-1} x^k y^l z^m) with k+l+m = 2q-2 and k,l,m <= q-1."""
+    1/((st)^{q-1} x^k y^l z^m) with k+l+m = 2q-2 and k,l,m <= q-1.
+
+    Emitted in ascending order: k descending, then l descending from q-1
+    to q-1-k, the range where m = 2q-2-k-l lies in [0, q-1]."""
     if e < 0:
         raise ValueError("Frobenius degree must be non-negative")
     q = p ** e
-    semigroup = segre_semigroup_2x3()
-    gens = []
-    for k in range(q):
-        for l in range(q):
-            m = 2 * q - 2 - k - l
-            if 0 <= m <= q - 1:
-                gens.append((-(q - 1), -(q - 1), -k, -l, -m))
-    return FracMonomialModule(semigroup, gens, e)
+    c = -(q - 1)
+    gens = [(c, c, -k, -l, k + l - 2 * q + 2)
+            for k in range(q - 1, -1, -1) for l in range(q - 1, q - 2 - k, -1)]
+    return FracMonomialModule._from_sorted(segre_semigroup_2x3(), gens, e)

@@ -1,5 +1,5 @@
-"""Reference membership scans for fractional monomial modules, as they were
-before the dominance index.
+"""Reference code for fractional monomial modules, as it was before the
+dominance index and before the components were emitted in order.
 
 `twisted_product_contains` and `minimalize` below are the earlier code,
 unchanged except that `minimalize` is a function of the module instead of
@@ -7,13 +7,24 @@ a method.  Both test every generator pair with the semigroup's
 `admissible` predicate: one call per `(ga, gb)` pair for a product, one per
 ordered pair of distinct generators for a minimalization.  The tests
 compare the library's index against them on random semigroups.
+
+`segre_component_2x3` and `poly_twisted_component` are the earlier
+builders, unchanged: each hands its generators to the validating
+constructor, which sorts them.  The tests require the library's in-order
+builders to give the same generator tuples, order included.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from frobtool.monomials import FracMonomialModule, _twist
+from frobtool.monomials import (
+    FracMonomialModule,
+    _twist,
+    free_semigroup,
+    segre_semigroup_2x3,
+)
+from frobtool.polyring import monomials_of_weighted_degree
 
 
 def twisted_product_contains(lhs: FracMonomialModule, rhs: FracMonomialModule,
@@ -47,3 +58,28 @@ def minimalize(self: FracMonomialModule) -> FracMonomialModule:
         if not dominated:
             kept.append(g)
     return FracMonomialModule(self.semigroup, kept, self.degree)
+
+
+def poly_twisted_component(d: int, p: int, e: int) -> FracMonomialModule:
+    """Degree-e component for a standard graded polynomial ring in d
+    variables: all monomials of total degree p^e - 1."""
+    semigroup = free_semigroup(d)
+    if e == 0:
+        return FracMonomialModule(semigroup, [(0,) * d], 0)
+    return FracMonomialModule(semigroup, monomials_of_weighted_degree((1,) * d, p ** e - 1), e)
+
+
+def segre_component_2x3(p: int, e: int) -> FracMonomialModule:
+    """Degree-e component for the 2x3 Segre/determinantal ring: the span of
+    1/((st)^{q-1} x^k y^l z^m) with k+l+m = 2q-2 and k,l,m <= q-1."""
+    if e < 0:
+        raise ValueError("Frobenius degree must be non-negative")
+    q = p ** e
+    semigroup = segre_semigroup_2x3()
+    gens = []
+    for k in range(q):
+        for l in range(q):
+            m = 2 * q - 2 - k - l
+            if 0 <= m <= q - 1:
+                gens.append((-(q - 1), -(q - 1), -k, -l, -m))
+    return FracMonomialModule(semigroup, gens, e)

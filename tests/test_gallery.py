@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
 from frobtool import gallery
+from frobtool.monomials import _Dominance, poly_twisted_component, segre_component_2x3
+
+import monomial_oracle
 
 
 def expectation(result, name):
@@ -134,6 +139,55 @@ class TestTwisted:
             gallery.poly_twisted_case(3, 2, 5)
         with pytest.raises(ValueError):
             gallery.poly_twisted_case(4, 2)
+
+
+class TestSplitsExcluded:
+    """The batched witness check against the pair scan of
+    tests/monomial_oracle.py, split by split."""
+
+    FAMILIES = [
+        (segre_component_2x3, gallery._segre_witness, 2, 5),
+        (segre_component_2x3, gallery._segre_witness, 3, 3),
+        (lambda p, e: poly_twisted_component(3, p, e), gallery._twisted_witness, 2, 4),
+        (lambda p, e: poly_twisted_component(3, p, e), gallery._twisted_witness, 3, 4),
+        (lambda p, e: poly_twisted_component(3, p, e), gallery._twisted_witness, 5, 3),
+    ]
+
+    @pytest.mark.parametrize("build,witness,p,emax", FAMILIES)
+    def test_agrees_with_pair_scan(self, build, witness, p, emax):
+        comps = {e: build(p, e) for e in range(1, emax + 1)}
+        rng = random.Random(p * 10 + emax)
+        # the gallery's witnesses, then generators of each component, most
+        # of which lie in some split product
+        batches = [{e: witness(p, e) for e in range(2, emax + 1)}]
+        batches += [{e: rng.choice(comps[e].generators) for e in range(2, emax + 1)}
+                    for _ in range(3)]
+        seen = set()
+        for witnesses in batches:
+            excluded = gallery._splits_excluded(comps, witnesses, p)
+            assert list(excluded) == list(witnesses)
+            for e, w in witnesses.items():
+                assert excluded[e] == [
+                    not monomial_oracle.twisted_product_contains(comps[e1], comps[e - e1], p, w)
+                    for e1 in range(1, e)]
+                seen.update(excluded[e])
+        assert seen == {True, False}
+
+    def test_one_index_per_right_hand_component(self, monkeypatch):
+        builds = []
+        init = _Dominance.__init__
+        monkeypatch.setattr(_Dominance, "__init__",
+                            lambda self, *args: builds.append(1) or init(self, *args))
+        counts = []
+        # the three jobs of the monomial benchmark workload
+        for job in (lambda: gallery.determinantal_case(2, emax_groebner=1, emax_monomial=8),
+                    lambda: gallery.determinantal_case(3, emax_groebner=1, emax_monomial=5),
+                    lambda: gallery.run_case("twisted", dim=3, p=7, emax=3)):
+            before = len(builds)
+            assert job().passed
+            counts.append(len(builds) - before)
+        # one per right-hand degree 1..emax-1; one per split would be 28, 10, 3
+        assert counts == [7, 4, 2]
 
 
 def test_run_case_unknown():

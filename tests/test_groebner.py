@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import random
 import tempfile
+from datetime import timedelta
 from operator import add
 
 import pytest
@@ -754,7 +755,9 @@ class TestBuchbergerOracle:
     engine on exponent tuples kept in tests/buchberger_oracle.py: the same
     S-pairs in the same order, the same entries, the same guard aborts."""
 
-    @settings(max_examples=200, deadline=None)
+    # the slowest of 3000 examples took 2.1 s; a finite deadline turns a
+    # rare slow instance into a failure that prints its example
+    @settings(max_examples=200, deadline=timedelta(seconds=60))
     @given(buchberger_instances())
     def test_steps_match_oracle(self, instance):
         ring, inputs, _ = instance

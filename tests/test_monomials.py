@@ -19,6 +19,8 @@ from frobtool.monomials import (
     segre_component_2x3,
     segre_semigroup_2x3,
     twisted_product_contains,
+    twisted_product_memberships,
+    twisted_products,
     veronese_component,
     veronese_semigroup,
 )
@@ -263,6 +265,56 @@ class TestSegre:
                 assert not prod.contains(witness)
 
 
+def _degrees(p, top):
+    """0, 1, ... while p^e <= top."""
+    e = 0
+    while p ** e <= top:
+        yield e
+        e += 1
+
+
+def _assert_canonical(module):
+    """Strictly ascending int tuples of the semigroup's dimension."""
+    gens = module.generators
+    assert type(gens) is tuple
+    assert all(type(g) is tuple and len(g) == module.semigroup.dim for g in gens)
+    assert all(type(x) is int for g in gens for x in g)
+    assert all(a < b for a, b in zip(gens, gens[1:]))
+
+
+class TestInOrderComponents:
+    """The builders that emit their generators in order against the
+    sorting builders they replaced (tests/monomial_oracle.py)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_segre_matches_reference(self, p):
+        for e in _degrees(p, 256):
+            built = segre_component_2x3(p, e)
+            reference = monomial_oracle.segre_component_2x3(p, e)
+            assert built.generators == reference.generators
+            assert built == reference
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_poly_twisted_matches_reference(self, d):
+        for p in (2, 3, 5, 7):
+            for e in _degrees(p, 81):
+                built = poly_twisted_component(d, p, e)
+                reference = monomial_oracle.poly_twisted_component(d, p, e)
+                assert built.generators == reference.generators
+                assert built == reference
+
+    def test_from_sorted_callers_are_canonical(self):
+        modules = [segre_component_2x3(p, e) for p in (2, 3) for e in range(4)]
+        modules += [poly_twisted_component(d, p, e)
+                    for d in (1, 2, 3) for p in (2, 3) for e in range(4)]
+        modules += [m.minimalize() for m in list(modules)]
+        modules += [veronese_component(2, 3, p, e) for p in (2, 3, 5) for e in range(3)]
+        rng = random.Random(33)
+        modules += [_module_instance(rng).minimalize() for _ in range(100)]
+        for module in modules:
+            _assert_canonical(module)
+
+
 class TestTwistedProductContains:
     def test_agrees_with_built_product(self):
         rng = random.Random(29)
@@ -285,6 +337,44 @@ class TestTwistedProductContains:
                         assert twisted_product_contains(lhs, rhs, p, v) == expected
                         seen.add(expected)
         assert seen == {True, False}
+
+    def test_products_are_the_pairwise_sums(self):
+        for lhs, rhs, p in ((poly_twisted_component(3, 2, 2), poly_twisted_component(3, 2, 1), 2),
+                            (segre_component_2x3(3, 1), segre_component_2x3(3, 2), 3),
+                            (veronese_component(2, 3, 2, 0), veronese_component(2, 3, 2, 1), 2)):
+            q1 = p ** lhs.degree
+            products = twisted_products(lhs, rhs, p)
+            assert products == [tuple(a + q1 * b for a, b in zip(ga, gb))
+                                for ga in lhs.generators for gb in rhs.generators]
+            assert frac_twisted_product(lhs, rhs, p).generators == tuple(sorted(set(products)))
+
+    def test_memberships_answer_each_query(self):
+        rng = random.Random(34)
+        p = 2
+        rhs = segre_component_2x3(p, 1)
+        queries = []
+        for e1 in (1, 2, 3):
+            lhs = segre_component_2x3(p, e1)
+            prod = frac_twisted_product(lhs, rhs, p)
+            for _ in range(20):
+                base = rng.choice(prod.generators)
+                queries.append((lhs, tuple(x + rng.randint(-1, 1) for x in base)))
+        answers = twisted_product_memberships(rhs, p, queries)
+        assert answers == [monomial_oracle.twisted_product_contains(lhs, rhs, p, v)
+                           for lhs, v in queries]
+        assert set(answers) == {True, False}
+
+    def test_memberships_build_one_index_after_checking(self, monkeypatch):
+        builds = []
+        init = _Dominance.__init__
+        monkeypatch.setattr(_Dominance, "__init__",
+                            lambda self, *args: builds.append(1) or init(self, *args))
+        t1, t2 = poly_twisted_component(2, 2, 1), poly_twisted_component(2, 2, 2)
+        twisted_product_memberships(t1, 2, [(t1, (1, 2)), (t2, (3, 4)), (t1, (0, 0))])
+        assert len(builds) == 1
+        with pytest.raises(ValueError, match="wrong length"):
+            twisted_product_memberships(t1, 2, [(t1, (1, 2)), (t2, (3, 4, 5))])
+        assert len(builds) == 1
 
     def test_checks_as_built_product(self):
         t1 = poly_twisted_component(2, 2, 1)
