@@ -59,17 +59,38 @@ t, ordered by t-degree and then by weighted grevlex (`_Elimination`): t*g
 is packed once per generator g of lhs, each (1-t)*f_i*q is formed by
 adding packed monomials, the t-free entries are taken straight from the
 Buchberger output (a t-free lead means a t-free entry), and the division
-by f_i is exact on packed dicts.  The last step also gives the final
-basis: on a grevlex ring the t-free part is the reduced basis of
-J ∩ f*R, the leading terms of f*R are lm(f) times those of R, and
-division keeps the leads in order, lm(b/f) = lm(b)/lm(f).  So the monic
-quotients are a Groebner basis of R whose leads form an antichain, that
-is a minimal basis, and interreducing their tails in the same packing,
-whose order on t-free monomials is the ring's grevlex, gives the reduced
-basis; it is unpacked once.  On any other ring order the final basis is a
-groebner_basis of the quotients.  The memo and the persistent store see
-whole colons: one entry per colon, keyed by its normalized lhs and rhs.
-intersect runs the same packed step, with no memo.
+by f_i is exact on packed dicts.
+
+A step whose divisor already maps the running quotient into lhs is
+skipped.  Each elimination returns the whole reduced basis of
+K = t*lhs + (1-t)*B, with B = f_j*R_{j-1} at its step j, and h lies in
+lhs exactly when t*h lies in K, whatever B is: t*lhs lies in K, and
+t*h = t*a + (1-t)*b with a in lhs gives h = a at t = 1.
+So before step i >= 2 each t*f_i*q, over the quotients q of R_{i-1}, is
+reduced against that basis; if all reduce to zero, R_{i-1} lies in
+lhs : f_i, so R_i = R_{i-1} and the quotients are kept.  The check
+computes no basis of lhs and touches no memo; the basis of K is held
+only for it, dropped before the elimination that replaces it and before
+the final basis.  A skipped step runs no Buchberger, so it cannot abort.
+On a grevlex ring, when the skipped steps are the last ones (as in every
+I^[q] : I measured on the 2x3 minors and the twisted cubic), the
+eliminations that run are the first ones of the chain without skips,
+input for input, so a guard that aborted a colon may now let it finish,
+never the other way round.  An elimination after a skipped step, or a
+final groebner_basis on another ring order, starts from another basis
+of the same ideal, so its guard outcome is not tied to that chain's.
+
+The last elimination run also gives the final basis: on a grevlex ring
+the t-free part is the reduced basis of J ∩ f*R, the leading terms of
+f*R are lm(f) times those of R, and division keeps the leads in order,
+lm(b/f) = lm(b)/lm(f).  So the monic quotients are a Groebner basis of R
+whose leads form an antichain, that is a minimal basis, and interreducing
+their tails in the same packing, whose order on t-free monomials is the
+ring's grevlex, gives the reduced basis; it is unpacked once.  On any
+other ring order the final basis is a groebner_basis of the quotients.
+The memo and the persistent store see whole colons: one entry per colon,
+keyed by its normalized lhs and rhs.  intersect runs the same packed
+step, with no memo.
 
 Ideal values are logically immutable; the per-ideal basis cache and the
 process-wide content-addressed memo are the only mutation points, and
@@ -694,19 +715,32 @@ class _Elimination:
         return self.pk.pack_terms([((a,) + m, c) for m, c in f.terms])
 
     def meet(self, lifted, gens, guard):
-        """The t-free entries, ascending, of the reduced basis of the ideal
-        generated by `lifted` and (1-t)*g for each g in `gens`.  With
-        `lifted` the packed t*a over the generators a of A and `gens` the
-        packed generators of B, they are a Groebner basis of A ∩ B under
-        weighted grevlex, so its reduced basis on a grevlex ring."""
+        """The reduced basis, ascending, of the ideal K generated by `lifted`
+        and (1-t)*g for each g in `gens`.  With `lifted` the packed t*a over
+        the generators a of A and `gens` the packed generators of B, its
+        t-free entries (`free`) are a Groebner basis of A ∩ B under weighted
+        grevlex, so its reduced basis on a grevlex ring; and t*h lies in K
+        exactly when h lies in A (set t = 1 in t*h = t*a + (1-t)*b)."""
         t, p = self.t, self.pk.p
         inputs = list(lifted)
         for g in gens:
             d = {m + t: p - c for m, c in g.items()}
             d.update(g)
             inputs.append(d)
+        return _buchberger(inputs, self.pk, guard)
+
+    def free(self, basis):
+        """The t-free entries of an ascending basis, which come first."""
         free = self._free
-        return [e for e in _buchberger(inputs, self.pk, guard) if e[0] < free]
+        return [e for e in basis if e[0] < free]
+
+    def within(self, basis, products) -> bool:
+        """Whether every packed h in `products` lies in A, for `basis` a
+        result of meet over A: whether each t*h reduces to zero against it."""
+        t, pk = self.t, self.pk
+        index = _Divisors(pk)
+        return not any(_reduce_full({m + t: c for m, c in h.items()}, basis, pk, index)
+                       for h in products)
 
     def polynomial(self, items) -> Polynomial:
         """The Polynomial over `ring` of t-free packed (monomial, coefficient)
@@ -730,8 +764,8 @@ def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ide
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
     gens = lhs.generators + rhs.generators
     el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in gens]))
-    meet = el.meet([el.lift(g, 1) for g in lhs.generators],
-                   [el.lift(g) for g in rhs.generators], guard)
+    meet = el.free(el.meet([el.lift(g, 1) for g in lhs.generators],
+                           [el.lift(g) for g in rhs.generators], guard))
     projected = tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in meet)
     result = Ideal(ring, projected)
     if ring.order == GREVLEX:
@@ -806,8 +840,13 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
 
     Chained over the generators f_1..f_k of rhs, in their given order, one
     elimination each: R_0 = (1) and R_i = (lhs ∩ f_i*R_{i-1})/f_i, so
-    R_k = lhs : rhs (see the module docstring).  The result is memoized,
-    and kept in the persistent store, as one entry per colon.
+    R_k = lhs : rhs (see the module docstring).  Step i >= 2 is skipped
+    when f_i*R_{i-1} already lies in lhs, since then R_i = R_{i-1}; the
+    previous elimination's basis of t*lhs + (1-t)*B decides that, as t*h
+    lies in it exactly when h lies in lhs.  A skipped step cannot abort, so
+    a guard that stopped the chain without skips may let this one finish.
+    The result is memoized, and kept in the persistent store, as one entry
+    per colon.
     """
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
@@ -834,10 +873,16 @@ def _colon_chain(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int]):
     pk, p = el.pk, el.pk.p
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [{0: 1}]  # R_0 = (1); the monomial 1 packs to 0
+    basis = None  # the basis of K from the last elimination run
     for f in rhs.generators:
         fd = el.lift(f)
-        meet = el.meet(lifted, [_multiply(fd, q, pk) for q in quotients], guard)
-        quotients = [_divide_exact(_entry_dict(b, p), fd, pk) for b in meet]
+        products = [_multiply(fd, q, pk) for q in quotients]
+        if basis is not None and el.within(basis, products):
+            continue  # f*R_{i-1} lies in lhs, so R_i = R_{i-1}
+        basis = None  # not held through the elimination that replaces it
+        basis = el.meet(lifted, products, guard)
+        quotients = [_divide_exact(_entry_dict(b, p), fd, pk) for b in el.free(basis)]
+    del basis  # not held through the final basis
     if ring.order == GREVLEX:
         # the quotients of a reduced basis by f are a minimal basis, and
         # interreducing it under grevlex raises no degree

@@ -31,6 +31,7 @@ of a sorted tuple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from bisect import bisect_right
@@ -364,11 +365,18 @@ def twisted_product_contains(lhs: FracMonomialModule, rhs: FracMonomialModule,
     return twisted_product_memberships(rhs, p, [(lhs, v)])[0]
 
 
+# The fixed semigroups are built once per distinct argument: construction
+# re-runs the closure check, and every component asks for its semigroup.
+_semigroup_cache = functools.lru_cache(maxsize=64)
+
+
+@_semigroup_cache
 def free_semigroup(d: int) -> SemigroupSpec:
     """The full lattice cone N^d (no congruences)."""
     return SemigroupSpec(d)
 
 
+@_semigroup_cache
 def veronese_semigroup(d: int, n: int) -> SemigroupSpec:
     """Exponents of the n-th Veronese subring of a d-variable polynomial ring."""
     if n < 1:
@@ -411,6 +419,7 @@ def poly_twisted_component(d: int, p: int, e: int) -> FracMonomialModule:
         semigroup, monomials_of_weighted_degree((1,) * d, p ** e - 1)[::-1], e)
 
 
+@_semigroup_cache
 def segre_semigroup_2x3() -> SemigroupSpec:
     """Exponent semigroup of the Segre product of GF(p)[s,t] and GF(p)[x,y,z]:
     vectors (a_s, a_t, a_x, a_y, a_z) >= 0 with a_s + a_t = a_x + a_y + a_z."""

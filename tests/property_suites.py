@@ -11,10 +11,11 @@ from frobtool.frobenius import (
     monomial_fingen_probe,
     twisted_mul,
 )
-from frobtool.gallery import _segre_witness, _splits_excluded, minors_ideal
+from frobtool.gallery import _segre_witness, _splits_excluded, minors_ideal, twisted_cubic_ideal
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
+    clear_memo,
     colon,
     frobenius_power,
     ideal_equal,
@@ -37,6 +38,7 @@ from frobtool.monomials import (
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import PrimeField, RingSpec, mono_div, mono_lcm
 
+import colon_oracle
 from conftest import (
     random_binomial_ideal,
     random_monomial,
@@ -312,4 +314,23 @@ def run_deep_segre_rows():
         _, ideal = minors_ideal(p)
         assert rows == _segre_signature(fingen_probe(ideal, emax, 3000).report), p
         checked += len(rows)
+    return checked
+
+
+def run_deep_colon_check():
+    """colon(I^[q], I) against the chain reference in colon_oracle.py, which
+    eliminates at every step, at the minors p=2 e=4 and the twisted cubic
+    p=7 e=3 (about 10 s in all; too slow for the tier-1 suite).  Not
+    collected by pytest; from the repository root, run
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_colon_check()"`.
+    Returns the number of colons checked."""
+    checked = 0
+    for build, p, e, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 7, 3, 4116)):
+        _, ideal = build(p)
+        lhs = frobenius_power(ideal, e)
+        clear_memo()
+        result = colon(lhs, ideal, guard)
+        assert result.generators == colon_oracle.chain_colon(lhs, ideal, guard).generators, (p, e)
+        checked += 1
+    clear_memo()
     return checked

@@ -12,6 +12,7 @@ from unittest.mock import patch
 
 from frobtool import groebner
 from frobtool.cache import BasisCache
+from frobtool.gallery import minors_ideal, twisted_cubic_ideal
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
@@ -240,7 +241,7 @@ class TestIntersect:
                 continue
             # the packed step against the elimination of t*(f) + (1-t)*(g)
             # built from polynomials
-            meet = el.meet([el.lift(f, 1)], [el.lift(g)], 40)
+            meet = el.free(el.meet([el.lift(f, 1)], [el.lift(g)], 40))
             basis = groebner.groebner_basis([t * lifted, (ext.one() - t) * _lift(g, ext)],
                                             ext, degree_guard=40)
             expected = [Polynomial(ring, [(m[1:], c) for m, c in b.terms])
@@ -344,9 +345,9 @@ def _colon_store():
             clear_memo()
 
 
-def _colon_or_abort(module, lhs, rhs):
+def _colon_or_abort(colon_fn, lhs, rhs, guard=COLON_GUARD):
     try:
-        return module.colon(lhs, rhs, COLON_GUARD).generators
+        return colon_fn(lhs, rhs, guard).generators
     except DegreeGuardExceeded:
         return None
 
@@ -359,8 +360,8 @@ class TestColonOracle:
     @given(colon_instances())
     def test_colon_matches_oracle(self, instance):
         ring, lhs, rhs, _ = instance
-        new = _colon_or_abort(groebner, lhs, rhs)
-        old = _colon_or_abort(colon_oracle, lhs, rhs)
+        new = _colon_or_abort(groebner.colon, lhs, rhs)
+        old = _colon_or_abort(colon_oracle.colon, lhs, rhs)
         # the two chains eliminate different inputs, so a guard may stop
         # one and not the other
         assume(new is not None and old is not None)
@@ -372,13 +373,13 @@ class TestColonOracle:
         ring, lhs, rhs, _ = instance
         assume(not lhs.is_zero())  # a zero colon is answered before the store
         with _colon_store() as store:
-            computed = _colon_or_abort(groebner, lhs, rhs)
+            computed = _colon_or_abort(groebner.colon, lhs, rhs)
             assume(computed is not None)
             clear_memo()
             hits = store.hits
             stored = groebner.colon(lhs, rhs, COLON_GUARD).generators
             assert store.hits == hits + 1
-        old = _colon_or_abort(colon_oracle, lhs, rhs)
+        old = _colon_or_abort(colon_oracle.colon, lhs, rhs)
         assume(old is not None)
         assert stored == computed == old
 
@@ -388,7 +389,7 @@ class TestColonOracle:
         ring, lhs, rhs, _ = instance
         assume(not lhs.is_zero())  # a zero colon is answered before the store
         with _colon_store() as store:
-            computed = _colon_or_abort(groebner, lhs, rhs)
+            computed = _colon_or_abort(groebner.colon, lhs, rhs)
             assume(computed is not None)
             key = groebner._content_key(ring, ring.order,
                                         groebner._normalized_gens(lhs.generators),
@@ -447,6 +448,102 @@ class TestColonOracle:
         reduced = tuple(pk.polynomial(((lm, 1),) + tail)
                         for lm, tail in groebner._interreduce(minimal, pk))
         assert reduced == groebner.groebner_basis(quotients, ring, degree_guard=COLON_GUARD)
+
+
+def _eliminations(call):
+    """call() and the number of eliminations (_Elimination.meet calls) it ran."""
+    count = 0
+    meet = groebner._Elimination.meet
+
+    def counted(self, *args):
+        nonlocal count
+        count += 1
+        return meet(self, *args)
+
+    with patch.object(groebner._Elimination, "meet", counted):
+        result = call()
+    return result, count
+
+
+@st.composite
+def frobenius_colon_instances(draw):
+    """(I^[q], I, guard) for a random homogeneous I of one to three
+    generators of degree 1 or 2 over GF(2), GF(3) or GF(5), with q = p^e
+    and e <= 2; the guard grows with q."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    e = draw(st.integers(0, 2))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    rng = draw(st.randoms(use_true_random=False))
+    ring = RingSpec(PrimeField(p), ("x", "y", "z"), weights, GREVLEX)
+    ideal = Ideal(ring, [_random_homogeneous(ring, rng, rng.randint(1, 2))
+                         for _ in range(rng.randint(1, 3))])
+    return frobenius_power(ideal, e), ideal, 8 * p ** e
+
+
+class TestColonSkip:
+    """The chain skips step i >= 2 when f_i*R_(i-1) already lies in lhs.
+    Its colons match the chain reference in tests/colon_oracle.py, which
+    runs the elimination of every step, basis for basis."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(colon_instances())
+    def test_matches_chain_reference(self, instance):
+        ring, lhs, rhs, _ = instance
+        clear_memo()
+        new = _colon_or_abort(groebner.colon, lhs, rhs)
+        old = _colon_or_abort(colon_oracle.chain_colon, lhs, rhs)
+        assume(new is not None and old is not None)
+        assert new == old
+
+    @settings(max_examples=100, deadline=None)
+    @given(frobenius_colon_instances())
+    def test_frobenius_colon_matches_chain_reference(self, instance):
+        lhs, ideal, guard = instance
+        clear_memo()
+        new = _colon_or_abort(groebner.colon, lhs, ideal, guard)
+        old = _colon_or_abort(colon_oracle.chain_colon, lhs, ideal, guard)
+        assume(new is not None and old is not None)
+        assert new == old
+
+    @pytest.mark.parametrize("build,p,e,guard", ((minors_ideal, 2, 3, 600),
+                                                 (minors_ideal, 3, 2, 600),
+                                                 (twisted_cubic_ideal, 7, 2, 600)))
+    def test_last_step_skipped(self, build, p, e, guard):
+        # the benchmark's colons: R_2 is already I^[q] : I
+        _, ideal = build(p)
+        lhs = frobenius_power(ideal, e)
+        clear_memo()
+        result, count = _eliminations(lambda: colon(lhs, ideal, guard))
+        assert count == 2
+        reference, count = _eliminations(lambda: colon_oracle.chain_colon(lhs, ideal, guard))
+        assert count == 3
+        assert result.generators == reference.generators
+        clear_memo()
+
+    def test_no_step_skipped(self, gf2_xyz):
+        # x*R_0, y*R_1 = y*(x^2, y^3, z^3) and z*R_2 each leave (x^3, y^3, z^3)
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        lhs = Ideal(gf2_xyz, (P("x^3"), P("y^3"), P("z^3")))
+        rhs = Ideal(gf2_xyz, (P("x"), P("y"), P("z")))
+        clear_memo()
+        result, count = _eliminations(lambda: colon(lhs, rhs))
+        assert count == 3
+        assert result.generators == colon_oracle.chain_colon(lhs, rhs).generators
+        clear_memo()
+
+    def test_skipped_step_cannot_abort(self, gf2_xyz):
+        # f_3 is a multiple of x^2, so its step is skipped; the chain
+        # reference eliminates it and stops at the guard
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        lhs = Ideal(gf2_xyz, (P("x^2"), P("y^2")))
+        rhs = Ideal(gf2_xyz, (P("x"), P("y"), P("x^2*z^10")))
+        clear_memo()
+        result, count = _eliminations(lambda: colon(lhs, rhs, 8))
+        assert count == 2
+        assert ideal_equal(result, Ideal(gf2_xyz, (P("x*y"), P("x^2"), P("y^2"))))
+        with pytest.raises(DegreeGuardExceeded):
+            colon_oracle.chain_colon(lhs, rhs, 8)
+        clear_memo()
 
 
 class TestFrobeniusPower:

@@ -123,6 +123,16 @@ class TestSemigroup:
         assert S.admissible((2, 1, 1, 1, 1))
         assert not S.admissible((2, 1, 1, 1, 0))
 
+    def test_fixed_semigroups_built_once(self):
+        for build, args in ((free_semigroup, (3,)), (veronese_semigroup, (2, 3)),
+                            (segre_semigroup_2x3, ())):
+            first = build(*args)
+            assert build(*args) is first
+            # a cached spec still equals a freshly constructed one
+            assert first == SemigroupSpec(first.dim, first.congruences)
+        assert free_semigroup(2) != free_semigroup(3)
+        assert veronese_semigroup(2, 3) != veronese_semigroup(2, 2)
+
     def test_closure_check_rejects_bad_data(self):
         # v >= 0 with v_0 * v_... a non-linear predicate cannot be encoded;
         # a wrong weight length is rejected immediately
