@@ -72,10 +72,13 @@ class BasisCache:
             return None
         try:
             entry = json.loads(raw)
+            if not isinstance(entry, dict) or not isinstance(entry.get("basis"), list):
+                raise ValueError("entry is not an object with a basis list")
             if entry.get("version") != ENTRY_VERSION:
                 raise ValueError("entry version mismatch")
             if entry.get("ring") != _ring_payload(ring):
                 raise ValueError("ring mismatch")
+            # parse_polynomial raises TypeError on a basis item that is no string
             basis = tuple(parse_polynomial(src, ring) for src in entry["basis"])
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("discarding corrupt cache entry %s (%s); recomputing", path.name, exc)

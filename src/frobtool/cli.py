@@ -90,6 +90,8 @@ def _basis_component(kind: str, name: str, basis) -> dict:
 def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.degree_guard is not None and args.degree_guard < 1:
+        parser.error(f"argument --degree-guard: must be at least 1: {args.degree_guard}")
 
     cache = None
     if not args.no_cache:

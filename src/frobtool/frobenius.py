@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
 from .groebner import (
-    DegreeGuardExceeded,
     Ideal,
     colon,
     frobenius_power,
     minimal_generators_mod,
+    _guard_context,
     _make_entry,
     _minimal_generators,
 )
@@ -99,16 +98,6 @@ class FinGenReport:
         return out
 
 
-@contextmanager
-def _step(e: int, q: int, step: str):
-    """Name the component and its step in a degree-guard abort."""
-    try:
-        yield
-    except DegreeGuardExceeded as exc:
-        raise DegreeGuardExceeded(exc.degree, exc.guard, exc.phase,
-                                  f"the {step} of component e={e} (q={q})") from exc
-
-
 def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> FrobeniusComponent:
     """The degree-e component of the operator algebra of A/I.
 
@@ -124,16 +113,16 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     if not ideal.is_homogeneous():
         raise ValueError("component computation needs a homogeneous ideal")
     q = p ** e
-    with _step(e, q, "basis of I"):
+    with _guard_context(f"the basis of I of component e={e} (q={q})"):
         if not ideal.is_proper(degree_guard):
             raise ValueError("component computation needs a proper ideal")
     if e == 0:
         unit = Ideal(ring, (ring.one(),))
         return FrobeniusComponent(0, 1, unit, ideal, (ring.one(),))
     modulus = frobenius_power(ideal, e)
-    with _step(e, q, "colon I^[q]:I"):
+    with _guard_context(f"the colon I^[q]:I of component e={e} (q={q})"):
         col = colon(modulus, ideal, degree_guard)
-    with _step(e, q, "basis of I^[q]"):
+    with _guard_context(f"the basis of I^[q] of component e={e} (q={q})"):
         pk, survivors = _minimal_generators(col.groebner_basis(degree_guard=degree_guard),
                                             modulus, degree_guard)
     # (degree, lead, tail) of each survivor's monic normal form

@@ -3,8 +3,8 @@
 Reduced bases via Buchberger's algorithm with the Gebauer-Moeller form of
 both pair-elimination criteria, normal forms, ideal equality, intersection
 and colon ideals through a single elimination mechanism, Frobenius powers,
-minimal generators of graded quotient modules, and division-lifting by a
-nonzerodivisor.
+minimal generators of graded quotient modules, and division-lifting along
+a homogeneous nonzerodivisor by one normal form.
 
 Inside the engine a monomial is one int, M = (K << W*n) | P (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps and packed exponent
@@ -92,6 +92,17 @@ The memo and the persistent store see whole colons: one entry per colon,
 keyed by its normalized lhs and rhs.  intersect runs the same packed
 step, with no memo.
 
+Lift.  lift_by_nzd(g, m, J), J and m homogeneous, deg m > 0, adjoins t of
+weight deg m, last in weighted grevlex, and takes r = NF(g) modulo the
+homogeneous K = J + (t - m).  A homogeneous polynomial whose lead has t has
+t in every term, so reducing t*h against K keeps t: t divides NF(t*h)
+(Bayer and Stillman, "A criterion for detecting m-regularity", Invent. Math.
+1987: in(K) : t = in(K) when t, like m, is a nonzerodivisor).  As g = m*f
+modulo J gives g = t*f modulo K, r = t*r', and r' at t = m, reduced modulo
+J, is the lift, unique as m is a nonzerodivisor; g need not be homogeneous.
+A t-free term in r means g is not in J + (m) (NoLiftExists), or else an
+internal fault (LiftVerificationError).  A unit m needs no t: NF(g)/m.
+
 Ideal values are logically immutable; the per-ideal basis cache and the
 process-wide content-addressed memo are the only mutation points, and
 concurrent fills of one key always carry identical canonical values.
@@ -104,6 +115,7 @@ import itertools
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
@@ -121,8 +133,8 @@ from .polyring import (
 DEFAULT_DEGREE_GUARD = 120
 SPARE_BITS = 32  # headroom of each packed field over the largest input degree
 # Reduced bases and colons the process-wide memo keeps, least recently used
-# evicted first.  A benchmark pass or golden case makes at most 25 distinct
-# keys (gallery lifts), the deep lifts cases (p=2 e=3, p=3 e=2) 72 and 69.
+# evicted first.  A golden case makes at most 16 distinct keys (gallery
+# lifts), the deep lifts cases (p=2 e=3, p=3 e=2) 34 and 28.
 GB_MEMO_SIZE = 512
 
 
@@ -145,6 +157,15 @@ class DegreeGuardExceeded(RuntimeError):
         self.guard = guard
         self.phase = phase
         self.context = context
+
+
+@contextmanager
+def _guard_context(context: str):
+    """Name the construction `context` in a degree-guard abort inside it."""
+    try:
+        yield
+    except DegreeGuardExceeded as exc:
+        raise DegreeGuardExceeded(exc.degree, exc.guard, exc.phase, context) from exc
 
 
 class NoLiftExists(ValueError):
@@ -684,11 +705,16 @@ def ideal_equal(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> b
 # --------------------------------------------------------------------------
 # elimination constructions
 
-def _extended_ring(ring: RingSpec) -> RingSpec:
+def _fresh_name(ring: RingSpec) -> str:
+    """A variable name not in `ring`: t, or t with underscores appended."""
     name = "t"
     while name in ring.variables:
         name += "_"
-    return RingSpec(ring.field, (name,) + ring.variables, (1,) + ring.weights,
+    return name
+
+
+def _extended_ring(ring: RingSpec) -> RingSpec:
+    return RingSpec(ring.field, (_fresh_name(ring),) + ring.variables, (1,) + ring.weights,
                     Order("elim", 1))
 
 
@@ -1079,57 +1105,34 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
 
 def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,
                 degree_guard: Optional[int] = None) -> Polynomial:
-    """Find f with m*f = g modulo the given ideal, m a nonzerodivisor there.
-
-    The nonzerodivisor property is caller-asserted; the computed lift is
-    verified before returning, and a failed verification signals that the
-    precondition was violated.
-    """
+    """The normal form of the f with m*f = g modulo J = modulus, for J and m
+    homogeneous, m a nonzerodivisor modulo J; see "Lift" in the module docstring."""
     ring = modulus.ring
     if g.ring != ring or m.ring != ring:
         raise RingMismatch("ring mismatch")
     if m.is_zero():
         raise ValueError("cannot lift along the zero divisor candidate 0")
-    s = modulus.normal_form(g, degree_guard=degree_guard)
-    if s.is_zero():
-        return ring.zero()
-    extended = modulus + Ideal(ring, (m,))
-    if not extended.contains(g, degree_guard):
-        raise NoLiftExists("no lift exists: the element is not in modulus + (m)")
-    colon_ideal = colon(modulus + Ideal(ring, (g,)), Ideal(ring, (m,)), degree_guard)
-    homogeneous = (g.is_homogeneous() and m.is_homogeneous()
-                   and modulus.is_homogeneous())
-    if homogeneous:
-        # survivors up to the target degree never depend on higher degrees
-        target = g.weighted_degree() - m.weighted_degree()
-        low = [f for f in colon_ideal.groebner_basis(degree_guard=degree_guard)
-               if f.weighted_degree() <= target]
-        candidates = [f for f in minimal_generators_mod(low, modulus, degree_guard)
-                      if f.weighted_degree() == target]
-    else:
-        candidates = [f for f in colon_ideal.groebner_basis(degree_guard=degree_guard)
-                      if not modulus.contains(f, degree_guard)]
-    for f in candidates:
-        r = modulus.normal_form(m * f, degree_guard=degree_guard)
-        lam = _proportionality(r, s, ring)
-        if lam is not None:
-            lifted = f.scale(ring.field.inv(lam))
-            if modulus.contains(m * lifted - g, degree_guard):
-                return lifted
-    raise LiftVerificationError(
-        "no candidate satisfies m*f = g modulo the ideal; the nonzerodivisor "
-        "precondition on m was likely violated")
-
-
-def _proportionality(r: Polynomial, s: Polynomial, ring: RingSpec) -> Optional[int]:
-    """The scalar c with r = c*s, or None."""
-    if r.is_zero() or s.is_zero():
-        return None
-    if len(r.terms) != len(s.terms):
-        return None
-    p = ring.field.p
-    lam = r.leading_coefficient() * ring.field.inv(s.leading_coefficient()) % p
-    for (mr, cr), (ms, cs) in zip(r.terms, s.terms):
-        if mr != ms or cr != cs * lam % p:
-            return None
-    return lam
+    if not (m.is_homogeneous() and modulus.is_homogeneous()):
+        raise ValueError("lifting needs a homogeneous divisor and modulus")
+    if m.weighted_degree() == 0:
+        return modulus.normal_form(g, degree_guard=degree_guard).scale(
+            ring.field.inv(m.terms[0][1]))
+    ext = RingSpec(ring.field, ring.variables + (_fresh_name(ring),),
+                   ring.weights + (m.weighted_degree(),))
+    embed = lambda f: Polynomial(ext, [(mono + (0,), c) for mono, c in f.terms])
+    K = Ideal(ext, [embed(j) for j in modulus.generators]
+              + [ext.variable(ext.variables[-1]) - embed(m)])
+    with _guard_context(f"the basis of J + (t - m) of the lift along m = {m}"):
+        r = K.normal_form(embed(g), degree_guard=degree_guard)
+    by_power = {}  # k -> the terms of r_k, r = sum of r_k*t^k
+    for mono, c in r.terms:
+        by_power.setdefault(mono[-1], []).append((mono[:-1], c))
+    if 0 in by_power:
+        if not (modulus + Ideal(ring, (m,))).contains(g, degree_guard):
+            raise NoLiftExists("no lift exists: the element is not in modulus + (m)")
+        raise LiftVerificationError("t does not divide NF(g) modulo J + (t - m), g in J + (m)")
+    f = sum((Polynomial(ring, terms) * m ** (k - 1) for k, terms in by_power.items()), ring.zero())
+    lifted = modulus.normal_form(f, degree_guard=degree_guard)
+    if not modulus.contains(m * lifted - g, degree_guard):
+        raise LiftVerificationError("the lift fails m*f = g modulo the ideal")
+    return lifted

@@ -88,6 +88,8 @@ def parse_input_text(text: str) -> InputDocument:
                 options["degree_guard"] = int(rest)
             except ValueError:
                 raise InputFileError(f"bad degree guard {rest!r}", lineno)
+            if options["degree_guard"] < 1:
+                raise InputFileError(f"degree guard must be at least 1: {rest}", lineno)
         elif head == "ideal":
             ideal_lines.append((lineno, rest))
         else:

@@ -20,6 +20,7 @@ from frobtool.groebner import (
     frobenius_power,
     ideal_equal,
     intersect,
+    lift_by_nzd,
 )
 
 # random draws occasionally build genuinely explosive inputs; the guard
@@ -39,6 +40,7 @@ from frobtool.parsing import parse_polynomial
 from frobtool.polyring import PrimeField, RingSpec, mono_div, mono_lcm
 
 import colon_oracle
+import lift_oracle
 from conftest import (
     random_binomial_ideal,
     random_monomial,
@@ -332,5 +334,33 @@ def run_deep_colon_check():
         result = colon(lhs, ideal, guard)
         assert result.generators == colon_oracle.chain_colon(lhs, ideal, guard).generators, (p, e)
         checked += 1
+    clear_memo()
+    return checked
+
+
+def run_deep_lift_check():
+    """lift_by_nzd against the colon-based reference in lift_oracle.py, lift
+    for lift, on the gallery's lift family of the minors: y^s z^t (D2 D3)^(q-1)
+    along x^(s+t) for s + t <= q - 1, at p=2 e<=3 and p=3 e<=2, guard 400
+    (about 3 s; too slow for the tier-1 suite).  Not collected by pytest;
+    from the repository root, run
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_lift_check()"`.
+    Returns the number of lifts checked."""
+    checked = 0
+    for p, emax in ((2, 3), (3, 2)):
+        ring, ideal = minors_ideal(p)
+        d2, d3 = ideal.generators[1:]
+        x, y, z = (ring.variable(v) for v in ("x", "y", "z"))
+        clear_memo()
+        for e in range(1, emax + 1):
+            q = p ** e
+            modulus = frobenius_power(ideal, e)
+            core = (d2 * d3) ** (q - 1)
+            for s in range(q):
+                for t in range(q - s):
+                    g, m = y ** s * z ** t * core, x ** (s + t)
+                    assert lift_by_nzd(g, m, modulus, 400) == \
+                        lift_oracle.lift_by_nzd(g, m, modulus, 400), (p, e, s, t)
+                    checked += 1
     clear_memo()
     return checked

@@ -94,6 +94,27 @@ def test_ring_mismatch_discarded(tmp_path, ring, gens):
     assert cache.discarded == 1
 
 
+@pytest.mark.parametrize("payload", [
+    [], "x*y", 7, None,
+    {"version": 1, "ring": None, "basis": "x*y"},
+    {"version": 1, "ring": None, "basis": ["x*y", 3]},
+])
+def test_malformed_entry_discarded(tmp_path, ring, gens, payload):
+    # valid JSON that is not an object, or whose basis is not a list of
+    # strings, is as corrupt as a truncated file
+    cache = BasisCache(tmp_path)
+    basis = groebner_basis(gens, ring)
+    key = key_for(ring, gens)
+    cache.put(key, ring, basis)
+    path = tmp_path / f"{key}.json"
+    if isinstance(payload, dict):
+        payload = dict(json.loads(path.read_text()), basis=payload["basis"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cache.get(key, ring) is None
+    assert (cache.discarded, cache.misses, cache.hits) == (1, 1, 0)
+    assert not path.exists()
+
+
 def test_unwritable_root_degrades(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("file, not a directory", encoding="utf-8")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,21 @@ def test_degree_guard_exit3(capsys, tmp_path):
     assert "(pair lcm)" in err
 
 
+def test_degree_guard_below_one_is_usage_error(capsys, katzman_file):
+    code = main(["gb", "--input", katzman_file, "--ideal", "I", "--degree-guard", "-7",
+                 "--no-cache"])
+    assert code == 2
+    assert "--degree-guard: must be at least 1: -7" in capsys.readouterr().err
+
+
+def test_file_degree_guard_below_one_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "guarded.frob"
+    path.write_text(KATZMAN + "degree_guard 0\n", encoding="utf-8")
+    code = main(["gb", "--input", str(path), "--ideal", "I", "--no-cache"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: degree guard must be at least 1: 0 (line 4)\n"
+
+
 def test_fops_degree_guard_names_component(capsys, tmp_path):
     path = tmp_path / "guarded.frob"
     path.write_text("char 2\nvars x y z\nideal I = x^2 + y*z, x*y + z^2\n", encoding="utf-8")
@@ -187,6 +203,24 @@ def test_cache_dir_env_and_hits(capsys, katzman_file, tmp_path, monkeypatch):
     assert rep1 == rep2
 
 
+
+
+def test_non_object_cache_entry_discarded(capsys, tmp_path, monkeypatch):
+    root = tmp_path / "cachedir"
+    monkeypatch.setenv("FROBTOOL_CACHE", str(root))
+    veronese = Path(__file__).resolve().parents[1] / "inputs" / "veronese.frob"
+    argv = ["colon", "--input", str(veronese), "--lhs", "I", "--rhs", "I", "--json"]
+    code1, rep1 = run_json(capsys, argv)
+    assert code1 == 0
+    (entry,) = root.glob("*.json")  # the one colon entry
+    entry.write_text("[]", encoding="utf-8")
+    clear_memo()
+    code2, rep2 = run_json(capsys, argv)
+    assert code2 == 0
+    assert rep2["timing"]["persistent_cache"] == {"hits": 0, "misses": 1, "discarded": 1}
+    rep1.pop("timing")
+    rep2.pop("timing")
+    assert rep1 == rep2
 
 
 def test_human_output(capsys, katzman_file):

@@ -45,6 +45,7 @@ from frobtool.polyring import (
 
 import buchberger_oracle
 import colon_oracle
+import lift_oracle
 from conftest import random_monomial, random_poly
 from slice_oracle import GradedMembership, slice_minimal_generators_mod
 
@@ -1101,3 +1102,89 @@ class TestLift:
         modulus = frobenius_power(ideal, 1)
         with pytest.raises(NoLiftExists):
             lift_by_nzd(ring.variable("u"), ring.variable("x"), modulus)
+
+    def test_inhomogeneous_divisor_or_modulus_rejected(self, minors):
+        ring, ideal = minors
+        modulus = frobenius_power(ideal, 1)
+        x = ring.variable("x")
+        g = x * ideal.generators[0]
+        with pytest.raises(ValueError, match="homogeneous"):
+            lift_by_nzd(g, x + ring.one(), modulus)
+        with pytest.raises(ValueError, match="homogeneous"):
+            lift_by_nzd(g, x, modulus + Ideal(ring, (x * x + ring.variable("y"),)))
+
+    def test_guard_abort_names_lift_step(self, gf2_xyz):
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        modulus = Ideal(gf2_xyz, (P("x^2 + y*z"), P("x*y + z^2")))
+        m = P("x^2 + y*z + z^2")
+        clear_memo()
+        modulus.groebner_basis(degree_guard=4)  # the basis of J fits the guard
+        with pytest.raises(DegreeGuardExceeded, match=(
+                r"^intermediate weighted degree 5 \(pair lcm\) exceeds the degree guard 4 "
+                r"in the basis of J \+ \(t - m\) of the lift along m = x\^2 \+ y\*z \+ z\^2; "
+                )) as info:
+            lift_by_nzd(m * P("x"), m, modulus, 4)
+        assert (info.value.degree, info.value.guard, info.value.phase) == (5, 4, "pair lcm")
+        clear_memo()
+
+
+@st.composite
+def lift_instances(draw):
+    """(J, m, g, h): J = I^[q], q = p^e, for the prime I of the 2x3 minors or
+    the twisted cubic, p in {2, 3}, e in {1, 2}; m a random form of degree 1
+    or 2 outside I, so a nonzerodivisor modulo J, since Ass(R/I^[q]) =
+    Ass(R/I); and g = m*h + j, with h a random form and j a random element
+    of J of the degree of m*h."""
+    build = draw(st.sampled_from((minors_ideal, twisted_cubic_ideal)))
+    p = draw(st.sampled_from((2, 3)))
+    e = draw(st.integers(1, 2))
+    rng = draw(st.randoms(use_true_random=False))
+    ring, ideal = build(p)
+    modulus = frobenius_power(ideal, e)
+    m = _random_homogeneous(ring, rng, rng.randint(1, 2))
+    assume(not ideal.contains(m))
+    d = m.weighted_degree() + rng.randint(0, 2 * p ** e + 1)
+    h = _random_homogeneous(ring, rng, d - m.weighted_degree())
+    j = sum((f * _random_homogeneous(ring, rng, d - f.weighted_degree())
+             for f in modulus.generators if f.weighted_degree() <= d), ring.zero())
+    return modulus, m, m * h + j, h
+
+
+LIFT_GUARD = 1000
+
+
+class TestLiftOracle:
+    """The lift by one normal form modulo J + (t - m) against the
+    colon-based lift kept in tests/lift_oracle.py.  The lift is unique
+    modulo J, so the library's lift is the normal form of the reference's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lift_instances())
+    def test_lift_matches_oracle(self, instance):
+        modulus, m, g, h = instance
+        f = lift_by_nzd(g, m, modulus, LIFT_GUARD)
+        assert f == modulus.normal_form(f)
+        assert f == modulus.normal_form(h)
+        assert f == modulus.normal_form(lift_oracle.lift_by_nzd(g, m, modulus, LIFT_GUARD))
+
+    @settings(max_examples=30, deadline=None)
+    @given(lift_instances())
+    def test_inhomogeneous_g_lifts_degree_by_degree(self, instance):
+        modulus, m, g, h = instance
+        ring = modulus.ring
+        shifted = g * ring.variable(ring.variables[0])  # one degree higher
+        f = lift_by_nzd(g + shifted, m, modulus, LIFT_GUARD)
+        assert f == lift_by_nzd(g, m, modulus, LIFT_GUARD) + \
+            lift_by_nzd(shifted, m, modulus, LIFT_GUARD)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lift_instances(), st.randoms(use_true_random=False))
+    def test_outside_j_plus_m_has_no_lift(self, instance, rng):
+        modulus, m, g, _ = instance
+        ring = modulus.ring
+        r = _random_homogeneous(ring, rng, g.weighted_degree() if g else rng.randint(0, 3))
+        assume(not (modulus + Ideal(ring, (m,))).contains(g + r))
+        with pytest.raises(NoLiftExists):
+            lift_by_nzd(g + r, m, modulus, LIFT_GUARD)
+        with pytest.raises(NoLiftExists):
+            lift_oracle.lift_by_nzd(g + r, m, modulus, LIFT_GUARD)
