@@ -30,7 +30,6 @@ from .monomials import (
     FracMonomialModule,
     MonomialIdeal,
     SemigroupSpec,
-    frac_twisted_product,
     mono_colon,
     mono_frobenius_power,
     mono_intersect,
@@ -46,7 +45,6 @@ from .frobenius import (
     fingen_probe,
     qgor_expected_bound,
     twisted_mul,
-    twisted_mul_reps,
 )
 
 __version__ = "0.1.0"

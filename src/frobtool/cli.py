@@ -24,6 +24,7 @@ from .groebner import (
     colon,
     frobenius_power,
     set_persistent_cache,
+    _guard_context,
 )
 from .inputfile import InputFileError, parse_input_file
 from .parsing import ParseError
@@ -112,12 +113,14 @@ def _run(argv) -> int:
             expectations = []
             if args.command == "gb":
                 ideal = doc.ideal(args.ideal)
-                basis = ideal.groebner_basis(degree_guard=guard)
+                with _guard_context(f"the basis of {args.ideal}"):
+                    basis = ideal.groebner_basis(degree_guard=guard)
                 components.append(_basis_component("basis", args.ideal, basis))
             elif args.command == "colon":
                 lhs = doc.ideal(args.lhs)
                 rhs = doc.ideal(args.rhs)
-                result = colon(lhs, rhs, guard)
+                with _guard_context(f"the colon {args.lhs} : {args.rhs}"):
+                    result = colon(lhs, rhs, guard)
                 components.append(_basis_component(
                     "basis", f"{args.lhs}:{args.rhs}", result.generators))
             elif args.command == "fpow":

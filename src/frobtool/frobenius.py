@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Optional
 
 from .groebner import (
@@ -23,6 +23,14 @@ from .groebner import (
     _guard_context,
     _make_entry,
     _minimal_generators,
+)
+from .monomials import (
+    FracMonomialModule,
+    MonomialIdeal,
+    free_semigroup,
+    mono_colon,
+    mono_frobenius_power,
+    twisted_products,
 )
 from .polyring import Polynomial, RingMismatch
 
@@ -72,30 +80,9 @@ class FinGenReport:
         return None
 
     def row(self, e: int) -> DegreeRecord:
+        if not 1 <= e <= self.emax:
+            raise ValueError(f"no row for e={e}: the probe ran e=1..{self.emax}")
         return self.rows[e - 1]
-
-    def summary_lines(self):
-        out = []
-        first = self.first_new_degree
-        for row in self.rows:
-            if row.e == 1:
-                out.append(f"e=1: {row.min_gen_count} generator(s), "
-                           f"max degree {row.max_gen_degree}")
-            elif row.generated_from_lower:
-                note = ""
-                if first is not None and row.e > first:
-                    note = " (relative to full lower components)"
-                out.append(f"e={row.e}: generated from lower degrees{note}, "
-                           f"{row.min_gen_count} generator(s), "
-                           f"max degree {row.max_gen_degree}")
-            else:
-                note = ""
-                if first is not None and row.e > first:
-                    note = " (relative to full lower components)"
-                out.append(f"e={row.e}: new generators required at e = {row.e}{note}: "
-                           f"{row.new_gen_count} of {row.min_gen_count}, "
-                           f"max degree {row.max_gen_degree}")
-        return out
 
 
 def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> FrobeniusComponent:
@@ -137,20 +124,6 @@ def twisted_mul(a: Polynomial, e1: int, b: Polynomial) -> Polynomial:
     if a.ring != b.ring:
         raise RingMismatch("ring mismatch")
     return a * b.frobenius_power(e1)
-
-
-def twisted_mul_reps(a: Polynomial, e1: int, b: Polynomial, e2: int,
-                     ideal: Ideal, degree_guard: Optional[int] = None) -> Polynomial:
-    """Twisted product of colon representatives, asserting that the result
-    represents an element of the degree e1+e2 component."""
-    result = twisted_mul(a, e1, b)
-    target = frobenius_power(ideal, e1 + e2)
-    for g in ideal.generators:
-        if not target.contains(result * g, degree_guard):
-            raise ArithmeticError(
-                "twisted product left the colon ideal of degree "
-                f"{e1 + e2}; inputs were not valid representatives")
-    return result
 
 
 def generation_report(p: int, gens, product, outside, degree=None) -> FinGenReport:
@@ -217,34 +190,47 @@ def degree_growth(report: FinGenReport):
     return [(r.e, r.max_gen_degree, Fraction(r.max_gen_degree, r.q)) for r in report.rows]
 
 
-def monomial_fingen_probe(ideal, emax: int) -> FinGenReport:
+def fractional_fingen_probe(comps, p: int, degree=None) -> FinGenReport:
+    """Generation probe on fractional monomial components: comps[e - 1] is
+    the degree-e component, a FracMonomialModule of degree e.  A degree-e
+    generator g is new when no twisted product h of lower components
+    leaves g - h admissible.  degree is as in generation_report."""
+    if [c.degree for c in comps] != list(range(1, len(comps) + 1)):
+        raise ValueError("the components must have degrees 1, 2, ..., emax")
+
+    def outside(e, products):
+        products = set(products)
+        admissible = comps[e - 1].semigroup.admissible
+        return [g for g in comps[e - 1].generators
+                if not any(admissible(tuple(map(sub, g, h))) for h in products)]
+
+    return generation_report(
+        p, [c.generators for c in comps],
+        lambda e1, e2: twisted_products(comps[e1 - 1], comps[e2 - 1], p),
+        outside, degree)
+
+
+def monomial_fingen_probe(ideal: MonomialIdeal, emax: int) -> FinGenReport:
     """Generation probe along the pure monomial path (independent oracle).
 
     Colons, Frobenius powers and twisted products of monomial data reduce
-    to exponent arithmetic, so counts and flags come from divisibility
+    to exponent arithmetic: the degree-e generators, those of I^[q]:I
+    outside I^[q], form a module over N^n, where g - h is admissible
+    exactly when h divides g.  Counts and flags come from divisibility
     alone; results must agree with fingen_probe on the same input.
     """
-    from .monomials import MonomialIdeal, mono_colon, mono_frobenius_power
-
     if not isinstance(ideal, MonomialIdeal):
         raise TypeError("monomial probe needs a MonomialIdeal")
     if emax < 1:
         raise ValueError("emax must be >= 1")
     ring = ideal.ring
-    p = ring.field.p
-    moduli = [mono_frobenius_power(ideal, e) for e in range(1, emax + 1)]
-    mingens = [tuple(g for g in mono_colon(iq, ideal).generators if not iq.contains(g))
-               for iq in moduli]
-
-    def outside(e, products):
-        lower = MonomialIdeal(ring, tuple(products) + moduli[e - 1].generators)
-        return [g for g in mingens[e - 1] if not lower.contains(g)]
-
-    return generation_report(
-        p, mingens,
-        lambda e1, e2: [tuple(a + p ** e1 * b for a, b in zip(g, h))
-                        for g in mingens[e1 - 1] for h in mingens[e2 - 1]],
-        outside, degree=ring.weighted_degree)
+    semigroup = free_semigroup(ring.nvars)
+    comps = []
+    for e in range(1, emax + 1):
+        iq = mono_frobenius_power(ideal, e)
+        gens = [g for g in mono_colon(iq, ideal).generators if not iq.contains(g)]
+        comps.append(FracMonomialModule(semigroup, gens, e))
+    return fractional_fingen_probe(comps, ring.field.p, degree=ring.weighted_degree)
 
 
 def qgor_expected_bound(m: int, p: int) -> Optional[int]:

@@ -10,13 +10,13 @@ frozen, "direct" for definitional checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
 from typing import Optional
 
 from .frobenius import (
     FinGenReport,
     degree_growth,
     fingen_probe,
+    fractional_fingen_probe,
     generation_report,
     monomial_fingen_probe,
     qgor_expected_bound,
@@ -120,14 +120,11 @@ def _report_signature(report: FinGenReport) -> list:
 # --------------------------------------------------------------------------
 # cases
 
-def fedder_identity_check(p: int = 2, strictness: Optional[bool] = None,
-                          degree_guard: Optional[int] = None) -> CaseResult:
+def fedder_identity_check(p: int = 2, degree_guard: Optional[int] = None) -> CaseResult:
     """Exact shape of the first Frobenius colon of the 2x3 minors ideal:
-    I^[p]:I = I^{2p-2} + I^[p]; strict growth at q = p^2."""
-    if strictness is None:
-        strictness = p == 2
+    I^[p]:I = I^{2p-2} + I^[p]; at p = 2, strict growth at q = p^2."""
     _, ideal = minors_ideal(p)
-    result = CaseResult("fedder", {"p": p, "strictness": strictness})
+    result = CaseResult("fedder", {"p": p, "strictness": p == 2})
     modulus = frobenius_power(ideal, 1)
     lhs = colon(modulus, ideal, degree_guard)
     rhs = ideal_power(ideal, 2 * p - 2) + modulus
@@ -137,7 +134,7 @@ def fedder_identity_check(p: int = 2, strictness: Optional[bool] = None,
         {"lhs_basis": [str(g) for g in lhs.groebner_basis()],
          "rhs_basis": [str(g) for g in rhs.groebner_basis(degree_guard=degree_guard)]},
         "identity"))
-    if strictness:
+    if p == 2:
         q = p * p
         modulus2 = frobenius_power(ideal, 2)
         lhs2 = colon(modulus2, ideal, degree_guard)
@@ -164,6 +161,8 @@ def lift_family_check(p: int = 2, emax: int = 2,
     x = ring.variable("x")
     y = ring.variable("y")
     z = ring.variable("z")
+    if emax < 1:
+        raise ValueError("emax must be >= 1")
     result = CaseResult("lifts", {"p": p, "emax": emax})
     for e in range(1, emax + 1):
         q = p ** e
@@ -229,22 +228,6 @@ def katzman_case(p: int = 2, emax: int = 3,
     return result
 
 
-def _veronese_monomial_probe(p: int, emax: int) -> FinGenReport:
-    """Independent fractional-monomial path for the cubic Veronese."""
-    comps = [veronese_component(2, 3, p, e) for e in range(1, emax + 1)]
-    admissible = comps[0].semigroup.admissible
-
-    def outside(e, products):
-        products = list(products)
-        return [g for g in comps[e - 1].generators
-                if not any(admissible(tuple(map(sub, g, h))) for h in products)]
-
-    return generation_report(
-        p, [c.generators for c in comps],
-        lambda e1, e2: twisted_products(comps[e1 - 1], comps[e2 - 1], p),
-        outside)
-
-
 def veronese_case(p: int = 2, emax: Optional[int] = None,
                   degree_guard: Optional[int] = None) -> CaseResult:
     """Cubic Veronese of a polynomial plane, both presentations.
@@ -273,15 +256,14 @@ def veronese_case(p: int = 2, emax: Optional[int] = None,
         {"images": {k: str(v) for k, v in images.items()}}, "direct"))
 
     probe = fingen_probe(ideal, emax, degree_guard)
-    mono_report = _veronese_monomial_probe(p, emax)
+    comps = [veronese_component(2, 3, p, e) for e in range(1, emax + 1)]
     sig_a = _report_signature(probe.report)
-    sig_b = _report_signature(mono_report)
+    sig_b = _report_signature(fractional_fingen_probe(comps, p))
     result.expectations.append(_expect(
         "paths_agree", sig_a == sig_b,
         {"groebner": sig_a, "monomial": sig_b,
          "monomial_components": {
-             str(e): [list(g) for g in veronese_component(2, 3, p, e).generators]
-             for e in range(1, emax + 1)}}, "oracle"))
+             str(c.degree): [list(g) for g in c.generators] for c in comps}}, "oracle"))
 
     rows = probe.report.rows
     if p % 3 == 1:
@@ -402,9 +384,12 @@ def poly_twisted_case(dim: int, p: int = 2, emax: Optional[int] = None) -> CaseR
     outside every split product."""
     if dim not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
+    PrimeField(p)  # raises for a non-prime characteristic, as every other case does
     if emax is None:
         emax = 4 if dim == 3 else 5
     limit = 4 if dim == 3 else 5
+    if emax < 1:
+        raise ValueError("emax must be >= 1")
     if emax > limit:
         raise ValueError(f"emax for dimension {dim} is capped at {limit}")
     result = CaseResult("twisted", {"dim": dim, "p": p, "emax": emax})
@@ -420,8 +405,7 @@ def poly_twisted_case(dim: int, p: int = 2, emax: Optional[int] = None) -> CaseR
              "missing_count": r.new_gen_count} for r in report.rows]
     result.components = rows
     if dim == 1:
-        a = comps[1].generators[0]
-        b = comps[2].generators[0]
+        a, b = (poly_twisted_component(1, p, e).generators[0] for e in (1, 2))
         ab = tuple(x + p * y for x, y in zip(a, b))
         ba = tuple(x + p ** 2 * y for x, y in zip(b, a))
         result.expectations.append(_expect(

@@ -671,11 +671,6 @@ class Ideal:
     def contains(self, f: Polynomial, degree_guard: Optional[int] = None) -> bool:
         return self.normal_form(f, degree_guard=degree_guard).is_zero()
 
-    def contains_ideal(self, other: "Ideal", degree_guard: Optional[int] = None) -> bool:
-        if other.ring != self.ring:
-            raise RingMismatch("ring mismatch")
-        return all(self.contains(g, degree_guard) for g in other.generators)
-
     def is_proper(self, degree_guard: Optional[int] = None) -> bool:
         basis = self.groebner_basis(degree_guard=degree_guard)
         return not any(b.weighted_degree() == 0 for b in basis)

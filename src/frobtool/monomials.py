@@ -226,14 +226,6 @@ class FracMonomialModule:
         adm = self.semigroup.admissible
         return any(adm(tuple(a - b for a, b in zip(v, g))) for g in self.generators)
 
-    def contains_module(self, other: "FracMonomialModule") -> bool:
-        if other.semigroup != self.semigroup:
-            raise ValueError("semigroup mismatch")
-        return all(self.contains(g) for g in other.generators)
-
-    def same_module(self, other: "FracMonomialModule") -> bool:
-        return self.contains_module(other) and other.contains_module(self)
-
     def minimalize(self) -> "FracMonomialModule":
         """Drop generators reachable from another generator."""
         gens = self.generators
@@ -329,40 +321,25 @@ def twisted_products(lhs: FracMonomialModule, rhs: FracMonomialModule,
                      p: int) -> list:
     """The generators g_a + p^{e1} * g_b of the twisted product of lhs
     (degree e1) and rhs, as a plain list, lhs-major, neither deduplicated
-    nor sorted.  Each rhs generator is scaled once."""
+    nor sorted.  Each rhs generator is scaled once.  They span the product
+    component as a module over the semigroup ring (bilinearity of the
+    twisted multiplication)."""
     q1 = _twist(lhs, rhs, p)
     scaled = [tuple(q1 * x for x in gb) for gb in rhs.generators]
     return [tuple(map(add, ga, sb)) for ga in lhs.generators for sb in scaled]
 
 
-def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,
-                         p: int) -> FracMonomialModule:
-    """Twisted product on fractional modules: generators g_a + p^{e1} * g_b.
-
-    The pairwise products span the product component as a module over the
-    semigroup ring (bilinearity of the twisted multiplication).  Kept as a
-    plain generator list, without minimalization.
-    """
-    return FracMonomialModule(lhs.semigroup, twisted_products(lhs, rhs, p),
-                              lhs.degree + rhs.degree)
-
-
 def twisted_product_memberships(rhs: FracMonomialModule, p: int, queries) -> list:
-    """[twisted_product_contains(lhs, rhs, p, v) for lhs, v in queries],
-    with one dominance index on rhs for the whole batch, dropped on return.
-    Every query is checked before the index is built."""
+    """For each query (lhs, v), whether v lies in the twisted product of
+    lhs and rhs, the module spanned by twisted_products(lhs, rhs, p): one
+    dominance query on rhs per lhs generator, with one index on rhs for the
+    whole batch, dropped on return.  Every query is checked before the
+    index is built."""
     checked = [(_twist(lhs, rhs, p), lhs.generators, _vector(rhs.semigroup, v))
                for lhs, v in queries]
     below = _Dominance(rhs.generators, rhs.semigroup.congruences).below
     return [any(below(list(map(sub, v, ga)), q1) for ga in gens)
             for q1, gens, v in checked]
-
-
-def twisted_product_contains(lhs: FracMonomialModule, rhs: FracMonomialModule,
-                             p: int, v: Sequence[int]) -> bool:
-    """frac_twisted_product(lhs, rhs, p).contains(v) without building the
-    product module: one dominance query on rhs per lhs generator."""
-    return twisted_product_memberships(rhs, p, [(lhs, v)])[0]
 
 
 # The fixed semigroups are built once per distinct argument: construction

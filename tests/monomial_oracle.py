@@ -8,6 +8,10 @@ a method.  Both test every generator pair with the semigroup's
 ordered pair of distinct generators for a minimalization.  The tests
 compare the library's index against them on random semigroups.
 
+`frac_twisted_product` builds the twisted product as a module, from the
+library's `twisted_products`, so a test can ask the module's own
+`contains` about it.
+
 `segre_component_2x3` and `poly_twisted_component` are the earlier
 builders, unchanged: each hands its generators to the validating
 constructor, which sorts them.  The tests require the library's in-order
@@ -23,8 +27,17 @@ from frobtool.monomials import (
     _twist,
     free_semigroup,
     segre_semigroup_2x3,
+    twisted_products,
 )
 from frobtool.polyring import monomials_of_weighted_degree
+
+
+def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,
+                         p: int) -> FracMonomialModule:
+    """The twisted product of lhs (degree e1) and rhs as a module: the
+    generators g_a + p^{e1} * g_b, sorted and deduplicated."""
+    return FracMonomialModule(lhs.semigroup, twisted_products(lhs, rhs, p),
+                              lhs.degree + rhs.degree)
 
 
 def twisted_product_contains(lhs: FracMonomialModule, rhs: FracMonomialModule,

@@ -7,7 +7,7 @@ import random
 from frobtool.frobenius import (
     component,
     fingen_probe,
-    generation_report,
+    fractional_fingen_probe,
     monomial_fingen_probe,
     twisted_mul,
 )
@@ -28,9 +28,7 @@ from frobtool.groebner import (
 # counted
 GUARD = 400
 from frobtool.monomials import (
-    FracMonomialModule,
     MonomialIdeal,
-    frac_twisted_product,
     mono_colon,
     mono_frobenius_power,
     mono_intersect,
@@ -110,7 +108,7 @@ def run_colon_suite(count=50, seed=200):
             member = quotient.contains(h)
             pushes_in = all(lhs.contains(h * f) for f in rhs.generators)
             assert member == pushes_in
-        assert quotient.contains_ideal(lhs)
+        assert all(quotient.contains(g) for g in lhs.generators)
         checked += 1
     return checked
 
@@ -137,7 +135,7 @@ def run_frobenius_independence_suite(count=20, seed=300):
             colon_ideal = colon(frobenius_power(ideal, 1), ideal, GUARD)
         except DegreeGuardExceeded:
             continue
-        assert colon_ideal.contains_ideal(frobenius_power(ideal, 1))
+        assert all(colon_ideal.contains(g) for g in frobenius_power(ideal, 1).generators)
         checked += 1
     return checked
 
@@ -254,17 +252,9 @@ def run_probe_cross_oracle_suite(count=24, seed=600):
 
 def segre_monomial_probe(p, emax):
     """The generation probe on the Segre-semigroup components of the 2x3
-    determinantal ring, in the pattern of gallery._veronese_monomial_probe."""
-    comps = [segre_component_2x3(p, e).minimalize() for e in range(1, emax + 1)]
-
-    def outside(e, products):
-        union = FracMonomialModule(comps[0].semigroup, products, e)
-        return [g for g in comps[e - 1].generators if not union.contains(g)]
-
-    return generation_report(
-        p, [c.generators for c in comps],
-        lambda e1, e2: frac_twisted_product(comps[e1 - 1], comps[e2 - 1], p).generators,
-        outside)
+    determinantal ring."""
+    return fractional_fingen_probe(
+        [segre_component_2x3(p, e).minimalize() for e in range(1, emax + 1)], p)
 
 
 def _segre_signature(report):

@@ -33,7 +33,7 @@ def test_criterion_1_fedder_identity():
     ok = True
     for p in (2, 3):
         start = time.monotonic()
-        result = gallery.fedder_identity_check(p, strictness=False)
+        result = gallery.fedder_identity_check(p)
         assert time.monotonic() - start < 300, f"fedder p={p} exceeded 5 minutes"
         ok = ok and result.passed
         if not result.passed:
@@ -43,7 +43,7 @@ def test_criterion_1_fedder_identity():
 
 def test_criterion_2_fedder_strictness():
     t0 = time.monotonic()
-    result = gallery.fedder_identity_check(2, strictness=True)
+    result = gallery.fedder_identity_check(2)
     exp = [e for e in result.expectations if e.name == "strict_containment_q4"]
     ok = bool(exp) and exp[0].ok
     _announce(2, "strict growth at q=4", ok, time.monotonic() - t0, 600)

@@ -102,12 +102,27 @@ def test_unused_gallery_option_exit2(capsys, argv, arg):
 def test_degree_guard_exit3(capsys, tmp_path):
     path = tmp_path / "guarded.frob"
     path.write_text("char 2\nvars x y z\ndegree_guard 2\n"
-                    "ideal I = x^2 + y*z, x*y + z^2\n", encoding="utf-8")
-    code = main(["gb", "--input", str(path), "--ideal", "I", "--no-cache"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "degree guard" in err
-    assert "(pair lcm)" in err
+                    "ideal I = x^2 + y*z, x*y + z^2\nideal J = x^3, y^3\n", encoding="utf-8")
+    for argv, context in ((["gb", "--ideal", "I"], "in the basis of I;"),
+                          (["colon", "--lhs", "J", "--rhs", "I"], "in the colon J : I;")):
+        code = main([argv[0], "--input", str(path)] + argv[1:] + ["--no-cache"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "degree guard" in err
+        assert "(pair lcm)" in err
+        assert context in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["twisted", "--p", "4"], "characteristic must be prime: 4"),
+    (["twisted", "--p", "6", "--dim", "3", "--emax", "2"], "characteristic must be prime: 6"),
+    (["twisted", "--emax", "0"], "emax must be >= 1"),
+    (["twisted", "--dim", "3", "--emax", "-3"], "emax must be >= 1"),
+    (["lifts", "--emax", "0"], "emax must be >= 1"),
+])
+def test_gallery_bad_characteristic_or_depth_exit2(capsys, argv, message):
+    assert main(["gallery"] + argv + ["--no-cache"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_degree_guard_below_one_is_usage_error(capsys, katzman_file):

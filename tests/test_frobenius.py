@@ -8,11 +8,11 @@ from frobtool.frobenius import (
     component,
     degree_growth,
     fingen_probe,
+    fractional_fingen_probe,
     generation_report,
     monomial_fingen_probe,
     qgor_expected_bound,
     twisted_mul,
-    twisted_mul_reps,
 )
 from frobtool.gallery import katzman_ideal, minors_ideal, twisted_cubic_ideal
 from frobtool.groebner import (
@@ -23,7 +23,7 @@ from frobtool.groebner import (
     frobenius_power,
     minimal_generators_mod,
 )
-from frobtool.monomials import MonomialIdeal
+from frobtool.monomials import MonomialIdeal, veronese_component
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import (
     GREVLEX,
@@ -96,23 +96,6 @@ class TestTwistedMul:
             lhs = twisted_mul(f ** (q1 - 1), e1, f ** (q2 - 1))
             assert lhs == f ** (q1 * q2 - 1)
 
-    def test_checked_product_accepts_valid_reps(self, katzman):
-        c1 = component(katzman, 1)
-        g = c1.min_gens[0]
-        result = twisted_mul_reps(g, 1, g, 1, katzman)
-        assert result == g * g.frobenius_power(1)
-
-    def test_checked_product_rejects_invalid(self, gf2_xyz, katzman):
-        bad = gf2_xyz.variable("x")  # x is not in the colon of degree 1
-        with pytest.raises(ArithmeticError):
-            twisted_mul_reps(bad, 1, bad, 1, katzman)
-
-    def test_check_honours_degree_guard(self, katzman):
-        g = component(katzman, 1).min_gens[0]
-        clear_memo()  # a basis memoized by another test would skip the guard
-        with pytest.raises(DegreeGuardExceeded):
-            twisted_mul_reps(g, 1, g, 1, katzman, degree_guard=2)
-
 
 class TestProductComponent:
     def test_principal(self, gf2_xyz):
@@ -184,10 +167,19 @@ class TestFinGenProbe:
                         (3, ["ac", "bc", "ca", "cb"])]
         assert report.emax == 3 and report.first_new_degree == 3
 
-    def test_summary_wording(self, katzman):
-        lines = fingen_probe(katzman, 3).report.summary_lines()
-        assert any("new generators required at e = 2" in line for line in lines)
-        assert any("relative to full lower components" in line for line in lines)
+    def test_fractional_probe_needs_degrees_one_to_emax(self):
+        comps = [veronese_component(2, 3, 2, e) for e in range(3)]
+        for wrong in (comps, comps[2:0:-1]):
+            with pytest.raises(ValueError, match="degrees 1, 2, ..., emax"):
+                fractional_fingen_probe(wrong, 2)
+        assert fractional_fingen_probe(comps[1:], 2).emax == 2
+
+    def test_row_outside_probed_degrees(self, katzman):
+        report = fingen_probe(katzman, 3).report
+        assert [report.row(e).e for e in (1, 2, 3)] == [1, 2, 3]
+        for e in (0, -1, 4):
+            with pytest.raises(ValueError, match=f"no row for e={e}: the probe ran e=1..3"):
+                report.row(e)
 
 
 @st.composite

@@ -19,7 +19,7 @@ def expectation(result, name):
 class TestFedder:
     @pytest.mark.parametrize("p", [2, 3])
     def test_identity(self, p):
-        result = gallery.fedder_identity_check(p, strictness=False)
+        result = gallery.fedder_identity_check(p)
         exp = expectation(result, f"colon_identity_q{p}")
         assert exp.ok
         assert exp.measured["lhs_basis"] == exp.measured["rhs_basis"]
@@ -117,9 +117,10 @@ class TestDeterminantal:
 
 class TestTwisted:
     def test_dim1(self):
-        result = gallery.poly_twisted_case(1, 2)
-        assert result.passed
-        assert expectation(result, "commutative").ok
+        for emax in (None, 1):  # the check reads degrees 1 and 2 at any depth
+            result = gallery.poly_twisted_case(1, 2, emax)
+            assert result.passed
+            assert expectation(result, "commutative").ok
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_dim2(self, p):

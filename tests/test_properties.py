@@ -90,22 +90,27 @@ def test_veronese_generation_bands():
     """Per-degree generation pattern of the cubic Veronese components:
     cyclic and degree-1 generated when p = 1 mod 3; p = 2 settles from
     degree 3 on (bound e0 = 2); p = 3 needs new generators at every degree."""
-    from frobtool.frobenius import fingen_probe, qgor_expected_bound
-    from frobtool.gallery import _veronese_monomial_probe, twisted_cubic_ideal
+    from frobtool.frobenius import fingen_probe, fractional_fingen_probe, qgor_expected_bound
+    from frobtool.gallery import twisted_cubic_ideal
+    from frobtool.monomials import veronese_component
+
+    def veronese_rows(p, emax):
+        comps = [veronese_component(2, 3, p, e) for e in range(1, emax + 1)]
+        return fractional_fingen_probe(comps, p).rows
 
     for p in (7, 13):
-        rows = _veronese_monomial_probe(p, 3).rows
+        rows = veronese_rows(p, 3)
         assert all(r.min_gen_count == 1 for r in rows)
         assert all(r.generated_from_lower for r in rows if r.e >= 2)
         assert qgor_expected_bound(3, p) == 1
-    rows = _veronese_monomial_probe(2, 4).rows
+    rows = veronese_rows(2, 4)
     assert [r.generated_from_lower for r in rows] == [False, False, True, True]
     _, ideal = twisted_cubic_ideal(2)
     groebner_rows = fingen_probe(ideal, 4, degree_guard=400).report.rows
     assert [(r.min_gen_count, r.new_gen_count, r.generated_from_lower)
             for r in groebner_rows] == \
         [(r.min_gen_count, r.new_gen_count, r.generated_from_lower) for r in rows]
-    rows3 = _veronese_monomial_probe(3, 3).rows
+    rows3 = veronese_rows(3, 3)
     assert all(r.new_gen_count >= 1 for r in rows3)
 
 
