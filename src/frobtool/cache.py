@@ -101,6 +101,7 @@ class BasisCache:
             "ring": _ring_payload(ring),
             "basis": [str(g) for g in basis],
         }
+        tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -108,6 +109,11 @@ class BasisCache:
             os.replace(tmp, self._path(key))
         except OSError as exc:
             log.warning("basis cache write failed, continuing without it: %s", exc)
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses, "discarded": self.discarded}

@@ -17,7 +17,8 @@ an order comparison is an int comparison, and lm divides m exactly when
 m - lm borrows from no field, i.e. leaves every field's top (guard) bit
 clear.  A `Packing` is made per call, at the boundary (a whole colon is one
 call): inputs are packed once on entry and results unpacked once on exit,
-already in canonical order when the engine's order is the ring's own.
+already in canonical order, since a packing's order is its ring's; another
+order is another ring, as in the elimination constructions.
 
 Width rule.  Every field holds at most the weighted degree, so W is the
 bit length of the largest weighted degree among the inputs, the basis and
@@ -45,7 +46,7 @@ sets at a term's exponents holds exactly the leads that divide it, and its
 lowest bit is the first of them; an empty AND ends the lookup early.  The
 index catches up with its basis lazily, so it serves as long as the basis
 only grows: one per Buchberger main loop and one for interreduction.  Each
-ideal keeps one per order, complete when made, for all its normal forms;
+ideal keeps one, complete when made, for all its normal forms;
 minimal_generators_mod makes its own in the packing of its candidates.
 
 Colon.  lhs : (f_1..f_k) is a chain of k eliminations: R_0 = (1) and
@@ -184,11 +185,11 @@ def _overflow(width: int) -> ArithmeticError:
 
 
 class Packing:
-    """The monomials of one ring under one order, packed into ints of 2n
+    """The monomials of one ring under its order, packed into ints of 2n
     fields of `width` bits each (see the module docstring)."""
 
-    def __init__(self, ring: RingSpec, order: Order, width: int):
-        n, weights = ring.nvars, ring.weights
+    def __init__(self, ring: RingSpec, width: int):
+        n, weights, order = ring.nvars, ring.weights, ring.order
         if order.kind == "lex":
             forms = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         else:
@@ -197,7 +198,6 @@ class Packing:
                      for lo, hi in ((0, cut), (cut, n)) for k in range(hi, lo, -1)]
         shifts = [width * (2 * n - 1 - f) for f in range(2 * n)]  # most significant first
         self.ring = ring
-        self.order = order
         self.width = width
         self.p = ring.field.p
         self.mask = (1 << width) - 1
@@ -232,7 +232,7 @@ class Packing:
 
     def degrees(self, ms) -> set:
         """The weighted degrees of the packed monomials ms."""
-        if self.order.kind == "grevlex":  # the top field, with nothing above it
+        if self.ring.order.kind == "grevlex":  # the top field, with nothing above it
             s = self._degree_shifts[0]
             return {m >> s for m in ms}
         return set(map(self.degree, ms))
@@ -242,19 +242,17 @@ class Packing:
         return {pack(m): c for m, c in terms}
 
     def polynomial(self, items) -> Polynomial:
-        """The Polynomial of packed (monomial, coefficient) items; sorted by
-        the packed ints when the packing's order is the ring's own."""
+        """The Polynomial of packed (monomial, coefficient) items, sorted by
+        the packed ints."""
         unpack = self.unpack
-        if self.order == self.ring.order:
-            return Polynomial._from_sorted(self.ring, tuple(
-                (unpack(m), c) for m, c in sorted(items, reverse=True)))
-        return Polynomial(self.ring, [(unpack(m), c) for m, c in items])
+        return Polynomial._from_sorted(self.ring, tuple(
+            (unpack(m), c) for m, c in sorted(items, reverse=True)))
 
 
-def _packing(ring: RingSpec, order: Order, degree: int) -> Packing:
+def _packing(ring: RingSpec, degree: int) -> Packing:
     """The packing whose fields hold weighted degrees up to `degree`
     with SPARE_BITS bits to spare."""
-    return Packing(ring, order, max(degree, 1).bit_length() + SPARE_BITS + 1)
+    return Packing(ring, max(degree, 1).bit_length() + SPARE_BITS + 1)
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +374,7 @@ def _make_entry(fd, p):
     return lm, tail
 
 
-def _entry_dict(entry, p):
+def _entry_dict(entry):
     lm, tail = entry
     d = dict(tail)
     d[lm] = 1
@@ -470,7 +468,7 @@ def _buchberger(inputs, pk, guard):
             heappush(queue, (degree(lcm), lcm, ij))
 
     for entry in start:
-        r = _reduce_full(_entry_dict(entry, p), basis, pk, index)
+        r = _reduce_full(_entry_dict(entry), basis, pk, index)
         if r:
             extend_basis(r)
 
@@ -542,14 +540,14 @@ def _normalized_gens(gens: Sequence[Polynomial]):
     return tuple(sorted(((str(g), g) for g in monic), key=itemgetter(0)))
 
 
-def _content_key(ring: RingSpec, order: Order, normalized, divisors=None) -> str:
+def _content_key(ring: RingSpec, normalized, divisors=None) -> str:
     """The memo and store key of the basis of `normalized`, or with
     `divisors`, of the colon normalized : divisors; a colon key starts with
     its own tag, so it never equals a basis key."""
     h = hashlib.sha256()
     if divisors is not None:
         h.update(b"colon\x01")
-    h.update(repr((ring.field.p, ring.variables, ring.weights, order.tag)).encode())
+    h.update(repr((ring.field.p, ring.variables, ring.weights, ring.order.tag)).encode())
     for text, _ in normalized:
         h.update(b"\x00")
         h.update(text.encode())
@@ -581,29 +579,27 @@ def _memoized(key: str, ring: RingSpec, compute):
 
 
 def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
-                   order: Optional[Order] = None,
                    degree_guard: Optional[int] = None):
-    """Reduced Groebner basis, ascending by leading monomial; deterministic
-    for a fixed order regardless of internal scheduling."""
-    order = order or ring.order
+    """Reduced Groebner basis under the ring's order, ascending by leading
+    monomial; deterministic regardless of internal scheduling."""
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
     normalized = _normalized_gens(gens)
     if not normalized:
         return ()
 
     def compute():
-        pk = _packing(ring, order, max([guard] + [g.weighted_degree() for _, g in normalized]))
+        pk = _packing(ring, max([guard] + [g.weighted_degree() for _, g in normalized]))
         entries = _buchberger([pk.pack_terms(g.terms) for _, g in normalized], pk, guard)
         return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
 
-    return _memoized(_content_key(ring, order, normalized), ring, compute)
+    return _memoized(_content_key(ring, normalized), ring, compute)
 
 
 # --------------------------------------------------------------------------
 # ideals
 
 class Ideal:
-    """An ideal of GF(p)[x1..xn] with a lazily computed reduced basis per order."""
+    """An ideal of GF(p)[x1..xn] with a lazily computed reduced basis."""
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
         gens = []
@@ -617,7 +613,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self.gb_cache: dict = {}
-        self._reducers: dict = {}
+        self._reducer_held = None
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -629,41 +625,38 @@ class Ideal:
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)
 
-    def groebner_basis(self, order: Optional[Order] = None,
-                       degree_guard: Optional[int] = None):
-        order = order or self.ring.order
-        basis = self.gb_cache.get(order.tag)
+    def groebner_basis(self, degree_guard: Optional[int] = None):
+        tag = self.ring.order.tag
+        basis = self.gb_cache.get(tag)
         if basis is None:
-            basis = groebner_basis(self.generators, self.ring, order, degree_guard)
-            self.gb_cache[order.tag] = basis
+            basis = self.gb_cache[tag] = groebner_basis(self.generators, self.ring, degree_guard)
         return basis
 
-    def _reducer(self, order: Order, degree: int, degree_guard: Optional[int]):
-        """(packing, packed entries, their _Divisors) of the reduced basis
-        under `order`, for reducing polynomials of weighted degree up to
-        `degree`; kept per order, so every reduction against it shares one
-        divisor index, and remade when a larger degree needs wider fields.
-        The index is complete when made, so reductions only read it."""
-        held = self._reducers.get(order.tag)
+    def _reducer(self, degree: int, degree_guard: Optional[int]):
+        """(packing, packed entries, their _Divisors) of the reduced basis,
+        for reducing polynomials of weighted degree up to `degree`; kept,
+        so every reduction against it shares one divisor index, and remade
+        when a larger degree needs wider fields.  The index is complete
+        when made, so reductions only read it."""
+        held = self._reducer_held
         if held is None or held[0] < degree:
-            basis = self.groebner_basis(order, degree_guard)
+            basis = self.groebner_basis(degree_guard)
             degree = max([degree] + [g.weighted_degree() for g in basis])
-            pk = _packing(self.ring, order, degree)
+            pk = _packing(self.ring, degree)
             entries = [_make_entry(pk.pack_terms(g.terms), pk.p) for g in basis]
             index = _Divisors(pk)
             index.sync(entries)
-            held = self._reducers[order.tag] = (degree, pk, entries, index)
+            held = self._reducer_held = (degree, pk, entries, index)
         return held[1:]
 
-    def normal_form(self, f: Polynomial, order: Optional[Order] = None,
+    def normal_form(self, f: Polynomial,
                     degree_guard: Optional[int] = None) -> Polynomial:
         """Unique remainder of f against the reduced basis; 0 iff f is a member."""
         if f.ring != self.ring:
             raise RingMismatch("ring mismatch")
         if f.is_zero():
             return f
-        pk, entries, index = self._reducer(order or self.ring.order, f.weighted_degree(),
-                                           degree_guard)
+        pk, entries, index = self._reducer(f.weighted_degree(), degree_guard)
         if not entries:
             return f
         return pk.polynomial(_reduce_full(pk.pack_terms(f.terms), entries, pk, index).items())
@@ -691,7 +684,7 @@ class Ideal:
 
 
 def ideal_equal(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> bool:
-    """True iff the reduced bases under a common order coincide term for term."""
+    """True iff the reduced bases under the ring's order coincide term for term."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     return lhs.groebner_basis(degree_guard=degree_guard) == rhs.groebner_basis(degree_guard=degree_guard)
@@ -726,7 +719,7 @@ class _Elimination:
     def __init__(self, ring: RingSpec, degree: int):
         ext = _extended_ring(ring)
         self.ring = ring
-        self.pk = pk = _packing(ext, ext.order, degree)
+        self.pk = pk = _packing(ext, degree)
         self.t = pk._units[0]
         self._free = 1 << pk._degree_shifts[0]  # t-free monomials lie below
         self._shifts = pk._exponent_shifts[1:]
@@ -876,7 +869,7 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     ring = lhs.ring
     if lhs.is_zero():
         return Ideal(ring, ())
-    key = _content_key(ring, ring.order, _normalized_gens(lhs.generators),
+    key = _content_key(ring, _normalized_gens(lhs.generators),
                        _normalized_gens(rhs.generators))
     basis = _memoized(key, ring, lambda: _colon_chain(lhs, rhs, degree_guard))
     final = Ideal(ring, basis)
@@ -902,7 +895,7 @@ def _colon_chain(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int]):
             continue  # f*R_{i-1} lies in lhs, so R_i = R_{i-1}
         basis = None  # not held through the elimination that replaces it
         basis = el.meet(lifted, products, guard)
-        quotients = [_divide_exact(_entry_dict(b, p), fd, pk) for b in el.free(basis)]
+        quotients = [_divide_exact(_entry_dict(b), fd, pk) for b in el.free(basis)]
     del basis  # not held through the final basis
     if ring.order == GREVLEX:
         # the quotients of a reduced basis by f are a minimal basis, and
@@ -1031,10 +1024,9 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
     degree at most top.
     """
     ring = modulus.ring
-    order = ring.order
     # foreign and zero candidates are reported or skipped in order below
     top = max([0] + [g.weighted_degree() for g in gens if g.ring == ring and not g.is_zero()])
-    pk = _packing(ring, order, top)
+    pk = _packing(ring, top)
     cands, seen = [], set()
     for g in gens:
         if g.ring != ring:
@@ -1072,9 +1064,9 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
     basis = [_make_entry(pk.pack_terms(g.terms), pk.p)
-             for g in modulus.groebner_basis(order, degree_guard) if g.weighted_degree() <= top]
+             for g in modulus.groebner_basis(degree_guard) if g.weighted_degree() <= top]
     index = _Divisors(pk)
-    key = _key_function(ring, order)
+    key = _key_function(ring)
     cands.sort(key=lambda c: (c[1], key(c[0].leading_monomial())))
     # (generator, degree, packed normal form): the known elements, then the
     # survivors in ascending order

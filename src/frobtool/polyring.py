@@ -120,13 +120,13 @@ class RingSpec:
     def weighted_degree(self, mono: Mono) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def monomial_key(self, order: Optional[Order] = None):
-        """Key function: key(a) > key(b) iff a > b under the order."""
-        return _key_function(self, order or self.order)
+    def monomial_key(self):
+        """Key function: key(a) > key(b) iff a > b under the ring's order."""
+        return _key_function(self)
 
-    def compare(self, a: Mono, b: Mono, order: Optional[Order] = None) -> int:
+    def compare(self, a: Mono, b: Mono) -> int:
         """Total order on monomials: -1, 0 or 1."""
-        key = self.monomial_key(order)
+        key = self.monomial_key()
         ka, kb = key(a), key(b)
         return (ka > kb) - (ka < kb)
 
@@ -156,8 +156,8 @@ KEY_MEMO_SIZE = 1 << 12  # keys each grevlex or elimination key function remembe
 
 
 @lru_cache(maxsize=64)
-def _key_function(ring: RingSpec, order: Order):
-    weights = ring.weights
+def _key_function(ring: RingSpec):
+    weights, order = ring.weights, ring.order
     n = ring.nvars
     if order.kind == "lex":
         return tuple  # an exponent tuple is its own lex key

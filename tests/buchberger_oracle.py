@@ -4,7 +4,8 @@ a key function, before packed monomials.
 
 `_spoly`, `_reduce_full`, `_gm_update` and `_buchberger` below are the
 earlier code, unchanged except that each `DegreeGuardExceeded` names its
-phase; `_make_entry` and `_entry_dict` are the tuple versions, unchanged.
+phase and that `_buchberger` runs under its ring's order; `_make_entry`
+and `_entry_dict` are the tuple versions, unchanged.
 Every step recomputes what the library now carries: `min` over all live
 pairs recomputes every pair's lcm and weighted degree, and the divisor
 search tests every basis lead in turn.  The tests compare the two engines
@@ -126,11 +127,11 @@ def _gm_update(lms, pairs, t, key):
     return kept
 
 
-def _buchberger(inputs, ring, order, guard):
+def _buchberger(inputs, ring, guard):
     """Reduced Groebner basis of the input dicts; returns [(lm, tail), ...]
     sorted ascending by leading monomial."""
     p = ring.field.p
-    key = _key_function(ring, order)
+    key = _key_function(ring)
     wdeg = ring.weighted_degree
 
     seen = set()

@@ -36,7 +36,7 @@ def _divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g for exactly divisible f; internal assertion otherwise."""
     ring = f.ring
     p = ring.field.p
-    key = _key_function(ring, ring.order)
+    key = _key_function(ring)
     lmg = g.leading_monomial()
     lcg_inv = ring.field.inv(g.leading_coefficient())
     work = dict(f.terms)
@@ -99,7 +99,7 @@ def chain_colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> I
     for f in rhs.generators:
         fd = el.lift(f)
         meet = el.free(el.meet(lifted, [_multiply(fd, q, pk) for q in quotients], guard))
-        quotients = [_packed_divide_exact(_entry_dict(b, p), fd, pk) for b in meet]
+        quotients = [_packed_divide_exact(_entry_dict(b), fd, pk) for b in meet]
     if ring.order == GREVLEX:
         minimal = [_make_entry(q, p) for q in quotients]
         basis = tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in _interreduce(minimal, pk))

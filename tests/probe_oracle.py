@@ -43,7 +43,7 @@ def component_min_gens(ideal: Ideal, e: int, degree_guard: Optional[int] = None)
     col = colon(modulus, ideal, degree_guard)
     raw = minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard), modulus,
                                  degree_guard)
-    key = _key_function(ring, ring.order)
+    key = _key_function(ring)
     return tuple(sorted((modulus.normal_form(g, degree_guard=degree_guard).monic()
                          for g in raw),
                         key=lambda g: (g.weighted_degree(), key(g.leading_monomial()))))

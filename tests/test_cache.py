@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 
@@ -35,7 +36,7 @@ def fresh_state():
 
 
 def key_for(ring, gens):
-    return _content_key(ring, ring.order, _normalized_gens(gens))
+    return _content_key(ring, _normalized_gens(gens))
 
 
 def test_round_trip(tmp_path, ring, gens):
@@ -124,6 +125,18 @@ def test_unwritable_root_degrades(tmp_path):
     assert cache.get("k", RingSpec(PrimeField(2), ("x",))) is None
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path, ring, gens, caplog, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    cache = BasisCache(tmp_path)
+    monkeypatch.setattr("frobtool.cache.os.replace", full_disk)
+    with caplog.at_level(logging.WARNING, logger="frobtool"):
+        cache.put(key_for(ring, gens), ring, groebner_basis(gens, ring))
+    assert any("write failed" in rec.message for rec in caplog.records)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_entry_payload_is_canonical_text(tmp_path, ring, gens):
     cache = BasisCache(tmp_path)
     basis = groebner_basis(gens, ring)
@@ -143,9 +156,10 @@ def test_content_key_is_stable():
     normalized = _normalized_gens(gens)
     assert [text for text, _ in normalized] == \
         ["x*y + 2*z^3", "x^4", "y + 2*x*z", "y^2 + 2*x^2*z^2"]
-    assert _content_key(ring, ring.order, normalized) == \
+    assert _content_key(ring, normalized) == \
         "8e46aa6a5e1f459f15c97785921df380889f69055ada92808c92a3a2d18c1447"
-    assert _content_key(ring, Order("elim", 1), normalized) == \
+    elim = RingSpec(ring.field, ring.variables, ring.weights, Order("elim", 1))
+    assert _content_key(elim, normalized) == \
         "f2f0f23908d390892f72a9d53c8391f7d02902765d681fe7ba1de8664311821f"
 
 
@@ -153,9 +167,9 @@ def test_colon_key_is_tagged(ring, gens):
     # a colon entry never shares a key with a basis entry or with the
     # colon taken the other way round
     lhs, rhs = _normalized_gens(gens[:1]), _normalized_gens(gens[1:])
-    key = _content_key(ring, ring.order, lhs, rhs)
-    assert key not in {_content_key(ring, ring.order, lhs),
-                       _content_key(ring, ring.order, _normalized_gens(gens)),
-                       _content_key(ring, ring.order, rhs, lhs),
-                       _content_key(ring, ring.order, lhs + rhs, ())}
+    key = _content_key(ring, lhs, rhs)
+    assert key not in {_content_key(ring, lhs),
+                       _content_key(ring, _normalized_gens(gens)),
+                       _content_key(ring, rhs, lhs),
+                       _content_key(ring, lhs + rhs, ())}
     assert key == "9658c731da557a7d7d0b009007abd58e3c24f518cc8fedf036e459c3c41204f7"

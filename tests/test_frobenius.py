@@ -289,7 +289,7 @@ class TestPackedProducts:
     def test_packed_product_is_twisted_mul(self, drawn):
         ring, a, e1, b, _ = drawn
         q1 = ring.field.p ** e1
-        pk = groebner._packing(ring, ring.order, a.weighted_degree() + q1 * b.weighted_degree())
+        pk = groebner._packing(ring, a.weighted_degree() + q1 * b.weighted_degree())
         packed = groebner._twisted_product(pk.pack_terms(a.terms), q1,
                                            pk.pack_terms(b.terms), pk)
         assert pk.polynomial(packed.items()) == twisted_mul(a, e1, b)
@@ -322,12 +322,12 @@ class TestPackedProducts:
         assert minimal_generators_mod([P("x*y"), P("z^2")], zero,
                                       known=[(x, 2 ** 40, y), (x, 1, y)]) == [P("z^2")]
         assert formed == [1]
-        pk = groebner._packing(gf2_xyz, gf2_xyz.order, 2)
+        pk = groebner._packing(gf2_xyz, 2)
         with pytest.raises(ArithmeticError):  # the skipped one does not fit that packing
             real(pk.pack_terms(x.terms), 2 ** 40, pk.pack_terms(y.terms), pk)
 
     def test_field_overflow_raises_and_never_wraps(self, gf2_xyz):
-        pk = groebner._packing(gf2_xyz, gf2_xyz.order, 1)
+        pk = groebner._packing(gf2_xyz, 1)
         one, x, y = (pk.pack_terms(f.terms) for f in
                      (gf2_xyz.one(), gf2_xyz.variable("x"), gf2_xyz.variable("y")))
         fits = 2 ** (pk.width - 2)  # the largest power of 2 a field may hold

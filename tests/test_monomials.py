@@ -126,8 +126,8 @@ class TestSemigroup:
         for build, args in ((free_semigroup, (3,)), (veronese_semigroup, (2, 3)),
                             (segre_semigroup_2x3, ())):
             first = build(*args)
-            assert build(*args) is first
-            # a cached spec still equals a freshly constructed one
+            assert build(*args) == first
+            # a built spec equals a freshly constructed one
             assert first == SemigroupSpec(first.dim, first.congruences)
         assert free_semigroup(2) != free_semigroup(3)
         assert veronese_semigroup(2, 3) != veronese_semigroup(2, 2)

@@ -155,13 +155,13 @@ class TestMonomialOrder:
 
     def test_key_memos_stay_bounded(self):
         for order in (GREVLEX, Order("elim", 1)):
-            key = _key_function(ring(2, ("x", "y", "z")), order)
+            key = _key_function(ring(2, ("x", "y", "z"), order=order))
             for i in range(KEY_MEMO_SIZE + 100):
                 key((i, 1, 2))
             assert key.cache_info().currsize <= KEY_MEMO_SIZE
         maxsize = _key_function.cache_info().maxsize
         for i in range(maxsize + 10):
-            _key_function(ring(2, ("x", "y"), (1, i + 1)), GREVLEX)
+            _key_function(ring(2, ("x", "y"), (1, i + 1)))
         assert _key_function.cache_info().currsize <= maxsize
 
 
