@@ -170,7 +170,8 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
     (products) is computed, and degree_guard only reaches the components
     and the bases of the moduli I^[q].  A guard that aborted a Buchberger
     run on I^[q] + (products) may therefore let the probe finish, never
-    the other way round."""
+    the other way round.  The candidates, a component's generators, are
+    normal forms modulo I^[q] already, so they are not reduced again."""
     if emax < 1:
         raise ValueError("emax must be >= 1")
     comps = tuple(component(ideal, e, degree_guard) for e in range(1, emax + 1))

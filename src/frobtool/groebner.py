@@ -29,14 +29,21 @@ carry, so an overflow always shows there and raises ArithmeticError
 instead of wrapping into a wrong answer.
 
 Buchberger keeps each live S-pair with the lcm of its leads and takes
-pairs from a heap keyed by (weighted degree of the lcm, lcm, pair), so no
-pair's lcm or degree is recomputed.  A pair that a Gebauer-Moeller update
-drops stays in the heap and is skipped when popped; updates only ever add
-pairs with the new element, so a dropped pair never returns.  The update
-works on the exponent parts P of the leads: the P part of an lcm is the
-fieldwise max, taken by SWAR operations on the packed ints, while the K
-fields of an lcm are no such max, so only the pairs it keeps as new get
-a full packed lcm.
+pairs from a heap keyed by (the caller's grading of the lcm, lcm, pair),
+so no pair's lcm or grade is recomputed.  groebner_basis grades by the
+weighted degree; an elimination by the weighted degree of the ring's own
+variables, t counting 0, in which its inputs t*a and (1-t)*b are
+homogeneous when a and b are, so its run goes degree by degree (the
+normal strategy of the homogeneous case, with no new variable and no
+saturation).  A pair that a Gebauer-Moeller update drops stays in the
+heap and is skipped when popped; updates only ever add pairs with the new
+element, so a dropped pair never returns.  The update works on the
+exponent parts P of the leads, in one pass over the new lcms: the P part
+of an lcm is the fieldwise max, taken by SWAR operations on the packed
+ints, while the K fields of an lcm are no such max, so only the pairs it
+keeps as new get a full packed lcm.  Buchberger returns a minimal basis,
+ascending by lead; groebner_basis interreduces it, intersect only its
+t-free part, and a colon only its final quotients.
 
 Reduction takes the first divisor in basis order, found through a divisor
 index kept beside the basis (`_Divisors`): per variable, the distinct lead
@@ -63,7 +70,7 @@ Buchberger output (a t-free lead means a t-free entry), and the division
 by f_i is exact on packed dicts.
 
 A step whose divisor already maps the running quotient into lhs is
-skipped.  Each elimination returns the whole reduced basis of
+skipped.  Each elimination returns the whole minimal basis of
 K = t*lhs + (1-t)*B, with B = f_j*R_{j-1} at its step j, and h lies in
 lhs exactly when t*h lies in K, whatever B is: t*lhs lies in K, and
 t*h = t*a + (1-t)*b with a in lhs gives h = a at t = 1.
@@ -80,9 +87,15 @@ input for input, so a guard that aborted a colon may now let it finish,
 never the other way round.  An elimination after a skipped step, or a
 final groebner_basis on another ring order, starts from another basis
 of the same ideal, so its guard outcome is not tied to that chain's.
+Both guard checks of an elimination, on the next pair's lcm and on each
+remainder, read the full weighted degree, t included, so the width rule
+holds; but its pairs are popped by the ring's own degree, so on some
+inputs the first pair or remainder above the guard is another one than
+under the full degree, and an abort may move to another degree or phase,
+or appear or vanish.
 
 The last elimination run also gives the final basis: on a grevlex ring
-the t-free part is the reduced basis of J ∩ f*R, the leading terms of
+the t-free part is a minimal basis of J ∩ f*R, the leading terms of
 f*R are lm(f) times those of R, and division keeps the leads in order,
 lm(b/f) = lm(b)/lm(f).  So the monic quotients are a Groebner basis of R
 whose leads form an antichain, that is a minimal basis, and interreducing
@@ -397,25 +410,29 @@ def _gm_update(exps, pairs, t, pk):
     top = pk.width - 1
     b = exps[t]
     with_t = []  # exponent part of lcm(lead i, lead t): the fieldwise max
-    for a in exps[:t]:
+    first = {}  # each such lcm -> the first i with it
+    coprime = set()  # the lcms of some lead i coprime to lead t
+    for i, a in enumerate(exps[:t]):
         ge = ((a | hbits) - b) & hbits  # guard bit set where a's field >= b's
         ge -= ge >> top  # ... spread over that field's value bits
-        with_t.append(a & ge | b & ~ge)
+        lcm = a & ge | b & ~ge
+        with_t.append(lcm)
+        first.setdefault(lcm, i)
+        if a + b == lcm:
+            coprime.add(lcm)
     kept = {ij: lij for ij, lij in pairs.items()
             if (lij - b) & hbits or with_t[ij[0]] == lij or with_t[ij[1]] == lij}
-    by_lcm = {}
-    for i, lcm in enumerate(with_t):
-        by_lcm.setdefault(lcm, []).append(i)
     minimal = []
-    for lcm in sorted(by_lcm):
-        if all((lcm - prev) & hbits for prev in minimal):
-            minimal.append(lcm)
     new = []
-    for lcm in minimal:
-        group = by_lcm[lcm]  # ascending
-        if not any(exps[i] + b == lcm for i in group):
-            kept[group[0], t] = lcm
-            new.append(((group[0], t), pk.pack(pk.unpack(lcm))))
+    for lcm in sorted(first):
+        for prev in minimal:
+            if not (lcm - prev) & hbits:  # a smaller minimal lcm divides it
+                break
+        else:
+            minimal.append(lcm)
+            if lcm not in coprime:
+                kept[first[lcm], t] = lcm
+                new.append(((first[lcm], t), pk.pack(pk.unpack(lcm))))
     return kept, new
 
 
@@ -434,9 +451,14 @@ def _interreduce(minimal, pk):
     return reduced
 
 
-def _buchberger(inputs, pk, guard):
-    """Reduced Groebner basis of the packed input dicts; returns packed
-    [(lm, tail), ...] sorted ascending by leading monomial."""
+def _buchberger(inputs, pk, guard, grading):
+    """Minimal Groebner basis of the packed input dicts; returns packed
+    [(lm, tail), ...] sorted ascending by leading monomial, for the caller
+    to interreduce when it needs the reduced basis.
+
+    Pairs are taken by `grading` of their lcm (a function of a packed
+    monomial), then by the lcm itself; both guard checks read the full
+    weighted degree `pk.degree`, whatever the grading."""
     p, gbits = pk.p, pk.guard_bits
     degree = pk.degree
 
@@ -456,7 +478,7 @@ def _buchberger(inputs, pk, guard):
     exps = []
     index = _Divisors(pk)
     pairs = {}  # live pair (i, j) -> exponent part of the lcm of its leads
-    queue = []  # (degree(lcm), lcm, (i, j)), live or dropped
+    queue = []  # (grading(lcm), lcm, (i, j)), live or dropped
 
     def extend_basis(r):
         nonlocal pairs
@@ -465,7 +487,7 @@ def _buchberger(inputs, pk, guard):
         exps.append(lms[-1] & pk.exps_mask)
         pairs, new = _gm_update(exps, pairs, len(basis) - 1, pk)
         for ij, lcm in new:
-            heappush(queue, (degree(lcm), lcm, ij))
+            heappush(queue, (grading(lcm), lcm, ij))
 
     for entry in start:
         r = _reduce_full(_entry_dict(entry), basis, pk, index)
@@ -473,9 +495,10 @@ def _buchberger(inputs, pk, guard):
             extend_basis(r)
 
     while queue:
-        d, lcm, ij = heappop(queue)
+        _, lcm, ij = heappop(queue)
         if pairs.pop(ij, None) is None:
             continue
+        d = degree(lcm)
         if d > guard:
             raise DegreeGuardExceeded(d, guard, "pair lcm")
         s = _spoly(basis[ij[0]], basis[ij[1]], lcm, p)
@@ -492,7 +515,7 @@ def _buchberger(inputs, pk, guard):
     for i in sorted(range(len(basis)), key=lms.__getitem__):
         if all((lms[i] - lms[j]) & gbits for j in kept):
             kept.append(i)
-    return _interreduce([basis[i] for i in kept], pk)
+    return [basis[i] for i in kept]
 
 
 # --------------------------------------------------------------------------
@@ -589,7 +612,8 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
 
     def compute():
         pk = _packing(ring, max([guard] + [g.weighted_degree() for _, g in normalized]))
-        entries = _buchberger([pk.pack_terms(g.terms) for _, g in normalized], pk, guard)
+        entries = _interreduce(_buchberger([pk.pack_terms(g.terms) for _, g in normalized],
+                                           pk, guard, pk.degree), pk)
         return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
 
     return _memoized(_content_key(ring, normalized), ring, compute)
@@ -722,26 +746,37 @@ class _Elimination:
         self.pk = pk = _packing(ext, degree)
         self.t = pk._units[0]
         self._free = 1 << pk._degree_shifts[0]  # t-free monomials lie below
+        self._own = pk._degree_shifts[1]  # the trailing block's degree field
         self._shifts = pk._exponent_shifts[1:]
+
+    def degree(self, m: int) -> int:
+        """The weighted degree of a packed monomial in the variables of
+        `ring`, t counting 0."""
+        return (m >> self._own) & self.pk.mask
 
     def lift(self, f: Polynomial, a: int = 0) -> dict:
         """The packed f*t^a."""
         return self.pk.pack_terms([((a,) + m, c) for m, c in f.terms])
 
     def meet(self, lifted, gens, guard):
-        """The reduced basis, ascending, of the ideal K generated by `lifted`
+        """A minimal basis, ascending, of the ideal K generated by `lifted`
         and (1-t)*g for each g in `gens`.  With `lifted` the packed t*a over
         the generators a of A and `gens` the packed generators of B, its
-        t-free entries (`free`) are a Groebner basis of A ∩ B under weighted
-        grevlex, so its reduced basis on a grevlex ring; and t*h lies in K
-        exactly when h lies in A (set t = 1 in t*h = t*a + (1-t)*b)."""
+        t-free entries (`free`) are a minimal Groebner basis of A ∩ B under
+        weighted grevlex; and t*h lies in K exactly when h lies in A (set
+        t = 1 in t*h = t*a + (1-t)*b).
+
+        Buchberger takes its pairs by `degree`, the weighted degree of the
+        variables of `ring` alone: t*a and (1-t)*b are homogeneous in it
+        when a and b are homogeneous, so the run goes degree by degree.
+        The guard still bounds the full weighted degree, t included."""
         t, p = self.t, self.pk.p
         inputs = list(lifted)
         for g in gens:
             d = {m + t: p - c for m, c in g.items()}
             d.update(g)
             inputs.append(d)
-        return _buchberger(inputs, self.pk, guard)
+        return _buchberger(inputs, self.pk, guard, self.degree)
 
     def free(self, basis):
         """The t-free entries of an ascending basis, which come first."""
@@ -769,7 +804,9 @@ class _Elimination:
 
 def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     """Ideal intersection via an auxiliary variable and elimination, by the
-    packed step that colon runs; it consults no memo."""
+    packed step that colon runs; it consults no memo.  Only the t-free part
+    of the elimination's minimal basis is interreduced: a t-containing lead
+    divides no t-free term."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     ring = lhs.ring
@@ -778,13 +815,13 @@ def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ide
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
     gens = lhs.generators + rhs.generators
     el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in gens]))
-    meet = el.free(el.meet([el.lift(g, 1) for g in lhs.generators],
-                           [el.lift(g) for g in rhs.generators], guard))
+    meet = _interreduce(el.free(el.meet([el.lift(g, 1) for g in lhs.generators],
+                                        [el.lift(g) for g in rhs.generators], guard)), el.pk)
     projected = tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in meet)
     result = Ideal(ring, projected)
     if ring.order == GREVLEX:
-        # the t-free part of the elimination basis is already the reduced
-        # grevlex basis of the intersection
+        # the interreduced t-free part is the reduced grevlex basis of the
+        # intersection
         result.gb_cache[GREVLEX.tag] = projected
     return result
 
@@ -859,8 +896,10 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     previous elimination's basis of t*lhs + (1-t)*B decides that, as t*h
     lies in it exactly when h lies in lhs.  A skipped step cannot abort, so
     a guard that stopped the chain without skips may let this one finish.
-    The result is memoized, and kept in the persistent store, as one entry
-    per colon.
+    Each elimination takes its pairs by the degree of the ring's own
+    variables, while the guard bounds the full degree (see
+    _Elimination.meet).  The result is memoized, and kept in the
+    persistent store, as one entry per colon.
     """
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
@@ -879,7 +918,9 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
 
 def _colon_chain(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int]):
     """The reduced basis of lhs : rhs, computed in one _Elimination packing
-    from the first elimination to the final basis."""
+    from the first elimination to the final basis.  The basis of K is never
+    interreduced: the skip test needs only a Groebner basis, and the
+    quotients are interreduced once, at the end."""
     ring = lhs.ring
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
     el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in
@@ -898,7 +939,7 @@ def _colon_chain(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int]):
         quotients = [_divide_exact(_entry_dict(b), fd, pk) for b in el.free(basis)]
     del basis  # not held through the final basis
     if ring.order == GREVLEX:
-        # the quotients of a reduced basis by f are a minimal basis, and
+        # the quotients of a minimal basis by f are a minimal basis, and
         # interreducing it under grevlex raises no degree
         minimal = [_make_entry(q, p) for q in quotients]
         return tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in _interreduce(minimal, pk))
@@ -1005,7 +1046,9 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     Inserting in descending order keeps the same basis as deleting in
     ascending order (both give the unique greedy basis of the quotient
     matroid), so the survivors are those of the drop-if-redundant rule
-    above.
+    above.  Nothing is reduced twice: a candidate with no term that a lead
+    divides is its own normal form, and a known element of degree d
+    enters degree d's echelon as its normal form.
     """
     return [g for g, _, _ in _minimal_generators(gens, modulus, degree_guard, known)[1]]
 
@@ -1066,6 +1109,7 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
     basis = [_make_entry(pk.pack_terms(g.terms), pk.p)
              for g in modulus.groebner_basis(degree_guard) if g.weighted_degree() <= top]
     index = _Divisors(pk)
+    index.sync(basis)
     key = _key_function(ring)
     cands.sort(key=lambda c: (c[1], key(c[0].leading_monomial())))
     # (generator, degree, packed normal form): the known elements, then the
@@ -1077,13 +1121,21 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
     for d, group in itertools.groupby(cands, key=itemgetter(1)):
         ech = _Echelon(pk.p)
         for _, dh, form in kept:
+            if dh == d:  # its only shift is by 1, and it is a normal form
+                ech.add_row(form)
+                continue
             for m in monomials_of_weighted_degree(ring.weights, d - dh):
                 s = pk.pack(m)
                 ech.add_row(_reduce_full({mm + s: c for mm, c in form.items()},
                                          basis, pk, index))
         survivors = []
         for g, _, packed_g in reversed(list(group)):
-            form = _reduce_full(packed_g, basis, pk, index)
+            # a candidate with no term that a lead divides (a component's
+            # generator, in the probe) is its own normal form
+            if any(index.first(m) >= 0 for m in packed_g):
+                form = _reduce_full(packed_g, basis, pk, index)
+            else:
+                form = packed_g
             if ech.add_row(form):
                 survivors.append((g, d, form))
         kept.extend(reversed(survivors))

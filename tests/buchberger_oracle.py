@@ -4,8 +4,10 @@ a key function, before packed monomials.
 
 `_spoly`, `_reduce_full`, `_gm_update` and `_buchberger` below are the
 earlier code, unchanged except that each `DegreeGuardExceeded` names its
-phase and that `_buchberger` runs under its ring's order; `_make_entry`
-and `_entry_dict` are the tuple versions, unchanged.
+phase and that `_buchberger` runs under its ring's order and selects its
+pairs by the grading it is given (the weighted degree before), while its
+guard checks still read the weighted degree; `_make_entry` and
+`_entry_dict` are the tuple versions, unchanged.
 Every step recomputes what the library now carries: `min` over all live
 pairs recomputes every pair's lcm and weighted degree, and the divisor
 search tests every basis lead in turn.  The tests compare the two engines
@@ -127,9 +129,10 @@ def _gm_update(lms, pairs, t, key):
     return kept
 
 
-def _buchberger(inputs, ring, guard):
+def _buchberger(inputs, ring, guard, grading):
     """Reduced Groebner basis of the input dicts; returns [(lm, tail), ...]
-    sorted ascending by leading monomial."""
+    sorted ascending by leading monomial.  The next pair is the one least
+    by (grading of its lcm, lcm, pair)."""
     p = ring.field.p
     key = _key_function(ring)
     wdeg = ring.weighted_degree
@@ -159,7 +162,7 @@ def _buchberger(inputs, ring, guard):
         pairs = _gm_update(lms, pairs, len(basis) - 1, key)
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (wdeg(mono_lcm(lms[ij[0]], lms[ij[1]])),
+        i, j = min(pairs, key=lambda ij: (grading(mono_lcm(lms[ij[0]], lms[ij[1]])),
                                           key(mono_lcm(lms[ij[0]], lms[ij[1]])),
                                           ij))
         pairs.discard((i, j))

@@ -3,7 +3,9 @@ acceptance module.  Every function raises AssertionError on the first
 violation and returns a count of checked instances."""
 
 import random
+from unittest.mock import patch
 
+from frobtool import groebner
 from frobtool.frobenius import (
     component,
     fingen_probe,
@@ -352,5 +354,53 @@ def run_deep_lift_check():
                     assert lift_by_nzd(g, m, modulus, 400) == \
                         lift_oracle.lift_by_nzd(g, m, modulus, 400), (p, e, s, t)
                     checked += 1
+    clear_memo()
+    return checked
+
+
+# an intersect input of the Buchberger oracle test (random.Random seed 1530)
+# on which the tuple oracle is slow: t*I + (1-t)*J over GF(2), exponents
+# (t, x, y, z), weights (1, 2, 1) on x, y, z, guard 40
+SLOW_INTERSECT_INPUT = (
+    {(1, 0, 2, 1): 1, (1, 1, 1, 2): 1},
+    {(1, 0, 2, 2): 1, (1, 2, 1, 1): 1, (1, 2, 0, 1): 1},
+    {(1, 1, 2, 2): 1, (1, 0, 1, 0): 1, (0, 1, 2, 2): 1, (0, 0, 1, 0): 1},
+    {(1, 2, 2, 0): 1, (1, 2, 1, 2): 1, (1, 0, 0, 1): 1, (0, 2, 2, 0): 1, (0, 2, 1, 2): 1,
+     (0, 0, 0, 1): 1},
+)
+
+
+def run_deep_elimination_check():
+    """Buchberger under the elimination grading, which takes pairs by the
+    degree of the ring's own variables, against the same packed inputs
+    under the full weighted degree, the grading groebner_basis uses: the
+    interreduced results must be equal.  It checks each elimination of the
+    colon chain at the minors p=2 e=4 and the twisted cubic p=7 e=3, and
+    SLOW_INTERSECT_INPUT (12 to 16 s in all; too slow for the tier-1
+    suite).  Unlike the deep colon check, whose reference shares
+    _Elimination.meet, this one compares two pair orders of the engine.
+    Not collected by pytest; from the repository root, run
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_elimination_check()"`.
+    Returns the number of eliminations checked."""
+    buchberger = groebner._buchberger
+    checked = 0
+
+    def both_gradings(inputs, pk, guard, grading):
+        nonlocal checked
+        assert grading != pk.degree, "not an elimination"
+        basis = buchberger(inputs, pk, guard, grading)
+        assert groebner._interreduce(basis, pk) == \
+            groebner._interreduce(buchberger(inputs, pk, guard, pk.degree), pk)
+        checked += 1
+        return basis
+
+    el = groebner._Elimination(RingSpec(PrimeField(2), ("x", "y", "z"), (1, 2, 1)), 40)
+    with patch.object(groebner, "_buchberger", both_gradings):
+        for build, p, e, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 7, 3, 4116)):
+            _, ideal = build(p)
+            clear_memo()
+            colon(frobenius_power(ideal, e), ideal, guard)
+        groebner._buchberger([el.pk.pack_terms(fd.items()) for fd in SLOW_INTERSECT_INPUT],
+                             el.pk, 40, el.degree)
     clear_memo()
     return checked

@@ -113,6 +113,15 @@ def test_degree_guard_exit3(capsys, tmp_path):
         assert context in err
 
 
+def test_katzman_p3_e4_aborts_under_default_guard(capsys):
+    # the colon of component e=4 outgrows the default guard of 120; the
+    # elimination's pair order must not move this abort
+    assert main(["gallery", "katzman", "--p", "3", "--emax", "4", "--no-cache"]) == 3
+    err = capsys.readouterr().err
+    assert "intermediate weighted degree 163 (pair lcm) exceeds the degree guard 120" in err
+    assert "in the colon I^[q]:I of component e=4 (q=81);" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["twisted", "--p", "4"], "characteristic must be prime: 4"),
     (["twisted", "--p", "6", "--dim", "3", "--emax", "2"], "characteristic must be prime: 6"),

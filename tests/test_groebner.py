@@ -233,7 +233,8 @@ class TestIntersect:
                 continue
             # the packed step against the elimination of t*(f) + (1-t)*(g)
             # built from polynomials
-            meet = el.free(el.meet([el.lift(f, 1)], [el.lift(g)], 40))
+            meet = groebner._interreduce(el.free(el.meet([el.lift(f, 1)], [el.lift(g)], 40)),
+                                         el.pk)
             basis = groebner.groebner_basis([t * lifted, (ext.one() - t) * _lift(g, ext)],
                                             ext, degree_guard=40)
             expected = [Polynomial(ring, [(m[1:], c) for m, c in b.terms])
@@ -442,6 +443,55 @@ class TestColonOracle:
         assert reduced == groebner.groebner_basis(quotients, ring, degree_guard=COLON_GUARD)
 
 
+@st.composite
+def homogeneous_pairs(draw):
+    """Homogeneous ideals A and B over GF(2), GF(3) or GF(5) under weighted
+    grevlex, weights (1,1,1) or (1,2,1)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    rng = draw(st.randoms(use_true_random=False))
+    ring = RingSpec(PrimeField(p), ("x", "y", "z"), weights)
+
+    def ideal():
+        gens = [_random_homogeneous(ring, rng, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))]
+        return Ideal(ring, [g for g in gens if not g.is_zero()] or [ring.variable("z")])
+
+    return ring, ideal(), ideal()
+
+
+class TestEliminationGrading:
+    """An elimination takes its pairs by the degree of the ring's own
+    variables, t counting 0; its answers equal those of a basis of the same
+    inputs under the full weighted degree, the grading of groebner_basis."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous_pairs())
+    def test_intersect_matches_full_degree(self, instance):
+        ring, lhs, rhs = instance
+        ext = groebner._extended_ring(ring)
+        t = ext.variable(ext.variables[0])
+        gens = ([t * _lift(a, ext) for a in lhs.generators]
+                + [(ext.one() - t) * _lift(b, ext) for b in rhs.generators])
+        try:
+            meet = intersect(lhs, rhs, COLON_GUARD)
+            basis = groebner.groebner_basis(gens, ext, degree_guard=COLON_GUARD)
+        except DegreeGuardExceeded:
+            assume(False)
+        assert meet.generators == tuple(Polynomial(ring, [(m[1:], c) for m, c in b.terms])
+                                        for b in basis if b.leading_monomial()[0] == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous_pairs())
+    def test_colon_matches_oracle(self, instance):
+        ring, lhs, rhs = instance
+        clear_memo()
+        new = _colon_or_abort(groebner.colon, lhs, rhs)
+        old = _colon_or_abort(colon_oracle.colon, lhs, rhs)
+        assume(new is not None and old is not None)
+        assert new == old
+
+
 def _eliminations(call):
     """call() and the number of eliminations (_Elimination.meet calls) it ran."""
     count = 0
@@ -578,6 +628,14 @@ class TestMinimalGenerators:
         ring, ideal = minors
         result = minimal_generators_mod([ring.one()], ideal)
         assert result == [ring.one()]
+
+    def test_candidate_outside_normal_form_is_reduced(self, gf2_xyz):
+        # x^2 + y^2 and y^2 agree modulo (x^2), which only the normal form
+        # of x^2 + y^2 shows; candidates that are normal forms are not
+        # reduced again, so this one must be told apart
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        J = Ideal(gf2_xyz, (P("x^2"),))
+        assert minimal_generators_mod([P("x^2 + y^2"), P("y^2")], J) == [P("x^2 + y^2")]
 
     def test_rejects_inhomogeneous(self, gf2_xyz):
         f = parse_polynomial("x + x*y", gf2_xyz)
@@ -762,6 +820,19 @@ class TestSliceOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(graded_instances())
+    def test_forms_are_normal_forms(self, instance):
+        """Each survivor carries its normal form, whether the candidate was
+        one already, as a component's generators are in the probe, or not."""
+        ring, modulus, cands, _ = instance
+        forms = [modulus.normal_form(g) for g in cands]
+        pk, survivors = groebner._minimal_generators(
+            cands + [h for h in forms if not h.is_zero()], modulus, None)
+        for g, _, form in survivors:
+            assert pk.polynomial(form.items()) == modulus.normal_form(g)
+        assert len(survivors) == len(minimal_generators_mod(cands, modulus))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graded_instances())
     def test_known_matches_enlarged_modulus(self, instance):
         """Known elements act exactly as generators added to the modulus."""
         ring, modulus, cands, rng = instance
@@ -777,21 +848,33 @@ def _unpack_entry(pk, entry):
     return pk.unpack(lm), tuple((pk.unpack(m), c) for m, c in tail)
 
 
-def _traced_buchberger(module, inputs, ring, guard):
+def _traced_buchberger(module, inputs, ring, guard, base=None):
     """Run one engine's _buchberger and record its steps: the leads of every
     S-pair it takes and every entry it makes, in order, as exponent tuples.
     The library's engine gets its inputs packed as groebner_basis packs
-    them, and its steps and result are unpacked through that packing.  A
-    guard abort is part of the outcome."""
+    them, and its steps and result are unpacked through that packing; its
+    minimal basis is interreduced, as groebner_basis does, so its entries
+    line up with the oracle's reduced basis.  Pairs are graded by the
+    weighted degree, or with `base`, the ring extended by t, by the
+    weighted degree of the variables of `base`, as _Elimination.meet does.
+    A guard abort is part of the outcome."""
     steps = []
     if module is groebner:
-        pk = groebner._packing(ring, max([guard] + [
-            ring.weighted_degree(m) for fd in inputs for m in fd]))
-        args = ([pk.pack_terms(fd.items()) for fd in inputs], pk, guard)
+        degree = max([guard] + [ring.weighted_degree(m) for fd in inputs for m in fd])
+        if base is None:
+            pk = groebner._packing(ring, degree)
+            grading = pk.degree
+        else:
+            el = groebner._Elimination(base, degree)
+            pk, grading = el.pk, el.degree
+        args = ([pk.pack_terms(fd.items()) for fd in inputs], pk, guard, grading)
+        finish = lambda basis: groebner._interreduce(basis, pk)
         unpack, unpack_entry = pk.unpack, lambda entry: _unpack_entry(pk, entry)
     else:
-        args = (inputs, ring, guard)
-        unpack = unpack_entry = lambda x: x
+        grading = (ring.weighted_degree if base is None
+                   else lambda m: base.weighted_degree(m[1:]))
+        args = (inputs, ring, guard, grading)
+        finish = unpack = unpack_entry = lambda x: x
     spoly, make_entry = module._spoly, module._make_entry
 
     def traced_spoly(f, g, *rest):
@@ -806,7 +889,7 @@ def _traced_buchberger(module, inputs, ring, guard):
     with patch.object(module, "_spoly", traced_spoly), \
             patch.object(module, "_make_entry", traced_make_entry):
         try:
-            outcome = [unpack_entry(e) for e in module._buchberger(*args)]
+            outcome = [unpack_entry(e) for e in finish(module._buchberger(*args))]
         except DegreeGuardExceeded as exc:
             outcome = ("guard", exc.degree, exc.phase)
     return outcome, steps
@@ -816,7 +899,8 @@ def _traced_buchberger(module, inputs, ring, guard):
 def buchberger_instances(draw):
     """Random input dicts over GF(2), GF(3) or GF(5) under grevlex, lex or
     the elimination order, the last also as the inhomogeneous
-    t*I + (1-t)*J inputs that intersect builds."""
+    t*I + (1-t)*J inputs that intersect builds.  The last item is the ring
+    that t extends for those, and None for the others."""
     p = draw(st.sampled_from((2, 3, 5)))
     kind = draw(st.sampled_from(("grevlex", "lex", "elim", "intersect")))
     weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
@@ -826,6 +910,7 @@ def buchberger_instances(draw):
     def gens(ring, count):
         return [random_poly(ring, rng, max_terms=3, max_exp=2) for _ in range(count)]
 
+    base = None
     if kind == "intersect":
         base = RingSpec(field, ("x", "y", "z"), weights)
         ring = groebner._extended_ring(base)
@@ -836,30 +921,33 @@ def buchberger_instances(draw):
         order = {"grevlex": GREVLEX, "lex": LEX, "elim": Order("elim", 1)}[kind]
         ring = RingSpec(field, ("x", "y", "z"), weights, order)
         polys = gens(ring, rng.randint(1, 4))
-    return ring, [dict(f.terms) for f in polys if not f.is_zero()], rng
+    return ring, [dict(f.terms) for f in polys if not f.is_zero()], rng, base
 
 
 class TestBuchbergerOracle:
     """The heap-ordered engine on packed monomials against the earlier
     engine on exponent tuples kept in tests/buchberger_oracle.py: the same
-    S-pairs in the same order, the same entries, the same guard aborts."""
+    S-pairs in the same order, the same entries, the same guard aborts.
+    The intersect inputs run under the grading of the ring's own
+    variables, as in an elimination, the others under the weighted
+    degree."""
 
     # the slowest of 3000 examples took 2.1 s; a finite deadline turns a
     # rare slow instance into a failure that prints its example
     @settings(max_examples=200, deadline=timedelta(seconds=60))
     @given(buchberger_instances())
     def test_steps_match_oracle(self, instance):
-        ring, inputs, _ = instance
-        new = _traced_buchberger(groebner, inputs, ring, 40)
-        old = _traced_buchberger(buchberger_oracle, inputs, ring, 40)
+        ring, inputs, _, base = instance
+        new = _traced_buchberger(groebner, inputs, ring, 40, base)
+        old = _traced_buchberger(buchberger_oracle, inputs, ring, 40, base)
         assert new == old
 
     @settings(max_examples=100, deadline=None)
     @given(buchberger_instances(), st.integers(2, 6))
     def test_guard_matches_oracle(self, instance, guard):
-        ring, inputs, _ = instance
-        new = _traced_buchberger(groebner, inputs, ring, guard)
-        old = _traced_buchberger(buchberger_oracle, inputs, ring, guard)
+        ring, inputs, _, base = instance
+        new = _traced_buchberger(groebner, inputs, ring, guard, base)
+        old = _traced_buchberger(buchberger_oracle, inputs, ring, guard, base)
         assert new == old
 
     @settings(max_examples=100, deadline=None)
@@ -868,7 +956,7 @@ class TestBuchbergerOracle:
         # the inputs are no Groebner basis, so the remainder depends on
         # which divisor reduces each term; the basis is fixed, so one
         # divisor index serves all three reductions
-        ring, inputs, rng = instance
+        ring, inputs, rng, _ = instance
         key = _key_function(ring)
         p = ring.field.p
         basis = [buchberger_oracle._make_entry(fd, key, p) for fd in inputs]
@@ -902,7 +990,7 @@ class TestFrobeniusOracle:
     @settings(max_examples=100, deadline=None)
     @given(buchberger_instances(), st.sampled_from((1, 2, 5, 30)))
     def test_basis_of_frobenius_power(self, instance, e):
-        ring, inputs, _ = instance
+        ring, inputs, _, _ = instance
         q = ring.field.p ** e
         gens = [Polynomial(ring, fd) for fd in inputs]
         clear_memo()  # a memoized basis would skip the guard
