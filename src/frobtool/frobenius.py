@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Optional
 
 from .groebner import (
@@ -27,6 +27,7 @@ from .groebner import (
 from .monomials import (
     FracMonomialModule,
     MonomialIdeal,
+    _Dominance,
     free_semigroup,
     mono_colon,
     mono_frobenius_power,
@@ -195,15 +196,15 @@ def fractional_fingen_probe(comps, p: int, degree=None) -> FinGenReport:
     """Generation probe on fractional monomial components: comps[e - 1] is
     the degree-e component, a FracMonomialModule of degree e.  A degree-e
     generator g is new when no twisted product h of lower components
-    leaves g - h admissible.  degree is as in generation_report."""
+    leaves g - h admissible: one dominance index over the products of
+    degree e answers that with one query per generator.  degree is as in
+    generation_report."""
     if [c.degree for c in comps] != list(range(1, len(comps) + 1)):
         raise ValueError("the components must have degrees 1, 2, ..., emax")
 
     def outside(e, products):
-        products = set(products)
-        admissible = comps[e - 1].semigroup.admissible
-        return [g for g in comps[e - 1].generators
-                if not any(admissible(tuple(map(sub, g, h))) for h in products)]
+        below = _Dominance(list(products), comps[e - 1].semigroup.congruences).below
+        return [g for g in comps[e - 1].generators if not below(g, 1)]
 
     return generation_report(
         p, [c.generators for c in comps],

@@ -126,6 +126,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -1028,11 +1029,11 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     Nakayama the surviving count is an invariant of the module even though
     the chosen representatives are not.  An element of `known` is a
     polynomial, or a twisted product a*b^(q1) given by its factors
-    (a, q1, b), q1 a power of p; it counts as part of the submodule and is
-    never returned.  A product is formed in the packing of the normal
-    forms, and its homogeneity is that of its factors.  One above the top
-    candidate degree cannot generate a candidate and is never formed or
-    packed.
+    (a, q1, b), q1 = p^k with k >= 0 (any other q1 raises ValueError); it
+    counts as part of the submodule and is never returned.  A product is
+    formed in the packing of the normal forms, and its homogeneity is that
+    of its factors.  One above the top candidate degree cannot generate a
+    candidate and is never formed or packed.
 
     The work happens on normal forms modulo the reduced basis of the
     modulus, which for a homogeneous ideal is a linear map on each degree
@@ -1090,6 +1091,8 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
         a, q1, b = (f, 1, one) if isinstance(f, Polynomial) else f
         if a.ring != ring or b.ring != ring:
             raise RingMismatch("ring mismatch")
+        if q1 < 1 or pk.p ** round(math.log(q1, pk.p)) != q1:  # see _twisted_product
+            raise ValueError(f"a known product a*b^(q1) needs q1 a power of {pk.p}, not {q1}")
         if a.is_zero() or b.is_zero() or (a, q1, b) in seen:
             continue
         for h in (a, b):

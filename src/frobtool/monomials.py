@@ -20,8 +20,12 @@ index, built when the batch starts and dropped when it ends, so a caller
 looping over right-hand components holds one index at a time.  The index
 is not kept on the module: one held by the module would keep its bitsets
 alive as long as the module, for every component a probe holds at once,
-and raise peak memory with no gain in speed.  A single `contains` test
-keeps its linear scan, which is cheaper than building the index.
+and raise peak memory with no gain in speed.  The fractional generation
+probe's `outside` builds one index over a degree's twisted products and
+queries it once per generator.  A single `contains` test keeps its linear
+scan, which is cheaper than building the index: the seven 2x3 Segre
+witnesses of p=2 e<=8 took 1.3-1.7 ms by scan, building their seven
+indexes 103-110 ms (two runs, 2-core host).
 
 The component builders emit their generators in ascending order and hand
 them to `FracMonomialModule._from_sorted`, which neither validates nor
@@ -89,10 +93,6 @@ class MonomialIdeal:
     def polynomials(self):
         """The generators as Polynomial values over the ring."""
         return tuple(self.ring.monomial(m) for m in self.generators)
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return MonomialIdeal(self.ring, self.generators + other.generators)
 
     def _check(self, other: "MonomialIdeal") -> None:
         if not isinstance(other, MonomialIdeal):

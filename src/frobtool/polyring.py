@@ -120,13 +120,9 @@ class RingSpec:
     def weighted_degree(self, mono: Mono) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def monomial_key(self):
-        """Key function: key(a) > key(b) iff a > b under the ring's order."""
-        return _key_function(self)
-
     def compare(self, a: Mono, b: Mono) -> int:
         """Total order on monomials: -1, 0 or 1."""
-        key = self.monomial_key()
+        key = _key_function(self)
         ka, kb = key(a), key(b)
         return (ka > kb) - (ka < kb)
 
@@ -244,7 +240,7 @@ class Polynomial:
                 acc[mono] = c
             elif mono in acc:
                 del acc[mono]
-        key = ring.monomial_key()
+        key = _key_function(ring)
         self.terms = tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
         self._hash = None
 

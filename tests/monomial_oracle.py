@@ -12,6 +12,11 @@ compare the library's index against them on random semigroups.
 library's `twisted_products`, so a test can ask the module's own
 `contains` about it.
 
+`fractional_fingen_probe` is the earlier probe, unchanged: its `outside`
+tests every generator against every twisted product of lower components
+with `admissible`.  The tests require the library's probe, which asks a
+dominance index over the products instead, to give the same rows.
+
 `segre_component_2x3` and `poly_twisted_component` are the earlier
 builders, unchanged: each hands its generators to the validating
 constructor, which sorts them.  The tests require the library's in-order
@@ -20,8 +25,10 @@ builders to give the same generator tuples, order included.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Sequence
 
+from frobtool.frobenius import FinGenReport, generation_report
 from frobtool.monomials import (
     FracMonomialModule,
     _twist,
@@ -71,6 +78,26 @@ def minimalize(self: FracMonomialModule) -> FracMonomialModule:
         if not dominated:
             kept.append(g)
     return FracMonomialModule(self.semigroup, kept, self.degree)
+
+
+def fractional_fingen_probe(comps, p: int, degree=None) -> FinGenReport:
+    """Generation probe on fractional monomial components: comps[e - 1] is
+    the degree-e component, a FracMonomialModule of degree e.  A degree-e
+    generator g is new when no twisted product h of lower components
+    leaves g - h admissible.  degree is as in generation_report."""
+    if [c.degree for c in comps] != list(range(1, len(comps) + 1)):
+        raise ValueError("the components must have degrees 1, 2, ..., emax")
+
+    def outside(e, products):
+        products = set(products)
+        admissible = comps[e - 1].semigroup.admissible
+        return [g for g in comps[e - 1].generators
+                if not any(admissible(tuple(map(sub, g, h))) for h in products)]
+
+    return generation_report(
+        p, [c.generators for c in comps],
+        lambda e1, e2: twisted_products(comps[e1 - 1], comps[e2 - 1], p),
+        outside, degree)
 
 
 def poly_twisted_component(d: int, p: int, e: int) -> FracMonomialModule:

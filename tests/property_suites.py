@@ -3,6 +3,7 @@ acceptance module.  Every function raises AssertionError on the first
 violation and returns a count of checked instances."""
 
 import random
+from math import comb
 from unittest.mock import patch
 
 from frobtool import groebner
@@ -41,6 +42,7 @@ from frobtool.polyring import PrimeField, RingSpec, mono_div, mono_lcm
 
 import colon_oracle
 import lift_oracle
+import monomial_oracle
 from conftest import (
     random_binomial_ideal,
     random_monomial,
@@ -294,9 +296,13 @@ def run_segre_probe_suite():
 
 def run_deep_segre_rows():
     """The Groebner probe on the minors against the Segre probe, row for
-    row, at depths too slow for the tier-1 suite (about a minute in all,
-    half of it p=2 e<=5).  Not collected by pytest; from the repository
-    root, run
+    row, at depths too slow for the tier-1 suite (about 30 s); the Segre
+    probe against the pair scan it replaced (monomial_oracle.py) at p=2
+    e<=6 (about 4 s); and, deeper, where only the monomial path reaches,
+    each Segre row's count against the closed form C(q+1, 2) at p=2 e<=8,
+    p=3 e<=5 and p=5 e<=3 (about 3 s).  The new-generator counts are
+    checked only where the Groebner probe confirms them.  Not collected by
+    pytest; from the repository root, run
     `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_segre_rows()"`.
     Returns the number of rows checked."""
     checked = 0
@@ -308,6 +314,14 @@ def run_deep_segre_rows():
         _, ideal = minors_ideal(p)
         assert rows == _segre_signature(fingen_probe(ideal, emax, 3000).report), p
         checked += len(rows)
+    comps = [segre_component_2x3(2, e).minimalize() for e in range(1, 7)]
+    rows = fractional_fingen_probe(comps, 2, degree=sum).rows
+    assert rows == monomial_oracle.fractional_fingen_probe(comps, 2, degree=sum).rows
+    checked += len(rows)
+    for p, emax in ((2, 8), (3, 5), (5, 3)):
+        for row in segre_monomial_probe(p, emax).rows:
+            assert row.min_gen_count == comb(row.q + 1, 2), (p, row)
+            checked += 1
     return checked
 
 

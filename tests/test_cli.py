@@ -4,7 +4,12 @@ from pathlib import Path
 import pytest
 
 from frobtool.cli import main
-from frobtool.groebner import LiftVerificationError, clear_memo, set_persistent_cache
+from frobtool.groebner import (
+    LiftVerificationError,
+    NoLiftExists,
+    clear_memo,
+    set_persistent_cache,
+)
 from frobtool.polyring import RingMismatch
 
 KATZMAN = """\
@@ -191,6 +196,22 @@ def test_gallery_pass_and_fail_exit_codes(capsys, monkeypatch):
     assert main(["gallery", "fedder", "--no-cache"]) == 1
     out = capsys.readouterr().out
     assert "FAIL forced" in out
+
+
+@pytest.mark.parametrize("error, code", [(NoLiftExists, 2), (LiftVerificationError, 4)])
+def test_failed_lift_stops_the_lift_family(capsys, monkeypatch, error, code):
+    # the lift family reports memberships and verified lifts as passed
+    # without checking them again: a lift that is missing or fails its own
+    # check must stop the case, never reach a report
+    import frobtool.gallery as gallery_mod
+
+    def failing_lift(*args, **kwargs):
+        raise error("planted failure")
+
+    monkeypatch.setattr(gallery_mod, "lift_by_nzd", failing_lift)
+    assert main(["gallery", "lifts", "--no-cache"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and "planted failure" in err
 
 
 def test_twisted_poly(capsys):

@@ -338,6 +338,24 @@ class TestPackedProducts:
             with pytest.raises(ArithmeticError, match="outgrew"):
                 groebner._twisted_product(a, q1, y, pk)
 
+    def test_product_needs_q1_a_power_of_p(self, monkeypatch):
+        ring = RingSpec(PrimeField(3), ("x", "y"))
+        P = lambda s: parse_polynomial(s, ring)
+        one, zero = ring.one(), Ideal(ring, ())
+        cands = [P("x^2 + y^2")]
+        # the true product (x + y)^2 leaves the candidate a generator; read as
+        # a Frobenius power, q1 = 2 would pack to x^2 + y^2 and drop it
+        assert minimal_generators_mod(cands, zero, known=[P("x + y") ** 2]) == cands
+        assert minimal_generators_mod(cands, zero, known=[(one, 3, P("x + y"))]) == cands
+
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a basis was computed")
+
+        monkeypatch.setattr(Ideal, "groebner_basis", no_basis)
+        for q1 in (2, 0, -1):
+            with pytest.raises(ValueError, match="power of 3"):
+                minimal_generators_mod(cands, zero, known=[(one, q1, P("x + y"))])
+
 
 class TestGuardContext:
     """A guard abort inside component names e, q and the step."""

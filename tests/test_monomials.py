@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobtool.frobenius import fractional_fingen_probe
 from frobtool.groebner import Ideal, colon, frobenius_power, ideal_equal
 from frobtool.monomials import (
     FracMonomialModule,
@@ -456,6 +457,67 @@ def _module_instance(rng):
     gens = _random_gens(rng, semigroup, low=1)
     gens += [_near(rng, semigroup, rng.choice(gens)) for _ in range(rng.randint(0, 8))]
     return FracMonomialModule(semigroup, gens, 1)
+
+
+def _probe_instance(rng):
+    """(comps, p): components of degrees 1..emax, emax 2 or 3, over one
+    semigroup; each degree-e generator drawn freely or near a twisted
+    product of lower components.  Half the time the degree-2 component
+    holds (p+1)*a for a degree-1 generator a, so the degree-3 products
+    a + p*(p+1)*a and (p+1)*a + p^2*a of the two splits repeat."""
+    p = rng.choice((2, 3, 5))
+    semigroup = _random_semigroup(rng, p)
+    comps = []
+    for e in range(1, rng.randint(2, 3) + 1):
+        gens = _random_gens(rng, semigroup, low=1)
+        if e == 2 and rng.random() < 0.5:
+            gens.append(tuple((p + 1) * x for x in rng.choice(comps[0].generators)))
+        products = [h for e1 in range(1, e)
+                    for h in twisted_products(comps[e1 - 1], comps[e - e1 - 1], p)]
+        gens += [_near(rng, semigroup, rng.choice(products))
+                 for _ in range(rng.randint(0, 6) if products else 0)]
+        comps.append(FracMonomialModule(semigroup, gens, e))
+    return comps, p
+
+
+def _repeats_a_product(comps, p) -> bool:
+    for e in range(2, len(comps) + 1):
+        products = [h for e1 in range(1, e)
+                    for h in twisted_products(comps[e1 - 1], comps[e - e1 - 1], p)]
+        if len(set(products)) < len(products):
+            return True
+    return False
+
+
+class TestProbeOracle:
+    """fractional_fingen_probe, which asks a dominance index over the
+    products, against the pair scan it replaced (tests/monomial_oracle.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_probe_matches_scan(self, rng):
+        comps, p = _probe_instance(rng)
+        assert fractional_fingen_probe(comps, p, degree=sum).rows == \
+            monomial_oracle.fractional_fingen_probe(comps, p, degree=sum).rows
+
+    def test_instances_reach_every_case(self):
+        rng = random.Random(33)
+        instances = [_probe_instance(rng) for _ in range(300)]
+        reports = [fractional_fingen_probe(comps, p) for comps, p in instances]
+        congruences = [m for comps, _ in instances
+                       for _, m in comps[0].semigroup.congruences]
+        assert 0 in congruences and any(m > 0 for m in congruences)
+        assert any(min(g) < 0 for comps, _ in instances for g in comps[-1].generators)
+        # some rows have products reaching a generator, some have none
+        assert any(r.new_gen_count < r.min_gen_count for rep in reports for r in rep.rows[1:])
+        assert any(r.new_gen_count == r.min_gen_count for rep in reports for r in rep.rows[1:])
+        assert 0.1 < sum(_repeats_a_product(comps, p) for comps, p in instances) / 300 < 0.9
+
+    @pytest.mark.parametrize("p, emax", [(2, 5), (3, 3)])
+    def test_segre_rows_match_scan(self, p, emax):
+        comps = [segre_component_2x3(p, e).minimalize() for e in range(1, emax + 1)]
+        assert fractional_fingen_probe(comps, p, degree=sum).rows == \
+            monomial_oracle.fractional_fingen_probe(comps, p, degree=sum).rows
 
 
 class TestDominanceOracle:
