@@ -95,8 +95,9 @@ def _run(argv) -> int:
         parser.error(f"argument --degree-guard: must be at least 1: {args.degree_guard}")
 
     cache = None
-    if not args.no_cache:
-        cache = BasisCache(default_cache_dir())
+    root = None if args.no_cache else default_cache_dir()
+    if root is not None:
+        cache = BasisCache(root)
         set_persistent_cache(cache)
     started = time.monotonic()
     passed = True

@@ -268,6 +268,24 @@ def test_non_object_cache_entry_discarded(capsys, tmp_path, monkeypatch):
     assert rep1 == rep2
 
 
+def test_no_home_directory_runs_without_cache(capsys, monkeypatch, caplog):
+    # Path.home() raises RuntimeError when HOME is unset and the user has no
+    # passwd entry; the command warns and runs without the cache
+    from frobtool.report import comparable, report_json
+
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("FROBTOOL_CACHE", raising=False)
+    monkeypatch.setattr(Path, "home", no_home)
+    code, report = run_json(capsys, ["gallery", "fedder", "--p", "2", "--json"])
+    assert code == 0
+    assert "persistent_cache" not in report["timing"]
+    assert any("cache disabled" in rec.message for rec in caplog.records)
+    golden = Path(__file__).parent / "golden" / "v1" / "gallery_fedder_p2.json"
+    assert report_json(comparable(report)) == golden.read_text(encoding="utf-8")
+
+
 def test_human_output(capsys, katzman_file):
     code = main(["fops", "--input", katzman_file, "--ideal", "I", "--emax", "2",
                  "--no-cache"])
