@@ -44,7 +44,6 @@ from .frobenius import (
     degree_growth,
     fingen_probe,
     qgor_expected_bound,
-    twisted_mul,
 )
 
 __version__ = "0.1.0"

@@ -12,9 +12,10 @@ ring match; every term has n nonnegative int exponents and an int
 coefficient in 1..p-1; the terms of each polynomial are strictly
 descending in the ring order; the basis is nonempty; every lead
 coefficient is 1; the leads are strictly ascending and no lead divides
-another.  An entry that fails any check is discarded with a warning and
-recomputed, as is an entry of another version, so an older entry is
-rewritten once.  Not checked, as too costly for a hit: that the tails are
+another.  Both order checks compare packed ints (`polyring._order_key`),
+one packing per polynomial and one for the leads.  An entry that fails
+any check is discarded with a warning and recomputed, as is an entry of
+another version, so an older entry is rewritten once.  Not checked, as too costly for a hit: that the tails are
 reduced, that the inputs and the S-pairs reduce to 0, and, for a colon
 entry, that each stored generator times each divisor generator lies in
 the left-hand ideal.  Even those checks would leave two gaps: the basis
@@ -38,7 +39,7 @@ from operator import gt, le
 from pathlib import Path
 from typing import Optional
 
-from .polyring import Polynomial, RingSpec, _key_function
+from .polyring import Polynomial, RingSpec, _order_key
 
 log = logging.getLogger("frobtool")
 
@@ -67,7 +68,7 @@ def _ring_payload(ring: RingSpec) -> dict:
     }
 
 
-def _polynomial(items, ring: RingSpec, key) -> Polynomial:
+def _polynomial(items, ring: RingSpec) -> Polynomial:
     """The polynomial of one stored term list, checked in one pass."""
     n, p = ring.nvars, ring.field.p
     if not isinstance(items, list) or not items:
@@ -79,13 +80,13 @@ def _polynomial(items, ring: RingSpec, key) -> Polynomial:
     coeffs = [t[n] for t in items]
     if min(map(min, monos)) < 0 or not 0 < min(coeffs) <= max(coeffs) < p:
         raise ValueError("an exponent or a coefficient is out of range")
-    keys = list(map(key, monos))
+    keys = list(map(_order_key(ring, monos), monos))
     if not all(map(gt, keys, keys[1:])):
         raise ValueError("terms not strictly descending")
     return Polynomial._from_sorted(ring, tuple(zip(monos, coeffs)))
 
 
-def _check_leads(basis, key) -> None:
+def _check_leads(basis, ring: RingSpec) -> None:
     """A reduced basis ascending by lead: monic, leads strictly ascending,
     and no lead dividing another."""
     if not basis:
@@ -93,7 +94,7 @@ def _check_leads(basis, key) -> None:
     if any(g.terms[0][1] != 1 for g in basis):
         raise ValueError("lead coefficient is not 1")
     leads = [g.terms[0][0] for g in basis]
-    keys = [key(m) for m in leads]
+    keys = list(map(_order_key(ring, leads), leads))
     if not all(map(gt, keys[1:], keys)):
         raise ValueError("leads not strictly ascending")
     # a divisor precedes its multiple in any monomial order, so compare each
@@ -144,9 +145,8 @@ class BasisCache:
                 raise ValueError("key mismatch")
             if entry.get("ring") != _ring_payload(ring):
                 raise ValueError("ring mismatch")
-            order_key = _key_function(ring)
-            basis = tuple(_polynomial(items, ring, order_key) for items in entry["basis"])
-            _check_leads(basis, order_key)
+            basis = tuple(_polynomial(items, ring) for items in entry["basis"])
+            _check_leads(basis, ring)
         # json.JSONDecodeError is a ValueError; deep nesting raises RecursionError
         except (ValueError, RecursionError) as exc:
             log.warning("discarding corrupt cache entry %s (%s); recomputing", path.name, exc)

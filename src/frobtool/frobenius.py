@@ -33,7 +33,7 @@ from .monomials import (
     mono_frobenius_power,
     twisted_products,
 )
-from .polyring import Polynomial, RingMismatch
+from .polyring import Polynomial
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,6 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
                      key=itemgetter(0, 1))
     min_gens = tuple(pk.polynomial(((lm, 1),) + tail) for _, lm, tail in entries)
     return FrobeniusComponent(e, q, col, modulus, min_gens)
-
-
-def twisted_mul(a: Polynomial, e1: int, b: Polynomial) -> Polynomial:
-    """a * b for a of Frobenius degree e1: the product a * b^{p^{e1}}."""
-    if a.ring != b.ring:
-        raise RingMismatch("ring mismatch")
-    return a * b.frobenius_power(e1)
 
 
 def generation_report(p: int, gens, product, outside, degree=None) -> FinGenReport:

@@ -6,27 +6,15 @@ and colon ideals through a single elimination mechanism, Frobenius powers,
 minimal generators of graded quotient modules, and division-lifting along
 a homogeneous nonzerodivisor by one normal form.
 
-Inside the engine a monomial is one int, M = (K << W*n) | P (Monagan and
-Pearce, "Polynomial division using dynamic arrays, heaps and packed exponent
-vectors", CASC 2007).  P packs the n exponents in fields of W bits; K packs
-n nonnegative linear forms whose integer order is the monomial order:
-grevlex packs (d, sum_{i<n-1} w_i m_i, sum_{i<n-2} w_i m_i, ...), with d
-the weighted degree; an elimination order packs that per block, head block
-on top; lex packs the exponents themselves.  So a product is an addition,
-an order comparison is an int comparison, and lm divides m exactly when
-m - lm borrows from no field, i.e. leaves every field's top (guard) bit
-clear.  A `Packing` is made per call, at the boundary (a whole colon is one
-call): inputs are packed once on entry and results unpacked once on exit,
-already in canonical order, since a packing's order is its ring's; another
-order is another ring, as in the elimination constructions.
-
-Width rule.  Every field holds at most the weighted degree, so W is the
-bit length of the largest weighted degree among the inputs, the basis and
-the degree guard, plus 32 spare bits, plus the guard bit.  Packing checks
-the degree of every monomial against the field size, and reduction checks
-the guard bits of every new product: a sum of two valid fields cannot
-carry, so an overflow always shows there and raises ArithmeticError
-instead of wrapping into a wrong answer.
+Inside the engine a monomial is one int of a `polyring.Packing`, the one
+encoding of the ring's order, taken per call at the boundary (a whole
+colon is one call): inputs are packed once on entry and results unpacked
+once on exit, already in canonical order; another order is another ring,
+as in the elimination constructions.  The fields are sized for the largest
+weighted degree among the inputs, the basis and the degree guard, and
+reduction checks the guard bits of every new product: a sum of two valid
+fields cannot carry, so an overflow always shows there and raises
+ArithmeticError instead of wrapping into a wrong answer.
 
 Buchberger keeps each live S-pair with the lcm of its leads and takes
 pairs from a heap keyed by (the caller's grading of the lcm, lcm, pair),
@@ -132,7 +120,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .polyring import (
@@ -141,12 +129,12 @@ from .polyring import (
     Polynomial,
     RingMismatch,
     RingSpec,
-    _key_function,
+    _overflow,
+    _packing,
     monomials_of_weighted_degree,
 )
 
 DEFAULT_DEGREE_GUARD = 120
-SPARE_BITS = 32  # headroom of each packed field over the largest input degree
 # Reduced bases and colons the process-wide memo keeps, least recently used
 # evicted first.  A golden case makes at most 16 distinct keys (gallery
 # lifts), the deep lifts cases (p=2 e=3, p=3 e=2) 34 and 28.
@@ -189,84 +177,6 @@ class NoLiftExists(ValueError):
 
 class LiftVerificationError(RuntimeError):
     pass
-
-
-# --------------------------------------------------------------------------
-# packed monomials
-
-def _overflow(width: int) -> ArithmeticError:
-    return ArithmeticError(f"a monomial outgrew its {width}-bit packed exponent fields")
-
-
-class Packing:
-    """The monomials of one ring under its order, packed into ints of 2n
-    fields of `width` bits each (see the module docstring)."""
-
-    def __init__(self, ring: RingSpec, width: int):
-        n, weights, order = ring.nvars, ring.weights, ring.order
-        if order.kind == "lex":
-            forms = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        else:
-            cut = order.block if order.kind == "elim" else n
-            forms = [tuple(weights[i] if lo <= i < k else 0 for i in range(n))
-                     for lo, hi in ((0, cut), (cut, n)) for k in range(hi, lo, -1)]
-        shifts = [width * (2 * n - 1 - f) for f in range(2 * n)]  # most significant first
-        self.ring = ring
-        self.width = width
-        self.p = ring.field.p
-        self.mask = (1 << width) - 1
-        self.guard_bits = sum(1 << (s + width - 1) for s in shifts)
-        self.exps_mask = (1 << width * n) - 1  # the exponent fields P
-        self.exps_guards = self.guard_bits & self.exps_mask
-        self._limit = (1 << (width - 1)) - 1  # largest value a field may hold
-        self._weights = weights
-        self._units = tuple(sum(form[i] << s for form, s in zip(forms, shifts))
-                            + (1 << shifts[n + i]) for i in range(n))
-        self._exponent_shifts = tuple(shifts[n:])
-        # the K fields whose sum is the weighted degree; lex has none
-        self._degree_shifts = ((shifts[0],) if order.kind == "grevlex" else
-                               (shifts[0], shifts[order.block]) if order.kind == "elim"
-                               else None)
-
-    def pack(self, mono) -> int:
-        if sum(map(mul, mono, self._weights)) > self._limit:
-            raise _overflow(self.width)
-        return sum(map(mul, mono, self._units))
-
-    def unpack(self, m: int) -> tuple:
-        mask = self.mask
-        return tuple((m >> s) & mask for s in self._exponent_shifts)
-
-    def degree(self, m: int) -> int:
-        """Weighted degree of a packed monomial."""
-        if self._degree_shifts is None:
-            return sum(map(mul, self.unpack(m), self._weights))
-        mask = self.mask
-        return sum((m >> s) & mask for s in self._degree_shifts)
-
-    def degrees(self, ms) -> set:
-        """The weighted degrees of the packed monomials ms."""
-        if self.ring.order.kind == "grevlex":  # the top field, with nothing above it
-            s = self._degree_shifts[0]
-            return {m >> s for m in ms}
-        return set(map(self.degree, ms))
-
-    def pack_terms(self, terms) -> dict:
-        pack = self.pack
-        return {pack(m): c for m, c in terms}
-
-    def polynomial(self, items) -> Polynomial:
-        """The Polynomial of packed (monomial, coefficient) items, sorted by
-        the packed ints."""
-        unpack = self.unpack
-        return Polynomial._from_sorted(self.ring, tuple(
-            (unpack(m), c) for m, c in sorted(items, reverse=True)))
-
-
-def _packing(ring: RingSpec, degree: int) -> Packing:
-    """The packing whose fields hold weighted degrees up to `degree`
-    with SPARE_BITS bits to spare."""
-    return Packing(ring, max(degree, 1).bit_length() + SPARE_BITS + 1)
 
 
 # --------------------------------------------------------------------------
@@ -1113,8 +1023,7 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
              for g in modulus.groebner_basis(degree_guard) if g.weighted_degree() <= top]
     index = _Divisors(pk)
     index.sync(basis)
-    key = _key_function(ring)
-    cands.sort(key=lambda c: (c[1], key(c[0].leading_monomial())))
+    cands.sort(key=lambda c: (c[1], max(c[2])))  # by degree, then by packed lead
     # (generator, degree, packed normal form): the known elements, then the
     # survivors in ascending order
     kept = [(None, d, _reduce_full(_twisted_product(packed[a], q1, packed[b], pk),

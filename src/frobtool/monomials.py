@@ -50,14 +50,15 @@ from .polyring import (
     mono_gcd,
     mono_lcm,
     monomials_of_weighted_degree,
-    _key_function,
+    _order_key,
 )
 
 
 def _antichain(ring: RingSpec, monos: Iterable[Mono]):
     """Prune divisible generators; sorted by (weighted degree, ring order)."""
-    key = _key_function(ring)
-    unique = sorted(set(monos), key=lambda m: (ring.weighted_degree(m), key(m)))
+    unique = set(monos)
+    key = _order_key(ring, unique)
+    unique = sorted(unique, key=lambda m: (ring.weighted_degree(m), key(m)))
     kept = []
     for m in unique:
         if not any(mono_divides(k, m) for k in kept):

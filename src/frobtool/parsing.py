@@ -3,7 +3,9 @@
 Grammar: integers, variable names ``[A-Za-z][A-Za-z0-9_]*``, operators
 ``+ - * ^``, parentheses; ``*`` is mandatory between factors; whitespace is
 insignificant.  The parser is total on the grammar and round-trips through
-the canonical printer (str of a Polynomial).
+the canonical printer (str of a Polynomial).  Parentheses nest at most
+MAX_NESTING deep: deeper input is a located ParseError, where the recursive
+descent would otherwise exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ class ParseError(ValueError):
 class UnknownVariableError(ParseError):
     pass
 
+
+MAX_NESTING = 200  # parenthesis depth; each level is two Python frames
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d_]\w*)|([-+*^()])|(\S))")
 
@@ -64,6 +68,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.ring = ring
         self.index = {v: i for i, v in enumerate(ring.variables)}
 
@@ -139,8 +144,12 @@ class _Parser:
                     self.error(f"unknown variable {text!r}", tok, UnknownVariableError)
                 expo[i] += self._opt_exponent()
             elif kind == "op" and text == "(":
+                if self.depth == MAX_NESTING:
+                    self.error(f"parentheses nested too deeply (more than {MAX_NESTING})")
                 self.advance()
+                self.depth += 1
                 factor = self.expr()
+                self.depth -= 1
                 tok = self.advance()
                 if tok[:2] != ("op", ")"):
                     self.error("expected ')'", tok)

@@ -6,13 +6,27 @@ least non-negative residue.  Equality is structural.  Rings carry a weighted
 grading (default: all weights 1) and a monomial order; grevlex ties inside
 equal weighted degree are broken by reverse lexicographic comparison on the
 declared variable order, so all outputs are reproducible.
+
+The order is encoded once, as packed ints (Monagan and Pearce, CASC 2007):
+a `Packing` maps a monomial to M = (K << W*n) | P.  P packs the n exponents
+in fields of W bits; K packs n nonnegative linear forms whose integer order
+is the monomial order: grevlex packs (d, sum_{i<n-1} w_i m_i, ...), with d
+the weighted degree; an elimination order packs that per block, head block
+on top; lex packs the exponents themselves.  So a product is an addition,
+an order comparison an int comparison, and lm divides m exactly when
+m - lm leaves every field's top (guard) bit clear.  Every field holds at
+most the weighted degree; W adds SPARE_BITS and the guard bit to a degree
+bound, and `pack` raises ArithmeticError on a monomial past it.  Term
+sorting, the cache's checks, monomial ideals and the Groebner engine all
+compare these ints; `_order_key` packs for any collection of monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Union
+from operator import mul
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 Mono = tuple  # exponent vector, one entry per ring variable
 
@@ -120,12 +134,6 @@ class RingSpec:
     def weighted_degree(self, mono: Mono) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def compare(self, a: Mono, b: Mono) -> int:
-        """Total order on monomials: -1, 0 or 1."""
-        key = _key_function(self)
-        ka, kb = key(a), key(b)
-        return (ka > kb) - (ka < kb)
-
     # -- element construction -------------------------------------------------
 
     def zero(self) -> "Polynomial":
@@ -146,35 +154,6 @@ class RingSpec:
 
     def monomial(self, mono: Mono, coeff: int = 1) -> "Polynomial":
         return Polynomial(self, {tuple(mono): coeff})
-
-
-KEY_MEMO_SIZE = 1 << 12  # keys each grevlex or elimination key function remembers
-
-
-@lru_cache(maxsize=64)
-def _key_function(ring: RingSpec):
-    weights, order = ring.weights, ring.order
-    n = ring.nvars
-    if order.kind == "lex":
-        return tuple  # an exponent tuple is its own lex key
-    if order.kind == "grevlex":
-        rng = tuple(range(n - 1, -1, -1))
-        def fn(m):
-            d = 0
-            for w, e in zip(weights, m):
-                d += w * e
-            return (d,) + tuple(-m[i] for i in rng)
-    else:  # elimination: leading block dominates, grevlex inside each block
-        kb = order.block
-        wh, wt = weights[:kb], weights[kb:]
-        rh = tuple(range(kb - 1, -1, -1))
-        rt = tuple(range(n - 1, kb - 1, -1))
-        def fn(m):
-            dh = sum(w * e for w, e in zip(wh, m))
-            dt = sum(w * e for w, e in zip(wt, m[kb:]))
-            return ((dh,) + tuple(-m[i] for i in rh)
-                    + (dt,) + tuple(-m[i] for i in rt))
-    return lru_cache(maxsize=KEY_MEMO_SIZE)(fn)
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
@@ -240,8 +219,11 @@ class Polynomial:
                 acc[mono] = c
             elif mono in acc:
                 del acc[mono]
-        key = _key_function(ring)
-        self.terms = tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
+        terms = acc.items()
+        if len(acc) > 1:
+            pack = _order_key(ring, acc)
+            terms = sorted(terms, key=lambda t: pack(t[0]), reverse=True)
+        self.terms = tuple(terms)
         self._hash = None
 
     @classmethod
@@ -447,3 +429,95 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+# --------------------------------------------------------------------------
+# packed monomials: the one encoding of each ring's order
+
+SPARE_BITS = 32  # headroom of each packed field over the largest input degree
+PACKING_MEMO_SIZE = 32  # packings kept, least recently used evicted first
+
+
+def _overflow(width: int) -> ArithmeticError:
+    return ArithmeticError(f"a monomial outgrew its {width}-bit packed exponent fields")
+
+
+class Packing:
+    """The monomials of one ring under its order, packed into ints of 2n
+    fields of `width` bits each (see the module docstring)."""
+
+    def __init__(self, ring: RingSpec, width: int):
+        n, weights, order = ring.nvars, ring.weights, ring.order
+        if order.kind == "lex":
+            forms = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        else:
+            cut = order.block if order.kind == "elim" else n
+            forms = [tuple(weights[i] if lo <= i < k else 0 for i in range(n))
+                     for lo, hi in ((0, cut), (cut, n)) for k in range(hi, lo, -1)]
+        shifts = [width * (2 * n - 1 - f) for f in range(2 * n)]  # most significant first
+        self.ring = ring
+        self.width = width
+        self.p = ring.field.p
+        self.mask = (1 << width) - 1
+        self.guard_bits = sum(1 << (s + width - 1) for s in shifts)
+        self.exps_mask = (1 << width * n) - 1  # the exponent fields P
+        self.exps_guards = self.guard_bits & self.exps_mask
+        self._limit = (1 << (width - 1)) - 1  # largest value a field may hold
+        self._weights = weights
+        self._units = tuple(sum(form[i] << s for form, s in zip(forms, shifts))
+                            + (1 << shifts[n + i]) for i in range(n))
+        self._exponent_shifts = tuple(shifts[n:])
+        # the K fields whose sum is the weighted degree; lex has none
+        self._degree_shifts = ((shifts[0],) if order.kind == "grevlex" else
+                               (shifts[0], shifts[order.block]) if order.kind == "elim"
+                               else None)
+
+    def pack(self, mono) -> int:
+        if sum(map(mul, mono, self._weights)) > self._limit:
+            raise _overflow(self.width)
+        return sum(map(mul, mono, self._units))
+
+    def unpack(self, m: int) -> tuple:
+        mask = self.mask
+        return tuple((m >> s) & mask for s in self._exponent_shifts)
+
+    def degree(self, m: int) -> int:
+        """Weighted degree of a packed monomial."""
+        if self._degree_shifts is None:
+            return sum(map(mul, self.unpack(m), self._weights))
+        mask = self.mask
+        return sum((m >> s) & mask for s in self._degree_shifts)
+
+    def degrees(self, ms) -> set:
+        """The weighted degrees of the packed monomials ms."""
+        if self.ring.order.kind == "grevlex":  # the top field, with nothing above it
+            s = self._degree_shifts[0]
+            return {m >> s for m in ms}
+        return set(map(self.degree, ms))
+
+    def pack_terms(self, terms) -> dict:
+        pack = self.pack
+        return {pack(m): c for m, c in terms}
+
+    def polynomial(self, items) -> Polynomial:
+        """The Polynomial of packed (monomial, coefficient) items, sorted by
+        the packed ints."""
+        unpack = self.unpack
+        return Polynomial._from_sorted(self.ring, tuple(
+            (unpack(m), c) for m, c in sorted(items, reverse=True)))
+
+
+_packing_of_width = lru_cache(maxsize=PACKING_MEMO_SIZE)(Packing)
+
+
+def _packing(ring: RingSpec, degree: int) -> Packing:
+    """The packing whose fields hold weighted degrees up to `degree`
+    with SPARE_BITS bits to spare."""
+    return _packing_of_width(ring, max(degree, 1).bit_length() + SPARE_BITS + 1)
+
+
+def _order_key(ring: RingSpec, monos) -> Callable[[Mono], int]:
+    """The ring's order on the collection `monos`, as the `pack` of a packing
+    wide enough for them: each field is bounded by the largest exponent
+    times the sum of the weights."""
+    return _packing(ring, max(map(max, monos), default=0) * sum(ring.weights)).pack

@@ -19,7 +19,9 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from frobtool.groebner import DegreeGuardExceeded
-from frobtool.polyring import _key_function, mono_divides, mono_lcm
+from frobtool.polyring import mono_divides, mono_lcm
+
+from order_oracle import key_function
 
 
 def _make_entry(fd, key, p):
@@ -134,7 +136,7 @@ def _buchberger(inputs, ring, guard, grading):
     sorted ascending by leading monomial.  The next pair is the one least
     by (grading of its lcm, lcm, pair)."""
     p = ring.field.p
-    key = _key_function(ring)
+    key = key_function(ring)
     wdeg = ring.weighted_degree
 
     seen = set()

@@ -29,14 +29,16 @@ from frobtool.groebner import (
     groebner_basis,
     intersect,
 )
-from frobtool.polyring import GREVLEX, Polynomial, RingMismatch, _key_function
+from frobtool.polyring import GREVLEX, Polynomial, RingMismatch
+
+from order_oracle import key_function
 
 
 def _divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g for exactly divisible f; internal assertion otherwise."""
     ring = f.ring
     p = ring.field.p
-    key = _key_function(ring)
+    key = key_function(ring)
     lmg = g.leading_monomial()
     lcg_inv = ring.field.inv(g.leading_coefficient())
     work = dict(f.terms)

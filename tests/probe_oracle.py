@@ -5,7 +5,8 @@ twisted products joined the components' echelon.
 builds the ideal I^[q] + (twisted products of the full lower components)
 and minimalizes the degree-e generators modulo it, so `minimal_generators_mod`
 runs a Buchberger on that ideal to get its reducer.  `product_component`
-forms those products as polynomials through `twisted_mul`, and
+forms those products as polynomials through `twisted_mul`, the
+polynomial the packed products of the library are compared against, and
 `component_min_gens` is the earlier rule for a component's generators: a
 second normal form of every survivor.  The tests compare the library's
 probe and components with them.
@@ -20,10 +21,18 @@ from frobtool.frobenius import (
     ProbeResult,
     component,
     generation_report,
-    twisted_mul,
 )
 from frobtool.groebner import Ideal, colon, frobenius_power, minimal_generators_mod
-from frobtool.polyring import Polynomial, _key_function
+from frobtool.polyring import Polynomial, RingMismatch
+
+from order_oracle import key_function
+
+
+def twisted_mul(a: Polynomial, e1: int, b: Polynomial) -> Polynomial:
+    """a * b for a of Frobenius degree e1: the product a * b^{p^{e1}}."""
+    if a.ring != b.ring:
+        raise RingMismatch("ring mismatch")
+    return a * b.frobenius_power(e1)
 
 
 def product_component(comp1: FrobeniusComponent, comp2: FrobeniusComponent):
@@ -43,7 +52,7 @@ def component_min_gens(ideal: Ideal, e: int, degree_guard: Optional[int] = None)
     col = colon(modulus, ideal, degree_guard)
     raw = minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard), modulus,
                                  degree_guard)
-    key = _key_function(ring)
+    key = key_function(ring)
     return tuple(sorted((modulus.normal_form(g, degree_guard=degree_guard).monic()
                          for g in raw),
                         key=lambda g: (g.weighted_degree(), key(g.leading_monomial()))))

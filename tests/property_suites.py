@@ -12,9 +12,14 @@ from frobtool.frobenius import (
     fingen_probe,
     fractional_fingen_probe,
     monomial_fingen_probe,
-    twisted_mul,
 )
-from frobtool.gallery import _segre_witness, _splits_excluded, minors_ideal, twisted_cubic_ideal
+from frobtool.gallery import (
+    _segre_witness,
+    _splits_excluded,
+    katzman_ideal,
+    minors_ideal,
+    twisted_cubic_ideal,
+)
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
@@ -43,6 +48,8 @@ from frobtool.polyring import PrimeField, RingSpec, mono_div, mono_lcm
 import colon_oracle
 import lift_oracle
 import monomial_oracle
+import root_oracle
+from probe_oracle import twisted_mul
 from conftest import (
     random_binomial_ideal,
     random_monomial,
@@ -340,6 +347,25 @@ def run_deep_colon_check():
         result = colon(lhs, ideal, guard)
         assert result.generators == colon_oracle.chain_colon(lhs, ideal, guard).generators, (p, e)
         checked += 1
+    clear_memo()
+    return checked
+
+
+def run_deep_root_check():
+    """Every generator of the colon of component(I, e) passes the Frobenius
+    root check of root_oracle.py, at the minors p=2 e<=4, the twisted cubic
+    p=7 e<=3 and Katzman's ideal p=3 e<=3.  Not collected by pytest; from the
+    repository root, run
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_root_check()"`.
+    Returns the number of generators checked."""
+    checked = 0
+    for build, p, emax, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 7, 3, 4116),
+                                  (katzman_ideal, 3, 3, 1000)):
+        _, ideal = build(p)
+        for e in range(1, emax + 1):
+            for u in component(ideal, e, guard).colon.generators:
+                assert root_oracle.in_frobenius_colon(u, ideal, p ** e), (build.__name__, p, e, u)
+                checked += 1
     clear_memo()
     return checked
 

@@ -15,9 +15,10 @@ from frobtool.groebner import Ideal
 from frobtool.polyring import (
     Polynomial,
     RingSpec,
-    _key_function,
     monomials_of_weighted_degree,
 )
+
+from order_oracle import key_function
 
 
 class _Echelon:
@@ -99,7 +100,7 @@ class GradedMembership:
     def _slice(self, d: int) -> SliceEchelon:
         ech = self._slices.get(d)
         if ech is None:
-            key = _key_function(self.ring)
+            key = key_function(self.ring)
             ech = SliceEchelon(key, self.ring.field.p)
             for g in self.generators:
                 dg = g.weighted_degree()
@@ -148,7 +149,7 @@ def slice_minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal):
             cands.append(g)
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
-    key = _key_function(ring)
+    key = key_function(ring)
     cands.sort(key=lambda g: (g.weighted_degree(), key(g.leading_monomial())))
     base = GradedMembership(modulus.generators, ring)
     alive = [True] * len(cands)

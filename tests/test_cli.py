@@ -118,6 +118,17 @@ def test_degree_guard_exit3(capsys, tmp_path):
         assert context in err
 
 
+def test_deep_nesting_exit2(capsys, tmp_path):
+    # 5,000 levels of parentheses once raised RecursionError: a traceback, exit 1
+    path = tmp_path / "deep.frob"
+    path.write_text("char 2\nvars x y z\nideal I = " + 5000 * "(" + "x" + 5000 * ")" + "\n",
+                    encoding="utf-8")
+    assert main(["gb", "--input", str(path), "--ideal", "I", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: in ideal 'I': parentheses nested too deeply")
+    assert err.endswith("(line 3)\n")
+
+
 def test_katzman_p3_e4_aborts_under_default_guard(capsys):
     # the colon of component e=4 outgrows the default guard of 120; the
     # elimination's pair order must not move this abort

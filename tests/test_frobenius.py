@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobtool import frobenius, groebner
+from frobtool import frobenius, groebner, polyring
 from frobtool.frobenius import (
     component,
     degree_growth,
@@ -12,7 +12,6 @@ from frobtool.frobenius import (
     generation_report,
     monomial_fingen_probe,
     qgor_expected_bound,
-    twisted_mul,
 )
 from frobtool.gallery import katzman_ideal, minors_ideal, twisted_cubic_ideal
 from frobtool.groebner import (
@@ -35,7 +34,8 @@ from frobtool.polyring import (
 )
 
 import probe_oracle
-from probe_oracle import product_component
+import root_oracle
+from probe_oracle import product_component, twisted_mul
 
 
 @pytest.fixture
@@ -232,6 +232,34 @@ class TestProbeOracle:
             probe_oracle.fingen_probe(ideal, emax, 1000).report.rows
 
 
+class TestFrobeniusRoot:
+    """The colon of each component against membership by Frobenius roots
+    (tests/root_oracle.py), which asks only whether root parts lie in I."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(homogeneous_ideals(), st.randoms(use_true_random=False))
+    def test_colon_generators_pass_root_check(self, drawn, rng):
+        ideal, emax = drawn
+        ring = ideal.ring
+        low = min(g.weighted_degree() for g in ideal.generators)
+        for e in range(1, min(emax, 2) + 1):
+            q = ring.field.p ** e
+            try:
+                col = component(ideal, e, 400).colon
+            except DegreeGuardExceeded:
+                return
+            for u in col.generators:
+                assert root_oracle.in_frobenius_colon(u, ideal, q), (e, u)
+            # x_i^k with k*w_i < (q-1)*low is outside the colon: x_i^k*f, f of
+            # degree low, has degree below q*low, where I^[q] starts
+            i = rng.randrange(ring.nvars)
+            k = rng.randrange(-(-(q - 1) * low // ring.weights[i]))
+            perturbed = rng.choice(col.generators) + ring.monomial(
+                tuple(k if j == i else 0 for j in range(ring.nvars)))
+            assert not root_oracle.in_frobenius_colon(perturbed, ideal, q), (e, perturbed)
+            assert not col.contains(perturbed)
+
+
 class TestComponentOracle:
     """component reads its generators from the echelon of the minimalization;
     the earlier rule, a second normal form of every survivor, is kept in
@@ -289,7 +317,7 @@ class TestPackedProducts:
     def test_packed_product_is_twisted_mul(self, drawn):
         ring, a, e1, b, _ = drawn
         q1 = ring.field.p ** e1
-        pk = groebner._packing(ring, a.weighted_degree() + q1 * b.weighted_degree())
+        pk = polyring._packing(ring, a.weighted_degree() + q1 * b.weighted_degree())
         packed = groebner._twisted_product(pk.pack_terms(a.terms), q1,
                                            pk.pack_terms(b.terms), pk)
         assert pk.polynomial(packed.items()) == twisted_mul(a, e1, b)
@@ -322,12 +350,12 @@ class TestPackedProducts:
         assert minimal_generators_mod([P("x*y"), P("z^2")], zero,
                                       known=[(x, 2 ** 40, y), (x, 1, y)]) == [P("z^2")]
         assert formed == [1]
-        pk = groebner._packing(gf2_xyz, 2)
+        pk = polyring._packing(gf2_xyz, 2)
         with pytest.raises(ArithmeticError):  # the skipped one does not fit that packing
             real(pk.pack_terms(x.terms), 2 ** 40, pk.pack_terms(y.terms), pk)
 
     def test_field_overflow_raises_and_never_wraps(self, gf2_xyz):
-        pk = groebner._packing(gf2_xyz, 1)
+        pk = polyring._packing(gf2_xyz, 1)
         one, x, y = (pk.pack_terms(f.terms) for f in
                      (gf2_xyz.one(), gf2_xyz.variable("x"), gf2_xyz.variable("y")))
         fits = 2 ** (pk.width - 2)  # the largest power of 2 a field may hold

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from unittest.mock import patch
 
-from frobtool import groebner
+from frobtool import groebner, polyring
 from frobtool.cache import BasisCache
 from frobtool.gallery import minors_ideal, twisted_cubic_ideal
 from frobtool.groebner import (
@@ -39,13 +39,13 @@ from frobtool.polyring import (
     mono_div,
     mono_divides,
     mono_lcm,
-    _key_function,
     monomials_of_weighted_degree,
 )
 
 import buchberger_oracle
 import colon_oracle
 import lift_oracle
+from order_oracle import key_function
 from conftest import random_monomial, random_poly
 from slice_oracle import GradedMembership, slice_minimal_generators_mod
 
@@ -411,7 +411,7 @@ class TestColonOracle:
                 colon_oracle._divide_exact(off, g)
         degree = max(h.weighted_degree() for h in (f * g, off) if h is not None)
         # in the ring's own packing and in the elimination packing of the chain
-        pk = groebner._packing(ring, degree)
+        pk = polyring._packing(ring, degree)
         el = groebner._Elimination(ring, degree + 1)
         for lift, unlift, packing in ((lambda h: pk.pack_terms(h.terms), pk.polynomial, pk),
                                       (el.lift, el.polynomial, el.pk)):
@@ -432,7 +432,7 @@ class TestColonOracle:
             meet = intersect(lhs, Ideal(ring, (f,)), COLON_GUARD)
         except DegreeGuardExceeded:
             assume(False)
-        pk = groebner._packing(ring, max(
+        pk = polyring._packing(ring, max(
             [COLON_GUARD] + [b.weighted_degree() for b in meet.generators]))
         quotients = [pk.polynomial(groebner._divide_exact(
             pk.pack_terms(b.terms), pk.pack_terms(f.terms), pk).items())
@@ -683,7 +683,7 @@ class TestMinimalGenerators:
         P = lambda s: parse_polynomial(s, gf2_xyz)
         huge = gf2_xyz.monomial((2 ** 40, 0, 0))
         with pytest.raises(ArithmeticError):  # a packing for degree 1 cannot hold it
-            groebner._packing(gf2_xyz, 1).pack(huge.leading_monomial())
+            polyring._packing(gf2_xyz, 1).pack(huge.leading_monomial())
         zero = Ideal(gf2_xyz, ())
         assert minimal_generators_mod([P("y")], zero, known=[huge]) == [P("y")]
 
@@ -862,7 +862,7 @@ def _traced_buchberger(module, inputs, ring, guard, base=None):
     if module is groebner:
         degree = max([guard] + [ring.weighted_degree(m) for fd in inputs for m in fd])
         if base is None:
-            pk = groebner._packing(ring, degree)
+            pk = polyring._packing(ring, degree)
             grading = pk.degree
         else:
             el = groebner._Elimination(base, degree)
@@ -957,11 +957,11 @@ class TestBuchbergerOracle:
         # which divisor reduces each term; the basis is fixed, so one
         # divisor index serves all three reductions
         ring, inputs, rng, _ = instance
-        key = _key_function(ring)
+        key = key_function(ring)
         p = ring.field.p
         basis = [buchberger_oracle._make_entry(fd, key, p) for fd in inputs]
         polys = [random_poly(ring, rng, max_terms=5, max_exp=4) for _ in range(3)]
-        pk = groebner._packing(ring, max(
+        pk = polyring._packing(ring, max(
             [f.weighted_degree() for f in polys]
             + [ring.weighted_degree(m) for fd in inputs for m in fd]))
         packed = [groebner._make_entry(pk.pack_terms(fd.items()), p) for fd in inputs]
@@ -1017,7 +1017,7 @@ def packing_instances(draw):
         exps, exps.map(lambda c: tuple(map(add, a, c)))), min_size=1, max_size=5))
     scale = draw(st.sampled_from((1, 2 ** 45 + 1)))
     monos = [tuple(scale * e for e in m) for m in monos]
-    pk = groebner._packing(ring, 2 * max(map(ring.weighted_degree, monos)))
+    pk = polyring._packing(ring, 2 * max(map(ring.weighted_degree, monos)))
     return ring, pk, monos
 
 
@@ -1028,7 +1028,7 @@ class TestPacking:
     @given(packing_instances())
     def test_order_agrees_with_key_function(self, instance):
         ring, pk, monos = instance
-        key = _key_function(ring)
+        key = key_function(ring)
         assert sorted(monos, key=pk.pack) == sorted(monos, key=key)
         assert len({pk.pack(m) for m in monos}) == len(set(monos))
 
@@ -1082,10 +1082,10 @@ class TestPacking:
         ring = RingSpec(PrimeField(3), ("x", "y", "z"), order=LEX)
         P = lambda s: parse_polynomial(s, ring)
         with pytest.raises(ArithmeticError):
-            groebner.Packing(ring, 3).pack((4, 0, 0))  # fields hold 0..3
+            polyring.Packing(ring, 3).pack((4, 0, 0))  # fields hold 0..3
         # with no spare bits the fields hold the input degree 3, and
         # reducing x^3 reaches x*y^4 on the way to z^18
-        monkeypatch.setattr(groebner, "SPARE_BITS", 0)
+        monkeypatch.setattr(polyring, "SPARE_BITS", 0)
         ideal = Ideal(ring, (P("x - y^2"), P("y - 2*z^3")))
         with pytest.raises(ArithmeticError):
             ideal.normal_form(P("x^3"))
@@ -1110,7 +1110,7 @@ def divisor_instances(draw):
     scale = draw(st.sampled_from((1, 2 ** 45 + 1)))
     leads = [tuple(scale * e for e in m) for m in leads]
     queries = [tuple(scale * e for e in m) for m in queries]
-    pk = groebner._packing(ring, max(map(ring.weighted_degree, queries)))
+    pk = polyring._packing(ring, max(map(ring.weighted_degree, queries)))
     return pk, leads, cuts, queries
 
 

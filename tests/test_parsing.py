@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobtool.parsing import ParseError, UnknownVariableError, parse_polynomial
+from frobtool.parsing import MAX_NESTING, ParseError, UnknownVariableError, parse_polynomial
 from frobtool.polyring import Polynomial, PrimeField, RingSpec
 
 from conftest import random_poly
@@ -80,6 +80,16 @@ class TestErrors:
     def test_trailing_garbage(self, gf2_xyz):
         with pytest.raises(ParseError):
             parse_polynomial("x y", gf2_xyz)
+
+    def test_nesting_limit(self, gf2_xyz):
+        deep = MAX_NESTING * "(" + "x" + MAX_NESTING * ")"
+        assert parse_polynomial(deep, gf2_xyz) == parse_polynomial("x", gf2_xyz)
+        # one level more is a located error, not a RecursionError
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            parse_polynomial("x +\n" + "(" + deep + ")", gf2_xyz)
+        assert (err.value.line, err.value.column) == (2, MAX_NESTING + 1)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_polynomial(5000 * "(" + "x" + 5000 * ")", gf2_xyz)
 
 
 class TestRoundTrip:

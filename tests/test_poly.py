@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobtool.parsing import parse_polynomial
+from frobtool import polyring
 from frobtool.polyring import (
     GREVLEX,
-    KEY_MEMO_SIZE,
     LEX,
     Order,
     PrimeField,
     RingSpec,
-    _key_function,
+    _order_key,
 )
 
+import order_oracle
 from conftest import random_poly
 
 
@@ -108,31 +109,38 @@ class TestWeightedDegree:
         assert f.weighted_degree() == max(R.weighted_degree(m) for m, _ in f.terms)
 
 
+def compare(ring, a, b) -> int:
+    """-1, 0 or 1 as a is below, equal to or above b, by packed ints."""
+    key = _order_key(ring, (a, b))
+    ka, kb = key(a), key(b)
+    return (ka > kb) - (ka < kb)
+
+
 class TestMonomialOrder:
     def test_grevlex_examples(self, gf2_xyz):
         x2 = (2, 0, 0)
         xy = (1, 1, 0)
-        assert gf2_xyz.compare(x2, xy) == 1
-        assert gf2_xyz.compare(xy, xy) == 0
+        assert compare(gf2_xyz, x2, xy) == 1
+        assert compare(gf2_xyz, xy, xy) == 0
 
     def test_elimination_dominance(self):
         R = RingSpec(PrimeField(2), ("t", "x"), order=Order("elim", 1))
-        assert R.compare((1, 0), (0, 100)) == 1
+        assert compare(R, (1, 0), (0, 100)) == 1
 
     def test_lex(self):
         R = ring(2, ("x", "y"), order=LEX)
-        assert R.compare((1, 0), (0, 5)) == 1
+        assert compare(R, (1, 0), (0, 5)) == 1
 
     def test_total_transitive_antisymmetric(self, gf2_xyz):
         rng = random.Random(7)
         monos = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(60)]
         for a, b, c in zip(monos, monos[20:], monos[40:]):
-            ab = gf2_xyz.compare(a, b)
-            ba = gf2_xyz.compare(b, a)
+            ab = compare(gf2_xyz, a, b)
+            ba = compare(gf2_xyz, b, a)
             assert ab == -ba
             assert (ab == 0) == (a == b)
-            if ab >= 0 and gf2_xyz.compare(b, c) >= 0:
-                assert gf2_xyz.compare(a, c) >= 0
+            if ab >= 0 and compare(gf2_xyz, b, c) >= 0:
+                assert compare(gf2_xyz, a, c) >= 0
 
     def test_multiplicative(self, gf2_xyz):
         rng = random.Random(8)
@@ -142,7 +150,7 @@ class TestMonomialOrder:
             c = tuple(rng.randint(0, 3) for _ in range(3))
             ac = tuple(x + y for x, y in zip(a, c))
             bc = tuple(x + y for x, y in zip(b, c))
-            assert gf2_xyz.compare(a, b) == gf2_xyz.compare(ac, bc)
+            assert compare(gf2_xyz, a, b) == compare(gf2_xyz, ac, bc)
 
     def test_terms_sorted_descending(self, gf2_xyz):
         rng = random.Random(9)
@@ -150,19 +158,17 @@ class TestMonomialOrder:
             f = random_poly(gf2_xyz, rng, max_terms=6)
             monos = [m for m, _ in f.terms]
             for a, b in zip(monos, monos[1:]):
-                assert gf2_xyz.compare(a, b) == 1
+                assert order_oracle.compare(gf2_xyz, a, b) == 1
 
-
-    def test_key_memos_stay_bounded(self):
-        for order in (GREVLEX, Order("elim", 1)):
-            key = _key_function(ring(2, ("x", "y", "z"), order=order))
-            for i in range(KEY_MEMO_SIZE + 100):
-                key((i, 1, 2))
-            assert key.cache_info().currsize <= KEY_MEMO_SIZE
-        maxsize = _key_function.cache_info().maxsize
+    def test_packing_memo_stays_bounded(self):
+        maxsize = polyring.PACKING_MEMO_SIZE
         for i in range(maxsize + 10):
-            _key_function(ring(2, ("x", "y"), (1, i + 1)))
-        assert _key_function.cache_info().currsize <= maxsize
+            R = ring(2, ("x", "y"), (1, i + 1))
+            _order_key(R, [(i, 1)])((i, 1))
+            polyring._packing(R, 1 << i)
+        info = polyring._packing_of_width.cache_info()
+        assert info.maxsize == maxsize
+        assert info.currsize <= maxsize
 
 
 class TestRingSpecValidation:
