@@ -19,6 +19,7 @@ from .cache import BasisCache, default_cache_dir
 from .frobenius import degree_growth, fingen_probe
 from .gallery import CASE_NAMES, probe_rows, run_case
 from .groebner import (
+    DEFAULT_DEGREE_GUARD,
     DegreeGuardExceeded,
     LiftVerificationError,
     colon,
@@ -52,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help=".frob input file")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument("--degree-guard", type=int, default=None,
-                       help="cap on intermediate weighted degree (default 120)")
+                       help=f"cap on intermediate weighted degree (default {DEFAULT_DEGREE_GUARD}"
+                       "; a .frob degree_guard line overrides it; gallery veronese: "
+                       f"max({DEFAULT_DEGREE_GUARD}, 12*p^emax))")
         p.add_argument("--no-cache", action="store_true",
                        help="disable the persistent basis cache")
 

@@ -12,7 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional
 
 from .groebner import (
@@ -21,8 +20,6 @@ from .groebner import (
     frobenius_power,
     minimal_generators_mod,
     _guard_context,
-    _make_entry,
-    _minimal_generators,
 )
 from .monomials import (
     FracMonomialModule,
@@ -89,10 +86,10 @@ class FinGenReport:
 def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> FrobeniusComponent:
     """The degree-e component of the operator algebra of A/I.
 
-    Its generators are the normal forms modulo I^[q] of the minimal
-    generators of the colon, monic, by weighted degree and then by leading
-    monomial; minimalization computes those normal forms anyway.  A
-    degree-guard abort names e, q and the step it happened in.
+    Its generators are minimal_generators_mod of the colon's basis modulo
+    I^[q]: the monic normal forms of the survivors, by weighted degree and
+    then by leading monomial.  A degree-guard abort names e, q and the
+    step it happened in.
     """
     ring = ideal.ring
     p = ring.field.p
@@ -111,12 +108,8 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     with _guard_context(f"the colon I^[q]:I of component e={e} (q={q})"):
         col = colon(modulus, ideal, degree_guard)
     with _guard_context(f"the basis of I^[q] of component e={e} (q={q})"):
-        pk, survivors = _minimal_generators(col.groebner_basis(degree_guard=degree_guard),
-                                            modulus, degree_guard)
-    # (degree, lead, tail) of each survivor's monic normal form
-    entries = sorted(((d,) + _make_entry(form, pk.p) for _, d, form in survivors),
-                     key=itemgetter(0, 1))
-    min_gens = tuple(pk.polynomial(((lm, 1),) + tail) for _, lm, tail in entries)
+        min_gens = tuple(minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard),
+                                                modulus, degree_guard))
     return FrobeniusComponent(e, q, col, modulus, min_gens)
 
 
@@ -189,14 +182,14 @@ def fractional_fingen_probe(comps, p: int, degree=None) -> FinGenReport:
     """Generation probe on fractional monomial components: comps[e - 1] is
     the degree-e component, a FracMonomialModule of degree e.  A degree-e
     generator g is new when no twisted product h of lower components
-    leaves g - h admissible: one dominance index over the products of
-    degree e answers that with one query per generator.  degree is as in
+    leaves g - h admissible: one dominance index over the distinct products
+    of degree e answers that with one query per generator.  degree is as in
     generation_report."""
     if [c.degree for c in comps] != list(range(1, len(comps) + 1)):
         raise ValueError("the components must have degrees 1, 2, ..., emax")
 
     def outside(e, products):
-        below = _Dominance(list(products), comps[e - 1].semigroup.congruences).below
+        below = _Dominance(list(set(products)), comps[e - 1].semigroup.congruences).below
         return [g for g in comps[e - 1].generators if not below(g, 1)]
 
     return generation_report(

@@ -22,6 +22,7 @@ from .frobenius import (
     qgor_expected_bound,
 )
 from .groebner import (
+    DEFAULT_DEGREE_GUARD,
     Ideal,
     colon,
     frobenius_power,
@@ -233,7 +234,7 @@ def veronese_case(p: int = 2, emax: Optional[int] = None,
         emax = 2 if p == 7 else 3
     ring, ideal = twisted_cubic_ideal(p)
     if degree_guard is None:
-        degree_guard = max(120, 12 * p ** emax)
+        degree_guard = max(DEFAULT_DEGREE_GUARD, 12 * p ** emax)
     result = CaseResult("veronese", {"p": p, "emax": emax})
 
     xy = RingSpec(PrimeField(p), ("x", "y"))

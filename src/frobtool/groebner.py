@@ -945,6 +945,10 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     of its factors.  One above the top candidate degree cannot generate a
     candidate and is never formed or packed.
 
+    It returns the survivors' canonical representatives in the quotient
+    module, not the candidates: their normal forms modulo the modulus,
+    monic, ascending by weighted degree and then by lead (ties in rule order).
+
     The work happens on normal forms modulo the reduced basis of the
     modulus, which for a homogeneous ideal is a linear map on each degree
     slice with the modulus's slice as kernel.  Each degree d gets one
@@ -960,22 +964,12 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     above.  Nothing is reduced twice: a candidate with no term that a lead
     divides is its own normal form, and a known element of degree d
     enters degree d's echelon as its normal form.
-    """
-    return [g for g, _, _ in _minimal_generators(gens, modulus, degree_guard, known)[1]]
 
-
-def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known=()):
-    """The work of minimal_generators_mod: returns the packing it ran in
-    and the survivors as (generator, weighted degree, packed normal form
-    modulo the modulus), in ascending order.
-
-    The packing's fields are sized for the top candidate degree before any
-    basis is computed, so the candidates are packed once, their
-    homogeneity is read from the degree fields of their packed terms, and
-    a bad input still raises before the modulus basis can abort.  Only the
-    basis entries up to the top degree are packed: the reduced basis of a
-    homogeneous ideal is homogeneous, so no other lead divides a term of
-    degree at most top.
+    The packing is sized for the top candidate degree before any basis is
+    computed: candidates are packed once, their homogeneity is read from
+    their packed degree fields, and a bad input raises before the modulus
+    basis can abort.  Only basis entries up to the top degree are packed
+    (a homogeneous reduced basis has no other lead dividing such a term).
     """
     ring = modulus.ring
     # foreign and zero candidates are reported or skipped in order below
@@ -992,7 +986,7 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
         if len(degrees) > 1:
             raise ValueError("minimal generators need homogeneous input")
         seen.add(g)
-        cands.append((g, degrees.pop(), form))
+        cands.append((degrees.pop(), form))
     one = ring.one()
     homogeneous = {}  # factor -> whether it is homogeneous, each checked once
     packed = {}  # factor of a product up to the top degree -> its packed terms
@@ -1023,16 +1017,16 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
              for g in modulus.groebner_basis(degree_guard) if g.weighted_degree() <= top]
     index = _Divisors(pk)
     index.sync(basis)
-    cands.sort(key=lambda c: (c[1], max(c[2])))  # by degree, then by packed lead
-    # (generator, degree, packed normal form): the known elements, then the
-    # survivors in ascending order
-    kept = [(None, d, _reduce_full(_twisted_product(packed[a], q1, packed[b], pk),
-                                   basis, pk, index))
+    cands.sort(key=lambda c: (c[0], max(c[1])))  # by degree, then by packed lead
+    # (degree, packed normal form): the known elements, then the survivors
+    # in ascending order
+    kept = [(d, _reduce_full(_twisted_product(packed[a], q1, packed[b], pk),
+                             basis, pk, index))
             for d, a, q1, b in products]
     start = len(kept)
-    for d, group in itertools.groupby(cands, key=itemgetter(1)):
+    for d, group in itertools.groupby(cands, key=itemgetter(0)):
         ech = _Echelon(pk.p)
-        for _, dh, form in kept:
+        for dh, form in kept:
             if dh == d:  # its only shift is by 1, and it is a normal form
                 ech.add_row(form)
                 continue
@@ -1041,7 +1035,7 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
                 ech.add_row(_reduce_full({mm + s: c for mm, c in form.items()},
                                          basis, pk, index))
         survivors = []
-        for g, _, packed_g in reversed(list(group)):
+        for _, packed_g in reversed(list(group)):
             # a candidate with no term that a lead divides (a component's
             # generator, in the probe) is its own normal form
             if any(index.first(m) >= 0 for m in packed_g):
@@ -1049,9 +1043,12 @@ def _minimal_generators(gens, modulus: Ideal, degree_guard: Optional[int], known
             else:
                 form = packed_g
             if ech.add_row(form):
-                survivors.append((g, d, form))
+                survivors.append((d, form))
         kept.extend(reversed(survivors))
-    return pk, kept[start:]
+    # (degree, lead, tail) of each survivor's monic normal form
+    entries = sorted(((d,) + _make_entry(form, pk.p) for d, form in kept[start:]),
+                     key=itemgetter(0, 1))
+    return [pk.polynomial(((lm, 1),) + tail) for _, lm, tail in entries]
 
 
 def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,

@@ -9,6 +9,7 @@
     degree_guard <int>           # optional
     ideal <Name> = <poly>, <poly>, ...
 
+Each line but `ideal` may appear at most once, and each ideal name once.
 Lines starting with '#' (or trailing '#' comments) are ignored.  Documents
 parse losslessly to and from the canonical printed form.
 """
@@ -53,6 +54,7 @@ def parse_input_text(text: str) -> InputDocument:
     order: Order = GREVLEX
     options: dict = {}
     ideal_lines = []
+    first = {}  # directive other than ideal -> the line that gave it
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -60,6 +62,8 @@ def parse_input_text(text: str) -> InputDocument:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head != "ideal" and first.setdefault(head, lineno) != lineno:
+            raise InputFileError(f"{head!r} declared twice (first on line {first[head]})", lineno)
         if head == "char":
             try:
                 char = int(rest)

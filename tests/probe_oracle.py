@@ -8,8 +8,9 @@ runs a Buchberger on that ideal to get its reducer.  `product_component`
 forms those products as polynomials through `twisted_mul`, the
 polynomial the packed products of the library are compared against, and
 `component_min_gens` is the earlier rule for a component's generators: a
-second normal form of every survivor.  The tests compare the library's
-probe and components with them.
+second normal form of every survivor of a minimalization, the library's
+or the slice oracle's.  The tests compare the library's probe and
+components with them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from frobtool.groebner import Ideal, colon, frobenius_power, minimal_generators_
 from frobtool.polyring import Polynomial, RingMismatch
 
 from order_oracle import key_function
+from slice_oracle import slice_minimal_generators_mod
 
 
 def twisted_mul(a: Polynomial, e1: int, b: Polynomial) -> Polynomial:
@@ -40,18 +42,28 @@ def product_component(comp1: FrobeniusComponent, comp2: FrobeniusComponent):
     return [twisted_mul(g, comp1.e, h) for g in comp1.min_gens for h in comp2.min_gens]
 
 
-def component_min_gens(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> tuple:
+def slice_survivors(gens, modulus: Ideal, degree_guard: Optional[int] = None) -> list:
+    """The surviving candidates of `slice_minimal_generators_mod`, after the
+    basis of the modulus that the library's minimalization computes, so
+    both meet the same guard aborts."""
+    modulus.groebner_basis(degree_guard=degree_guard)
+    return slice_minimal_generators_mod(gens, modulus)
+
+
+def component_min_gens(ideal: Ideal, e: int, degree_guard: Optional[int] = None,
+                       minimalize=minimal_generators_mod) -> tuple:
     """The generators of the degree-e component (e >= 1) by the earlier
-    rule: the survivors of `minimal_generators_mod` on the colon basis,
+    rule: the survivors of `minimalize(colon basis, I^[q], degree_guard)`,
     each replaced by its monic normal form modulo I^[q], sorted by weighted
-    degree and then by leading monomial."""
+    degree and then by leading monomial.  With the library's rule, the
+    default, this only repeats what minimal_generators_mod returns;
+    slice_survivors makes it independent of the library's echelon."""
     ring = ideal.ring
     if not ideal.is_proper(degree_guard):
         raise ValueError("component computation needs a proper ideal")
     modulus = frobenius_power(ideal, e)
     col = colon(modulus, ideal, degree_guard)
-    raw = minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard), modulus,
-                                 degree_guard)
+    raw = minimalize(col.groebner_basis(degree_guard=degree_guard), modulus, degree_guard)
     key = key_function(ring)
     return tuple(sorted((modulus.normal_form(g, degree_guard=degree_guard).monic()
                          for g in raw),

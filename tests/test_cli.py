@@ -5,6 +5,7 @@ import pytest
 
 from frobtool.cli import main
 from frobtool.groebner import (
+    DEFAULT_DEGREE_GUARD,
     LiftVerificationError,
     NoLiftExists,
     clear_memo,
@@ -89,6 +90,15 @@ def test_usage_error_exit2(capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_degree_guard_help_names_defaults(capsys):
+    """The help gives the default from the constant and names both
+    exceptions to it."""
+    assert main(["gallery", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {DEFAULT_DEGREE_GUARD}; a .frob degree_guard line overrides it;" in text
+    assert f"gallery veronese: max({DEFAULT_DEGREE_GUARD}, 12*p^emax))" in text
+
+
 def test_removed_options_exit2(capsys):
     assert main(["twisted-poly", "--dim", "2", "--no-cache"]) == 2
     assert main(["gallery", "katzman", "--deep", "--no-cache"]) == 2
@@ -116,6 +126,14 @@ def test_degree_guard_exit3(capsys, tmp_path):
         assert "degree guard" in err
         assert "(pair lcm)" in err
         assert context in err
+
+
+def test_repeated_directive_exit2(capsys, tmp_path):
+    path = tmp_path / "twice.frob"
+    path.write_text("char 2\nvars x y\nchar 3\nideal I = x^2 + y\n", encoding="utf-8")
+    assert main(["gb", "--input", str(path), "--ideal", "I", "--no-cache"]) == 2
+    assert capsys.readouterr().err == \
+        "error: 'char' declared twice (first on line 1) (line 3)\n"
 
 
 def test_deep_nesting_exit2(capsys, tmp_path):

@@ -632,10 +632,10 @@ class TestMinimalGenerators:
     def test_candidate_outside_normal_form_is_reduced(self, gf2_xyz):
         # x^2 + y^2 and y^2 agree modulo (x^2), which only the normal form
         # of x^2 + y^2 shows; candidates that are normal forms are not
-        # reduced again, so this one must be told apart
+        # reduced again, so this one must be told apart, or both survive
         P = lambda s: parse_polynomial(s, gf2_xyz)
         J = Ideal(gf2_xyz, (P("x^2"),))
-        assert minimal_generators_mod([P("x^2 + y^2"), P("y^2")], J) == [P("x^2 + y^2")]
+        assert minimal_generators_mod([P("x^2 + y^2"), P("y^2")], J) == [P("y^2")]
 
     def test_rejects_inhomogeneous(self, gf2_xyz):
         f = parse_polynomial("x + x*y", gf2_xyz)
@@ -814,33 +814,50 @@ class TestSliceOracle:
     @settings(max_examples=200, deadline=None)
     @given(graded_instances())
     def test_survivors_match_oracle(self, instance):
+        """The oracle returns the surviving candidates; the library returns
+        their monic normal forms, by weighted degree and then by lead."""
         ring, modulus, cands, _ = instance
-        assert minimal_generators_mod(cands, modulus) == \
-            slice_minimal_generators_mod(cands, modulus)
+        key = key_function(ring)
+        assert minimal_generators_mod(cands, modulus) == sorted(
+            (modulus.normal_form(g).monic() for g in slice_minimal_generators_mod(cands, modulus)),
+            key=lambda g: (g.weighted_degree(), key(g.leading_monomial())))
 
     @settings(max_examples=100, deadline=None)
     @given(graded_instances())
     def test_forms_are_normal_forms(self, instance):
-        """Each survivor carries its normal form, whether the candidate was
-        one already, as a component's generators are in the probe, or not."""
+        """Each survivor is returned as its monic normal form, whether the
+        candidate was one already, as a component's generators are in the
+        probe, or not, and the survivors ascend by weighted degree and then
+        by lead."""
         ring, modulus, cands, _ = instance
         forms = [modulus.normal_form(g) for g in cands]
-        pk, survivors = groebner._minimal_generators(
-            cands + [h for h in forms if not h.is_zero()], modulus, None)
-        for g, _, form in survivors:
-            assert pk.polynomial(form.items()) == modulus.normal_form(g)
-        assert len(survivors) == len(minimal_generators_mod(cands, modulus))
+        result = minimal_generators_mod(cands + [h for h in forms if not h.is_zero()], modulus)
+        key = key_function(ring)
+        for g in result:
+            assert g == modulus.normal_form(g)
+            assert g.leading_coefficient() == 1
+        order = [(g.weighted_degree(), key(g.leading_monomial())) for g in result]
+        assert order == sorted(order)
+        assert len(result) == len(minimal_generators_mod(cands, modulus))
 
     @settings(max_examples=100, deadline=None)
     @given(graded_instances())
     def test_known_matches_enlarged_modulus(self, instance):
-        """Known elements act exactly as generators added to the modulus."""
+        """Known elements act exactly as generators added to the modulus:
+        the same candidates survive, so their monic normal forms modulo the
+        enlarged modulus agree.  Both sides are sorted by every term, since
+        two survivors may share a lead modulo the enlarged modulus only."""
         ring, modulus, cands, rng = instance
         known = [_random_homogeneous(ring, rng, rng.randint(0, 4))
                  for _ in range(rng.randint(1, 3))]
         known += rng.sample(cands, rng.randint(0, min(2, len(cands))))
-        assert minimal_generators_mod(cands, modulus, known=known) == \
-            minimal_generators_mod(cands, modulus + Ideal(ring, known))
+        enlarged = modulus + Ideal(ring, known)
+        key = key_function(ring)
+        canonical = lambda gens: sorted(gens, key=lambda g: (
+            g.weighted_degree(), [(key(m), c) for m, c in g.terms]))
+        assert canonical(enlarged.normal_form(g).monic() for g in
+                         minimal_generators_mod(cands, modulus, known=known)) == \
+            canonical(minimal_generators_mod(cands, enlarged))
 
 
 def _unpack_entry(pk, entry):

@@ -85,6 +85,25 @@ class TestErrors:
         with pytest.raises(InputFileError, match="declared twice"):
             parse_input_text("char 2\nvars x\nideal I = x\nideal I = x\n")
 
+    @pytest.mark.parametrize("head, first, second", [
+        ("char", "char 2", "char 3"),
+        ("vars", "vars x y", "vars a b"),
+        ("weights", "weights 1 1", "weights 1 2"),
+        ("order", "order lex", "order grevlex"),
+        ("degree_guard", "degree_guard 50", "degree_guard 50"),
+    ])
+    def test_repeated_directive_located(self, head, first, second):
+        """A second line of a directive must not replace the first in
+        silence: `char 2` then `char 3` would compute over GF(3)."""
+        base = {"char": "char 2", "vars": "vars x y"}
+        lines = [base.get(h, h) for h in ("char", "vars") if h != head]
+        text = "\n".join(lines + [first, "# between", second, "ideal I = x^2 + y^2"]) + "\n"
+        with pytest.raises(InputFileError) as info:
+            parse_input_text(text)
+        assert info.value.line == len(lines) + 3
+        assert str(info.value) == f"{head!r} declared twice (first on line " \
+            f"{len(lines) + 1}) (line {len(lines) + 3})"
+
     def test_bad_variable_name(self):
         with pytest.raises(InputFileError, match="bad variable name"):
             parse_input_text("char 2\nvars 1x\n")

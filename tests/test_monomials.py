@@ -1,5 +1,6 @@
 import random
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -518,6 +519,30 @@ class TestProbeOracle:
         comps = [segre_component_2x3(p, e).minimalize() for e in range(1, emax + 1)]
         assert fractional_fingen_probe(comps, p, degree=sum).rows == \
             monomial_oracle.fractional_fingen_probe(comps, p, degree=sum).rows
+
+    def test_index_holds_distinct_products(self):
+        """The Segre products repeat (at p=2, degree 5 has more products
+        than distinct ones); each degree's index is built over the distinct
+        ones, and the rows still equal the pair scan's."""
+        p, emax = 2, 5
+        comps = [segre_component_2x3(p, e).minimalize() for e in range(1, emax + 1)]
+        assert _repeats_a_product(comps, p)
+        built = []
+        init = _Dominance.__init__
+
+        def recording(self, generators, congruences):
+            built.append(list(generators))
+            init(self, generators, congruences)
+
+        with patch.object(_Dominance, "__init__", recording):
+            rows = fractional_fingen_probe(comps, p, degree=sum).rows
+        assert len(built) == emax - 1
+        for e, generators in enumerate(built, start=2):
+            expected = {h for e1 in range(1, e)
+                        for h in twisted_products(comps[e1 - 1], comps[e - e1 - 1], p)}
+            assert len(generators) == len(expected)
+            assert set(generators) == expected
+        assert rows == monomial_oracle.fractional_fingen_probe(comps, p, degree=sum).rows
 
 
 class TestDominanceOracle:
