@@ -88,8 +88,10 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
 
     Its generators are minimal_generators_mod of the colon's basis modulo
     I^[q]: the monic normal forms of the survivors, by weighted degree and
-    then by leading monomial.  A degree-guard abort names e, q and the
-    step it happened in.
+    then by leading monomial.  No basis of I is computed: weights are
+    positive, so a homogeneous I is proper exactly when no generator is a
+    nonzero constant.  A degree-guard abort names e, q and the step it
+    happened in: the colon or the basis of I^[q].
     """
     ring = ideal.ring
     p = ring.field.p
@@ -97,10 +99,9 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
         raise ValueError("Frobenius degree must be non-negative")
     if not ideal.is_homogeneous():
         raise ValueError("component computation needs a homogeneous ideal")
+    if any(g.weighted_degree() == 0 for g in ideal.generators):
+        raise ValueError("component computation needs a proper ideal")
     q = p ** e
-    with _guard_context(f"the basis of I of component e={e} (q={q})"):
-        if not ideal.is_proper(degree_guard):
-            raise ValueError("component computation needs a proper ideal")
     if e == 0:
         unit = Ideal(ring, (ring.one(),))
         return FrobeniusComponent(0, 1, unit, ideal, (ring.one(),))

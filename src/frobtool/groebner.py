@@ -30,8 +30,8 @@ exponent parts P of the leads, in one pass over the new lcms: the P part
 of an lcm is the fieldwise max, taken by SWAR operations on the packed
 ints, while the K fields of an lcm are no such max, so only the pairs it
 keeps as new get a full packed lcm.  Buchberger returns a minimal basis,
-ascending by lead; groebner_basis interreduces it, intersect only its
-t-free part, and a colon only its final quotients.
+ascending by lead; groebner_basis interreduces it, and the colon chain
+(intersect included) only its final quotients.
 
 Reduction takes the first divisor in basis order, found through a divisor
 index kept beside the basis (`_Divisors`): per variable, the distinct lead
@@ -44,23 +44,25 @@ only grows: one per Buchberger main loop and one for interreduction.  Each
 ideal keeps one, complete when made, for all its normal forms;
 minimal_generators_mod makes its own in the packing of its candidates.
 
-Colon.  lhs : (f_1..f_k) is a chain of k eliminations: R_0 = (1) and
+Colon.  B ∩ (lhs : (f_1..f_k)) is a chain of k eliminations: R_0 = B and
 R_i = (lhs ∩ f_i*R_{i-1})/f_i.  Two identities make it exact.  First,
 lhs : (f_1..f_k) is the intersection of the lhs : f_i.  Second, because
 the polynomial ring is a domain, R ∩ (J : f) = (J ∩ f*R)/f: g lies in R
 with f*g in J exactly when f*g lies in J ∩ f*R.  So R_i = R_{i-1} ∩
-(lhs : f_i), and R_k = lhs : rhs, without intersecting quotients with
-each other.  The whole chain runs in one packing of the ring extended by
-t, ordered by t-degree and then by weighted grevlex (`_Elimination`): t*g
-is packed once per generator g of lhs, each (1-t)*f_i*q is formed by
-adding packed monomials, the t-free entries are taken straight from the
-Buchberger output (a t-free lead means a t-free entry), and the division
-by f_i is exact on packed dicts.
+(lhs : f_i) for any R_0, and R_k = B ∩ (lhs : rhs), without intersecting
+quotients with each other.  colon takes B = (1), so R_k = lhs : rhs;
+intersect takes the one divisor 1, so R_1 = B ∩ lhs.  The whole chain
+runs in one packing of the ring extended by t, ordered by t-degree and
+then by weighted grevlex (`_Elimination`): t*g is packed once per
+generator g of lhs, each (1-t)*f_i*q is formed by adding packed
+monomials, the t-free entries are taken straight from the Buchberger
+output (a t-free lead means a t-free entry), and the division by f_i is
+exact on packed dicts.
 
 A step whose divisor already maps the running quotient into lhs is
 skipped.  Each elimination returns the whole minimal basis of
-K = t*lhs + (1-t)*B, with B = f_j*R_{j-1} at its step j, and h lies in
-lhs exactly when t*h lies in K, whatever B is: t*lhs lies in K, and
+K = t*lhs + (1-t)*f_j*R_{j-1} at its step j, and h lies in lhs exactly
+when t*h lies in K, whatever R_{j-1} is: t*lhs lies in K, and
 t*h = t*a + (1-t)*b with a in lhs gives h = a at t = 1.
 So before step i >= 2 each t*f_i*q, over the quotients q of R_{i-1}, is
 reduced against that basis; if all reduce to zero, R_{i-1} lies in
@@ -72,8 +74,8 @@ On a grevlex ring, when the skipped steps are the last ones (as in every
 I^[q] : I measured on the 2x3 minors and the twisted cubic), the
 eliminations that run are the first ones of the chain without skips,
 input for input, so a guard that aborted a colon may now let it finish,
-never the other way round.  An elimination after a skipped step, or a
-final groebner_basis on another ring order, starts from another basis
+never the other way round.  An elimination after a skipped step, or the
+final Buchberger run on another ring order, starts from another basis
 of the same ideal, so its guard outcome is not tied to that chain's.
 Both guard checks of an elimination, on the next pair's lcm and on each
 remainder, read the full weighted degree, t included, so the width rule
@@ -82,17 +84,14 @@ inputs the first pair or remainder above the guard is another one than
 under the full degree, and an abort may move to another degree or phase,
 or appear or vanish.
 
-The last elimination run also gives the final basis: on a grevlex ring
-the t-free part is a minimal basis of J ∩ f*R, the leading terms of
-f*R are lm(f) times those of R, and division keeps the leads in order,
-lm(b/f) = lm(b)/lm(f).  So the monic quotients are a Groebner basis of R
-whose leads form an antichain, that is a minimal basis, and interreducing
-their tails in the same packing, whose order on t-free monomials is the
-ring's grevlex, gives the reduced basis; it is unpacked once.  On any
-other ring order the final basis is a groebner_basis of the quotients.
+The last elimination run also gives the final basis: its t-free part is a
+minimal grevlex basis of J ∩ f*R, the leads of f*R are lm(f) times those
+of R, and lm(b/f) = lm(b)/lm(f), so the monic quotients are a minimal
+grevlex basis of R.  _Elimination.reduced finishes it: on a grevlex ring
+by interreducing the tails in the same packing, unpacked once; on any
+other order by one Buchberger run in the ring's order, with no memo.
 The memo and the persistent store see whole colons: one entry per colon,
-keyed by its normalized lhs and rhs.  intersect runs the same packed
-step, with no memo.
+keyed by its normalized lhs and rhs.  intersect consults no memo.
 
 Lift.  lift_by_nzd(g, m, J), J and m homogeneous, deg m > 0, adjoins t of
 weight deg m, last in weighted grevlex, and takes r = NF(g) modulo the
@@ -114,7 +113,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -521,13 +519,17 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
     if not normalized:
         return ()
 
-    def compute():
-        pk = _packing(ring, max([guard] + [g.weighted_degree() for _, g in normalized]))
-        entries = _interreduce(_buchberger([pk.pack_terms(g.terms) for _, g in normalized],
-                                           pk, guard, pk.degree), pk)
-        return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
+    return _memoized(_content_key(ring, normalized), ring,
+                     lambda: _reduced_basis([g for _, g in normalized], ring, guard))
 
-    return _memoized(_content_key(ring, normalized), ring, compute)
+
+def _reduced_basis(gens: Sequence[Polynomial], ring: RingSpec, guard: int):
+    """The reduced basis, ascending by lead, of the nonzero polynomials
+    `gens` under the ring's order: one Buchberger run, with no memo."""
+    pk = _packing(ring, max([guard] + [g.weighted_degree() for g in gens]))
+    entries = _interreduce(_buchberger([pk.pack_terms(g.terms) for g in gens],
+                                       pk, guard, pk.degree), pk)
+    return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
 
 
 # --------------------------------------------------------------------------
@@ -549,6 +551,15 @@ class Ideal:
         self.generators = tuple(gens)
         self.gb_cache: dict = {}
         self._reducer_held = None
+
+    @classmethod
+    def _from_basis(cls, ring: RingSpec, basis: tuple) -> "Ideal":
+        """The ideal whose generators are `basis`, already its reduced basis
+        under the ring's order, which it keeps; nothing is validated."""
+        self = cls.__new__(cls)
+        self.ring, self.generators, self._reducer_held = ring, basis, None
+        self.gb_cache = {ring.order.tag: basis}
+        return self
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -712,29 +723,27 @@ class _Elimination:
             return Polynomial._from_sorted(ring, tuple(terms))
         return Polynomial(ring, terms)
 
+    def reduced(self, quotients, guard):
+        """The reduced basis over `ring`, ascending, of the packed t-free
+        dicts `quotients`, a minimal basis under weighted grevlex: their
+        interreduction on a grevlex ring, else one Buchberger run."""
+        if self.ring.order == GREVLEX:
+            minimal = [_make_entry(q, self.pk.p) for q in quotients]
+            return tuple(self.polynomial(((lm, 1),) + tail)
+                         for lm, tail in _interreduce(minimal, self.pk))
+        return _reduced_basis([self.polynomial(q.items()) for q in quotients], self.ring, guard)
+
 
 def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
-    """Ideal intersection via an auxiliary variable and elimination, by the
-    packed step that colon runs; it consults no memo.  Only the t-free part
-    of the elimination's minimal basis is interreduced: a t-containing lead
-    divides no t-free term."""
+    """Ideal intersection as the one-step colon chain rhs ∩ (lhs : (1)), the
+    elimination of t*lhs + (1-t)*rhs; it consults no memo."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     ring = lhs.ring
     if lhs.is_zero() or rhs.is_zero():
         return Ideal(ring, ())
-    guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    gens = lhs.generators + rhs.generators
-    el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in gens]))
-    meet = _interreduce(el.free(el.meet([el.lift(g, 1) for g in lhs.generators],
-                                        [el.lift(g) for g in rhs.generators], guard)), el.pk)
-    projected = tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in meet)
-    result = Ideal(ring, projected)
-    if ring.order == GREVLEX:
-        # the interreduced t-free part is the reduced grevlex basis of the
-        # intersection
-        result.gb_cache[GREVLEX.tag] = projected
-    return result
+    return Ideal._from_basis(ring, _colon_chain(lhs, rhs.generators, (ring.one(),),
+                                                degree_guard))
 
 
 def _multiply(fd: dict, gd: dict, pk) -> dict:
@@ -800,17 +809,11 @@ def _divide_exact(fd: dict, gd: dict, pk) -> dict:
 def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     """The colon ideal lhs : rhs = { g : g*rhs contained in lhs }.
 
-    Chained over the generators f_1..f_k of rhs, in their given order, one
-    elimination each: R_0 = (1) and R_i = (lhs ∩ f_i*R_{i-1})/f_i, so
-    R_k = lhs : rhs (see the module docstring).  Step i >= 2 is skipped
-    when f_i*R_{i-1} already lies in lhs, since then R_i = R_{i-1}; the
-    previous elimination's basis of t*lhs + (1-t)*B decides that, as t*h
-    lies in it exactly when h lies in lhs.  A skipped step cannot abort, so
-    a guard that stopped the chain without skips may let this one finish.
-    Each elimination takes its pairs by the degree of the ring's own
-    variables, while the guard bounds the full degree (see
-    _Elimination.meet).  The result is memoized, and kept in the
-    persistent store, as one entry per colon.
+    The colon chain from R_0 = (1) over the generators of rhs, in their
+    given order: one elimination each, except that a step whose divisor
+    already maps R_{i-1} into lhs is skipped and cannot abort (see the
+    module docstring).  The result is memoized, and kept in the persistent
+    store, as one entry per colon.
     """
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
@@ -821,26 +824,23 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
         return Ideal(ring, ())
     key = _content_key(ring, _normalized_gens(lhs.generators),
                        _normalized_gens(rhs.generators))
-    basis = _memoized(key, ring, lambda: _colon_chain(lhs, rhs, degree_guard))
-    final = Ideal(ring, basis)
-    final.gb_cache[ring.order.tag] = basis
-    return final
+    return Ideal._from_basis(ring, _memoized(key, ring, lambda: _colon_chain(
+        lhs, (ring.one(),), rhs.generators, degree_guard)))
 
 
-def _colon_chain(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int]):
-    """The reduced basis of lhs : rhs, computed in one _Elimination packing
-    from the first elimination to the final basis.  The basis of K is never
-    interreduced: the skip test needs only a Groebner basis, and the
-    quotients are interreduced once, at the end."""
-    ring = lhs.ring
+def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int]):
+    """The reduced basis of B ∩ (lhs : (f_1..f_k)), B generated by `start`
+    and f_1..f_k the `divisors`, in one _Elimination packing throughout.
+    The basis of K is never interreduced: the skip test needs only a
+    Groebner basis, and the quotients are finished once, at the end."""
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in
-                                               lhs.generators + rhs.generators]))
-    pk, p = el.pk, el.pk.p
+    gens = itertools.chain(lhs.generators, start, divisors)
+    el = _Elimination(lhs.ring, 1 + max([guard] + [g.weighted_degree() for g in gens]))
+    pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
-    quotients = [{0: 1}]  # R_0 = (1); the monomial 1 packs to 0
+    quotients = [el.lift(g) for g in start]  # R_0 = B
     basis = None  # the basis of K from the last elimination run
-    for f in rhs.generators:
+    for f in divisors:
         fd = el.lift(f)
         products = [_multiply(fd, q, pk) for q in quotients]
         if basis is not None and el.within(basis, products):
@@ -849,13 +849,7 @@ def _colon_chain(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int]):
         basis = el.meet(lifted, products, guard)
         quotients = [_divide_exact(_entry_dict(b), fd, pk) for b in el.free(basis)]
     del basis  # not held through the final basis
-    if ring.order == GREVLEX:
-        # the quotients of a minimal basis by f are a minimal basis, and
-        # interreducing it under grevlex raises no degree
-        minimal = [_make_entry(q, p) for q in quotients]
-        return tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in _interreduce(minimal, pk))
-    return groebner_basis([el.polynomial(q.items()) for q in quotients], ring,
-                          degree_guard=guard)
+    return el.reduced(quotients, guard)
 
 
 def frobenius_power(ideal: Ideal, e: int) -> Ideal:
@@ -995,7 +989,10 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
         a, q1, b = (f, 1, one) if isinstance(f, Polynomial) else f
         if a.ring != ring or b.ring != ring:
             raise RingMismatch("ring mismatch")
-        if q1 < 1 or pk.p ** round(math.log(q1, pk.p)) != q1:  # see _twisted_product
+        k = q1
+        while isinstance(k, int) and k > 1 and k % pk.p == 0:  # divide out p exactly
+            k //= pk.p
+        if k != 1 or not isinstance(q1, int):  # see _twisted_product
             raise ValueError(f"a known product a*b^(q1) needs q1 a power of {pk.p}, not {q1}")
         if a.is_zero() or b.is_zero() or (a, q1, b) in seen:
             continue

@@ -10,7 +10,8 @@ chained colon with it basis for basis.
 
 `chain_colon` is the chain as it was before it learned to skip a step: it
 runs the elimination of every step, R_i = (lhs ∩ f_i*R_{i-1})/f_i, on the
-library's packed helpers, even when f_i*R_{i-1} already lies in lhs.
+library's packed helpers, even when f_i*R_{i-1} already lies in lhs, and
+finishes its quotients with the library's `_Elimination.reduced`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from frobtool.groebner import (
     _divide_exact as _packed_divide_exact,
     _Elimination,
     _entry_dict,
-    _interreduce,
-    _make_entry,
     _multiply,
-    groebner_basis,
     intersect,
 )
-from frobtool.polyring import GREVLEX, Polynomial, RingMismatch
+from frobtool.polyring import Polynomial, RingMismatch
 
 from order_oracle import key_function
 
@@ -76,10 +74,7 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
         meet = intersect(lhs, Ideal(ring, (f,)), degree_guard)
         quotient = Ideal(ring, [_divide_exact(b, f) for b in meet.generators])
         result = quotient if result is None else intersect(result, quotient, degree_guard)
-    basis = result.groebner_basis(degree_guard=degree_guard)
-    final = Ideal(ring, basis)
-    final.gb_cache[ring.order.tag] = basis
-    return final
+    return Ideal._from_basis(ring, result.groebner_basis(degree_guard=degree_guard))
 
 
 def chain_colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
@@ -95,19 +90,11 @@ def chain_colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> I
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
     el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in
                                                lhs.generators + rhs.generators]))
-    pk, p = el.pk, el.pk.p
+    pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [{0: 1}]  # R_0 = (1); the monomial 1 packs to 0
     for f in rhs.generators:
         fd = el.lift(f)
         meet = el.free(el.meet(lifted, [_multiply(fd, q, pk) for q in quotients], guard))
         quotients = [_packed_divide_exact(_entry_dict(b), fd, pk) for b in meet]
-    if ring.order == GREVLEX:
-        minimal = [_make_entry(q, p) for q in quotients]
-        basis = tuple(el.polynomial(((lm, 1),) + tail) for lm, tail in _interreduce(minimal, pk))
-    else:
-        basis = groebner_basis([el.polynomial(q.items()) for q in quotients], ring,
-                               degree_guard=guard)
-    final = Ideal(ring, basis)
-    final.gb_cache[ring.order.tag] = basis
-    return final
+    return Ideal._from_basis(ring, el.reduced(quotients, guard))

@@ -33,6 +33,7 @@ from frobtool.polyring import (
     monomials_of_weighted_degree,
 )
 
+import colon_completeness
 import probe_oracle
 import root_oracle
 from probe_oracle import product_component, twisted_mul
@@ -260,6 +261,33 @@ class TestFrobeniusRoot:
             assert not col.contains(perturbed)
 
 
+class TestColonCompleteness:
+    """The colon of each component against its dimension in every degree up
+    to its top degree, read from normal forms modulo I^[q] alone
+    (tests/colon_completeness.py), with the root check for inclusion."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(homogeneous_ideals())
+    def test_colon_is_complete(self, drawn):
+        ideal, _ = drawn
+        # small e: the check runs to the top degree, about q times I's
+        for e in range(1, 3 if ideal.ring.field.p == 2 else 2):
+            try:
+                col = component(ideal, e, 400).colon
+            except DegreeGuardExceeded:
+                return
+            colon_completeness.check_frobenius_colon(ideal, e, col, 400)
+
+    def test_dropped_generator_is_caught(self):
+        ring, ideal = twisted_cubic_ideal(3)
+        col = component(ideal, 1, 400).colon
+        assert colon_completeness.check_frobenius_colon(ideal, 1, col, 400) == 7
+        for i in range(len(col.generators)):
+            dropped = Ideal(ring, col.generators[:i] + col.generators[i + 1:])
+            with pytest.raises(AssertionError, match="dimension"):
+                colon_completeness.check_frobenius_colon(ideal, 1, dropped, 400)
+
+
 GALLERY_COMPONENTS = [
     (katzman_ideal, 2, 3), (katzman_ideal, 3, 2), (minors_ideal, 2, 3),
     (minors_ideal, 3, 2), (twisted_cubic_ideal, 2, 3), (twisted_cubic_ideal, 3, 2),
@@ -394,14 +422,23 @@ class TestPackedProducts:
         # a Frobenius power, q1 = 2 would pack to x^2 + y^2 and drop it
         assert minimal_generators_mod(cands, zero, known=[P("x + y") ** 2]) == cands
         assert minimal_generators_mod(cands, zero, known=[(one, 3, P("x + y"))]) == cands
+        # a true power, however large, is accepted, and a product above the
+        # top degree is never formed
+        assert minimal_generators_mod(cands, zero, known=[(one, 3 ** 40, P("x + y"))]) == cands
 
         def no_basis(*args, **kwargs):
             raise AssertionError("a basis was computed")
 
         monkeypatch.setattr(Ideal, "groebner_basis", no_basis)
-        for q1 in (2, 0, -1):
+        for q1 in (2, 0, -1, 4.0, 6, 2 ** 40, 3.0, 3 ** 40 + 1):
             with pytest.raises(ValueError, match="power of 3"):
                 minimal_generators_mod(cands, zero, known=[(one, q1, P("x + y"))])
+        # on GF(2), 4.0 passes a float test of q1 = 2^k, so q1 must be an int
+        ring = RingSpec(PrimeField(2), ("x", "y"))
+        x = ring.variable("x")
+        for q1 in (4.0, 6, 3):
+            with pytest.raises(ValueError, match="power of 2"):
+                minimal_generators_mod([x ** 5], Ideal(ring, ()), known=[(x, q1, x)])
 
 
 class TestGuardContext:
@@ -427,11 +464,22 @@ class TestGuardContext:
                 r"component e=2 \(q=4\); ")):
             fingen_probe(ideal, 2, 9)
         clear_memo()
+        # no basis of I is computed, so the first step that can abort is the colon
         with pytest.raises(DegreeGuardExceeded, match=(
-                r"\(pair lcm\) exceeds the degree guard 3 in the basis of I of "
-                r"component e=1 \(q=2\); ")):
-            component(Ideal(gf2_xyz, ideal.generators), 1, 3)  # no basis of I kept
+                r"^intermediate weighted degree 5 \(pair lcm\) exceeds the degree guard 3 "
+                r"in the colon I\^\[q\]:I of component e=1 \(q=2\); ")):
+            component(Ideal(gf2_xyz, ideal.generators), 1, 3)
         clear_memo()
+
+    def test_constant_generator_rejected_without_a_basis(self, gf2_xyz, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a basis was computed")
+
+        monkeypatch.setattr(Ideal, "groebner_basis", no_basis)
+        x = gf2_xyz.variable("x")
+        for gens in ((x, gf2_xyz.one()), (gf2_xyz.one(),)):
+            with pytest.raises(ValueError, match="needs a proper ideal"):
+                component(Ideal(gf2_xyz, gens), 1, 3)
 
 
 class TestDegreeGrowth:

@@ -588,6 +588,106 @@ class TestColonSkip:
         clear_memo()
 
 
+INTERSECT_RINGS = {
+    "grevlex": ((1, 1, 1), GREVLEX),
+    "weighted grevlex": ((1, 2, 1), GREVLEX),
+    "lex": ((1, 1, 1), LEX),
+    "elim 1": ((1, 2, 1), ELIM1),
+}
+
+
+def _standard_count(basis, weights, d):
+    """The degree-d monomials that no lead of `basis` divides."""
+    leads = [b.leading_monomial() for b in basis]
+    return sum(not any(mono_divides(lm, m) for lm in leads)
+               for m in monomials_of_weighted_degree(weights, d))
+
+
+@st.composite
+def homogeneous_intersect_pairs(draw):
+    """Homogeneous A and B over GF(2), GF(3) or GF(5) in 2 to 4 variables of
+    weight 1 or 2, under grevlex, lex or an elimination order."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n)))
+    order = draw(st.sampled_from((GREVLEX, LEX, ELIM1)))
+    rng = draw(st.randoms(use_true_random=False))
+    ring = RingSpec(PrimeField(p), ("w", "x", "y", "z")[:n], weights, order)
+
+    def ideal():
+        gens = [_random_homogeneous(ring, rng, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))]
+        return Ideal(ring, [g for g in gens if not g.is_zero()] or [ring.variable("x")])
+
+    return ring, ideal(), ideal()
+
+
+class TestIntersectBasis:
+    """intersect is the one-step colon chain: on every order its generators
+    are its reduced basis, kept in gb_cache, and it writes no memo or store
+    entry."""
+
+    @pytest.mark.parametrize("kind", sorted(INTERSECT_RINGS))
+    def test_generators_are_the_reduced_basis(self, kind):
+        weights, order = INTERSECT_RINGS[kind]
+        ring = RingSpec(PrimeField(3), ("x", "y", "z"), weights, order)
+        grevlex = RingSpec(ring.field, ring.variables, weights)
+        rng = random.Random(23)
+        for _ in range(15):
+            gens = [[random_poly(ring, rng, max_terms=3, max_exp=2)
+                     for _ in range(rng.randint(1, 2))] for _ in range(2)]
+            lhs, rhs = (Ideal(ring, g) for g in gens)
+            clear_memo()
+            try:
+                meet = intersect(lhs, rhs, COLON_GUARD)
+                # the same intersection on grevlex, carried over to this order
+                other = intersect(*(Ideal(grevlex, [Polynomial(grevlex, f.terms) for f in g])
+                                    for g in gens), COLON_GUARD)
+            except DegreeGuardExceeded:
+                continue
+            assert meet.gb_cache == {order.tag: meet.generators}
+            assert all(g.leading_coefficient() == 1 for g in meet.generators)
+            assert meet.generators == groebner.groebner_basis(meet.generators, ring, COLON_GUARD)
+            assert meet.generators == groebner.groebner_basis(
+                [Polynomial(ring, f.terms) for f in other.generators], ring, COLON_GUARD)
+
+    @pytest.mark.parametrize("kind", sorted(INTERSECT_RINGS))
+    def test_store_entries(self, kind):
+        # a colon keeps one entry, in the memo and in the store, on every
+        # order; intersect keeps none
+        weights, order = INTERSECT_RINGS[kind]
+        ring = RingSpec(PrimeField(3), ("x", "y", "z"), weights, order)
+        P = lambda s: parse_polynomial(s, ring)
+        lhs = Ideal(ring, (P("x^2*y + z^3"), P("x*y*z - y^2*z")))
+        rhs = Ideal(ring, (P("x + z"), P("y^2")))
+        with _colon_store() as store:
+            intersect(lhs, rhs)
+            assert not groebner._GB_MEMO and not list(store.root.iterdir())
+            colon(lhs, rhs)
+            assert len(groebner._GB_MEMO) == 1 and len(list(store.root.iterdir())) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(homogeneous_intersect_pairs())
+    def test_intersection_is_complete(self, instance):
+        # dim (A ∩ B)_d = dim A_d + dim B_d - dim (A + B)_d in every degree
+        # up to the top one of the result, each read from the standard
+        # monomials of a groebner_basis, with no elimination; and every
+        # generator lies in A and in B
+        ring, lhs, rhs = instance
+        try:
+            meet = intersect(lhs, rhs, COLON_GUARD)
+            bases = [groebner.groebner_basis(i.generators, ring, COLON_GUARD)
+                     for i in (meet, lhs, rhs, lhs + rhs)]
+        except DegreeGuardExceeded:
+            assume(False)
+        for g in meet.generators:
+            assert lhs.contains(g, COLON_GUARD) and rhs.contains(g, COLON_GUARD)
+        for d in range(max(g.weighted_degree() for g in meet.generators) + 1):
+            meet_d, lhs_d, rhs_d, sum_d = (_standard_count(b, ring.weights, d) for b in bases)
+            # with s_d the standard count: dim I_d = dim S_d - s(I)_d
+            assert meet_d + sum_d == lhs_d + rhs_d, d
+
+
 class TestFrobeniusPower:
     def test_monomial(self, gf2_xyz):
         ideal = Ideal(gf2_xyz, (parse_polynomial("x*y", gf2_xyz),
