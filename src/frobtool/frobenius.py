@@ -15,11 +15,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .groebner import (
+    DEFAULT_DEGREE_GUARD,
     Ideal,
-    colon,
     frobenius_power,
-    minimal_generators_mod,
+    _colon,
+    _entry_dict,
     _guard_context,
+    _minimal_forms,
+    _packed_candidates,
 )
 from .monomials import (
     FracMonomialModule,
@@ -30,7 +33,7 @@ from .monomials import (
     mono_frobenius_power,
     twisted_products,
 )
-from .polyring import Polynomial
+from .polyring import Polynomial, _packing
 
 
 @dataclass(frozen=True)
@@ -86,13 +89,30 @@ class FinGenReport:
 def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> FrobeniusComponent:
     """The degree-e component of the operator algebra of A/I.
 
-    Its generators are minimal_generators_mod of the colon's basis modulo
-    I^[q]: the monic normal forms of the survivors, by weighted degree and
-    then by leading monomial.  No basis of I is computed: weights are
-    positive, so a homogeneous I is proper exactly when no generator is a
-    nonzero constant.  A degree-guard abort names e, q and the step it
-    happened in: the colon or the basis of I^[q].
+    Its generators are those of minimal_generators_mod of the colon's basis
+    modulo I^[q]: the monic normal forms of the survivors, by weighted
+    degree and then by leading monomial.  No basis of I is computed:
+    weights are positive, so a homogeneous I is proper exactly when no
+    generator is a nonzero constant.  A degree-guard abort names e, q and
+    the step it happened in: the colon or the basis of I^[q].
+
+    The minimalization takes the colon's reduced basis as the colon chain
+    packed it, so it is neither unpacked nor packed on the way, and it
+    looks up only each lead in the index of I^[q]: the colon contains
+    I^[q], so no tail term of its reduced basis is reducible.  A colon from
+    the memo or the store is only polynomials, and the store does not check
+    that tails are reduced, so those are packed and every term is looked
+    up.  The generators are unpacked once, for the result.
     """
+    return _component(ideal, e, degree_guard)[0]
+
+
+def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
+    """component(ideal, e, degree_guard), returned with (pk, the monic
+    packed normal forms (degree, lm, tail) of its generators in pk), or
+    with None for e = 0.  pk is the given packing of the ring; without
+    one, the colon's own, or on a memo or store hit one sized for the
+    colon's top degree."""
     ring = ideal.ring
     p = ring.field.p
     if e < 0:
@@ -104,14 +124,23 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     q = p ** e
     if e == 0:
         unit = Ideal(ring, (ring.one(),))
-        return FrobeniusComponent(0, 1, unit, ideal, (ring.one(),))
+        return FrobeniusComponent(0, 1, unit, ideal, (ring.one(),)), None
     modulus = frobenius_power(ideal, e)
     with _guard_context(f"the colon I^[q]:I of component e={e} (q={q})"):
-        col = colon(modulus, ideal, degree_guard)
+        col, packed = _colon(modulus, ideal, degree_guard, pk.width if pk else 0)
+    if packed is not None and (pk is None or packed[0].width == pk.width):
+        pk, entries = packed
+        cands = [(pk.degree(entry[0]), entry[0], _entry_dict(entry)) for entry in entries]
+        lookup = "lead"
+    else:  # a memo or store hit
+        basis = col.groebner_basis(degree_guard=degree_guard)
+        pk = pk or _packing(ring, max([0] + [g.weighted_degree() for g in basis]))
+        cands = _packed_candidates(basis, pk)
+        lookup = "terms"
     with _guard_context(f"the basis of I^[q] of component e={e} (q={q})"):
-        min_gens = tuple(minimal_generators_mod(col.groebner_basis(degree_guard=degree_guard),
-                                                modulus, degree_guard))
-    return FrobeniusComponent(e, q, col, modulus, min_gens)
+        forms = _minimal_forms(pk, cands, (), modulus, degree_guard, lookup)
+    min_gens = tuple(pk.polynomial(((lm, 1),) + tail) for _, lm, tail in forms)
+    return FrobeniusComponent(e, q, col, modulus, min_gens), (pk, forms)
 
 
 def generation_report(p: int, gens, product, outside, degree=None) -> FinGenReport:
@@ -150,27 +179,42 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
     """Generation probe on the Groebner path: for each e >= 2, the degree-e
     generators are minimalized modulo I^[q] with the twisted products
     a*b^(q1) of the generators of all full lower components as known
-    elements.  Each product is passed as its factors (a, q1, b), so it is
-    formed only in the packing of the normal forms, and only when its
-    degree deg a + q1*deg b is at most the top generator degree.  The
-    products join the echelon of normal forms modulo I^[q] that
-    minimal_generators_mod builds anyway, so no basis of I^[q] +
-    (products) is computed, and degree_guard only reaches the components
-    and the bases of the moduli I^[q].  A guard that aborted a Buchberger
-    run on I^[q] + (products) may therefore let the probe finish, never
-    the other way round.  The candidates, a component's generators, are
-    normal forms modulo I^[q] already, so they are not reduced again."""
+    elements.  Each product is formed from its packed factors, and only
+    when its degree deg a + q1*deg b is at most the top generator degree.
+    The products join the echelon of normal forms modulo I^[q] that the
+    minimalization builds anyway, so no basis of I^[q] + (products) is
+    computed, and degree_guard only reaches the components and the bases
+    of the moduli I^[q].  A guard that aborted a Buchberger run on I^[q] +
+    (products) may therefore let the probe finish, never the other way
+    round.
+
+    The whole probe runs in one packing of the ring, wide enough for every
+    colon it computes, so each component's generators stay packed, as its
+    minimalization left them, and serve as the next degrees' candidates
+    and product factors: nothing is packed again.  The candidates are
+    normal forms modulo I^[q] already, so no term of theirs is looked up."""
     if emax < 1:
         raise ValueError("emax must be >= 1")
-    comps = tuple(component(ideal, e, degree_guard) for e in range(1, emax + 1))
+    ring = ideal.ring
+    guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
+    # each colon chain sizes its packing for 1 + max(guard, input degrees),
+    # which this bounds, so every colon's packed basis arrives in this
+    # packing; one of another width would be packed from its polynomials
+    pk = _packing(ring, 1 + max([guard] + [ring.field.p ** emax * g.weighted_degree()
+                                           for g in ideal.generators]))
+    comps, forms = [], []  # forms[e - 1]: the packed (degree, lead, form) of comps[e - 1]
+    for e in range(1, emax + 1):
+        comp, (_, entries) = _component(ideal, e, degree_guard, pk)
+        comps.append(comp)
+        forms.append([(d, lm, _entry_dict((lm, tail))) for d, lm, tail in entries])
     report = generation_report(
-        ideal.ring.field.p, [c.min_gens for c in comps],
-        lambda e1, e2: [(g, comps[e1 - 1].q, h) for g in comps[e1 - 1].min_gens
-                        for h in comps[e2 - 1].min_gens],
-        lambda e, products: minimal_generators_mod(
-            comps[e - 1].min_gens, comps[e - 1].modulus, degree_guard, products),
+        ring.field.p, [c.min_gens for c in comps],
+        lambda e1, e2: [(d + comps[e1 - 1].q * dh, a, comps[e1 - 1].q, b)
+                        for d, _, a in forms[e1 - 1] for dh, _, b in forms[e2 - 1]],
+        lambda e, products: _minimal_forms(
+            pk, forms[e - 1], products, comps[e - 1].modulus, degree_guard, "none"),
         degree=Polynomial.weighted_degree)
-    return ProbeResult(report, comps)
+    return ProbeResult(report, tuple(comps))
 
 
 def degree_growth(report: FinGenReport):

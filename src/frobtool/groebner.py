@@ -9,12 +9,17 @@ a homogeneous nonzerodivisor by one normal form.
 Inside the engine a monomial is one int of a `polyring.Packing`, the one
 encoding of the ring's order, taken per call at the boundary (a whole
 colon is one call): inputs are packed once on entry and results unpacked
-once on exit, already in canonical order; another order is another ring,
-as in the elimination constructions.  The fields are sized for the largest
-weighted degree among the inputs, the basis and the degree guard, and
-reduction checks the guard bits of every new product: a sum of two valid
-fields cannot carry, so an overflow always shows there and raises
-ArithmeticError instead of wrapping into a wrong answer.
+once on exit, already in canonical order (a long result field by field);
+another order is another ring, as in the elimination constructions.  One
+hand-off stays packed: the colon chain can also return its reduced basis
+in the ring's packing of its own width, which frobenius.component
+minimalizes as it is (`_colon`, `_minimal_forms`).  Polynomials remain
+what the memo, the store, the reports and the public API hold, since they
+outlive a call and must not depend on its packing.  The fields are sized
+for the largest weighted degree among the inputs, the basis and the
+degree guard, and reduction checks the guard bits of every new product: a
+sum of two valid fields cannot carry, so an overflow always shows there
+and raises ArithmeticError instead of wrapping into a wrong answer.
 
 Buchberger keeps each live S-pair with the lcm of its leads and takes
 pairs from a heap keyed by (the caller's grading of the lcm, lcm, pair),
@@ -88,8 +93,13 @@ The last elimination run also gives the final basis: its t-free part is a
 minimal grevlex basis of J ∩ f*R, the leads of f*R are lm(f) times those
 of R, and lm(b/f) = lm(b)/lm(f), so the monic quotients are a minimal
 grevlex basis of R.  _Elimination.reduced finishes it: on a grevlex ring
-by interreducing the tails in the same packing, unpacked once; on any
-other order by one Buchberger run in the ring's order, with no memo.
+by interreducing the tails in the same packing (an entry whose tail no
+lead divides is kept as it is), unpacked once; on any other order by one
+Buchberger run in the ring's order, with no memo.  Asked for its packed
+entries, it moves them to the ring's packing of the same width: both lay
+out their fields alike, so a t-free monomial moves by shifts, with no
+tuple in between; another order's Buchberger run packs in the ring's
+order already.
 The memo and the persistent store see whole colons: one entry per colon,
 keyed by its normalized lhs and rhs.  intersect consults no memo.
 
@@ -129,6 +139,7 @@ from .polyring import (
     RingSpec,
     _overflow,
     _packing,
+    _unpacked,
     monomials_of_weighted_degree,
 )
 
@@ -349,13 +360,20 @@ def _interreduce(minimal, pk):
     """The reduced basis, ascending by lead, of a minimal Groebner basis of
     monic packed entries: each tail is reduced against the whole minimal
     set.  No lead divides a term below itself, so an entry is never picked
-    for its own tail."""
+    for its own tail.  An entry whose tail has no term that a lead divides
+    is already reduced and is kept as it is, after one index lookup per
+    term."""
     index = _Divisors(pk)
+    index.sync(minimal)
+    first = index.first
     reduced = []
-    for lm, tail in minimal:
-        r = _reduce_full(dict(tail), minimal, pk, index)
-        r[lm] = 1
-        reduced.append(_make_entry(r, pk.p))
+    for entry in minimal:
+        lm, tail = entry
+        if any(first(m) >= 0 for m, _ in tail):
+            r = _reduce_full(dict(tail), minimal, pk, index)
+            r[lm] = 1
+            entry = _make_entry(r, pk.p)
+        reduced.append(entry)
     reduced.sort(key=itemgetter(0))
     return reduced
 
@@ -520,16 +538,18 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
         return ()
 
     return _memoized(_content_key(ring, normalized), ring,
-                     lambda: _reduced_basis([g for _, g in normalized], ring, guard))
+                     lambda: _reduced_basis([g for _, g in normalized], ring, guard)[0])
 
 
-def _reduced_basis(gens: Sequence[Polynomial], ring: RingSpec, guard: int):
+def _reduced_basis(gens: Sequence[Polynomial], ring: RingSpec, guard: int, width: int = 0):
     """The reduced basis, ascending by lead, of the nonzero polynomials
-    `gens` under the ring's order: one Buchberger run, with no memo."""
-    pk = _packing(ring, max([guard] + [g.weighted_degree() for g in gens]))
+    `gens` under the ring's order: one Buchberger run, with no memo, in a
+    packing pk of the ring at least `width` bits wide.  Returns the basis
+    and (pk, its monic packed entries (lm, tail))."""
+    pk = _packing(ring, max([guard] + [g.weighted_degree() for g in gens]), width)
     entries = _interreduce(_buchberger([pk.pack_terms(g.terms) for g in gens],
                                        pk, guard, pk.degree), pk)
-    return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries)
+    return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries), (pk, entries)
 
 
 # --------------------------------------------------------------------------
@@ -610,10 +630,6 @@ class Ideal:
     def contains(self, f: Polynomial, degree_guard: Optional[int] = None) -> bool:
         return self.normal_form(f, degree_guard=degree_guard).is_zero()
 
-    def is_proper(self, degree_guard: Optional[int] = None) -> bool:
-        basis = self.groebner_basis(degree_guard=degree_guard)
-        return not any(b.weighted_degree() == 0 for b in basis)
-
     def __add__(self, other: "Ideal") -> "Ideal":
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -654,7 +670,8 @@ def _extended_ring(ring: RingSpec) -> RingSpec:
 
 class _Elimination:
     """Elimination of a new variable t over `ring`, in one packing of
-    _extended_ring(ring) for fields holding weighted degrees up to `degree`.
+    _extended_ring(ring) for fields holding weighted degrees up to `degree`,
+    at least `width` bits wide.
 
     The extended order is t-degree first, then weighted grevlex on the
     variables of `ring`, so the t-free packed monomials are the monomials
@@ -662,10 +679,10 @@ class _Elimination:
     t-free entry.
     """
 
-    def __init__(self, ring: RingSpec, degree: int):
+    def __init__(self, ring: RingSpec, degree: int, width: int = 0):
         ext = _extended_ring(ring)
         self.ring = ring
-        self.pk = pk = _packing(ext, degree)
+        self.pk = pk = _packing(ext, degree, width)
         self.t = pk._units[0]
         self._free = 1 << pk._degree_shifts[0]  # t-free monomials lie below
         self._own = pk._degree_shifts[1]  # the trailing block's degree field
@@ -716,22 +733,42 @@ class _Elimination:
     def polynomial(self, items) -> Polynomial:
         """The Polynomial over `ring` of t-free packed (monomial, coefficient)
         items; built without re-sorting the terms on a grevlex ring."""
-        mask, shifts, ring = self.pk.mask, self._shifts, self.ring
-        terms = [(tuple((m >> s) & mask for s in shifts), c)
-                 for m, c in sorted(items, reverse=True)]
-        if ring.order == GREVLEX:
-            return Polynomial._from_sorted(ring, tuple(terms))
-        return Polynomial(ring, terms)
+        terms = _unpacked(items, self.pk.mask, self._shifts)
+        if self.ring.order == GREVLEX:
+            return Polynomial._from_sorted(self.ring, terms)
+        return Polynomial(self.ring, terms)
 
-    def reduced(self, quotients, guard):
+    def ring_entries(self, entries):
+        """(pk, the t-free packed entries (lm, tail) in pk), pk the packing
+        of `ring` of the same width.  Both lay out their fields alike, and
+        the two extra fields of this packing are zero on a t-free monomial:
+        the t-degree on top and the exponent of t just above the exponents
+        of `ring`.  So a monomial moves by two shifts and a mask, with no
+        tuple in between."""
+        width = self.pk.width
+        hi, lo = (self.ring.nvars + 1) * width, self.ring.nvars * width
+        low = (1 << lo) - 1
+        return _packing(self.ring, 0, width), [
+            (((lm >> hi) << lo) | (lm & low),
+             tuple((((m >> hi) << lo) | (m & low), c) for m, c in tail))
+            for lm, tail in entries]
+
+    def reduced(self, quotients, guard, keep: bool = False):
         """The reduced basis over `ring`, ascending, of the packed t-free
         dicts `quotients`, a minimal basis under weighted grevlex: their
-        interreduction on a grevlex ring, else one Buchberger run."""
-        if self.ring.order == GREVLEX:
-            minimal = [_make_entry(q, self.pk.p) for q in quotients]
-            return tuple(self.polynomial(((lm, 1),) + tail)
-                         for lm, tail in _interreduce(minimal, self.pk))
-        return _reduced_basis([self.polynomial(q.items()) for q in quotients], self.ring, guard)
+        interreduction on a grevlex ring, else one Buchberger run in the
+        ring's order.  Returned with, when `keep`, (pk, the basis as monic
+        packed entries (lm, tail)), pk a packing of `ring` at least as wide
+        as this one; else with None."""
+        if self.ring.order != GREVLEX:
+            basis, packed = _reduced_basis([self.polynomial(q.items()) for q in quotients],
+                                           self.ring, guard, self.pk.width)
+            return basis, packed if keep else None
+        entries = _interreduce([_make_entry(q, self.pk.p) for q in quotients], self.pk)
+        if not keep:
+            return tuple(self.polynomial(((lm, 1),) + tail) for lm, tail in entries), None
+        pk, entries = self.ring_entries(entries)
+        return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries), (pk, entries)
 
 
 def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
@@ -743,7 +780,7 @@ def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ide
     if lhs.is_zero() or rhs.is_zero():
         return Ideal(ring, ())
     return Ideal._from_basis(ring, _colon_chain(lhs, rhs.generators, (ring.one(),),
-                                                degree_guard))
+                                                degree_guard)[0])
 
 
 def _multiply(fd: dict, gd: dict, pk) -> dict:
@@ -815,27 +852,46 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     module docstring).  The result is memoized, and kept in the persistent
     store, as one entry per colon.
     """
+    return _colon(lhs, rhs, degree_guard)[0]
+
+
+def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: Optional[int] = None):
+    """colon(lhs, rhs, degree_guard), returned with, given `width`, (pk,
+    its reduced basis as monic packed entries (lm, tail), ascending), pk a
+    packing of the ring at least `width` bits wide, when this call computed
+    the colon; else with None.  A memo or store hit has only polynomials,
+    and the public colon keeps no packed copy."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     if rhs.is_zero():
         raise ValueError("colon by the zero ideal")
     ring = lhs.ring
     if lhs.is_zero():
-        return Ideal(ring, ())
+        return Ideal(ring, ()), None
     key = _content_key(ring, _normalized_gens(lhs.generators),
                        _normalized_gens(rhs.generators))
-    return Ideal._from_basis(ring, _memoized(key, ring, lambda: _colon_chain(
-        lhs, (ring.one(),), rhs.generators, degree_guard)))
+    packed = None
+
+    def compute():
+        nonlocal packed
+        basis, packed = _colon_chain(lhs, (ring.one(),), rhs.generators, degree_guard, width)
+        return basis
+
+    return Ideal._from_basis(ring, _memoized(key, ring, compute)), packed
 
 
-def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int]):
+def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int],
+                 width: Optional[int] = None):
     """The reduced basis of B ∩ (lhs : (f_1..f_k)), B generated by `start`
-    and f_1..f_k the `divisors`, in one _Elimination packing throughout.
-    The basis of K is never interreduced: the skip test needs only a
-    Groebner basis, and the quotients are finished once, at the end."""
+    and f_1..f_k the `divisors`, in one _Elimination packing throughout, at
+    least `width` bits wide; returned with, given `width`, its packed
+    entries as _Elimination.reduced keeps them, else with None.  The basis
+    of K is never interreduced: the skip test needs only a Groebner basis,
+    and the quotients are finished once, at the end."""
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
     gens = itertools.chain(lhs.generators, start, divisors)
-    el = _Elimination(lhs.ring, 1 + max([guard] + [g.weighted_degree() for g in gens]))
+    el = _Elimination(lhs.ring, 1 + max([guard] + [g.weighted_degree() for g in gens]),
+                      width or 0)
     pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [el.lift(g) for g in start]  # R_0 = B
@@ -849,7 +905,7 @@ def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int]):
         basis = el.meet(lifted, products, guard)
         quotients = [_divide_exact(_entry_dict(b), fd, pk) for b in el.free(basis)]
     del basis  # not held through the final basis
-    return el.reduced(quotients, guard)
+    return el.reduced(quotients, guard, width is not None)
 
 
 def frobenius_power(ideal: Ideal, e: int) -> Ideal:
@@ -959,28 +1015,24 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     divides is its own normal form, and a known element of degree d
     enters degree d's echelon as its normal form.
 
-    The packing is sized for the top candidate degree before any basis is
-    computed: candidates are packed once, their homogeneity is read from
-    their packed degree fields, and a bad input raises before the modulus
-    basis can abort.  Only basis entries up to the top degree are packed
-    (a homogeneous reduced basis has no other lead dividing such a term).
+    This function is the polynomial edge of the work, which runs on
+    packed ints in `_minimal_forms`: it packs its arguments into one
+    packing sized for the top candidate degree, chosen before any basis is
+    computed, and unpacks the survivors once, as its result.  Candidates
+    are packed once and their homogeneity is read from their packed degree
+    fields, so a bad input raises before the modulus basis can abort; a
+    product's factors are packed once each.  Only basis entries up to the
+    top degree are packed (a homogeneous reduced basis has no other lead
+    dividing such a term).  frobenius.component and fingen_probe call
+    `_minimal_forms` with the colon's packed reduced basis and with the
+    packed survivors of lower components, so nothing in the probe is
+    packed twice.
     """
     ring = modulus.ring
     # foreign and zero candidates are reported or skipped in order below
     top = max([0] + [g.weighted_degree() for g in gens if g.ring == ring and not g.is_zero()])
     pk = _packing(ring, top)
-    cands, seen = [], set()
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatch("ring mismatch")
-        if g.is_zero() or g in seen:
-            continue
-        form = pk.pack_terms(g.terms)
-        degrees = pk.degrees(form)
-        if len(degrees) > 1:
-            raise ValueError("minimal generators need homogeneous input")
-        seen.add(g)
-        cands.append((degrees.pop(), form))
+    cands = _packed_candidates(gens, pk)
     one = ring.one()
     homogeneous = {}  # factor -> whether it is homogeneous, each checked once
     packed = {}  # factor of a product up to the top degree -> its packed terms
@@ -1007,45 +1059,79 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
             for h in (a, b):
                 if h not in packed:
                     packed[h] = pk.pack_terms(h.terms)
-            products.append((d, a, q1, b))
+            products.append((d, packed[a], q1, packed[b]))
+    survivors = _minimal_forms(pk, cands, products, modulus, degree_guard, "terms")
+    return [pk.polynomial(((lm, 1),) + tail) for _, lm, tail in survivors]
+
+
+def _packed_candidates(gens: Sequence[Polynomial], pk) -> list:
+    """The distinct nonzero polynomials of `gens`, in order, as packed
+    candidates (degree, lead, form) for _minimal_forms; RingMismatch on one
+    from another ring, ValueError on an inhomogeneous one."""
+    cands, seen = [], set()
+    for g in gens:
+        if g.ring != pk.ring:
+            raise RingMismatch("ring mismatch")
+        if g.is_zero() or g in seen:
+            continue
+        form = pk.pack_terms(g.terms)
+        degrees = pk.degrees(form)
+        if len(degrees) > 1:
+            raise ValueError("minimal generators need homogeneous input")
+        seen.add(g)
+        cands.append((degrees.pop(), max(form), form))
+    return cands
+
+
+def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[int],
+                   lookup: str) -> list:
+    """The survivors of minimal_generators_mod as monic packed normal forms
+    (degree, lm, tail), ascending by degree and then by lead, all in the
+    packing `pk` of the ring.  `cands` holds the distinct homogeneous
+    candidates as (degree, lead, packed form); `products` the known twisted
+    products a*b^(q1) as (degree, packed a, q1, packed b), each formed only
+    up to the top candidate degree.
+
+    `lookup` says which terms of a candidate the modulus index is asked
+    about: "terms", every one; "lead", its lead alone, for a candidate from
+    the reduced basis of an ideal containing the modulus, whose tail terms
+    are standard monomials of that ideal and so of the modulus (in(modulus)
+    lies in in(ideal)); "none", for a normal form.  A candidate with no
+    term that a lead divides is its own normal form."""
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
+    top = max([0] + [d for d, _, _ in cands])
     basis = [_make_entry(pk.pack_terms(g.terms), pk.p)
              for g in modulus.groebner_basis(degree_guard) if g.weighted_degree() <= top]
     index = _Divisors(pk)
     index.sync(basis)
-    cands.sort(key=lambda c: (c[0], max(c[1])))  # by degree, then by packed lead
+    first = index.first
     # (degree, packed normal form): the known elements, then the survivors
     # in ascending order
-    kept = [(d, _reduce_full(_twisted_product(packed[a], q1, packed[b], pk),
-                             basis, pk, index))
-            for d, a, q1, b in products]
+    kept = [(d, _reduce_full(_twisted_product(a, q1, b, pk), basis, pk, index))
+            for d, a, q1, b in products if d <= top]
     start = len(kept)
-    for d, group in itertools.groupby(cands, key=itemgetter(0)):
+    # by degree, then by packed lead
+    for d, group in itertools.groupby(sorted(cands, key=itemgetter(0, 1)), key=itemgetter(0)):
         ech = _Echelon(pk.p)
         for dh, form in kept:
             if dh == d:  # its only shift is by 1, and it is a normal form
                 ech.add_row(form)
                 continue
-            for m in monomials_of_weighted_degree(ring.weights, d - dh):
+            for m in monomials_of_weighted_degree(pk.ring.weights, d - dh):
                 s = pk.pack(m)
                 ech.add_row(_reduce_full({mm + s: c for mm, c in form.items()},
                                          basis, pk, index))
         survivors = []
-        for _, packed_g in reversed(list(group)):
-            # a candidate with no term that a lead divides (a component's
-            # generator, in the probe) is its own normal form
-            if any(index.first(m) >= 0 for m in packed_g):
-                form = _reduce_full(packed_g, basis, pk, index)
-            else:
-                form = packed_g
+        for _, lead, form in reversed(list(group)):
+            if (any(first(m) >= 0 for m in form) if lookup == "terms"
+                    else lookup == "lead" and first(lead) >= 0):
+                form = _reduce_full(form, basis, pk, index)
             if ech.add_row(form):
                 survivors.append((d, form))
         kept.extend(reversed(survivors))
-    # (degree, lead, tail) of each survivor's monic normal form
-    entries = sorted(((d,) + _make_entry(form, pk.p) for d, form in kept[start:]),
-                     key=itemgetter(0, 1))
-    return [pk.polynomial(((lm, 1),) + tail) for _, lm, tail in entries]
+    return sorted(((d,) + _make_entry(form, pk.p) for d, form in kept[start:]),
+                  key=itemgetter(0, 1))
 
 
 def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,

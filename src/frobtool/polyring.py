@@ -436,6 +436,7 @@ class Polynomial:
 
 SPARE_BITS = 32  # headroom of each packed field over the largest input degree
 PACKING_MEMO_SIZE = 32  # packings kept, least recently used evicted first
+COLUMNWISE_TERMS = 12  # the shortest input `_unpacked` unpacks field by field
 
 
 def _overflow(width: int) -> ArithmeticError:
@@ -502,18 +503,31 @@ class Packing:
     def polynomial(self, items) -> Polynomial:
         """The Polynomial of packed (monomial, coefficient) items, sorted by
         the packed ints."""
-        unpack = self.unpack
-        return Polynomial._from_sorted(self.ring, tuple(
-            (unpack(m), c) for m, c in sorted(items, reverse=True)))
+        return Polynomial._from_sorted(self.ring,
+                                       _unpacked(items, self.mask, self._exponent_shifts))
+
+
+def _unpacked(items, mask: int, shifts) -> tuple:
+    """The terms (exponents, coefficient) of packed (monomial, coefficient)
+    items whose exponent fields sit at `shifts`, descending by the packed
+    ints.  Unpacking goes field by field, one list comprehension over the
+    monomials per field, zipped at the end; below COLUMNWISE_TERMS terms it
+    goes term by term, where the per-field setup costs more than it saves."""
+    items = sorted(items, reverse=True)
+    if len(items) < COLUMNWISE_TERMS:
+        return tuple((tuple([(m >> s) & mask for s in shifts]), c) for m, c in items)
+    ms = [m for m, _ in items]
+    return tuple(zip(zip(*[[(m >> s) & mask for m in ms] for s in shifts]),
+                     [c for _, c in items]))
 
 
 _packing_of_width = lru_cache(maxsize=PACKING_MEMO_SIZE)(Packing)
 
 
-def _packing(ring: RingSpec, degree: int) -> Packing:
+def _packing(ring: RingSpec, degree: int, width: int = 0) -> Packing:
     """The packing whose fields hold weighted degrees up to `degree`
-    with SPARE_BITS bits to spare."""
-    return _packing_of_width(ring, max(degree, 1).bit_length() + SPARE_BITS + 1)
+    with SPARE_BITS bits to spare, and are at least `width` bits wide."""
+    return _packing_of_width(ring, max(width, max(degree, 1).bit_length() + SPARE_BITS + 1))
 
 
 def _order_key(ring: RingSpec, monos) -> Callable[[Mono], int]:

@@ -97,4 +97,4 @@ def chain_colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> I
         fd = el.lift(f)
         meet = el.free(el.meet(lifted, [_multiply(fd, q, pk) for q in quotients], guard))
         quotients = [_packed_divide_exact(_entry_dict(b), fd, pk) for b in meet]
-    return Ideal._from_basis(ring, el.reduced(quotients, guard))
+    return Ideal._from_basis(ring, el.reduced(quotients, guard)[0])

@@ -59,7 +59,8 @@ def component_min_gens(ideal: Ideal, e: int, degree_guard: Optional[int] = None,
     default, this only repeats what minimal_generators_mod returns;
     slice_survivors makes it independent of the library's echelon."""
     ring = ideal.ring
-    if not ideal.is_proper(degree_guard):
+    # a reduced basis with a constant is (1)
+    if any(g.weighted_degree() == 0 for g in ideal.groebner_basis(degree_guard)):
         raise ValueError("component computation needs a proper ideal")
     modulus = frobenius_power(ideal, e)
     col = colon(modulus, ideal, degree_guard)

@@ -29,6 +29,7 @@ from frobtool.groebner import (
     ideal_equal,
     intersect,
     lift_by_nzd,
+    minimal_generators_mod,
 )
 
 # random draws occasionally build genuinely explosive inputs; the guard
@@ -336,8 +337,11 @@ def run_deep_segre_rows():
 def run_deep_colon_check():
     """colon(I^[q], I) against the chain reference in colon_oracle.py, which
     eliminates at every step, at the minors p=2 e=4 and the twisted cubic
-    p=7 e=3 (about 10 s in all; too slow for the tier-1 suite).  Not
-    collected by pytest; from the repository root, run
+    p=7 e=3; and there, the generators of component(I, e), which minimalizes
+    the colon's packed basis looking up only its leads, against
+    minimal_generators_mod of the colon's basis, which looks up every term
+    (about 13 s in all; too slow for the tier-1 suite).  Not collected by
+    pytest; from the repository root, run
     `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_colon_check()"`.
     Returns the number of colons checked."""
     checked = 0
@@ -347,6 +351,10 @@ def run_deep_colon_check():
         clear_memo()
         result = colon(lhs, ideal, guard)
         assert result.generators == colon_oracle.chain_colon(lhs, ideal, guard).generators, (p, e)
+        clear_memo()  # so the component computes its colon and hands it on packed
+        comp = component(ideal, e, guard)
+        assert comp.colon.generators == result.generators, (p, e)
+        assert comp.min_gens == tuple(minimal_generators_mod(result.generators, lhs, guard)), (p, e)
         checked += 1
     clear_memo()
     return checked

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobtool import frobenius, groebner, polyring
+from frobtool.cache import BasisCache
 from frobtool.frobenius import (
     component,
     degree_growth,
@@ -21,6 +23,7 @@ from frobtool.groebner import (
     colon,
     frobenius_power,
     minimal_generators_mod,
+    set_persistent_cache,
 )
 from frobtool.monomials import MonomialIdeal, veronese_component
 from frobtool.parsing import parse_polynomial
@@ -36,6 +39,7 @@ from frobtool.polyring import (
 import colon_completeness
 import probe_oracle
 import root_oracle
+from order_oracle import key_function
 from probe_oracle import product_component, twisted_mul
 
 
@@ -439,6 +443,79 @@ class TestPackedProducts:
         for q1 in (4.0, 6, 3):
             with pytest.raises(ValueError, match="power of 2"):
                 minimal_generators_mod([x ** 5], Ideal(ring, ()), known=[(x, q1, x)])
+
+
+class TestPackedHandOff:
+    """The colon hands its reduced basis to the minimalization packed, and
+    the probe keeps each component's generators packed, so neither is
+    packed again; a colon from the memo or the store is packed and every
+    term of it looked up."""
+
+    def test_probe_packs_no_candidate_and_no_factor(self):
+        _, ideal = minors_ideal(2)
+        packed = []
+        pack_terms = polyring.Packing.pack_terms
+
+        def recording(self, terms):
+            terms = tuple(terms)
+            packed.append(terms)
+            return pack_terms(self, terms)
+
+        clear_memo()
+        with patch.object(polyring.Packing, "pack_terms", recording):
+            comps = fingen_probe(ideal, 3).components
+        clear_memo()
+        # the colon's inputs and the moduli's bases are still packed, and a
+        # modulus's basis elements lie in the colon's basis too
+        moduli = {g.terms for c in comps for g in c.modulus.groebner_basis()}
+        candidates = {g.terms for c in comps for g in c.colon.generators} - moduli
+        factors = {g.terms for c in comps for g in c.min_gens}
+        assert candidates and factors and packed
+        assert not (candidates | factors) & set(packed)
+
+    def test_probe_from_the_memo_matches_a_fresh_one(self):
+        _, ideal = twisted_cubic_ideal(2)
+        clear_memo()
+        fresh = fingen_probe(ideal, 3, 1000)
+        remembered = fingen_probe(ideal, 3, 1000)  # every colon from the memo
+        clear_memo()
+        assert remembered.report == fresh.report
+        assert [c.min_gens for c in remembered.components] == \
+            [c.min_gens for c in fresh.components]
+
+    def test_stored_colon_with_unreduced_tail(self, tmp_path):
+        # a store entry of the right shape whose tail is not reduced: a
+        # generator g that survives, plus m*b for a basis element b of
+        # I^[q], which keeps the ideal and the lead of g
+        _, ideal = minors_ideal(2)
+        ring, e = ideal.ring, 2
+        modulus = frobenius_power(ideal, e)
+        clear_memo()
+        fresh = component(ideal, e, 1000)
+        basis = list(fresh.colon.generators)
+        key = key_function(ring)
+        survivors = set(fresh.min_gens)
+        g, b, m = next(
+            (g, b, m) for g in basis if g in survivors for b in modulus.groebner_basis()
+            for m in monomials_of_weighted_degree(ring.weights,
+                                                  g.weighted_degree() - b.weighted_degree())
+            if key(tuple(x + y for x, y in zip(m, b.leading_monomial())))
+            < key(g.leading_monomial()))
+        basis[basis.index(g)] = g + ring.monomial(m) * b
+        store = BasisCache(tmp_path)
+        store.put(groebner._content_key(ring, groebner._normalized_gens(modulus.generators),
+                                        groebner._normalized_gens(ideal.generators)),
+                  ring, basis)
+        clear_memo()
+        set_persistent_cache(store)
+        try:
+            stored = component(ideal, e, 1000)
+        finally:
+            set_persistent_cache(None)
+            clear_memo()
+        assert store.hits == 1
+        assert stored.colon.generators == tuple(basis)
+        assert stored.min_gens == fresh.min_gens
 
 
 class TestGuardContext:

@@ -970,8 +970,9 @@ def _traced_buchberger(module, inputs, ring, guard, base=None):
     S-pair it takes and every entry it makes, in order, as exponent tuples.
     The library's engine gets its inputs packed as groebner_basis packs
     them, and its steps and result are unpacked through that packing; its
-    minimal basis is interreduced, as groebner_basis does, so its entries
-    line up with the oracle's reduced basis.  Pairs are graded by the
+    minimal basis is interreduced, as groebner_basis does, and the
+    interreduced entries are recorded as steps, so its entries line up
+    with the oracle's reduced basis.  Pairs are graded by the
     weighted degree, or with `base`, the ring extended by t, by the
     weighted degree of the variables of `base`, as _Elimination.meet does.
     A guard abort is part of the outcome."""
@@ -1006,9 +1007,15 @@ def _traced_buchberger(module, inputs, ring, guard, base=None):
     with patch.object(module, "_spoly", traced_spoly), \
             patch.object(module, "_make_entry", traced_make_entry):
         try:
-            outcome = [unpack_entry(e) for e in finish(module._buchberger(*args))]
+            basis = module._buchberger(*args)
         except DegreeGuardExceeded as exc:
-            outcome = ("guard", exc.degree, exc.phase)
+            return ("guard", exc.degree, exc.phase), steps
+    outcome = [unpack_entry(e) for e in finish(basis)]
+    if module is groebner:
+        # the oracle's interreduction makes one entry per element, in
+        # ascending order of lead; the library keeps an element whose tail
+        # is already reduced as it is, so its finished entries are recorded
+        steps.extend(("entry", e) for e in outcome)
     return outcome, steps
 
 
@@ -1089,6 +1096,48 @@ class TestBuchbergerOracle:
                 buchberger_oracle._reduce_full(dict(f.terms), basis, key, p)
 
 
+def _fully_interreduced(minimal, pk):
+    """The interreduction as it was before entries with reduced tails were
+    kept as they are: every tail goes through the full reduction."""
+    index = groebner._Divisors(pk)
+    reduced = []
+    for lm, tail in minimal:
+        r = groebner._reduce_full(dict(tail), minimal, pk, index)
+        r[lm] = 1
+        reduced.append(groebner._make_entry(r, pk.p))
+    return sorted(reduced)
+
+
+class TestInterreduce:
+    """_interreduce, which keeps an entry whose tail no lead divides,
+    against the full reduction of every tail."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(buchberger_instances())
+    def test_matches_full_reduction(self, instance):
+        ring, inputs, _, base = instance
+        assume(base is None)
+        pk = polyring._packing(ring, max([40] + [ring.weighted_degree(m)
+                                                 for fd in inputs for m in fd]))
+        try:
+            minimal = groebner._buchberger([pk.pack_terms(fd.items()) for fd in inputs],
+                                           pk, 40, pk.degree)
+        except DegreeGuardExceeded:
+            assume(False)
+        assume(len(minimal) >= 2)
+        # give the last entry a tail term that the first lead divides: add
+        # the first entry, whose terms all lie below the last lead, unless
+        # that lead is in the tail already; the ideal and leads stay
+        (lm0, tail0), (lm, tail) = minimal[0], minimal[-1]
+        work = dict(tail)
+        if lm0 not in work:
+            for m, c in ((lm0, 1),) + tail0:
+                work[m] = (work.get(m, 0) + c) % pk.p
+        minimal[-1] = (lm, tuple(sorted(((m, c) for m, c in work.items() if c), reverse=True)))
+        assert lm0 in dict(minimal[-1][1])
+        assert groebner._interreduce(minimal, pk) == _fully_interreduced(minimal, pk)
+
+
 def _basis_or_abort(gens, ring, guard):
     try:
         return groebner.groebner_basis(gens, ring, degree_guard=guard)
@@ -1138,6 +1187,18 @@ def packing_instances(draw):
     return ring, pk, monos
 
 
+@st.composite
+def elimination_instances(draw):
+    """A grevlex ring of 1 to 5 variables with random weights, and t-free
+    monomials over it for an elimination packing, some scaled past 2^45."""
+    n = draw(st.integers(1, 5))
+    weights = tuple(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    ring = RingSpec(PrimeField(3), tuple(f"x{i}" for i in range(n)), weights)
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=8))
+    scale = draw(st.sampled_from((1, 2 ** 45 + 1)))
+    return ring, [tuple(scale * e for e in m) for m in monos]
+
+
 class TestPacking:
     """Packed monomials against the exponent tuples they stand for."""
 
@@ -1177,6 +1238,36 @@ class TestPacking:
         random.Random(len(distinct)).shuffle(distinct)
         assert pk.polynomial([(pk.pack(m), 1) for m in distinct]).terms == \
             Polynomial(ring, [(m, 1) for m in distinct]).terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(packing_instances(), st.lists(st.tuples(*[st.integers(0, 3)] * 3),
+                                         min_size=polyring.COLUMNWISE_TERMS, max_size=30,
+                                         unique=True))
+    def test_columnwise_unpack_matches_unpack(self, instance, more):
+        ring, pk, monos = instance
+        items = [(m, 1) for m in dict.fromkeys(map(pk.pack, monos + more))]
+        random.Random(len(items)).shuffle(items)
+        # 0 and 1 terms, and both sides of polyring.COLUMNWISE_TERMS
+        for size in (0, 1, polyring.COLUMNWISE_TERMS - 1, len(items)):
+            expected = tuple((pk.unpack(m), c) for m, c in sorted(items[:size], reverse=True))
+            assert polyring._unpacked(items[:size], pk.mask, pk._exponent_shifts) == expected
+            assert pk.polynomial(items[:size]).terms == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(elimination_instances())
+    def test_elimination_entries_move_to_the_ring_packing(self, instance):
+        ring, monos = instance
+        degree = 1 + max(map(ring.weighted_degree, monos))
+        el = groebner._Elimination(ring, degree)
+        lead, *tail = sorted({el.pk.pack((0,) + m) for m in monos}, reverse=True)
+        pk, entries = el.ring_entries([(lead, tuple((m, 1) for m in tail))])
+        assert pk.ring == ring and pk.width == el.pk.width
+        unpack = lambda m: el.pk.unpack(m)[1:]  # drop the exponent of t, 0
+        assert entries == [(pk.pack(unpack(lead)), tuple((pk.pack(unpack(m)), 1) for m in tail))]
+        # the t-free part of the elimination order is the ring's own
+        items = [(lead, 1)] + [(m, 1) for m in tail]
+        assert el.polynomial(items).terms == \
+            tuple((unpack(m), c) for m, c in sorted(items, reverse=True))
 
     def test_big_exponent_colon(self):
         # q = 2^40 needs fields wider than 32 bits; a fixed 32-bit width
