@@ -96,13 +96,14 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     generator is a nonzero constant.  A degree-guard abort names e, q and
     the step it happened in: the colon or the basis of I^[q].
 
-    The minimalization takes the colon's reduced basis as the colon chain
-    packed it, so it is neither unpacked nor packed on the way, and it
-    looks up only each lead in the index of I^[q]: the colon contains
-    I^[q], so no tail term of its reduced basis is reducible.  A colon from
-    the memo or the store is only polynomials, and the store does not check
-    that tails are reduced, so those are packed and every term is looked
-    up.  The generators are unpacked once, for the result.
+    The colon chain hands its reduced basis back packed as well, and the
+    minimalization takes those entries as they are, so the basis is
+    neither unpacked nor packed on the way; it looks up only each lead in
+    the index of I^[q]: the colon contains I^[q], so no tail term of its
+    reduced basis is reducible.  A colon from the memo or the store is
+    only polynomials, and the store does not check that tails are reduced,
+    so those are packed and every term is looked up.  The generators are
+    unpacked once, for the result.
     """
     return _component(ideal, e, degree_guard)[0]
 
@@ -131,14 +132,12 @@ def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
     if packed is not None and (pk is None or packed[0].width == pk.width):
         pk, entries = packed
         cands = [(pk.degree(entry[0]), entry[0], _entry_dict(entry)) for entry in entries]
-        lookup = "lead"
     else:  # a memo or store hit
         basis = col.groebner_basis(degree_guard=degree_guard)
         pk = pk or _packing(ring, max([0] + [g.weighted_degree() for g in basis]))
         cands = _packed_candidates(basis, pk)
-        lookup = "terms"
     with _guard_context(f"the basis of I^[q] of component e={e} (q={q})"):
-        forms = _minimal_forms(pk, cands, (), modulus, degree_guard, lookup)
+        forms = _minimal_forms(pk, cands, (), modulus, degree_guard, packed is not None)
     min_gens = tuple(pk.polynomial(((lm, 1),) + tail) for _, lm, tail in forms)
     return FrobeniusComponent(e, q, col, modulus, min_gens), (pk, forms)
 
@@ -177,22 +176,24 @@ class ProbeResult:
 
 def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) -> ProbeResult:
     """Generation probe on the Groebner path: for each e >= 2, the degree-e
-    generators are minimalized modulo I^[q] with the twisted products
-    a*b^(q1) of the generators of all full lower components as known
-    elements.  Each product is formed from its packed factors, and only
-    when its degree deg a + q1*deg b is at most the top generator degree.
-    The products join the echelon of normal forms modulo I^[q] that the
-    minimalization builds anyway, so no basis of I^[q] + (products) is
-    computed, and degree_guard only reaches the components and the bases
-    of the moduli I^[q].  A guard that aborted a Buchberger run on I^[q] +
-    (products) may therefore let the probe finish, never the other way
-    round.
+    generators are minimalized modulo I^[q] together with the twisted
+    products a*b^(q1) of the generators of all full lower components.
+    Each product is formed from its packed factors, and only when its
+    degree deg a + q1*deg b is at most the top generator degree.  The
+    products join the echelon of normal forms modulo I^[q] that the
+    minimalization builds anyway (`_minimal_forms`), so no basis of I^[q] +
+    (products) is computed, and degree_guard only reaches the components
+    and the bases of the moduli I^[q].  A guard that aborted a Buchberger
+    run on I^[q] + (products) may therefore let the probe finish, never
+    the other way round.
 
     The whole probe runs in one packing of the ring, wide enough for every
-    colon it computes, so each component's generators stay packed, as its
-    minimalization left them, and serve as the next degrees' candidates
-    and product factors: nothing is packed again.  The candidates are
-    normal forms modulo I^[q] already, so no term of theirs is looked up."""
+    colon it computes, so the colon hands each component its basis packed,
+    and each component's generators stay packed, as its minimalization
+    left them, and serve as the next degrees' candidates and product
+    factors: nothing is packed again.  The candidates are normal forms
+    modulo I^[q], so, as for a colon's basis, only their leads are looked
+    up, and none is reducible."""
     if emax < 1:
         raise ValueError("emax must be >= 1")
     ring = ideal.ring
@@ -212,7 +213,7 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
         lambda e1, e2: [(d + comps[e1 - 1].q * dh, a, comps[e1 - 1].q, b)
                         for d, _, a in forms[e1 - 1] for dh, _, b in forms[e2 - 1]],
         lambda e, products: _minimal_forms(
-            pk, forms[e - 1], products, comps[e - 1].modulus, degree_guard, "none"),
+            pk, forms[e - 1], products, comps[e - 1].modulus, degree_guard, True),
         degree=Polynomial.weighted_degree)
     return ProbeResult(report, tuple(comps))
 

@@ -11,11 +11,12 @@ encoding of the ring's order, taken per call at the boundary (a whole
 colon is one call): inputs are packed once on entry and results unpacked
 once on exit, already in canonical order (a long result field by field);
 another order is another ring, as in the elimination constructions.  One
-hand-off stays packed: the colon chain can also return its reduced basis
-in the ring's packing of its own width, which frobenius.component
-minimalizes as it is (`_colon`, `_minimal_forms`).  Polynomials remain
-what the memo, the store, the reports and the public API hold, since they
-outlive a call and must not depend on its packing.  The fields are sized
+hand-off stays packed: the colon chain returns its reduced basis both as
+polynomials and as monic entries in the ring's packing of its own width,
+and frobenius.component minimalizes the entries as they are (`_colon`,
+`_minimal_forms`).  Polynomials remain what the memo, the store, the
+reports and the public API hold, since they outlive a call and must not
+depend on its packing.  The fields are sized
 for the largest weighted degree among the inputs, the basis and the
 degree guard, and reduction checks the guard bits of every new product: a
 sum of two valid fields cannot carry, so an overflow always shows there
@@ -92,14 +93,14 @@ or appear or vanish.
 The last elimination run also gives the final basis: its t-free part is a
 minimal grevlex basis of J ∩ f*R, the leads of f*R are lm(f) times those
 of R, and lm(b/f) = lm(b)/lm(f), so the monic quotients are a minimal
-grevlex basis of R.  _Elimination.reduced finishes it: on a grevlex ring
-by interreducing the tails in the same packing (an entry whose tail no
-lead divides is kept as it is), unpacked once; on any other order by one
-Buchberger run in the ring's order, with no memo.  Asked for its packed
-entries, it moves them to the ring's packing of the same width: both lay
-out their fields alike, so a t-free monomial moves by shifts, with no
-tuple in between; another order's Buchberger run packs in the ring's
-order already.
+grevlex basis of R.  _Elimination.reduced finishes it, and hands back
+its entries in the ring's packing of the same width with it: on a
+grevlex ring it interreduces the tails in the elimination packing (an
+entry whose tail no lead divides is kept as it is) and moves the entries
+over, and since both packings lay out their fields alike, a t-free
+monomial moves by shifts, with no tuple in between; on any other order it
+runs Buchberger once in the ring's order, with no memo, which packs in
+that order already.
 The memo and the persistent store see whole colons: one entry per colon,
 keyed by its normalized lhs and rhs.  intersect consults no memo.
 
@@ -732,11 +733,8 @@ class _Elimination:
 
     def polynomial(self, items) -> Polynomial:
         """The Polynomial over `ring` of t-free packed (monomial, coefficient)
-        items; built without re-sorting the terms on a grevlex ring."""
-        terms = _unpacked(items, self.pk.mask, self._shifts)
-        if self.ring.order == GREVLEX:
-            return Polynomial._from_sorted(self.ring, terms)
-        return Polynomial(self.ring, terms)
+        items, sorted in the ring's order."""
+        return Polynomial(self.ring, _unpacked(items, self.pk.mask, self._shifts))
 
     def ring_entries(self, entries):
         """(pk, the t-free packed entries (lm, tail) in pk), pk the packing
@@ -753,20 +751,20 @@ class _Elimination:
              tuple((((m >> hi) << lo) | (m & low), c) for m, c in tail))
             for lm, tail in entries]
 
-    def reduced(self, quotients, guard, keep: bool = False):
+    def reduced(self, quotients, guard):
         """The reduced basis over `ring`, ascending, of the packed t-free
-        dicts `quotients`, a minimal basis under weighted grevlex: their
-        interreduction on a grevlex ring, else one Buchberger run in the
-        ring's order.  Returned with, when `keep`, (pk, the basis as monic
-        packed entries (lm, tail)), pk a packing of `ring` at least as wide
-        as this one; else with None."""
+        dicts `quotients`, a minimal basis under weighted grevlex, and (pk,
+        the basis as monic packed entries (lm, tail)), pk a packing of
+        `ring` at least as wide as this one: their interreduction moved to
+        pk on a grevlex ring, else one Buchberger run in the ring's order.
+        `quotients` is emptied once read, so the caller's dicts are not held
+        through the finish."""
         if self.ring.order != GREVLEX:
-            basis, packed = _reduced_basis([self.polynomial(q.items()) for q in quotients],
-                                           self.ring, guard, self.pk.width)
-            return basis, packed if keep else None
+            gens = [self.polynomial(q.items()) for q in quotients]
+            quotients.clear()
+            return _reduced_basis(gens, self.ring, guard, self.pk.width)
         entries = _interreduce([_make_entry(q, self.pk.p) for q in quotients], self.pk)
-        if not keep:
-            return tuple(self.polynomial(((lm, 1),) + tail) for lm, tail in entries), None
+        quotients.clear()
         pk, entries = self.ring_entries(entries)
         return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries), (pk, entries)
 
@@ -850,17 +848,17 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     given order: one elimination each, except that a step whose divisor
     already maps R_{i-1} into lhs is skipped and cannot abort (see the
     module docstring).  The result is memoized, and kept in the persistent
-    store, as one entry per colon.
+    store, as one entry per colon; the packed basis that _colon also hands
+    back is dropped.
     """
     return _colon(lhs, rhs, degree_guard)[0]
 
 
-def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: Optional[int] = None):
-    """colon(lhs, rhs, degree_guard), returned with, given `width`, (pk,
-    its reduced basis as monic packed entries (lm, tail), ascending), pk a
-    packing of the ring at least `width` bits wide, when this call computed
-    the colon; else with None.  A memo or store hit has only polynomials,
-    and the public colon keeps no packed copy."""
+def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: int = 0):
+    """colon(lhs, rhs, degree_guard), returned with (pk, its reduced basis
+    as monic packed entries (lm, tail), ascending), pk a packing of the
+    ring at least `width` bits wide, when this call computed the colon;
+    else with None.  A memo or store hit has only polynomials."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     if rhs.is_zero():
@@ -880,18 +878,16 @@ def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: Optional[
     return Ideal._from_basis(ring, _memoized(key, ring, compute)), packed
 
 
-def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int],
-                 width: Optional[int] = None):
+def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], width: int = 0):
     """The reduced basis of B ∩ (lhs : (f_1..f_k)), B generated by `start`
     and f_1..f_k the `divisors`, in one _Elimination packing throughout, at
-    least `width` bits wide; returned with, given `width`, its packed
-    entries as _Elimination.reduced keeps them, else with None.  The basis
-    of K is never interreduced: the skip test needs only a Groebner basis,
-    and the quotients are finished once, at the end."""
+    least `width` bits wide; returned with its packed entries as
+    _Elimination.reduced hands them back.  The basis of K is never
+    interreduced: the skip test needs only a Groebner basis, and the
+    quotients are finished once, at the end."""
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
     gens = itertools.chain(lhs.generators, start, divisors)
-    el = _Elimination(lhs.ring, 1 + max([guard] + [g.weighted_degree() for g in gens]),
-                      width or 0)
+    el = _Elimination(lhs.ring, 1 + max([guard] + [g.weighted_degree() for g in gens]), width)
     pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [el.lift(g) for g in start]  # R_0 = B
@@ -905,7 +901,7 @@ def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int],
         basis = el.meet(lifted, products, guard)
         quotients = [_divide_exact(_entry_dict(b), fd, pk) for b in el.free(basis)]
     del basis  # not held through the final basis
-    return el.reduced(quotients, guard, width is not None)
+    return el.reduced(quotients, guard)
 
 
 def frobenius_power(ideal: Ideal, e: int) -> Ideal:
@@ -980,20 +976,14 @@ def _twisted_product(ad: dict, q1: int, bd: dict, pk) -> dict:
 
 
 def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
-                           degree_guard: Optional[int] = None, known=()):
+                           degree_guard: Optional[int] = None):
     """Greedy minimalization of module generators modulo an ideal.
 
     Candidates are taken in ascending weighted degree (ties by the ring
-    order) and g is dropped whenever it lies in modulus + (known) + (the
-    remaining candidates).  All inputs must be homogeneous; by graded
-    Nakayama the surviving count is an invariant of the module even though
-    the chosen representatives are not.  An element of `known` is a
-    polynomial, or a twisted product a*b^(q1) given by its factors
-    (a, q1, b), q1 = p^k with k >= 0 (any other q1 raises ValueError); it
-    counts as part of the submodule and is never returned.  A product is
-    formed in the packing of the normal forms, and its homogeneity is that
-    of its factors.  One above the top candidate degree cannot generate a
-    candidate and is never formed or packed.
+    order) and g is dropped whenever it lies in modulus + (the remaining
+    candidates).  All inputs must be homogeneous; by graded Nakayama the
+    surviving count is an invariant of the module even though the chosen
+    representatives are not.
 
     It returns the survivors' canonical representatives in the quotient
     module, not the candidates: their normal forms modulo the modulus,
@@ -1003,64 +993,31 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     modulus, which for a homogeneous ideal is a linear map on each degree
     slice with the modulus's slice as kernel.  Each degree d gets one
     echelon: first the normal forms of every shift, to degree d, of the
-    known elements and of the generators kept in lower degrees, then the
-    degree-d candidates in descending order, each kept exactly when it
-    raises the rank.  So g counts as inside (modulus + (known))_d exactly
-    when its normal form lies in the span of the normal forms of the
-    shifts m*f, f known, and no basis of modulus + (known) is computed.
+    generators kept in lower degrees, then the degree-d candidates in
+    descending order, each kept exactly when it raises the rank.
     Inserting in descending order keeps the same basis as deleting in
     ascending order (both give the unique greedy basis of the quotient
     matroid), so the survivors are those of the drop-if-redundant rule
     above.  Nothing is reduced twice: a candidate with no term that a lead
-    divides is its own normal form, and a known element of degree d
-    enters degree d's echelon as its normal form.
+    divides is its own normal form.
 
     This function is the polynomial edge of the work, which runs on
     packed ints in `_minimal_forms`: it packs its arguments into one
     packing sized for the top candidate degree, chosen before any basis is
     computed, and unpacks the survivors once, as its result.  Candidates
     are packed once and their homogeneity is read from their packed degree
-    fields, so a bad input raises before the modulus basis can abort; a
-    product's factors are packed once each.  Only basis entries up to the
-    top degree are packed (a homogeneous reduced basis has no other lead
-    dividing such a term).  frobenius.component and fingen_probe call
-    `_minimal_forms` with the colon's packed reduced basis and with the
-    packed survivors of lower components, so nothing in the probe is
-    packed twice.
+    fields, so a bad input raises before the modulus basis can abort.
+    Only basis entries up to the top degree are packed (a homogeneous
+    reduced basis has no other lead dividing such a term), and every term
+    of a candidate is looked up.  frobenius.component and fingen_probe call
+    `_minimal_forms` directly, on packed candidates whose tails are
+    reduced, and the probe adds its twisted products there.
     """
     ring = modulus.ring
     # foreign and zero candidates are reported or skipped in order below
     top = max([0] + [g.weighted_degree() for g in gens if g.ring == ring and not g.is_zero()])
     pk = _packing(ring, top)
-    cands = _packed_candidates(gens, pk)
-    one = ring.one()
-    homogeneous = {}  # factor -> whether it is homogeneous, each checked once
-    packed = {}  # factor of a product up to the top degree -> its packed terms
-    products, seen = [], set()
-    for f in known:
-        a, q1, b = (f, 1, one) if isinstance(f, Polynomial) else f
-        if a.ring != ring or b.ring != ring:
-            raise RingMismatch("ring mismatch")
-        k = q1
-        while isinstance(k, int) and k > 1 and k % pk.p == 0:  # divide out p exactly
-            k //= pk.p
-        if k != 1 or not isinstance(q1, int):  # see _twisted_product
-            raise ValueError(f"a known product a*b^(q1) needs q1 a power of {pk.p}, not {q1}")
-        if a.is_zero() or b.is_zero() or (a, q1, b) in seen:
-            continue
-        for h in (a, b):
-            if h not in homogeneous:
-                homogeneous[h] = h.is_homogeneous()
-            if not homogeneous[h]:
-                raise ValueError("minimal generators need homogeneous input")
-        seen.add((a, q1, b))
-        d = a.weighted_degree() + q1 * b.weighted_degree()
-        if d <= top:
-            for h in (a, b):
-                if h not in packed:
-                    packed[h] = pk.pack_terms(h.terms)
-            products.append((d, packed[a], q1, packed[b]))
-    survivors = _minimal_forms(pk, cands, products, modulus, degree_guard, "terms")
+    survivors = _minimal_forms(pk, _packed_candidates(gens, pk), (), modulus, degree_guard, False)
     return [pk.polynomial(((lm, 1),) + tail) for _, lm, tail in survivors]
 
 
@@ -1084,20 +1041,25 @@ def _packed_candidates(gens: Sequence[Polynomial], pk) -> list:
 
 
 def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[int],
-                   lookup: str) -> list:
+                   tails_reduced: bool) -> list:
     """The survivors of minimal_generators_mod as monic packed normal forms
     (degree, lm, tail), ascending by degree and then by lead, all in the
     packing `pk` of the ring.  `cands` holds the distinct homogeneous
-    candidates as (degree, lead, packed form); `products` the known twisted
-    products a*b^(q1) as (degree, packed a, q1, packed b), each formed only
-    up to the top candidate degree.
+    candidates as (degree, lead, packed form); `products` the twisted
+    products a*b^(q1) of the probe as (degree, packed a, q1, packed b), q1
+    a power of p.  The products count as part of the submodule and are
+    never returned: each one up to the top candidate degree enters its
+    degree's echelon, and its shifts the echelons above, as normal forms,
+    so a candidate counts as inside modulus + (products) exactly when its
+    normal form lies in their span, and no basis of modulus + (products)
+    is computed; one above the top degree is never formed.
 
-    `lookup` says which terms of a candidate the modulus index is asked
-    about: "terms", every one; "lead", its lead alone, for a candidate from
-    the reduced basis of an ideal containing the modulus, whose tail terms
-    are standard monomials of that ideal and so of the modulus (in(modulus)
-    lies in in(ideal)); "none", for a normal form.  A candidate with no
-    term that a lead divides is its own normal form."""
+    With `tails_reduced`, only each candidate's lead is looked up in the
+    modulus index: its tail terms must be standard monomials of the
+    modulus, as in the reduced basis of an ideal containing the modulus
+    (in(modulus) lies in in(ideal)) or in a normal form.  Else every term
+    is.  A candidate with no term that a lead divides is its own normal
+    form."""
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
     top = max([0] + [d for d, _, _ in cands])
@@ -1106,8 +1068,8 @@ def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[i
     index = _Divisors(pk)
     index.sync(basis)
     first = index.first
-    # (degree, packed normal form): the known elements, then the survivors
-    # in ascending order
+    # (degree, packed normal form): the products, then the survivors in
+    # ascending order
     kept = [(d, _reduce_full(_twisted_product(a, q1, b, pk), basis, pk, index))
             for d, a, q1, b in products if d <= top]
     start = len(kept)
@@ -1124,8 +1086,7 @@ def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[i
                                          basis, pk, index))
         survivors = []
         for _, lead, form in reversed(list(group)):
-            if (any(first(m) >= 0 for m in form) if lookup == "terms"
-                    else lookup == "lead" and first(lead) >= 0):
+            if first(lead) >= 0 if tails_reduced else any(first(m) >= 0 for m in form):
                 form = _reduce_full(form, basis, pk, index)
             if ech.add_row(form):
                 survivors.append((d, form))

@@ -1,5 +1,6 @@
 import pytest
 
+from frobtool import groebner, polyring
 from frobtool.groebner import Ideal
 from frobtool.monomials import MonomialIdeal
 from frobtool.parsing import parse_polynomial
@@ -63,5 +64,30 @@ def random_binomial_ideal(ring, rng, max_gens=3, max_exp=2):
     return Ideal(ring, gens)
 
 
+def reordered(ideal, order):
+    """A copy of `ideal` in a copy of its ring with the monomial order `order`."""
+    r = ideal.ring
+    ring = RingSpec(r.field, r.variables, r.weights, order)
+    return Ideal(ring, [Polynomial(ring, g.terms) for g in ideal.generators])
+
+
 def as_monomial_ideal(ideal):
     return MonomialIdeal(ideal.ring, [g.leading_monomial() for g in ideal.generators])
+
+
+def minimal_forms_with(cands, modulus, products, degree_guard=None):
+    """minimal_generators_mod(cands, modulus, degree_guard) with the twisted
+    products a*b^(q1) of the triples (a, q1, b) of nonzero homogeneous
+    polynomials in the submodule, through the core the probe calls: each
+    triple enters groebner._minimal_forms packed, as (deg a + q1*deg b,
+    a, q1, b), and a polynomial h of the submodule is the triple (h, 1, 1).
+    Every term of a candidate is looked up, as minimal_generators_mod does."""
+    top = max([0] + [g.weighted_degree() for g in cands if not g.is_zero()])
+    # wide enough for every factor; _minimal_forms forms no product above top
+    pk = polyring._packing(modulus.ring, max([top] + [h.weighted_degree()
+                                                      for a, _, b in products for h in (a, b)]))
+    packed = [(a.weighted_degree() + q1 * b.weighted_degree(), pk.pack_terms(a.terms), q1,
+               pk.pack_terms(b.terms)) for a, q1, b in products]
+    forms = groebner._minimal_forms(pk, groebner._packed_candidates(cands, pk), packed,
+                                    modulus, degree_guard, False)
+    return [pk.polynomial(((lm, 1),) + tail) for _, lm, tail in forms]

@@ -44,7 +44,7 @@ from frobtool.monomials import (
     segre_component_2x3,
 )
 from frobtool.parsing import parse_polynomial
-from frobtool.polyring import PrimeField, RingSpec, mono_div, mono_lcm
+from frobtool.polyring import LEX, Order, PrimeField, RingSpec, mono_div, mono_lcm
 
 import colon_completeness
 import colon_oracle
@@ -57,6 +57,7 @@ from conftest import (
     random_monomial,
     random_monomial_ideal,
     random_poly,
+    reordered,
 )
 
 
@@ -337,24 +338,30 @@ def run_deep_segre_rows():
 def run_deep_colon_check():
     """colon(I^[q], I) against the chain reference in colon_oracle.py, which
     eliminates at every step, at the minors p=2 e=4 and the twisted cubic
-    p=7 e=3; and there, the generators of component(I, e), which minimalizes
-    the colon's packed basis looking up only its leads, against
-    minimal_generators_mod of the colon's basis, which looks up every term
-    (about 13 s in all; too slow for the tier-1 suite).  Not collected by
-    pytest; from the repository root, run
+    p=7 e=3, and at lex and elim-1 copies of the minors p=2 e=4, whose
+    colons finish by a Buchberger run in the ring's order; and there, the
+    generators of component(I, e), which minimalizes the colon's packed
+    basis looking up only its leads, against minimal_generators_mod of the
+    colon's basis, which looks up every term (about 17 s in all; too slow
+    for the tier-1 suite).  Not collected by pytest; from the repository
+    root, run
     `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_colon_check()"`.
     Returns the number of colons checked."""
+    _, minors = minors_ideal(2)
+    cases = [(minors, 2, 4, 1000), (twisted_cubic_ideal(7)[1], 7, 3, 4116),
+             (reordered(minors, LEX), 2, 4, 1000),
+             (reordered(minors, Order("elim", 1)), 2, 4, 1000)]
     checked = 0
-    for build, p, e, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 7, 3, 4116)):
-        _, ideal = build(p)
+    for ideal, p, e, guard in cases:
+        where = (ideal.ring.order, p, e)
         lhs = frobenius_power(ideal, e)
         clear_memo()
         result = colon(lhs, ideal, guard)
-        assert result.generators == colon_oracle.chain_colon(lhs, ideal, guard).generators, (p, e)
+        assert result.generators == colon_oracle.chain_colon(lhs, ideal, guard).generators, where
         clear_memo()  # so the component computes its colon and hands it on packed
         comp = component(ideal, e, guard)
-        assert comp.colon.generators == result.generators, (p, e)
-        assert comp.min_gens == tuple(minimal_generators_mod(result.generators, lhs, guard)), (p, e)
+        assert comp.colon.generators == result.generators, where
+        assert comp.min_gens == tuple(minimal_generators_mod(result.generators, lhs, guard)), where
         checked += 1
     clear_memo()
     return checked

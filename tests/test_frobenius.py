@@ -30,6 +30,7 @@ from frobtool.parsing import parse_polynomial
 from frobtool.polyring import (
     GREVLEX,
     LEX,
+    Order,
     Polynomial,
     PrimeField,
     RingSpec,
@@ -39,6 +40,7 @@ from frobtool.polyring import (
 import colon_completeness
 import probe_oracle
 import root_oracle
+from conftest import minimal_forms_with, reordered
 from order_oracle import key_function
 from probe_oracle import product_component, twisted_mul
 
@@ -341,6 +343,36 @@ class TestComponentOracle:
             assert outcomes[0] == outcomes[1]
 
 
+class TestOtherOrderFinish:
+    """On a ring order other than grevlex, the colon chain finishes by one
+    Buchberger run in the ring's order, whose packed entries the component
+    minimalizes as they are; the probe and the components against the
+    oracles of tests/probe_oracle.py on lex and elim-1 copies of the minors.
+    The memo is cleared first, so every colon is computed and handed on
+    packed."""
+
+    ORDERS = [pytest.param(LEX, id="lex"), pytest.param(Order("elim", 1), id="elim1")]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("p, emax", [(2, 3), (3, 2)])
+    def test_probe_rows_match_oracle(self, order, p, emax):
+        ideal = reordered(minors_ideal(p)[1], order)
+        clear_memo()
+        rows = fingen_probe(ideal, emax, 1000).report.rows
+        clear_memo()
+        assert rows == probe_oracle.fingen_probe(ideal, emax, 1000).report.rows
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("p, emax", [(2, 3), (3, 2)])
+    def test_components_match_slice_oracle(self, order, p, emax):
+        ideal = reordered(minors_ideal(p)[1], order)
+        for e in range(1, emax + 1):
+            clear_memo()
+            assert component(ideal, e, 1000).min_gens == probe_oracle.component_min_gens(
+                ideal, e, 1000, probe_oracle.slice_survivors), e
+        clear_memo()
+
+
 @st.composite
 def twisted_factors(draw):
     """Homogeneous a and b and a Frobenius degree e1 over GF(2), GF(3),
@@ -383,8 +415,8 @@ class TestPackedProducts:
         x, z = ring.variable("x"), ring.variable("z")
         cands = [product * x + x ** (d + 1), product * z, x ** d + z ** d, z ** (d + 1)]
         modulus = Ideal(ring, (x ** (d + 1) - z ** (d + 1) if rng.random() < 0.5 else x * z,))
-        assert minimal_generators_mod(cands, modulus, known=[(a, q1, b)]) == \
-            minimal_generators_mod(cands, modulus, known=[product])
+        assert minimal_forms_with(cands, modulus, [(a, q1, b)]) == \
+            minimal_forms_with(cands, modulus, [(product, 1, ring.one())])
 
     def test_product_above_top_is_never_formed(self, gf2_xyz, monkeypatch):
         P = lambda s: parse_polynomial(s, gf2_xyz)
@@ -398,8 +430,8 @@ class TestPackedProducts:
 
         monkeypatch.setattr(groebner, "_twisted_product", recording)
         zero = Ideal(gf2_xyz, ())
-        assert minimal_generators_mod([P("x*y"), P("z^2")], zero,
-                                      known=[(x, 2 ** 40, y), (x, 1, y)]) == [P("z^2")]
+        assert minimal_forms_with([P("x*y"), P("z^2")], zero,
+                                  [(x, 2 ** 40, y), (x, 1, y)]) == [P("z^2")]
         assert formed == [1]
         pk = polyring._packing(gf2_xyz, 2)
         with pytest.raises(ArithmeticError):  # the skipped one does not fit that packing
@@ -416,34 +448,6 @@ class TestPackedProducts:
         for a, q1 in ((x, 2 * fits), (one, 2 * fits), (one, 4 * fits), (x, 2 ** 80)):
             with pytest.raises(ArithmeticError, match="outgrew"):
                 groebner._twisted_product(a, q1, y, pk)
-
-    def test_product_needs_q1_a_power_of_p(self, monkeypatch):
-        ring = RingSpec(PrimeField(3), ("x", "y"))
-        P = lambda s: parse_polynomial(s, ring)
-        one, zero = ring.one(), Ideal(ring, ())
-        cands = [P("x^2 + y^2")]
-        # the true product (x + y)^2 leaves the candidate a generator; read as
-        # a Frobenius power, q1 = 2 would pack to x^2 + y^2 and drop it
-        assert minimal_generators_mod(cands, zero, known=[P("x + y") ** 2]) == cands
-        assert minimal_generators_mod(cands, zero, known=[(one, 3, P("x + y"))]) == cands
-        # a true power, however large, is accepted, and a product above the
-        # top degree is never formed
-        assert minimal_generators_mod(cands, zero, known=[(one, 3 ** 40, P("x + y"))]) == cands
-
-        def no_basis(*args, **kwargs):
-            raise AssertionError("a basis was computed")
-
-        monkeypatch.setattr(Ideal, "groebner_basis", no_basis)
-        for q1 in (2, 0, -1, 4.0, 6, 2 ** 40, 3.0, 3 ** 40 + 1):
-            with pytest.raises(ValueError, match="power of 3"):
-                minimal_generators_mod(cands, zero, known=[(one, q1, P("x + y"))])
-        # on GF(2), 4.0 passes a float test of q1 = 2^k, so q1 must be an int
-        ring = RingSpec(PrimeField(2), ("x", "y"))
-        x = ring.variable("x")
-        for q1 in (4.0, 6, 3):
-            with pytest.raises(ValueError, match="power of 2"):
-                minimal_generators_mod([x ** 5], Ideal(ring, ()), known=[(x, q1, x)])
-
 
 class TestPackedHandOff:
     """The colon hands its reduced basis to the minimalization packed, and

@@ -46,7 +46,7 @@ import buchberger_oracle
 import colon_oracle
 import lift_oracle
 from order_oracle import key_function
-from conftest import random_monomial, random_poly
+from conftest import minimal_forms_with, random_monomial, random_poly
 from slice_oracle import GradedMembership, slice_minimal_generators_mod
 
 
@@ -763,45 +763,28 @@ class TestMinimalGenerators:
 
     def test_known_equal_to_candidate_drops_it(self, gf2_xyz):
         P = lambda s: parse_polynomial(s, gf2_xyz)
-        zero = Ideal(gf2_xyz, ())
-        assert minimal_generators_mod([P("x*y"), P("y^2")], zero, known=[P("x*y")]) == [P("y^2")]
+        one, zero = gf2_xyz.one(), Ideal(gf2_xyz, ())
+        assert minimal_forms_with([P("x*y"), P("y^2")], zero,
+                                  [(P("x*y"), 1, one)]) == [P("y^2")]
 
     def test_known_below_candidates_removes_what_it_generates(self, gf2_xyz):
         P = lambda s: parse_polynomial(s, gf2_xyz)
-        zero = Ideal(gf2_xyz, ())
-        assert minimal_generators_mod([P("x*y"), P("y^2")], zero, known=[P("x")]) == [P("y^2")]
+        one, zero = gf2_xyz.one(), Ideal(gf2_xyz, ())
+        assert minimal_forms_with([P("x*y"), P("y^2")], zero,
+                                  [(P("x"), 1, one)]) == [P("y^2")]
 
     def test_known_never_returned(self, gf2_xyz):
         P = lambda s: parse_polynomial(s, gf2_xyz)
         J = Ideal(gf2_xyz, (P("z^3"),))
-        known = [P("x"), P("y^2"), P("y*z^2 + z^3")]
-        assert minimal_generators_mod([P("x")], J, known=known) == []
-        assert minimal_generators_mod([P("x*y"), P("z^2"), P("y*z^2")], J,
-                                      known=known) == [P("z^2")]
-
-    def test_known_above_top_degree_is_never_packed(self, gf2_xyz):
-        P = lambda s: parse_polynomial(s, gf2_xyz)
-        huge = gf2_xyz.monomial((2 ** 40, 0, 0))
-        with pytest.raises(ArithmeticError):  # a packing for degree 1 cannot hold it
-            polyring._packing(gf2_xyz, 1).pack(huge.leading_monomial())
-        zero = Ideal(gf2_xyz, ())
-        assert minimal_generators_mod([P("y")], zero, known=[huge]) == [P("y")]
-
-    def test_known_is_validated(self, gf2_xyz, minors):
-        P = lambda s: parse_polynomial(s, gf2_xyz)
-        zero = Ideal(gf2_xyz, ())
-        with pytest.raises(ValueError):
-            minimal_generators_mod([P("x")], zero, known=[P("x + y*z")])
-        ring, _ = minors
-        with pytest.raises(RingMismatch):
-            minimal_generators_mod([P("x")], zero, known=[ring.variable("u")])
+        known = [(h, 1, gf2_xyz.one()) for h in (P("x"), P("y^2"), P("y*z^2 + z^3"))]
+        assert minimal_forms_with([P("x")], J, known) == []
+        assert minimal_forms_with([P("x*y"), P("z^2"), P("y*z^2")], J, known) == [P("z^2")]
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX])
     def test_inhomogeneous_input_raises_before_the_modulus_basis(self, order):
-        """A candidate's homogeneity is read from its packed terms, and a
-        product's from its factors; either error keeps its message and comes
-        before a guard abort of the modulus basis and before a ring
-        mismatch further on."""
+        """A candidate's homogeneity is read from its packed terms; the error
+        keeps its message and comes before a guard abort of the modulus
+        basis and before a ring mismatch further on."""
         ring = RingSpec(PrimeField(2), ("x", "y", "z"), (1, 2, 1), order)
         P = lambda s: parse_polynomial(s, ring)
         J = Ideal(ring, (P("x^2*y + z^4"), P("x*y*z + y^2")))
@@ -810,24 +793,16 @@ class TestMinimalGenerators:
         with pytest.raises(DegreeGuardExceeded):
             minimal_generators_mod([P("x")], J, degree_guard=4)
         clear_memo()
-        for gens, known in (([P("x + y")], ()), ([P("y + x*z^2")], ()),
-                            ([P("y + z^2"), P("x + y")], ()),
-                            ([P("y")], [(P("x"), 2, P("y + z"))]),
-                            ([P("y")], [(P("x + y"), 2, P("z"))]),
-                            ([P("y")], [P("x*y + z")])):
+        for gens in ([P("x + y")], [P("y + x*z^2")], [P("y + z^2"), P("x + y")]):
             with pytest.raises(ValueError, match=f"^{message}$"):
-                minimal_generators_mod(gens, J, degree_guard=4, known=known)
+                minimal_generators_mod(gens, J, degree_guard=4)
             with pytest.raises(ValueError, match=f"^{message}$"):
-                minimal_generators_mod(gens, Ideal(ring, ()), known=known)
+                minimal_generators_mod(gens, Ideal(ring, ()))
         foreign = RingSpec(PrimeField(2), ("u", "v"))
         with pytest.raises(ValueError, match=f"^{message}$"):
             minimal_generators_mod([P("x + y"), foreign.variable("u")], J, degree_guard=4)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            minimal_generators_mod([P("x + y")], J, degree_guard=4,
-                                   known=[foreign.variable("u")])
         with pytest.raises(RingMismatch):
-            minimal_generators_mod([P("y")], J, degree_guard=4,
-                                   known=[(P("x"), 2, foreign.variable("u"))])
+            minimal_generators_mod([P("y"), foreign.variable("u")], J, degree_guard=4)
 
     def test_inhomogeneous_modulus_after_inputs(self, gf2_xyz):
         P = lambda s: parse_polynomial(s, gf2_xyz)
@@ -943,10 +918,12 @@ class TestSliceOracle:
     @settings(max_examples=100, deadline=None)
     @given(graded_instances())
     def test_known_matches_enlarged_modulus(self, instance):
-        """Known elements act exactly as generators added to the modulus:
-        the same candidates survive, so their monic normal forms modulo the
-        enlarged modulus agree.  Both sides are sorted by every term, since
-        two survivors may share a lead modulo the enlarged modulus only."""
+        """Known elements, given to the minimalization core as products
+        h*1^(1) as the probe gives its twisted products, act exactly as
+        generators added to the modulus: the same candidates survive, so
+        their monic normal forms modulo the enlarged modulus agree.  Both
+        sides are sorted by every term, since two survivors may share a lead
+        modulo the enlarged modulus only."""
         ring, modulus, cands, rng = instance
         known = [_random_homogeneous(ring, rng, rng.randint(0, 4))
                  for _ in range(rng.randint(1, 3))]
@@ -955,8 +932,9 @@ class TestSliceOracle:
         key = key_function(ring)
         canonical = lambda gens: sorted(gens, key=lambda g: (
             g.weighted_degree(), [(key(m), c) for m, c in g.terms]))
+        products = [(h, 1, ring.one()) for h in known if not h.is_zero()]
         assert canonical(enlarged.normal_form(g).monic() for g in
-                         minimal_generators_mod(cands, modulus, known=known)) == \
+                         minimal_forms_with(cands, modulus, products)) == \
             canonical(minimal_generators_mod(cands, enlarged))
 
 
