@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .groebner import (
@@ -33,7 +34,7 @@ from .monomials import (
     mono_frobenius_power,
     twisted_products,
 )
-from .polyring import Polynomial, _packing
+from .polyring import _packing
 
 
 @dataclass(frozen=True)
@@ -146,25 +147,40 @@ def generation_report(p: int, gens, product, outside, degree=None) -> FinGenRepo
     """The degree-by-degree generation probe, shared by every path.
 
     gens[e - 1] holds the minimal generators of the degree-e component.
-    For each e >= 2, product(e1, e2) yields the twisted products of the
-    degree-e1 and degree-e2 generators, in the form that outside reads
-    (the Groebner path passes factors), and outside(e, products) returns
-    the degree-e generators not in the span of the products of every split
-    e = e1 + e2 (and of I^[q]), which it gets as one iterable to be read
-    once; the degree is generated from lower exactly
-    when none are.  degree(g) is a generator's weighted degree; without it
-    the maximum degree is recorded as 0.
+    For each e >= 2, outside(e, products) returns the degree-e generators
+    that are new: not in the span of the products (and of I^[q]), which it
+    gets as one iterable to be read once; the degree is generated from
+    lower exactly when none are.  The products are those of every split
+    e = e1 + e2 with only the new generators N_e1 of degree e1 as left
+    factors, and every one of degree 1: product(e1, left, e2) yields the
+    twisted products of the degree-e1 generators `left`, each as gens or
+    outside holds it, with every degree-e2 generator, in the form that
+    outside reads (the Groebner path passes factors).  degree(g) is a
+    generator's weighted degree; without it the maximum degree is recorded
+    as 0.
+
+    The products of N_e1 and C_(e-e1), the degree-(e-e1) component, span
+    what those of all of C_e1 span, modulo I^[q], so the rows are those of
+    every left factor.  By induction on e1: C_e1 is spanned by N_e1, the
+    products of lower splits of e1 and I^[q1] (q1 = p^e1), and three facts
+    carry each part to degree e: the twisted product a*b = a*b^(q1) is
+    associative, so (x*y)*b = x*(y*b) with y*b in a lower split's right
+    component; it is left R-linear, (r*a)*b = r*(a*b); and h*b^(q1) lies
+    in I^[q] for h in I^[q1], since b*I lies in I^[q/q1].  So gens must be
+    closed under the twisted product, as the components of an algebra
+    are: on modules that are not, the rows may differ from those of every
+    left factor.
     """
-    rows = []
+    rows, left = [], []  # left[e - 1]: the degree-e generators that are new
     for e, comp in enumerate(gens, start=1):
         if e == 1:
-            new = len(comp)  # no positive splits: every generator is new
+            new = comp  # no positive splits: every generator is new
         else:
-            products = itertools.chain.from_iterable(
-                product(e1, e - e1) for e1 in range(1, e))
-            new = len(outside(e, products))
+            new = outside(e, itertools.chain.from_iterable(
+                product(e1, left[e1 - 1], e - e1) for e1 in range(1, e)))
+        left.append(new)
         top = max(map(degree, comp), default=0) if degree else 0
-        rows.append(DegreeRecord(e, p ** e, len(comp), new, top, e > 1 and new == 0))
+        rows.append(DegreeRecord(e, p ** e, len(comp), len(new), top, e > 1 and not new))
     return FinGenReport(p, len(gens), tuple(rows))
 
 
@@ -177,10 +193,12 @@ class ProbeResult:
 def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) -> ProbeResult:
     """Generation probe on the Groebner path: for each e >= 2, the degree-e
     generators are minimalized modulo I^[q] together with the twisted
-    products a*b^(q1) of the generators of all full lower components.
-    Each product is formed from its packed factors, and only when its
-    degree deg a + q1*deg b is at most the top generator degree.  The
-    products join the echelon of normal forms modulo I^[q] that the
+    products a*b^(q1) of lower components, where a runs over the new
+    generators of its degree and b over all generators of its own
+    (generation_report: the span, and so every row, is that of all
+    products).  Each product is formed from its packed factors, and only
+    when its degree deg a + q1*deg b is at most the top generator degree.
+    The products join the echelon of normal forms modulo I^[q] that the
     minimalization builds anyway (`_minimal_forms`), so no basis of I^[q] +
     (products) is computed, and degree_guard only reaches the components
     and the bases of the moduli I^[q].  A guard that aborted a Buchberger
@@ -193,7 +211,8 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
     left them, and serve as the next degrees' candidates and product
     factors: nothing is packed again.  The candidates are normal forms
     modulo I^[q], so, as for a colon's basis, only their leads are looked
-    up, and none is reducible."""
+    up, none is reducible, and the new ones `_minimal_forms` returns are
+    the candidates themselves."""
     if emax < 1:
         raise ValueError("emax must be >= 1")
     ring = ideal.ring
@@ -209,12 +228,12 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
         comps.append(comp)
         forms.append([(d, lm, _entry_dict((lm, tail))) for d, lm, tail in entries])
     report = generation_report(
-        ring.field.p, [c.min_gens for c in comps],
-        lambda e1, e2: [(d + comps[e1 - 1].q * dh, a, comps[e1 - 1].q, b)
-                        for d, _, a in forms[e1 - 1] for dh, _, b in forms[e2 - 1]],
-        lambda e, products: _minimal_forms(
-            pk, forms[e - 1], products, comps[e - 1].modulus, degree_guard, True),
-        degree=Polynomial.weighted_degree)
+        ring.field.p, forms,
+        lambda e1, left, e2: [(d + comps[e1 - 1].q * dh, a, comps[e1 - 1].q, b)
+                              for d, _, a in left for dh, _, b in forms[e2 - 1]],
+        lambda e, products: [(d, lm, _entry_dict((lm, tail))) for d, lm, tail in _minimal_forms(
+            pk, forms[e - 1], products, comps[e - 1].modulus, degree_guard, True)],
+        degree=itemgetter(0))
     return ProbeResult(report, tuple(comps))
 
 
@@ -238,10 +257,16 @@ def fractional_fingen_probe(comps, p: int, degree=None) -> FinGenReport:
         below = _Dominance(list(set(products)), comps[e - 1].semigroup.congruences).below
         return [g for g in comps[e - 1].generators if not below(g, 1)]
 
-    return generation_report(
-        p, [c.generators for c in comps],
-        lambda e1, e2: twisted_products(comps[e1 - 1], comps[e2 - 1], p),
-        outside, degree)
+    return generation_report(p, [c.generators for c in comps],
+                             _fractional_products(comps, p), outside, degree)
+
+
+def _fractional_products(comps, p: int):
+    """generation_report's product over the fractional components comps
+    (comps[e - 1] of degree e): the twisted products of the generators
+    `left` of comps[e1 - 1], in its order, with every one of comps[e2 - 1]."""
+    return lambda e1, left, e2: twisted_products(
+        FracMonomialModule._from_sorted(comps[e1 - 1].semigroup, left, e1), comps[e2 - 1], p)
 
 
 def monomial_fingen_probe(ideal: MonomialIdeal, emax: int) -> FinGenReport:

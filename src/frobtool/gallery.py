@@ -14,6 +14,7 @@ from typing import Optional
 
 from .frobenius import (
     FinGenReport,
+    _fractional_products,
     degree_growth,
     fingen_probe,
     fractional_fingen_probe,
@@ -36,7 +37,6 @@ from .monomials import (
     poly_twisted_component,
     segre_component_2x3,
     twisted_product_memberships,
-    twisted_products,
     veronese_component,
 )
 from .parsing import parse_polynomial
@@ -389,11 +389,15 @@ def poly_twisted_case(dim: int, p: int = 2, emax: Optional[int] = None) -> CaseR
     result = CaseResult("twisted", {"dim": dim, "p": p, "emax": emax})
     comps = {e: poly_twisted_component(dim, p, e) for e in range(1, emax + 1)}
     # every generator has total degree q - 1, so module membership of a
-    # generator among the products is plain equality
+    # generator among the products is plain equality; the new generators
+    # stay in order, as the next degrees' left factors
+    def outside(e, products):
+        products = set(products)
+        return [g for g in comps[e].generators if g not in products]
+
     report = generation_report(
         p, [comps[e].generators for e in range(1, emax + 1)],
-        lambda e1, e2: twisted_products(comps[e1], comps[e2], p),
-        lambda e, products: set(comps[e].generators).difference(products))
+        _fractional_products([comps[e] for e in range(1, emax + 1)], p), outside)
     rows = [{"e": r.e, "q": r.q, "component_size": r.min_gen_count,
              "generated_from_lower": r.generated_from_lower,
              "missing_count": r.new_gen_count} for r in report.rows]

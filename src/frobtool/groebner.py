@@ -999,7 +999,8 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     ascending order (both give the unique greedy basis of the quotient
     matroid), so the survivors are those of the drop-if-redundant rule
     above.  Nothing is reduced twice: a candidate with no term that a lead
-    divides is its own normal form.
+    divides is its own normal form, and a shift of a kept normal form is
+    reduced only at the terms where a lead can newly divide (`_Shifts`).
 
     This function is the polynomial edge of the work, which runs on
     packed ints in `_minimal_forms`: it packs its arguments into one
@@ -1040,6 +1041,61 @@ def _packed_candidates(gens: Sequence[Polynomial], pk) -> list:
     return cands
 
 
+class _Shifts:
+    """Normal forms of the shifts x^m*v of normal forms v modulo a reduced
+    basis, packed, computed only where a lead can newly divide.
+
+    A term u of v is standard: no lead divides it.  If a lead L divides
+    u*x^m, then L_i > u_i for some variable i, and L_i <= u_i + m_i, so
+    m_i > 0 and L_i - m_i <= u_i < L_i.  Only the terms that meet this
+    screen for some lead and some i with m_i > 0 go to `_reduce_full`; the
+    rest are standard after the shift too, and the normal form is linear,
+    so they join its result unchanged.  A shift in variables that no lead
+    involves is thus its own normal form.  The screen is one pass over the
+    form per variable of the shift, against the set of exponents u_i it
+    catches for that variable and m_i, built on first use.  No guard bit
+    is tested outside `_reduce_full`: a shifted term that no lead can
+    divide has the row's degree, which the caller keeps within the
+    packing."""
+
+    def __init__(self, basis, pk, index):
+        self.basis, self.pk, self.index = basis, pk, index
+        mask = pk.mask
+        # per variable: its shift in the packing, the distinct positive lead exponents there
+        self.leads = [(s, {(lm >> s) & mask for lm, _ in basis} - {0})
+                      for s in pk._exponent_shifts]
+        self.caught = {}  # (variable, m_i) -> the exponents u_i the screen catches
+
+    def normal_form(self, form: dict, m) -> dict:
+        """The packed normal form of x^m * form, for a packed normal form
+        `form` and an exponent vector m."""
+        pk = self.pk
+        s, mask = pk.pack(m), pk.mask
+        row = {mm + s: c for mm, c in form.items()}
+        sent = {}
+        for i, k in enumerate(m):
+            if k:
+                caught = self.caught.get((i, k))
+                if caught is None:
+                    caught = self.caught[i, k] = frozenset(
+                        u for lead in self.leads[i][1] for u in range(max(lead - k, 0), lead))
+                if caught:
+                    v = self.leads[i][0]
+                    sent.update({mm + s: c for mm, c in form.items()
+                                 if (mm >> v) & mask in caught})
+        if sent:
+            for mm in sent:
+                del row[mm]
+            p = pk.p
+            for mm, c in _reduce_full(sent, self.basis, pk, self.index).items():
+                x = (row.get(mm, 0) + c) % p
+                if x:
+                    row[mm] = x
+                else:
+                    del row[mm]
+        return row
+
+
 def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[int],
                    tails_reduced: bool) -> list:
     """The survivors of minimal_generators_mod as monic packed normal forms
@@ -1059,7 +1115,10 @@ def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[i
     modulus, as in the reduced basis of an ideal containing the modulus
     (in(modulus) lies in in(ideal)) or in a normal form.  Else every term
     is.  A candidate with no term that a lead divides is its own normal
-    form."""
+    form.  So every form kept, of a product or of a survivor, is a normal
+    form modulo the modulus, which is the premise of `_Shifts`: a shift of
+    a kept form is reduced only at the terms where a lead can newly
+    divide.  Every shift has a candidate's degree, at most the top one."""
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
     top = max([0] + [d for d, _, _ in cands])
@@ -1068,6 +1127,7 @@ def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[i
     index = _Divisors(pk)
     index.sync(basis)
     first = index.first
+    shifted = _Shifts(basis, pk, index).normal_form
     # (degree, packed normal form): the products, then the survivors in
     # ascending order
     kept = [(d, _reduce_full(_twisted_product(a, q1, b, pk), basis, pk, index))
@@ -1081,9 +1141,7 @@ def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[i
                 ech.add_row(form)
                 continue
             for m in monomials_of_weighted_degree(pk.ring.weights, d - dh):
-                s = pk.pack(m)
-                ech.add_row(_reduce_full({mm + s: c for mm, c in form.items()},
-                                         basis, pk, index))
+                ech.add_row(shifted(form, m))
         survivors = []
         for _, lead, form in reversed(list(group)):
             if first(lead) >= 0 if tails_reduced else any(first(m) >= 0 for m in form):

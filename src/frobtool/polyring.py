@@ -104,7 +104,10 @@ class RingMismatch(ValueError):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """A polynomial ring GF(p)[variables] with weights and a monomial order."""
+    """A polynomial ring GF(p)[variables] with weights and a monomial order.
+
+    Its hash is computed once, when it is made: rings are hashed with every
+    polynomial and packing memo lookup."""
 
     field: PrimeField
     variables: tuple
@@ -126,6 +129,14 @@ class RingSpec:
             raise ValueError("weights must be positive integers")
         if self.order.kind == "elim" and self.order.block >= len(variables):
             raise ValueError("elimination block must leave at least one trailing variable")
+        object.__setattr__(self, "_hash", hash((self.field, variables, weights, self.order)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # the hash of a str differs between processes, so a copy rehashes
+        return RingSpec, (self.field, self.variables, self.weights, self.order)
 
     @property
     def nvars(self) -> int:
@@ -532,6 +543,8 @@ def _packing(ring: RingSpec, degree: int, width: int = 0) -> Packing:
 
 def _order_key(ring: RingSpec, monos) -> Callable[[Mono], int]:
     """The ring's order on the collection `monos`, as the `pack` of a packing
-    wide enough for them: each field is bounded by the largest exponent
-    times the sum of the weights."""
-    return _packing(ring, max(map(max, monos), default=0) * sum(ring.weights)).pack
+    wide enough for them, without `pack`'s overflow test: each field is
+    bounded by the largest exponent times the sum of the weights, which
+    the packing holds."""
+    units = _packing(ring, max(map(max, monos), default=0) * sum(ring.weights))._units
+    return lambda mono: sum(map(mul, mono, units))

@@ -14,8 +14,11 @@ library's `twisted_products`, so a test can ask the module's own
 
 `fractional_fingen_probe` is the earlier probe, unchanged: its `outside`
 tests every generator against every twisted product of lower components
-with `admissible`.  The tests require the library's probe, which asks a
-dominance index over the products instead, to give the same rows.
+with `admissible`, and it runs on the earlier probe loop,
+`probe_oracle.generation_report`, whose products take every generator of
+a lower component as a left factor.  The tests require the library's
+probe, which asks a dominance index over the products of the new left
+factors instead, to give the same rows.
 
 `segre_component_2x3` and `poly_twisted_component` are the earlier
 builders, unchanged: each hands its generators to the validating
@@ -28,7 +31,7 @@ from __future__ import annotations
 from operator import sub
 from typing import Sequence
 
-from frobtool.frobenius import FinGenReport, generation_report
+from frobtool.frobenius import FinGenReport
 from frobtool.monomials import (
     FracMonomialModule,
     _twist,
@@ -37,6 +40,8 @@ from frobtool.monomials import (
     twisted_products,
 )
 from frobtool.polyring import monomials_of_weighted_degree
+
+from probe_oracle import generation_report
 
 
 def frac_twisted_product(lhs: FracMonomialModule, rhs: FracMonomialModule,

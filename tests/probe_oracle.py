@@ -1,5 +1,14 @@
 """Reference generation probe: the Groebner probe as it was before the
-twisted products joined the components' echelon.
+twisted products joined the components' echelon, and the probe loop as it
+was before only new generators became left factors.
+
+`generation_report` below is the earlier loop, unchanged: degree e gets
+the twisted products of every generator of every lower component, split by
+split, where the library's loop takes as left factors only the generators
+that were new in their degree.  Both oracle probes, `fingen_probe` here and
+`monomial_oracle.fractional_fingen_probe`, run on it, and the tests require
+the library's three probes to give their rows.  `every_left_factor` runs
+the library's own probes on it.
 
 `fingen_probe` below is the earlier code, unchanged.  Its `outside` step
 builds the ideal I^[q] + (twisted products of the full lower components)
@@ -15,19 +24,67 @@ components with them.
 
 from __future__ import annotations
 
+import itertools
+from contextlib import contextmanager
 from typing import Optional
+from unittest.mock import patch
 
+from frobtool import frobenius
 from frobtool.frobenius import (
+    DegreeRecord,
+    FinGenReport,
     FrobeniusComponent,
     ProbeResult,
     component,
-    generation_report,
 )
 from frobtool.groebner import Ideal, colon, frobenius_power, minimal_generators_mod
 from frobtool.polyring import Polynomial, RingMismatch
 
 from order_oracle import key_function
 from slice_oracle import slice_minimal_generators_mod
+
+
+def generation_report(p: int, gens, product, outside, degree=None) -> FinGenReport:
+    """The degree-by-degree generation probe, shared by every path.
+
+    gens[e - 1] holds the minimal generators of the degree-e component.
+    For each e >= 2, product(e1, e2) yields the twisted products of the
+    degree-e1 and degree-e2 generators, in the form that outside reads
+    (the Groebner path passes factors), and outside(e, products) returns
+    the degree-e generators not in the span of the products of every split
+    e = e1 + e2 (and of I^[q]), which it gets as one iterable to be read
+    once; the degree is generated from lower exactly
+    when none are.  degree(g) is a generator's weighted degree; without it
+    the maximum degree is recorded as 0.
+    """
+    rows = []
+    for e, comp in enumerate(gens, start=1):
+        if e == 1:
+            new = len(comp)  # no positive splits: every generator is new
+        else:
+            products = itertools.chain.from_iterable(
+                product(e1, e - e1) for e1 in range(1, e))
+            new = len(outside(e, products))
+        top = max(map(degree, comp), default=0) if degree else 0
+        rows.append(DegreeRecord(e, p ** e, len(comp), new, top, e > 1 and new == 0))
+    return FinGenReport(p, len(gens), tuple(rows))
+
+
+@contextmanager
+def every_left_factor():
+    """Run the probes of frobtool.frobenius on the earlier loop above:
+    within this block, its generation_report hands every degree-e1
+    generator to the probe's own product as a left factor, split by split.
+    The library's products and outside steps run unchanged on the earlier
+    products, including on components that are not closed under the
+    twisted product, where the library's own loop, which needs closure,
+    may give other rows."""
+    def report(p, gens, product, outside, degree=None):
+        return generation_report(p, gens, lambda e1, e2: product(e1, gens[e1 - 1], e2),
+                                 outside, degree)
+
+    with patch.object(frobenius, "generation_report", report):
+        yield
 
 
 def twisted_mul(a: Polynomial, e1: int, b: Polynomial) -> Polynomial:

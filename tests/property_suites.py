@@ -50,6 +50,7 @@ import colon_completeness
 import colon_oracle
 import lift_oracle
 import monomial_oracle
+import probe_oracle
 import root_oracle
 from probe_oracle import twisted_mul
 from conftest import (
@@ -333,6 +334,34 @@ def run_deep_segre_rows():
             assert row.min_gen_count == comb(row.q + 1, 2), (p, row)
             checked += 1
     return checked
+
+
+def run_deep_left_factor_check():
+    """fingen_probe, whose products take as left factors only the new
+    generators of their degree, against probe_oracle.fingen_probe, which
+    takes every generator of every split and runs Buchberger on I^[q] +
+    (products), row for row: the minors at p=2 e<=4, the twisted cubic at
+    p=2 e<=4 and p=7 e<=3 and Katzman's ideal at p=3 e<=4, with guard 1000
+    (4116 for the cubic at p=7, whose degree-3 colon meets degree 1029, as
+    in the gallery's own guard 12*p^emax); and the fractional 2x3 Segre
+    probe against monomial_oracle.fractional_fingen_probe, on the earlier
+    loop too, at p=2 e<=6 (about 17 s in all; too slow for the tier-1
+    suite).  Not collected by pytest; from the repository root, run
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_left_factor_check()"`.
+    Returns the number of rows checked."""
+    checked = 0
+    for make, p, emax, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 2, 4, 1000),
+                                 (twisted_cubic_ideal, 7, 3, 4116), (katzman_ideal, 3, 4, 1000)):
+        _, ideal = make(p)
+        clear_memo()
+        rows = fingen_probe(ideal, emax, guard).report.rows
+        assert rows == probe_oracle.fingen_probe(ideal, emax, guard).report.rows, (make, p)
+        checked += len(rows)
+    clear_memo()
+    comps = [segre_component_2x3(2, e).minimalize() for e in range(1, 7)]
+    rows = fractional_fingen_probe(comps, 2, degree=sum).rows
+    assert rows == monomial_oracle.fractional_fingen_probe(comps, 2, degree=sum).rows
+    return checked + len(rows)
 
 
 def run_deep_colon_check():

@@ -15,7 +15,12 @@ from frobtool.frobenius import (
     monomial_fingen_probe,
     qgor_expected_bound,
 )
-from frobtool.gallery import katzman_ideal, minors_ideal, twisted_cubic_ideal
+from frobtool.gallery import (
+    katzman_ideal,
+    minors_ideal,
+    poly_twisted_case,
+    twisted_cubic_ideal,
+)
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
@@ -25,7 +30,14 @@ from frobtool.groebner import (
     minimal_generators_mod,
     set_persistent_cache,
 )
-from frobtool.monomials import MonomialIdeal, veronese_component
+from frobtool.monomials import (
+    FracMonomialModule,
+    MonomialIdeal,
+    free_semigroup,
+    mono_colon,
+    mono_frobenius_power,
+    veronese_component,
+)
 from frobtool.parsing import parse_polynomial
 from frobtool.polyring import (
     GREVLEX,
@@ -38,6 +50,7 @@ from frobtool.polyring import (
 )
 
 import colon_completeness
+import monomial_oracle
 import probe_oracle
 import root_oracle
 from conftest import minimal_forms_with, reordered
@@ -156,23 +169,29 @@ class TestFinGenProbe:
                 assert row.generated_from_lower == (row.new_gen_count == 0)
 
     def test_generation_report_convention(self):
-        gens = [("a", "b"), ("c",), ("d", "e")]
-        seen = []
+        """Degree 1 is all new; each later degree's products take as left
+        factors every degree-1 generator and, above, only the generators
+        that outside returned as new, exactly as it returned them."""
+        gens = [("a", "b"), ("c", "f"), ("d", "e")]
+        seen, lefts = [], []
 
         def outside(e, products):
             products = list(products)
             seen.append((e, products))
-            return [] if e == 2 else list(gens[e - 1])
+            return ["c"] if e == 2 else list(gens[e - 1])
 
-        report = generation_report(
-            3, gens, lambda e1, e2: [f"{a}{b}" for a in gens[e1 - 1] for b in gens[e2 - 1]],
-            outside)
+        def product(e1, left, e2):
+            lefts.append((e1, left, e2))
+            return [f"{a}{b}" for a in left for b in gens[e2 - 1]]
+
+        report = generation_report(3, gens, product, outside)
         assert [(r.e, r.q, r.min_gen_count, r.new_gen_count, r.max_gen_degree,
                  r.generated_from_lower) for r in report.rows] == [
-            (1, 3, 2, 2, 0, False), (2, 9, 1, 0, 0, True), (3, 27, 2, 2, 0, False)]
+            (1, 3, 2, 2, 0, False), (2, 9, 2, 1, 0, False), (3, 27, 2, 2, 0, False)]
         assert seen == [(2, ["aa", "ab", "ba", "bb"]),
-                        (3, ["ac", "bc", "ca", "cb"])]
-        assert report.emax == 3 and report.first_new_degree == 3
+                        (3, ["ac", "af", "bc", "bf", "ca", "cb"])]
+        assert lefts == [(1, ("a", "b"), 1), (1, ("a", "b"), 2), (2, ["c"], 1)]
+        assert report.emax == 3 and report.first_new_degree == 2
 
     def test_fractional_probe_needs_degrees_one_to_emax(self):
         comps = [veronese_component(2, 3, 2, e) for e in range(3)]
@@ -237,6 +256,93 @@ class TestProbeOracle:
         _, ideal = make(p)
         assert fingen_probe(ideal, emax, 1000).report.rows == \
             probe_oracle.fingen_probe(ideal, emax, 1000).report.rows
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A random monomial ideal in three variables over GF(2), GF(3) or
+    GF(5), with the probe depth each field can afford."""
+    p, emax = draw(st.sampled_from(((2, 3), (3, 2), (5, 2))))
+    ring = RingSpec(PrimeField(p), ("x", "y", "z"))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3).filter(any),
+                          min_size=1, max_size=3))
+    return MonomialIdeal(ring, monos), emax
+
+
+def _monomial_components(ideal, emax):
+    """The fractional components of monomial_fingen_probe, built anew."""
+    semigroup = free_semigroup(ideal.ring.nvars)
+    comps = []
+    for e in range(1, emax + 1):
+        iq = mono_frobenius_power(ideal, e)
+        gens = [g for g in mono_colon(iq, ideal).generators if not iq.contains(g)]
+        comps.append(FracMonomialModule(semigroup, gens, e))
+    return comps
+
+
+class TestLeftFactors:
+    """The three library probes, whose loop takes only new generators as
+    left factors, against the earlier loop (tests/probe_oracle.py), which
+    takes all of them: the oracles of tests/probe_oracle.py and
+    tests/monomial_oracle.py run on it, and so do the library's probes
+    within probe_oracle.every_left_factor.  On random homogeneous ideals
+    TestProbeOracle compares fingen_probe with that oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(monomial_ideals())
+    def test_monomial_ideals_match_reference(self, drawn):
+        mono, emax = drawn
+        ideal = Ideal(mono.ring, mono.polynomials())
+        rows = _probe_or_abort(frobenius, ideal, emax)
+        old = _probe_or_abort(probe_oracle, ideal, emax)
+        if rows is None:
+            assert old is None
+        elif old is not None:
+            assert rows == old
+        comps = _monomial_components(mono, emax)
+        degree = mono.ring.weighted_degree
+        assert monomial_fingen_probe(mono, emax).rows == \
+            monomial_oracle.fractional_fingen_probe(comps, mono.ring.field.p, degree).rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(2, 4), st.sampled_from((2, 3, 5)), st.integers(1, 3))
+    def test_veronese_shapes_match_reference(self, d, n, p, emax):
+        comps = [veronese_component(d, n, p, e) for e in range(1, emax + 1)]
+        assert fractional_fingen_probe(comps, p, degree=sum).rows == \
+            monomial_oracle.fractional_fingen_probe(comps, p, degree=sum).rows
+
+    @pytest.mark.parametrize("dim, p, emax", [
+        (1, 2, 5), (1, 3, 3), (2, 2, 5), (2, 3, 3), (3, 2, 4), (3, 3, 3), (3, 5, 2)])
+    def test_poly_twisted_rows_match_reference(self, dim, p, emax):
+        rows = poly_twisted_case(dim, p, emax).components
+        comps = [monomial_oracle.poly_twisted_component(dim, p, e) for e in range(1, emax + 1)]
+        old = monomial_oracle.fractional_fingen_probe(comps, p).rows
+        assert [(r["e"], r["q"], r["component_size"], r["missing_count"],
+                 r["generated_from_lower"]) for r in rows] == \
+            [(r.e, r.q, r.min_gen_count, r.new_gen_count, r.generated_from_lower) for r in old]
+
+    def test_products_come_from_new_generators(self):
+        """At the minors p=2 emax=3, degree 3 gets the products of the 3
+        generators of degree 1 with the 10 of degree 2 and of the 1 new one
+        of degree 2 with the 3 of degree 1: 9 + 33 = 42 in all, against
+        9 + 60 = 69 from every left factor."""
+        _, ideal = minors_ideal(2)
+        calls = []
+        minimal_forms = frobenius._minimal_forms
+
+        def counting(pk, cands, products, *args):
+            products = list(products)
+            calls.append(len(products))
+            return minimal_forms(pk, cands, products, *args)
+
+        with patch.object(frobenius, "_minimal_forms", counting):
+            rows = fingen_probe(ideal, 3).report.rows
+            new_left = calls[:]
+            calls.clear()
+            with probe_oracle.every_left_factor():
+                assert fingen_probe(ideal, 3).report.rows == rows
+        # the first three calls minimalize the components, with no products
+        assert new_left == [0, 0, 0, 9, 33] and calls == [0, 0, 0, 9, 60]
 
 
 class TestFrobeniusRoot:

@@ -12,6 +12,7 @@ from unittest.mock import patch
 
 from frobtool import groebner, polyring
 from frobtool.cache import BasisCache
+from frobtool.frobenius import component
 from frobtool.gallery import minors_ideal, twisted_cubic_ideal
 from frobtool.groebner import (
     DegreeGuardExceeded,
@@ -1317,6 +1318,92 @@ class TestDivisors:
                 expected = next((i for i, lead in enumerate(leads[:end])
                                  if mono_divides(lead, m)), -1)
                 assert index.first(pk.pack(m)) == expected
+
+
+@st.composite
+def shift_instances(draw):
+    """(ring, modulus generators, normal-form source, shift degree): a
+    random homogeneous ideal over GF(2), GF(3), GF(5) or GF(7), under
+    grevlex or lex, with weights (1,1,1) or (1,2,1), and a homogeneous
+    polynomial to reduce modulo it.  Half the time one variable is left out
+    of every generator, and so of every lead of the basis, and every shift
+    of the instance's degree is tried, those in that variable included."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    ring = RingSpec(PrimeField(p), ("x", "y", "z"), weights, order)
+    absent = draw(st.sampled_from((None, None, None, 0, 1, 2)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def homogeneous(d, terms):
+        monos = [m for m in monomials_of_weighted_degree(weights, d)
+                 if absent is None or not m[absent]]
+        chosen = rng.sample(monos, min(len(monos), terms))
+        return Polynomial(ring, {m: rng.randint(1, p - 1) for m in chosen})
+
+    gens = [homogeneous(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    d = rng.randint(1, 5)
+    f = Polynomial(ring, {m: rng.randint(0, p - 1)
+                          for m in monomials_of_weighted_degree(weights, d)})
+    assume(not f.is_zero())
+    return ring, gens, f, draw(st.integers(1, 3))
+
+
+class TestShiftScreen:
+    """groebner._Shifts, which reduces a shifted normal form only at the
+    terms where a lead can newly divide, against _reduce_full of the whole
+    shifted row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shift_instances())
+    def test_screened_shift_matches_full_reduction(self, instance):
+        ring, gens, f, k = instance
+        basis = Ideal(ring, gens).groebner_basis(degree_guard=60)
+        top = f.weighted_degree() + k
+        pk = polyring._packing(ring, max([top] + [g.weighted_degree() for g in basis]))
+        entries = [groebner._make_entry(pk.pack_terms(g.terms), pk.p) for g in basis]
+        index = groebner._Divisors(pk)
+        form = groebner._reduce_full(pk.pack_terms(f.terms), entries, pk, index)
+        assume(form)
+        shifts = groebner._Shifts(entries, pk, index)
+        for m in monomials_of_weighted_degree(ring.weights, k):
+            s = pk.pack(m)
+            assert shifts.normal_form(form, m) == groebner._reduce_full(
+                {mm + s: c for mm, c in form.items()}, entries, pk, index), m
+
+    def test_shift_in_no_lead_variable_is_its_own_normal_form(self):
+        """No lead of the basis of I^[49] for the twisted cubic at p=7
+        involves a or d, so a shift in those alone sends no term to
+        _reduce_full; a shift by b sends exactly the terms whose b exponent
+        is one below a lead's, 48 or 97."""
+        ring, ideal = twisted_cubic_ideal(7)
+        basis = frobenius_power(ideal, 2).groebner_basis(degree_guard=600)
+        assert sorted(g.leading_monomial() for g in basis) == [
+            (0, 0, 98, 0), (0, 49, 49, 0), (0, 98, 0, 0)]
+        (v,) = component(ideal, 2, 600).min_gens
+        pk = polyring._packing(ring, 200)
+        entries = [groebner._make_entry(pk.pack_terms(g.terms), pk.p) for g in basis]
+        index = groebner._Divisors(pk)
+        form = pk.pack_terms(v.terms)
+        sent = []
+        reduce_full = groebner._reduce_full
+
+        def recording(fd, *args):
+            sent.append({pk.unpack(m) for m in fd})
+            return reduce_full(fd, *args)
+
+        shifts = groebner._Shifts(entries, pk, index)
+        for m in [(1, 0, 0, 0), (0, 0, 0, 1), (2, 0, 0, 1), (0, 1, 0, 0)]:
+            sent.clear()
+            with patch.object(groebner, "_reduce_full", recording):
+                row = shifts.normal_form(form, m)
+            s = pk.pack(m)
+            assert row == reduce_full({mm + s: c for mm, c in form.items()}, entries, pk, index)
+            caught = {tuple(map(add, u, m)) for u, _ in v.terms if m[1] and u[1] in (48, 97)}
+            assert sent == ([caught] if caught else []), m
+        assert caught  # the shift by b sent some terms
 
 
 class TestLift:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -169,6 +171,52 @@ class TestMonomialOrder:
         info = polyring._packing_of_width.cache_info()
         assert info.maxsize == maxsize
         assert info.currsize <= maxsize
+
+
+class TestOrderKeyEdge:
+    """_order_key packs without the overflow test of Packing.pack, which its
+    own width rules out: each field holds at most the largest exponent
+    times the sum of the weights."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((GREVLEX, LEX, Order("elim", 1))),
+           st.sampled_from(((1, 1, 1), (1, 2, 1), (3, 1, 2))),
+           st.integers(1, 80), st.randoms(use_true_random=False))
+    def test_order_key_matches_checked_pack_at_its_width_edge(self, order, weights, bits, rng):
+        R = ring(rng.choice((2, 3, 5)), ("x", "y", "z"), weights, order)
+        # the largest exponent whose bound still has `bits` bits
+        top = max(1, ((1 << bits) - 1) // sum(weights))
+        monos = [(top,) * 3] + [tuple(rng.choice((0, 1, top - 1, top, rng.randint(0, top)))
+                                      for _ in range(3)) for _ in range(12)]
+        key = _order_key(R, monos)
+        pack = polyring._packing(R, top * sum(weights)).pack
+        assert [key(m) for m in monos] == [pack(m) for m in monos]
+        assert sorted(monos, key=key) == sorted(monos, key=pack) == \
+            sorted(monos, key=order_oracle.key_function(R))
+
+
+class TestRingSpecHash:
+    """A RingSpec computes its hash once, when made; rings made apart with
+    equal fields hash and compare equal, and rings that differ in any field
+    compare unequal."""
+
+    def test_equal_fields_hash_and_compare_equal(self):
+        a = ring(5, ("x", "y", "z"), (1, 1, 1))
+        for b in (ring(5, ["x", "y", "z"]), RingSpec(PrimeField(5), ("x", "y", "z"),
+                                                     [1, 1, 1], Order("grevlex")),
+                  pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+
+    def test_any_field_differs(self):
+        a = ring(5, ("x", "y", "z"), (1, 2, 1))
+        for b in (ring(7, ("x", "y", "z"), (1, 2, 1)), ring(5, ("x", "y", "w"), (1, 2, 1)),
+                  ring(5, ("x", "z", "y"), (1, 2, 1)), ring(5, ("x", "y", "z"), (1, 1, 1)),
+                  ring(5, ("x", "y", "z"), (1, 2, 1), LEX),
+                  ring(5, ("x", "y", "z"), (1, 2, 1), Order("elim", 1)),
+                  ring(5, ("x", "y", "z", "t"), (1, 2, 1, 1))):
+            assert a != b and b != a
+        assert len({a, ring(5, ("x", "y", "z"), (1, 2, 1))}) == 1
 
 
 class TestRingSpecValidation:
