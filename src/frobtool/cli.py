@@ -5,6 +5,11 @@ a named case.  Exit codes: 0 success with all expectations passing, 1 failed
 expectation, 2 usage or parse errors, 3 degree-guard abort, 4 internal error
 (a failed arithmetic invariant, a lift verification or a ring mismatch).
 Environment: FROBTOOL_CACHE (basis cache directory).
+
+Each command imports only the layers it runs: this module loads the
+parsing, Groebner, cache and report layers; fops imports `frobenius` (and
+through it `monomials`), and gallery imports `gallery` (and through it
+both), when they run.  Library paths import nothing at call time.
 """
 
 from __future__ import annotations
@@ -14,10 +19,8 @@ import logging
 import sys
 import time
 
-from . import __version__
+from . import CASE_NAMES, __version__
 from .cache import BasisCache, default_cache_dir
-from .frobenius import degree_growth, fingen_probe
-from .gallery import CASE_NAMES, probe_rows, run_case
 from .groebner import (
     DEFAULT_DEGREE_GUARD,
     DegreeGuardExceeded,
@@ -35,6 +38,7 @@ from .report import (
     digest_params,
     expectations_payload,
     make_report,
+    probe_rows,
     report_json,
 )
 
@@ -96,6 +100,8 @@ def _run(argv) -> int:
     args = parser.parse_args(argv)
     if args.degree_guard is not None and args.degree_guard < 1:
         parser.error(f"argument --degree-guard: must be at least 1: {args.degree_guard}")
+    if args.command == "fpow" and args.degree_guard is not None:
+        raise ValueError("fpow does not use --degree-guard")
 
     cache = None
     root = None if args.no_cache else default_cache_dir()
@@ -133,6 +139,7 @@ def _run(argv) -> int:
                 components.append(_basis_component(
                     "generators", f"{args.ideal}^[p^{args.e}]", result.generators))
             else:  # fops
+                from .frobenius import degree_growth, fingen_probe
                 ideal = doc.ideal(args.ideal)
                 probe = fingen_probe(ideal, args.emax, guard)
                 components = probe_rows(probe.report, probe.components)
@@ -143,6 +150,7 @@ def _run(argv) -> int:
                 " ".join(["frobtool", args.command]), input_digest,
                 components, expectations)
         else:  # gallery
+            from .gallery import run_case
             case = run_case(args.case, p=args.p, emax=args.emax, dim=args.dim,
                             degree_guard=args.degree_guard)
             passed = case.passed

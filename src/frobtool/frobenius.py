@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .groebner import (
     DEFAULT_DEGREE_GUARD,
     Ideal,
     frobenius_power,
     _colon,
+    _collector_paused,
     _entry_dict,
     _guard_context,
     _minimal_forms,
@@ -37,8 +37,7 @@ from .monomials import (
 from .polyring import _packing
 
 
-@dataclass(frozen=True)
-class FrobeniusComponent:
+class FrobeniusComponent(NamedTuple):
     """Degree-e component, q = p^e: the colon ideal I^[q]:I, the modulus
     I^[q], and minimal generator representatives in ascending weighted
     degree."""
@@ -50,8 +49,7 @@ class FrobeniusComponent:
     min_gens: tuple
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
+class DegreeRecord(NamedTuple):
     e: int
     q: int
     min_gen_count: int
@@ -60,8 +58,7 @@ class DegreeRecord:
     generated_from_lower: bool
 
 
-@dataclass(frozen=True)
-class FinGenReport:
+class FinGenReport(NamedTuple):
     """Per-degree finite-generation evidence.
 
     Degree 1 is "not generated from lower" by convention (no positive
@@ -87,6 +84,7 @@ class FinGenReport:
         return self.rows[e - 1]
 
 
+@_collector_paused
 def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> FrobeniusComponent:
     """The degree-e component of the operator algebra of A/I.
 
@@ -184,12 +182,12 @@ def generation_report(p: int, gens, product, outside, degree=None) -> FinGenRepo
     return FinGenReport(p, len(gens), tuple(rows))
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     report: FinGenReport
     components: tuple
 
 
+@_collector_paused
 def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) -> ProbeResult:
     """Generation probe on the Groebner path: for each e >= 2, the degree-e
     generators are minimalized modulo I^[q] together with the twisted

@@ -9,9 +9,9 @@ frozen, "direct" for definitional checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from . import CASE_NAMES
 from .frobenius import (
     FinGenReport,
     _fractional_products,
@@ -41,10 +41,10 @@ from .monomials import (
 )
 from .parsing import parse_polynomial
 from .polyring import PrimeField, RingSpec
+from .report import probe_rows
 
 
-@dataclass
-class Expectation:
+class Expectation(NamedTuple):
     name: str
     status: str
     measured: object
@@ -59,12 +59,15 @@ def _expect(name: str, ok: bool, measured, provenance: str) -> Expectation:
     return Expectation(name, "pass" if ok else "fail", measured, provenance)
 
 
-@dataclass
 class CaseResult:
-    case: str
-    params: dict
-    expectations: list = field(default_factory=list)
-    components: list = field(default_factory=list)
+    """A case's parameters, expectations and report components."""
+
+    def __init__(self, case: str, params: dict, expectations: Optional[list] = None,
+                 components: Optional[list] = None):
+        self.case = case
+        self.params = params
+        self.expectations = [] if expectations is None else expectations
+        self.components = [] if components is None else components
 
     @property
     def passed(self) -> bool:
@@ -94,23 +97,6 @@ def katzman_ideal(p: int):
     ring = RingSpec(PrimeField(p), ("x", "y", "z"))
     gens = (parse_polynomial("x*y", ring), parse_polynomial("y*z", ring))
     return ring, Ideal(ring, gens)
-
-
-def probe_rows(report: FinGenReport, components=None) -> list:
-    rows = []
-    for row in report.rows:
-        rec = {
-            "e": row.e,
-            "q": row.q,
-            "min_gen_count": row.min_gen_count,
-            "new_gen_count": row.new_gen_count,
-            "max_gen_degree": row.max_gen_degree,
-            "generated_from_lower": row.generated_from_lower,
-        }
-        if components is not None:
-            rec["generators"] = [str(g) for g in components[row.e - 1].min_gens]
-        rows.append(rec)
-    return rows
 
 
 def _report_signature(report: FinGenReport) -> list:
@@ -452,5 +438,3 @@ def run_case(name: str, p: Optional[int] = None, emax: Optional[int] = None,
         return veronese_case(**given, degree_guard=degree_guard)
     return determinantal_case(**given, degree_guard=degree_guard)
 
-
-CASE_NAMES = ("fedder", "lifts", "katzman", "veronese", "determinantal", "twisted")

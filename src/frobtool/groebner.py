@@ -122,12 +122,14 @@ concurrent fills of one key always carry identical canonical values.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
+from functools import wraps
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -179,6 +181,27 @@ def _guard_context(context: str):
         yield
     except DegreeGuardExceeded as exc:
         raise DegreeGuardExceeded(exc.degree, exc.guard, exc.phase, context) from exc
+
+
+def _collector_paused(fn):
+    """`fn` with Python's cyclic garbage collector paused while it runs, and
+    resumed after if it was on.  The engine's working data are dicts,
+    tuples and ints that form no reference cycles (a whole probe leaves a
+    few dozen cyclic objects), so the collector finds nothing in them: its
+    passes only walk the growing working set again, at points set by how
+    much the process allocated before the call.  Paused, a computation
+    takes the same steps whatever ran before it.  The pause is process-wide,
+    so another thread's cyclic garbage waits for the end of the call."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class NoLiftExists(ValueError):
@@ -529,6 +552,7 @@ def _memoized(key: str, ring: RingSpec, compute):
     return basis
 
 
+@_collector_paused
 def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
                    degree_guard: Optional[int] = None):
     """Reduced Groebner basis under the ring's order, ascending by leading
@@ -769,6 +793,7 @@ class _Elimination:
         return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries), (pk, entries)
 
 
+@_collector_paused
 def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     """Ideal intersection as the one-step colon chain rhs ∩ (lhs : (1)), the
     elimination of t*lhs + (1-t)*rhs; it consults no memo."""
@@ -841,6 +866,7 @@ def _divide_exact(fd: dict, gd: dict, pk) -> dict:
     return quotient
 
 
+@_collector_paused
 def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     """The colon ideal lhs : rhs = { g : g*rhs contained in lhs }.
 
@@ -975,6 +1001,7 @@ def _twisted_product(ad: dict, q1: int, bd: dict, pk) -> dict:
     return _multiply(ad, {q1 * m: c for m, c in bd.items()}, pk)
 
 
+@_collector_paused
 def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
                            degree_guard: Optional[int] = None):
     """Greedy minimalization of module generators modulo an ideal.
@@ -1153,6 +1180,7 @@ def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[i
                   key=itemgetter(0, 1))
 
 
+@_collector_paused
 def lift_by_nzd(g: Polynomial, m: Polynomial, modulus: Ideal,
                 degree_guard: Optional[int] = None) -> Polynomial:
     """The normal form of the f with m*f = g modulo J = modulus, for J and m

@@ -17,7 +17,6 @@ parse losslessly to and from the canonical printed form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .groebner import Ideal
@@ -34,11 +33,14 @@ class InputFileError(ValueError):
         self.line = line
 
 
-@dataclass
 class InputDocument:
-    ring: RingSpec
-    ideals: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
+    """A parsed .frob file: the ring, its named ideals and its options."""
+
+    def __init__(self, ring: RingSpec, ideals: Optional[dict] = None,
+                 options: Optional[dict] = None):
+        self.ring = ring
+        self.ideals = {} if ideals is None else ideals
+        self.options = {} if options is None else options
 
     def ideal(self, name: str) -> Ideal:
         if name not in self.ideals:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import add, or_, sub
 from typing import Iterable, Optional, Sequence
 
@@ -50,6 +49,7 @@ from .polyring import (
     mono_gcd,
     mono_lcm,
     monomials_of_weighted_degree,
+    _immutable,
     _order_key,
 )
 
@@ -66,12 +66,11 @@ def _antichain(ring: RingSpec, monos: Iterable[Mono]):
     return tuple(kept)
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, stored as the antichain of its minimal generators."""
 
-    ring: RingSpec
-    generators: tuple
+    __slots__ = ("ring", "generators")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, ring: RingSpec, generators: Iterable[Mono]):
         object.__setattr__(self, "ring", ring)
@@ -83,6 +82,17 @@ class MonomialIdeal:
                 raise ValueError(f"bad exponent vector {m}")
             monos.append(m)
         object.__setattr__(self, "generators", _antichain(ring, monos))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.generators) == (other.ring, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.generators))
+
+    def __reduce__(self):
+        return MonomialIdeal, (self.ring, self.generators)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -133,7 +143,6 @@ def mono_frobenius_power(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
 # --------------------------------------------------------------------------
 # affine semigroups and fractional monomial modules
 
-@dataclass(frozen=True)
 class SemigroupSpec:
     """Lattice points v >= 0 with w.v = 0 mod m for each (w, m) pair.
 
@@ -142,8 +151,8 @@ class SemigroupSpec:
     addition by construction.
     """
 
-    dim: int
-    congruences: tuple = ()
+    __slots__ = ("dim", "congruences")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, congruences: Iterable = ()):
         if dim < 1:
@@ -158,6 +167,17 @@ class SemigroupSpec:
                 raise ValueError("congruence modulus must be >= 0")
             congs.append((weights, int(modulus)))
         object.__setattr__(self, "congruences", tuple(congs))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.congruences) == (other.dim, other.congruences)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.congruences))
+
+    def __reduce__(self):
+        return SemigroupSpec, (self.dim, self.congruences)
 
     def admissible(self, v: Sequence[int]) -> bool:
         if len(v) != self.dim:
@@ -174,7 +194,6 @@ class SemigroupSpec:
         return True
 
 
-@dataclass(frozen=True)
 class FracMonomialModule:
     """Span of inverse-monomial generators over a semigroup ring.
 
@@ -184,9 +203,8 @@ class FracMonomialModule:
     component the module represents, when meaningful.
     """
 
-    semigroup: SemigroupSpec
-    generators: tuple
-    degree: Optional[int] = None
+    __slots__ = ("semigroup", "generators", "degree")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, semigroup: SemigroupSpec, generators: Iterable,
                  degree: Optional[int] = None):
@@ -211,6 +229,18 @@ class FracMonomialModule:
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "degree", degree)
         return self
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.semigroup, self.generators, self.degree)
+                == (other.semigroup, other.generators, other.degree))
+
+    def __hash__(self) -> int:
+        return hash((self.semigroup, self.generators, self.degree))
+
+    def __reduce__(self):
+        return FracMonomialModule, (self.semigroup, self.generators, self.degree)
 
     def contains(self, v: Sequence[int]) -> bool:
         v = _vector(self.semigroup, v)

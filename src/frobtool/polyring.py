@@ -23,7 +23,6 @@ compare these ints; `_order_key` packs for any collection of monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -57,17 +56,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def _immutable(self, *args):
+    """__setattr__ and __delattr__ of the value types below."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {args[0]!r}")
+
+
 class PrimeField:
     """The field GF(p) for a prime p < 2**31."""
 
-    p: int
+    __slots__ = ("p",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not 2 <= self.p < 2**31:
-            raise ValueError(f"characteristic must be an integer in [2, 2^31): {self.p!r}")
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic must be prime: {self.p}")
+    def __init__(self, p: int) -> None:
+        if not isinstance(p, int) or not 2 <= p < 2**31:
+            raise ValueError(f"characteristic must be an integer in [2, 2^31): {p!r}")
+        if not is_prime(p):
+            raise ValueError(f"characteristic must be prime: {p}")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     def inv(self, value: int) -> int:
         value %= self.p
@@ -76,18 +92,30 @@ class PrimeField:
         return pow(value, self.p - 2, self.p)
 
 
-@dataclass(frozen=True)
 class Order:
     """Monomial order tag: grevlex, lex, or elimination of a leading block."""
 
-    kind: str
-    block: int = 0
+    __slots__ = ("kind", "block")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("grevlex", "lex", "elim"):
-            raise ValueError(f"unknown monomial order: {self.kind!r}")
-        if self.kind == "elim" and self.block < 1:
+    def __init__(self, kind: str, block: int = 0) -> None:
+        if kind not in ("grevlex", "lex", "elim"):
+            raise ValueError(f"unknown monomial order: {kind!r}")
+        if kind == "elim" and block < 1:
             raise ValueError("elimination order needs a leading block of size >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "block", block)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.block) == (other.kind, other.block)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.block))
+
+    def __reduce__(self):
+        return Order, (self.kind, self.block)
 
     @property
     def tag(self) -> str:
@@ -102,34 +130,40 @@ class RingMismatch(ValueError):
     """Operands from different rings met: an internal error, not bad input."""
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """A polynomial ring GF(p)[variables] with weights and a monomial order.
 
     Its hash is computed once, when it is made: rings are hashed with every
     polynomial and packing memo lookup."""
 
-    field: PrimeField
-    variables: tuple
-    weights: tuple = ()
-    order: Order = GREVLEX
+    __slots__ = ("field", "variables", "weights", "order", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        variables = tuple(self.variables)
-        object.__setattr__(self, "variables", variables)
+    def __init__(self, field: PrimeField, variables: tuple, weights: tuple = (),
+                 order: Order = GREVLEX) -> None:
+        variables = tuple(variables)
         if not variables:
             raise ValueError("a ring needs at least one variable")
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be unique")
-        weights = tuple(self.weights) if self.weights else (1,) * len(variables)
-        object.__setattr__(self, "weights", weights)
+        weights = tuple(weights) if weights else (1,) * len(variables)
         if len(weights) != len(variables):
             raise ValueError("one weight per variable")
         if any(not isinstance(w, int) or w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        if self.order.kind == "elim" and self.order.block >= len(variables):
+        if order.kind == "elim" and order.block >= len(variables):
             raise ValueError("elimination block must leave at least one trailing variable")
-        object.__setattr__(self, "_hash", hash((self.field, variables, weights, self.order)))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_hash", hash((field, variables, weights, order)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.variables, self.weights, self.order)
+                == (other.field, other.variables, other.weights, other.order))
 
     def __hash__(self) -> int:
         return self._hash

@@ -37,6 +37,19 @@ def expectations_payload(expectations) -> list:
              "provenance": e.provenance} for e in expectations]
 
 
+def probe_rows(report, components=None) -> list:
+    """The report components of a generation probe: the fields of each
+    DegreeRecord of the FinGenReport `report`, with each degree's
+    generators printed when the probe's `components` are given."""
+    rows = []
+    for row in report.rows:
+        rec = row._asdict()
+        if components is not None:
+            rec["generators"] = [str(g) for g in components[row.e - 1].min_gens]
+        rows.append(rec)
+    return rows
+
+
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 

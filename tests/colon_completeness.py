@@ -19,6 +19,8 @@ too large.  Together they give equality in that degree.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from frobtool.groebner import Ideal, _Echelon
 from frobtool.polyring import mono_divides, monomials_of_weighted_degree
 
@@ -57,24 +59,27 @@ def basis_dimension(basis, weights: tuple, d: int) -> int:
                for m in monomials_of_weighted_degree(weights, d))
 
 
-def check_frobenius_colon(ideal: Ideal, e: int, col: Ideal, guard: int) -> int:
+def check_frobenius_colon(ideal: Ideal, e: int, col: Ideal, guard: int,
+                          bound: Optional[int] = None) -> int:
     """Assert that the computed colon `col` equals I^[q] : I, q = p^e, for
-    a homogeneous I, in every degree up to the top degree of its reduced
-    basis; returns that degree.
+    a homogeneous I, in every degree up to `bound`, or without one up to
+    the top degree of its reduced basis; returns that degree.
 
     Every generator of `col` must pass the root check (inclusion), and in
     each degree d its dimension must equal the kernel dimension above
-    (completeness).  A true generator of the colon above the top degree of
-    the computed basis is not seen: a colon that lacks its only generator
-    of top degree passes.  Raises AssertionError naming the first degree
-    that disagrees."""
+    (completeness).  A true generator of the colon above the degrees
+    checked is not seen: without a bound, a colon that lacks its only
+    generator of top degree passes.  Given an a priori bound on the
+    degrees of the true colon's generators, the check is complete: the
+    computed colon then holds every one of them.  Raises AssertionError
+    naming the first degree that disagrees."""
     ring = ideal.ring
     q = ring.field.p ** e
     for u in col.generators:
         assert root_oracle.in_frobenius_colon(u, ideal, q), ("outside the colon", e, u)
     basis = col.groebner_basis(guard)
     modulus = frobenius_modulus(ideal, e, guard)
-    top = max(g.weighted_degree() for g in basis)
+    top = max(g.weighted_degree() for g in basis) if bound is None else bound
     for d in range(top + 1):
         computed, expected = (basis_dimension(basis, ring.weights, d),
                               kernel_dimension(ideal, modulus, d))

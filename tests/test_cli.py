@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,9 @@ from frobtool.groebner import (
     set_persistent_cache,
 )
 from frobtool.polyring import RingMismatch
+from frobtool.report import comparable, report_json
+
+ROOT = Path(__file__).resolve().parents[1]
 
 KATZMAN = """\
 char 2
@@ -66,6 +72,18 @@ def test_fpow(capsys, katzman_file):
                                      "--e", "2", "--json", "--no-cache"])
     assert code == 0
     assert report["components"][0]["generators"] == ["x^4*y^4", "y^4*z^4"]
+
+
+def test_fpow_rejects_degree_guard_flag(capsys, katzman_file, tmp_path):
+    # fpow runs no Buchberger, so the flag would select nothing; a .frob
+    # degree_guard line stays allowed, since the commands share the file
+    argv = ["fpow", "--input", katzman_file, "--ideal", "I", "--e", "1", "--no-cache"]
+    assert main(argv + ["--degree-guard", "1"]) == 2
+    assert capsys.readouterr().err == "error: fpow does not use --degree-guard\n"
+    guarded = tmp_path / "guarded.frob"
+    guarded.write_text(KATZMAN + "degree_guard 1\n", encoding="utf-8")
+    argv[2] = str(guarded)
+    assert main(argv) == 0
 
 
 def test_colon_missing_ideal_names_it(capsys, katzman_file):
@@ -214,14 +232,14 @@ def test_gallery_pass_and_fail_exit_codes(capsys, monkeypatch):
     assert main(["gallery", "fedder", "--p", "2", "--no-cache"]) == 0
     capsys.readouterr()
 
-    import frobtool.cli as cli_mod
+    import frobtool.gallery as gallery_mod
     from frobtool.gallery import CaseResult, Expectation
 
     def failing_case(name, **kwargs):
         return CaseResult(name, {"p": 2},
                           [Expectation("forced", "fail", {}, "direct")])
 
-    monkeypatch.setattr(cli_mod, "run_case", failing_case)
+    monkeypatch.setattr(gallery_mod, "run_case", failing_case)
     assert main(["gallery", "fedder", "--no-cache"]) == 1
     out = capsys.readouterr().out
     assert "FAIL forced" in out
@@ -297,11 +315,30 @@ def test_non_object_cache_entry_discarded(capsys, tmp_path, monkeypatch):
     assert rep1 == rep2
 
 
+def test_corrupt_cache_entry_warning_line(tmp_path, monkeypatch, capsys):
+    # a fresh interpreter, where cli.main's logging.basicConfig sets the
+    # format; in this process pytest's own log handler makes it a no-op
+    root = tmp_path / "cachedir"
+    monkeypatch.setenv("FROBTOOL_CACHE", str(root))
+    argv = ["colon", "--input", str(ROOT / "inputs" / "veronese.frob"), "--lhs", "I",
+            "--rhs", "I", "--json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (entry,) = root.glob("*.json")  # the one colon entry
+    entry.write_text("[]", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), FROBTOOL_CACHE=str(root))
+    done = subprocess.run([sys.executable, "-m", "frobtool.cli"] + argv, cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == (f"WARNING frobtool: discarding corrupt cache entry {entry.name} "
+                           "(entry is not an object with a basis list); recomputing\n")
+    golden = ROOT / "tests" / "golden" / "v1" / "cli_colon_veronese.json"
+    assert report_json(comparable(json.loads(done.stdout))) == golden.read_text(encoding="utf-8")
+
+
 def test_no_home_directory_runs_without_cache(capsys, monkeypatch, caplog):
     # Path.home() raises RuntimeError when HOME is unset and the user has no
     # passwd entry; the command warns and runs without the cache
-    from frobtool.report import comparable, report_json
-
     def no_home():
         raise RuntimeError("Could not determine home directory.")
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import itertools
 import random
 import tempfile
@@ -114,6 +115,36 @@ class TestBasis:
         with pytest.raises(DegreeGuardExceeded):
             Ideal(gf2_xyz, (f, g)).groebner_basis(degree_guard=2)
         Ideal(gf2_xyz, (f, g)).groebner_basis(degree_guard=10)
+
+    def test_collector_paused_only_inside_engine_calls(self, gf2_xyz):
+        # the engine pauses the cyclic collector while it computes, resumes
+        # it on return and on an abort, and leaves it off when it was off
+        f = parse_polynomial("x^2 + y*z", gf2_xyz)
+        g = parse_polynomial("x*y + z^2", gf2_xyz)
+        seen = []
+        real = groebner._reduced_basis
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        with patch.object(groebner, "_reduced_basis", spy):
+            clear_memo()
+            assert gc.isenabled()
+            groebner.groebner_basis((f, g), gf2_xyz)
+            assert gc.isenabled() and seen == [False]
+            clear_memo()
+            with pytest.raises(DegreeGuardExceeded):
+                groebner.groebner_basis((f, g), gf2_xyz, degree_guard=2)
+            assert gc.isenabled()
+            clear_memo()
+            gc.disable()
+            try:
+                groebner.groebner_basis((f, g), gf2_xyz)
+                assert not gc.isenabled()
+            finally:
+                gc.enable()
+        assert seen == [False, False, False]
 
     @pytest.mark.parametrize("gens,order,guard,degree,phase", [
         # the first S-pair's lcm x^2*y has degree 3

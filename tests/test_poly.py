@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobtool.parsing import parse_polynomial
 from frobtool import polyring
+from frobtool.monomials import FracMonomialModule, MonomialIdeal, SemigroupSpec
 from frobtool.polyring import (
     GREVLEX,
     LEX,
@@ -217,6 +218,35 @@ class TestRingSpecHash:
                   ring(5, ("x", "y", "z", "t"), (1, 2, 1, 1))):
             assert a != b and b != a
         assert len({a, ring(5, ("x", "y", "z"), (1, 2, 1))}) == 1
+
+
+def _value_types():
+    """(value, its field tuple) for each immutable value type."""
+    R = ring(3, ("x", "y"), (1, 2), Order("elim", 1))
+    semigroup = SemigroupSpec(2, [((1, 2), 3)])
+    return [
+        (PrimeField(5), (5,)),
+        (Order("elim", 1), ("elim", 1)),
+        (R, (R.field, ("x", "y"), (1, 2), R.order)),
+        (MonomialIdeal(R, [(1, 1), (2, 0)]), (R, ((2, 0), (1, 1)))),
+        (semigroup, (2, (((1, 2), 3),))),
+        (FracMonomialModule(semigroup, [(1, -1)], 2), (semigroup, ((1, -1),), 2)),
+    ]
+
+
+@pytest.mark.parametrize("value, fields", _value_types(),
+                         ids=[type(v).__name__ for v, _ in _value_types()])
+def test_value_type_hash_equality_and_copies(value, fields):
+    """Each value type hashes as its field tuple, compares equal only to
+    its own type, survives pickling and copying, and rejects assignment."""
+    assert hash(value) == hash(fields)
+    assert value != fields
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+    with pytest.raises(AttributeError):
+        setattr(value, type(value).__slots__[0], None)
+    with pytest.raises(AttributeError):
+        delattr(value, type(value).__slots__[0])
 
 
 class TestRingSpecValidation:
