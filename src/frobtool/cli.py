@@ -176,23 +176,21 @@ def _run(argv) -> int:
 def _print_human(report: dict) -> None:
     print(f"# {report['command']} (frobtool {report['version']})")
     for comp in report["components"]:
-        if "generators" in comp and "e" not in comp:
-            print(f"{comp.get('kind', 'basis')} {comp.get('name', '')}:")
+        if "e" not in comp:  # a basis or a list of generators
+            print(f"{comp['kind']} {comp['name']}:")
             for g in comp["generators"]:
                 print(f"  {g}")
-        else:
-            e = comp.get("e", 1)
-            flag = "generated from lower" if comp.get("generated_from_lower") else \
-                (f"new generators required at e = {e}" if e > 1 else "base degree")
-            extra = ""
-            if "min_gen_count" in comp:
-                extra = (f": {comp['min_gen_count']} generator(s), "
-                         f"{comp.get('new_gen_count', '?')} new, "
-                         f"max degree {comp.get('max_gen_degree', '?')}")
-            if "component_size" in comp:
-                extra = (f": size {comp['component_size']}, "
-                         f"{comp.get('missing_count', '?')} outside lower products")
-            print(f"e={e}{extra} [{flag}]")
+            continue
+        e = comp["e"]
+        flag = "generated from lower" if comp["generated_from_lower"] else \
+            (f"new generators required at e = {e}" if e > 1 else "base degree")
+        if "min_gen_count" in comp:  # a probe row
+            extra = (f"{comp['min_gen_count']} generator(s), {comp['new_gen_count']} new, "
+                     f"max degree {comp['max_gen_degree']}")
+        else:  # a row of the twisted algebra
+            extra = (f"size {comp['component_size']}, "
+                     f"{comp['missing_count']} outside lower products")
+        print(f"e={e}: {extra} [{flag}]")
     for exp in report["expectations"]:
         print(f"{exp['status'].upper():4s} {exp['name']}")
     cachestats = report["timing"].get("persistent_cache")

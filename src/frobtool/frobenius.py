@@ -102,17 +102,16 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     reduced basis is reducible.  A colon from the memo or the store is
     only polynomials, and the store does not check that tails are reduced,
     so those are packed and every term is looked up.  The generators are
-    unpacked once, for the result.
+    unpacked once and made monic, for the result.
     """
     return _component(ideal, e, degree_guard)[0]
 
 
 def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
-    """component(ideal, e, degree_guard), returned with (pk, the monic
-    packed normal forms (degree, lm, tail) of its generators in pk), or
-    with None for e = 0.  pk is the given packing of the ring; without
-    one, the colon's own, or on a memo or store hit one sized for the
-    colon's top degree."""
+    """component(ideal, e, degree_guard), returned with (pk, its generators
+    as `_minimal_forms` returned them in pk), or with None for e = 0.  pk
+    is the given packing of the ring; without one, the colon's own, or on
+    a memo or store hit one sized for the colon's top degree."""
     ring = ideal.ring
     p = ring.field.p
     if e < 0:
@@ -137,7 +136,7 @@ def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
         cands = _packed_candidates(basis, pk)
     with _guard_context(f"the basis of I^[q] of component e={e} (q={q})"):
         forms = _minimal_forms(pk, cands, (), modulus, degree_guard, packed is not None)
-    min_gens = tuple(pk.polynomial(((lm, 1),) + tail) for _, lm, tail in forms)
+    min_gens = tuple(pk.polynomial(form.items()).monic() for _, _, form in forms)
     return FrobeniusComponent(e, q, col, modulus, min_gens), (pk, forms)
 
 
@@ -204,13 +203,11 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
     the other way round.
 
     The whole probe runs in one packing of the ring, wide enough for every
-    colon it computes, so the colon hands each component its basis packed,
-    and each component's generators stay packed, as its minimalization
-    left them, and serve as the next degrees' candidates and product
-    factors: nothing is packed again.  The candidates are normal forms
-    modulo I^[q], so, as for a colon's basis, only their leads are looked
-    up, none is reducible, and the new ones `_minimal_forms` returns are
-    the candidates themselves."""
+    colon it computes, so each colon hands its basis over packed, and each
+    component's generators stay the (degree, lead, form) triples that
+    `_minimal_forms` returned, as the next degrees' candidates and product
+    factors.  Being normal forms modulo I^[q], only their leads are looked
+    up, and the new ones come back as the same triples."""
     if emax < 1:
         raise ValueError("emax must be >= 1")
     ring = ideal.ring
@@ -222,15 +219,15 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
                                            for g in ideal.generators]))
     comps, forms = [], []  # forms[e - 1]: the packed (degree, lead, form) of comps[e - 1]
     for e in range(1, emax + 1):
-        comp, (_, entries) = _component(ideal, e, degree_guard, pk)
+        comp, (_, comp_forms) = _component(ideal, e, degree_guard, pk)
         comps.append(comp)
-        forms.append([(d, lm, _entry_dict((lm, tail))) for d, lm, tail in entries])
+        forms.append(comp_forms)
     report = generation_report(
         ring.field.p, forms,
         lambda e1, left, e2: [(d + comps[e1 - 1].q * dh, a, comps[e1 - 1].q, b)
                               for d, _, a in left for dh, _, b in forms[e2 - 1]],
-        lambda e, products: [(d, lm, _entry_dict((lm, tail))) for d, lm, tail in _minimal_forms(
-            pk, forms[e - 1], products, comps[e - 1].modulus, degree_guard, True)],
+        lambda e, products: _minimal_forms(
+            pk, forms[e - 1], products, comps[e - 1].modulus, degree_guard, True),
         degree=itemgetter(0))
     return ProbeResult(report, tuple(comps))
 

@@ -7,20 +7,21 @@ minimal generators of graded quotient modules, and division-lifting along
 a homogeneous nonzerodivisor by one normal form.
 
 Inside the engine a monomial is one int of a `polyring.Packing`, the one
-encoding of the ring's order, taken per call at the boundary (a whole
-colon is one call): inputs are packed once on entry and results unpacked
-once on exit, already in canonical order (a long result field by field);
-another order is another ring, as in the elimination constructions.  One
-hand-off stays packed: the colon chain returns its reduced basis both as
-polynomials and as monic entries in the ring's packing of its own width,
-and frobenius.component minimalizes the entries as they are (`_colon`,
-`_minimal_forms`).  Polynomials remain what the memo, the store, the
-reports and the public API hold, since they outlive a call and must not
-depend on its packing.  The fields are sized
-for the largest weighted degree among the inputs, the basis and the
-degree guard, and reduction checks the guard bits of every new product: a
-sum of two valid fields cannot carry, so an overflow always shows there
-and raises ArithmeticError instead of wrapping into a wrong answer.
+encoding of the ring's order, taken per call at the boundary (a whole colon
+is one call): inputs are packed once on entry and results unpacked once on
+exit, already in canonical order (a long result field by field); another
+order is another ring, as in the elimination constructions.  One hand-off
+stays packed: the colon chain returns its reduced basis both as polynomials
+and as monic entries in the ring's packing of its own width, and
+frobenius.component minimalizes the entries as they are (`_colon`,
+`_minimal_forms`), which returns the (degree, lead, form) triples it takes
+and mutates no form, so fingen_probe passes them on.  Polynomials remain
+what the memo, the store, the reports and the public API hold, since they
+outlive a call and must not depend on its packing.  The fields are sized
+for the largest weighted degree among the inputs, the basis and the degree
+guard, and reduction checks the guard bits of every new product: a sum of
+two valid fields cannot carry, so an overflow always shows there and raises
+ArithmeticError instead of wrapping into a wrong answer.
 
 Buchberger keeps each live S-pair with the lcm of its leads and takes
 pairs from a heap keyed by (the caller's grading of the lcm, lcm, pair),
@@ -1029,15 +1030,15 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     divides is its own normal form, and a shift of a kept normal form is
     reduced only at the terms where a lead can newly divide (`_Shifts`).
 
-    This function is the polynomial edge of the work, which runs on
-    packed ints in `_minimal_forms`: it packs its arguments into one
-    packing sized for the top candidate degree, chosen before any basis is
-    computed, and unpacks the survivors once, as its result.  Candidates
-    are packed once and their homogeneity is read from their packed degree
-    fields, so a bad input raises before the modulus basis can abort.
-    Only basis entries up to the top degree are packed (a homogeneous
-    reduced basis has no other lead dividing such a term), and every term
-    of a candidate is looked up.  frobenius.component and fingen_probe call
+    This function is the polynomial edge of the work, which runs on packed
+    ints in `_minimal_forms`: it packs its arguments into one packing sized
+    for the top candidate degree, chosen before any basis is computed, and
+    unpacks each survivor once, made monic, as its result.  Candidates are
+    packed once and their homogeneity is read from their packed degree
+    fields, so a bad input raises before the modulus basis can abort.  Only
+    basis entries up to the top degree are packed (a homogeneous reduced
+    basis has no other lead dividing such a term), and every term of a
+    candidate is looked up.  frobenius.component and fingen_probe call
     `_minimal_forms` directly, on packed candidates whose tails are
     reduced, and the probe adds its twisted products there.
     """
@@ -1046,7 +1047,7 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     top = max([0] + [g.weighted_degree() for g in gens if g.ring == ring and not g.is_zero()])
     pk = _packing(ring, top)
     survivors = _minimal_forms(pk, _packed_candidates(gens, pk), (), modulus, degree_guard, False)
-    return [pk.polynomial(((lm, 1),) + tail) for _, lm, tail in survivors]
+    return [pk.polynomial(form.items()).monic() for _, _, form in survivors]
 
 
 def _packed_candidates(gens: Sequence[Polynomial], pk) -> list:
@@ -1125,17 +1126,18 @@ class _Shifts:
 
 def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[int],
                    tails_reduced: bool) -> list:
-    """The survivors of minimal_generators_mod as monic packed normal forms
-    (degree, lm, tail), ascending by degree and then by lead, all in the
-    packing `pk` of the ring.  `cands` holds the distinct homogeneous
-    candidates as (degree, lead, packed form); `products` the twisted
+    """The survivors of minimal_generators_mod in the shape of `cands`, the
+    distinct homogeneous candidates (degree, lead, packed form), ascending
+    by degree and then by lead, in the packing `pk`: a candidate that
+    needed no reduction as its own triple, one that did as a new triple of
+    its normal form, neither made monic.  `products` holds the twisted
     products a*b^(q1) of the probe as (degree, packed a, q1, packed b), q1
     a power of p.  The products count as part of the submodule and are
     never returned: each one up to the top candidate degree enters its
     degree's echelon, and its shifts the echelons above, as normal forms,
     so a candidate counts as inside modulus + (products) exactly when its
-    normal form lies in their span, and no basis of modulus + (products)
-    is computed; one above the top degree is never formed.
+    normal form lies in their span, and no basis of modulus + (products) is
+    computed; one above the top degree is never formed.
 
     With `tails_reduced`, only each candidate's lead is looked up in the
     modulus index: its tail terms must be standard monomials of the
@@ -1144,8 +1146,11 @@ def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[i
     is.  A candidate with no term that a lead divides is its own normal
     form.  So every form kept, of a product or of a survivor, is a normal
     form modulo the modulus, which is the premise of `_Shifts`: a shift of
-    a kept form is reduced only at the terms where a lead can newly
-    divide.  Every shift has a candidate's degree, at most the top one."""
+    a kept form is reduced only at the terms where a lead can newly divide.
+    Every shift has a candidate's degree, at most the top one.  No form is
+    mutated (`_reduce_full`, `_Echelon.add_row`, `_Shifts.normal_form` and
+    `_twisted_product` read or copy), so candidates, survivors and product
+    factors may share forms."""
     if not modulus.is_homogeneous():
         raise ValueError("minimal generators need a homogeneous modulus")
     top = max([0] + [d for d, _, _ in cands])
@@ -1155,29 +1160,28 @@ def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[i
     index.sync(basis)
     first = index.first
     shifted = _Shifts(basis, pk, index).normal_form
-    # (degree, packed normal form): the products, then the survivors in
-    # ascending order
-    kept = [(d, _reduce_full(_twisted_product(a, q1, b, pk), basis, pk, index))
+    # (degree, lead, packed normal form): the products, lead None, then the survivors ascending
+    kept = [(d, None, _reduce_full(_twisted_product(a, q1, b, pk), basis, pk, index))
             for d, a, q1, b in products if d <= top]
     start = len(kept)
     # by degree, then by packed lead
     for d, group in itertools.groupby(sorted(cands, key=itemgetter(0, 1)), key=itemgetter(0)):
         ech = _Echelon(pk.p)
-        for dh, form in kept:
+        for dh, _, form in kept:
             if dh == d:  # its only shift is by 1, and it is a normal form
                 ech.add_row(form)
                 continue
             for m in monomials_of_weighted_degree(pk.ring.weights, d - dh):
                 ech.add_row(shifted(form, m))
         survivors = []
-        for _, lead, form in reversed(list(group)):
-            if first(lead) >= 0 if tails_reduced else any(first(m) >= 0 for m in form):
+        for cand in reversed(list(group)):
+            form = cand[2]
+            if first(cand[1]) >= 0 if tails_reduced else any(first(m) >= 0 for m in form):
                 form = _reduce_full(form, basis, pk, index)
             if ech.add_row(form):
-                survivors.append((d, form))
+                survivors.append(cand if form is cand[2] else (d, max(form), form))
         kept.extend(reversed(survivors))
-    return sorted(((d,) + _make_entry(form, pk.p) for d, form in kept[start:]),
-                  key=itemgetter(0, 1))
+    return sorted(kept[start:], key=itemgetter(0, 1))
 
 
 @_collector_paused

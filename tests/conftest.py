@@ -90,4 +90,4 @@ def minimal_forms_with(cands, modulus, products, degree_guard=None):
                pk.pack_terms(b.terms)) for a, q1, b in products]
     forms = groebner._minimal_forms(pk, groebner._packed_candidates(cands, pk), packed,
                                     modulus, degree_guard, False)
-    return [pk.polynomial(((lm, 1),) + tail) for _, lm, tail in forms]
+    return [pk.polynomial(form.items()).monic() for _, _, form in forms]

@@ -3,6 +3,7 @@ acceptance module.  Every function raises AssertionError on the first
 violation and returns a count of checked instances."""
 
 import random
+from itertools import combinations_with_replacement
 from math import comb
 from unittest.mock import patch
 
@@ -52,6 +53,7 @@ import lift_oracle
 import monomial_oracle
 import probe_oracle
 import root_oracle
+import test_complete_intersections as complete_intersections
 from probe_oracle import twisted_mul
 from conftest import (
     random_binomial_ideal,
@@ -261,6 +263,37 @@ def run_probe_cross_oracle_suite(count=24, seed=600):
         oracle = monomial_fingen_probe(mono, emax)
         assert _probe_signature(report) == _probe_signature(oracle), mono.generators
         assert all(r.new_gen_count <= r.min_gen_count for r in report.rows)
+        checked += 1
+    return checked
+
+
+def run_squarefree_cross_oracle_suite(count=12, seed=650, nvars=4):
+    """The Groebner probe (guard 400) and the monomial probe agree row for
+    row on random squarefree monomial ideals in nvars variables: 2 to 4
+    generators, none dividing another, each in at least two variables,
+    over GF(2), GF(3) and GF(5) to emax 3, 2 and 2.  Draws whose probe
+    aborts at the guard are redrawn.  Tier 1 runs it in four variables;
+    from the repository root, the five-variable run is
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_squarefree_cross_oracle_suite(12, nvars=5)"`
+    (about 30 s).  Returns the number of ideals checked."""
+    rng = random.Random(seed)
+    names = ("x", "y", "z", "w", "v", "u")[:nvars]
+    settings = [(RingSpec(PrimeField(p), names), emax) for p, emax in ((2, 3), (3, 2), (5, 2))]
+    checked = 0
+    while checked < count:
+        ring, emax = settings[checked % len(settings)]
+        supports = {frozenset(rng.sample(range(nvars), rng.randint(2, nvars)))
+                    for _ in range(rng.randint(2, 4))}
+        if len(supports) < 2 or any(a < b for a in supports for b in supports):
+            continue
+        mono = MonomialIdeal(ring, sorted(tuple(int(i in s) for i in range(nvars))
+                                          for s in supports))
+        try:
+            report = fingen_probe(Ideal(ring, mono.polynomials()), emax, GUARD).report
+        except DegreeGuardExceeded:
+            continue
+        assert _probe_signature(report) == _probe_signature(monomial_fingen_probe(mono, emax)), \
+            mono.generators
         checked += 1
     return checked
 
@@ -508,5 +541,53 @@ def run_deep_elimination_check():
             colon(frobenius_power(ideal, e), ideal, guard)
         groebner._buchberger([el.pk.pack_terms(fd.items()) for fd in SLOW_INTERSECT_INPUT],
                              el.pk, 40, el.degree)
+    clear_memo()
+    return checked
+
+
+# the largest number of terms of f^(q-1) at the top e of a deep complete
+# intersection's shape
+DEEP_CI_TERMS = 15000
+
+
+def run_deep_complete_intersections(count=24, seed=1800):
+    """Fedder's identities (test_complete_intersections.py) on `count`
+    seeded random complete intersections of the shapes the tier-1 budget
+    leaves out: two cubics in four variables, three forms in four
+    variables and forms in three variables over GF(5), of degrees 1 to 3,
+    those where f^(q-1) at the top e has at most DEEP_CI_TERMS terms.  The
+    probe runs to e = 3 at p=2 and to e = 2 at p=3 and p=5, guard 2000.  A
+    draw that fails the Hilbert screen is redrawn.  For every e, the one
+    generator of the component must be the monic normal form of f^(q-1)
+    modulo I^[q], and no degree e >= 2 may need a new generator.  Not
+    collected by pytest; from the repository root, run
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_complete_intersections()"`.
+    Returns the number of components checked."""
+    emax = {2: 3, 3: 2, 5: 2}
+    tier1 = {shape[:3] for shape in complete_intersections.SHAPES}
+    shapes = [(4, (3, 3), 2), (4, (3, 3), 3)]
+    shapes += [(4, degrees, p) for degrees in combinations_with_replacement((1, 2, 3), 3)
+               for p in (2, 3)]
+    shapes += [(3, degrees, 5) for c in (1, 2, 3)
+               for degrees in combinations_with_replacement((1, 2, 3), c)]
+    bound = complete_intersections.generator_bound
+    shapes = [(n, degrees, p) for n, degrees, p in shapes if (n, degrees, p) not in tier1
+              and comb(bound(p ** emax[p], degrees) + n - 1, n - 1) <= DEEP_CI_TERMS]
+    rng = random.Random(seed)
+    drawn = checked = 0
+    while drawn < count:
+        n, degrees, p = rng.choice(shapes)
+        ideal = complete_intersections.random_forms(n, degrees, p, rng)
+        if not complete_intersections.passes_hilbert_screen(ideal, degrees):
+            continue
+        clear_memo()
+        probe = fingen_probe(ideal, emax[p], complete_intersections.GUARD)
+        where = (p, degrees, ideal.generators)
+        assert all(r.new_gen_count == 0 and r.generated_from_lower
+                   for r in probe.report.rows[1:]), where
+        for comp in probe.components:
+            assert comp.min_gens == (complete_intersections.fedder_generator(ideal, comp),), where
+            checked += 1
+        drawn += 1
     clear_memo()
     return checked

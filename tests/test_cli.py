@@ -358,3 +358,39 @@ def test_human_output(capsys, katzman_file):
     out = capsys.readouterr().out
     assert code == 0
     assert "new generators required at e = 2" in out
+
+
+KATZMAN_INPUT = str(ROOT / "inputs" / "katzman.frob")
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["gb", "--input", KATZMAN_INPUT, "--ideal", "I"],
+     ["# frobtool gb (frobtool 0.1.0)", "basis I:", "  y*z", "  x*y"]),
+    (["colon", "--input", KATZMAN_INPUT, "--lhs", "I", "--rhs", "I"],
+     ["# frobtool colon (frobtool 0.1.0)", "basis I:I:", "  1"]),
+    (["fpow", "--input", KATZMAN_INPUT, "--ideal", "I", "--e", "2"],
+     ["# frobtool fpow (frobtool 0.1.0)", "generators I^[p^2]:", "  x^4*y^4", "  y^4*z^4"]),
+    (["fops", "--input", KATZMAN_INPUT, "--ideal", "I", "--emax", "3"],
+     ["# frobtool fops (frobtool 0.1.0)",
+      "e=1: 3 generator(s), 3 new, max degree 3 [base degree]",
+      "e=2: 3 generator(s), 2 new, max degree 9 [new generators required at e = 2]",
+      "e=3: 3 generator(s), 2 new, max degree 21 [new generators required at e = 3]"]),
+    (["gallery", "twisted", "--dim", "3", "--p", "2", "--emax", "3"],
+     ["# frobtool gallery twisted (frobtool 0.1.0)",
+      "e=1: size 3, 3 outside lower products [base degree]",
+      "e=2: size 10, 1 outside lower products [new generators required at e = 2]",
+      "e=3: size 36, 3 outside lower products [new generators required at e = 3]",
+      "PASS witness_excluded_e2", "PASS witness_excluded_e3"]),
+    (["gallery", "fedder", "--p", "2"],
+     ["# frobtool gallery fedder (frobtool 0.1.0)",
+      "PASS colon_identity_q2", "PASS strict_containment_q4"]),
+], ids=["gb", "colon", "fpow", "fops", "twisted", "fedder"])
+def test_human_output_in_full(capsys, argv, lines):
+    """Each shape of report component, printed: a basis or a list of
+    generators, a probe row and a row of the twisted algebra; only the
+    time on the last line varies."""
+    code = main(argv + ["--no-cache"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[:-1] == lines
+    assert out[-1].startswith("done in ") and out[-1].endswith("s")

@@ -20,7 +20,8 @@ budget, which keeps the suite to a few seconds: f^(p^2 - 1), which the
 probe's e = 2 colon holds, has at most PROBE_TERMS terms, and the check
 runs over at most CHECK_MONOMIALS monomials.  That leaves out two cubics in
 four variables, and keeps GF(5) to two variables and to one linear form in
-three.
+three; property_suites.run_deep_complete_intersections draws those shapes,
+and three forms in four variables, with e <= 3 at p = 2.
 """
 
 from functools import reduce
@@ -74,19 +75,38 @@ def hilbert_function(ideal: Ideal, top: int) -> list:
             - colon_completeness.basis_dimension(basis, weights, d) for d in range(top + 1)]
 
 
-@st.composite
-def complete_intersections(draw):
-    n, degrees, p, e = draw(st.sampled_from(SHAPES))
+def random_forms(n: int, degrees, p: int, rng) -> Ideal:
+    """The ideal of random forms of the given degrees in the first n
+    VARIABLES over GF(p): each a random nonempty set of monomials of its
+    degree with random nonzero coefficients."""
     ring = RingSpec(PrimeField(p), VARIABLES[:n])
-    rng = draw(st.randoms(use_true_random=False))
     gens = []
     for d in degrees:
         monos = monomials_of_weighted_degree(ring.weights, d)
         chosen = rng.sample(monos, rng.randint(1, len(monos)))
         gens.append(Polynomial(ring, {m: rng.randint(1, p - 1) for m in chosen}))
-    ideal = Ideal(ring, gens)
+    return Ideal(ring, gens)
+
+
+def passes_hilbert_screen(ideal: Ideal, degrees) -> bool:
+    """The screen for a regular sequence of forms of the given degrees."""
     top = sum(degrees) + 3
-    assume(hilbert_function(ideal, top) == expected_hilbert(n, degrees, top))
+    return hilbert_function(ideal, top) == expected_hilbert(ideal.ring.nvars, degrees, top)
+
+
+def fedder_generator(ideal: Ideal, comp):
+    """The one generator Fedder's identity gives the component comp of
+    ideal: the monic normal form of f^(q-1) modulo I^[q]; nonzero."""
+    expected = comp.modulus.normal_form(reduce(mul, ideal.generators) ** (comp.q - 1))
+    assert not expected.is_zero()
+    return expected.monic()
+
+
+@st.composite
+def complete_intersections(draw):
+    n, degrees, p, e = draw(st.sampled_from(SHAPES))
+    ideal = random_forms(n, degrees, p, draw(st.randoms(use_true_random=False)))
+    assume(passes_hilbert_screen(ideal, degrees))
     return ideal, degrees, e
 
 
@@ -100,9 +120,7 @@ def test_fedder_known_answers(drawn):
     assert probe.report.row(2).generated_from_lower
 
     comp = component(ideal, e, GUARD)
-    expected = comp.modulus.normal_form(reduce(mul, ideal.generators) ** (q - 1))
-    assert not expected.is_zero()
-    assert comp.min_gens == (expected.monic(),)
+    assert comp.min_gens == (fedder_generator(ideal, comp),)
 
     bound = generator_bound(q, degrees)
     assert colon_completeness.check_frobenius_colon(ideal, e, comp.colon, GUARD, bound) == bound

@@ -583,6 +583,27 @@ class TestPackedHandOff:
         assert candidates and factors and packed
         assert not (candidates | factors) & set(packed)
 
+    def test_unreduced_survivors_are_their_candidates(self):
+        # with reduced tails, a survivor that needed no reduction comes back
+        # as its candidate's own (degree, lead, form) triple
+        _, ideal = minors_ideal(2)
+        calls = []
+        minimal_forms = frobenius._minimal_forms
+
+        def recording(pk, cands, products, modulus, guard, tails_reduced):
+            forms = minimal_forms(pk, cands, products, modulus, guard, tails_reduced)
+            calls.append((cands, tails_reduced, forms))
+            return forms
+
+        clear_memo()
+        with patch.object(frobenius, "_minimal_forms", recording):
+            fingen_probe(ideal, 3)
+        clear_memo()
+        # three components from the colon, then degrees 2 and 3 of the probe
+        assert [reduced for _, reduced, _ in calls] == [True] * 5
+        for cands, _, forms in calls:
+            assert forms and all(any(f is c for c in cands) for f in forms)
+
     def test_probe_from_the_memo_matches_a_fresh_one(self):
         _, ideal = twisted_cubic_ideal(2)
         clear_memo()

@@ -769,6 +769,22 @@ class TestMinimalGenerators:
         J = Ideal(gf2_xyz, (P("x^2"),))
         assert minimal_generators_mod([P("x^2 + y^2"), P("y^2")], J) == [P("y^2")]
 
+    def test_unreduced_survivor_is_made_monic(self):
+        # 2*x*y + 3*z^2 is its own normal form modulo (x^2), so it survives
+        # as its candidate, unscaled, and only the result is made monic
+        ring = RingSpec(PrimeField(5), ("x", "y", "z"))
+        P = lambda s: parse_polynomial(s, ring)
+        J = Ideal(ring, (P("x^2"),))
+        assert minimal_generators_mod([P("2*x*y + 3*z^2"), P("3*y")], J) == \
+            [P("y"), P("x*y + 4*z^2")]
+
+    def test_repeated_candidate_keeps_its_first_place(self, gf2_xyz):
+        # x and x + y share a lead; the repeated x is dropped before the
+        # greedy pass, so the first x, not x + y, is taken first
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        J = Ideal(gf2_xyz, (P("x^2"),))
+        assert minimal_generators_mod([P("x"), P("x + y"), P("x")], J) == [P("x"), P("x + y")]
+
     def test_rejects_inhomogeneous(self, gf2_xyz):
         f = parse_polynomial("x + x*y", gf2_xyz)
         with pytest.raises(ValueError):

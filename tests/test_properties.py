@@ -40,6 +40,10 @@ def test_probe_cross_oracle_24_monomial_ideals():
     assert property_suites.run_probe_cross_oracle_suite(24) == 24
 
 
+def test_squarefree_cross_oracle_12_ideals_in_4_variables():
+    assert property_suites.run_squarefree_cross_oracle_suite(12, nvars=4) == 12
+
+
 def test_twisted_mul_laws_100_elements():
     assert property_suites.run_twisted_mul_suite(100) >= 100
 
