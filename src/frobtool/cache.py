@@ -23,9 +23,12 @@ check cannot prove that the stored ideal is no larger than the input's,
 and the colon check cannot prove that the stored colon is no smaller than
 the true colon.
 
-Writes go through a temp file and an atomic replace, so concurrent writers
-of one key are safe (identical canonical values make last-write-wins
-harmless).
+A write goes to `<key>.<pid>.<thread id>.tmp` in the cache directory,
+then an atomic replace moves it into place, so concurrent writers of one
+key are safe (identical canonical values make last-write-wins harmless).
+No other writer uses that name, so a stale file of it, left by a failed
+write, may be overwritten.  `tempfile` would load `shutil` and `random`
+on every CLI start.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
+import threading
 from itertools import chain
 from operator import gt, le
 from pathlib import Path
@@ -171,19 +174,17 @@ class BasisCache:
         }
         # one json.dumps: json.dump would encode chunk by chunk in Python
         text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        tmp = None
+        tmp = self.root / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(text)
             os.replace(tmp, self._path(key))
         except OSError as exc:
             log.warning("basis cache write failed, continuing without it: %s", exc)
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses, "discarded": self.discarded}

@@ -49,8 +49,8 @@ from .polyring import (
     mono_gcd,
     mono_lcm,
     monomials_of_weighted_degree,
-    _immutable,
     _order_key,
+    _Value,
 )
 
 
@@ -66,14 +66,12 @@ def _antichain(ring: RingSpec, monos: Iterable[Mono]):
     return tuple(kept)
 
 
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """A monomial ideal, stored as the antichain of its minimal generators."""
 
     __slots__ = ("ring", "generators")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, ring: RingSpec, generators: Iterable[Mono]):
-        object.__setattr__(self, "ring", ring)
         n = ring.nvars
         monos = []
         for m in generators:
@@ -81,18 +79,7 @@ class MonomialIdeal:
             if len(m) != n or any(e < 0 for e in m):
                 raise ValueError(f"bad exponent vector {m}")
             monos.append(m)
-        object.__setattr__(self, "generators", _antichain(ring, monos))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.generators) == (other.ring, other.generators)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.generators))
-
-    def __reduce__(self):
-        return MonomialIdeal, (self.ring, self.generators)
+        self._set(ring, _antichain(ring, monos))
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -143,7 +130,7 @@ def mono_frobenius_power(ideal: MonomialIdeal, e: int) -> MonomialIdeal:
 # --------------------------------------------------------------------------
 # affine semigroups and fractional monomial modules
 
-class SemigroupSpec:
+class SemigroupSpec(_Value):
     """Lattice points v >= 0 with w.v = 0 mod m for each (w, m) pair.
 
     A modulus of 0 means the exact equality w.v = 0.  Every condition is
@@ -152,12 +139,10 @@ class SemigroupSpec:
     """
 
     __slots__ = ("dim", "congruences")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, congruences: Iterable = ()):
         if dim < 1:
             raise ValueError("semigroup dimension must be positive")
-        object.__setattr__(self, "dim", dim)
         congs = []
         for weights, modulus in congruences:
             weights = tuple(weights)
@@ -166,18 +151,7 @@ class SemigroupSpec:
             if modulus < 0:
                 raise ValueError("congruence modulus must be >= 0")
             congs.append((weights, int(modulus)))
-        object.__setattr__(self, "congruences", tuple(congs))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim, self.congruences) == (other.dim, other.congruences)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.congruences))
-
-    def __reduce__(self):
-        return SemigroupSpec, (self.dim, self.congruences)
+        self._set(dim, tuple(congs))
 
     def admissible(self, v: Sequence[int]) -> bool:
         if len(v) != self.dim:
@@ -194,7 +168,7 @@ class SemigroupSpec:
         return True
 
 
-class FracMonomialModule:
+class FracMonomialModule(_Value):
     """Span of inverse-monomial generators over a semigroup ring.
 
     Generators are raw integer vectors (negative exponents allowed); a
@@ -204,11 +178,9 @@ class FracMonomialModule:
     """
 
     __slots__ = ("semigroup", "generators", "degree")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, semigroup: SemigroupSpec, generators: Iterable,
                  degree: Optional[int] = None):
-        object.__setattr__(self, "semigroup", semigroup)
         # int tuples are shared, not copied: a component can hold 10^5
         gens = list(map(tuple, generators))
         if not set(map(type, itertools.chain.from_iterable(gens))) <= {int}:
@@ -216,8 +188,7 @@ class FracMonomialModule:
                     for g in gens]
         if not set(map(len, gens)) <= {semigroup.dim}:
             raise ValueError("generator vector has wrong length")
-        object.__setattr__(self, "generators", tuple(sorted(set(gens))))
-        object.__setattr__(self, "degree", degree)
+        self._set(semigroup, tuple(sorted(set(gens))), degree)
 
     @classmethod
     def _from_sorted(cls, semigroup: SemigroupSpec, generators: Iterable,
@@ -225,22 +196,8 @@ class FracMonomialModule:
         """A module from generators that are already canonical: distinct
         int tuples of the semigroup's dimension, in ascending order."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "degree", degree)
+        self._set(semigroup, tuple(generators), degree)
         return self
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.semigroup, self.generators, self.degree)
-                == (other.semigroup, other.generators, other.degree))
-
-    def __hash__(self) -> int:
-        return hash((self.semigroup, self.generators, self.degree))
-
-    def __reduce__(self):
-        return FracMonomialModule, (self.semigroup, self.generators, self.degree)
 
     def contains(self, v: Sequence[int]) -> bool:
         v = _vector(self.semigroup, v)

@@ -7,6 +7,11 @@ grading (default: all weights 1) and a monomial order; grevlex ties inside
 equal weighted degree are broken by reverse lexicographic comparison on the
 declared variable order, so all outputs are reproducible.
 
+The value types `PrimeField`, `Order`, `RingSpec` and, in `monomials`,
+`MonomialIdeal`, `SemigroupSpec` and `FracMonomialModule` subclass
+`_Value`, which derives immutability, equality, hashing and pickling from
+their public `__slots__`.  `Polynomial` does not: it equals ints too.
+
 The order is encoded once, as packed ints (Monagan and Pearce, CASC 2007):
 a `Packing` maps a monomial to M = (K << W*n) | P.  P packs the n exponents
 in fields of W bits; K packs n nonnegative linear forms whose integer order
@@ -57,33 +62,54 @@ def is_prime(n: int) -> bool:
 
 
 def _immutable(self, *args):
-    """__setattr__ and __delattr__ of the value types below."""
+    """__setattr__ and __delattr__ of `_Value`."""
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {args[0]!r}")
 
 
-class PrimeField:
+class _Value:
+    """An immutable value whose fields are its public `__slots__`, in slot
+    order, and whose constructor takes them in that order.  It equals an
+    instance of its own class with equal fields only, hashes as the tuple
+    of its fields, and copies and pickles through its constructor."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _immutable
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _set(self, *values) -> None:
+        """Assign the fields, once, in the constructor."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class PrimeField(_Value):
     """The field GF(p) for a prime p < 2**31."""
 
     __slots__ = ("p",)
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or not 2 <= p < 2**31:
             raise ValueError(f"characteristic must be an integer in [2, 2^31): {p!r}")
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime: {p}")
-        object.__setattr__(self, "p", p)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash((self.p,))
-
-    def __reduce__(self):
-        return PrimeField, (self.p,)
+        self._set(p)
 
     def inv(self, value: int) -> int:
         value %= self.p
@@ -92,30 +118,17 @@ class PrimeField:
         return pow(value, self.p - 2, self.p)
 
 
-class Order:
+class Order(_Value):
     """Monomial order tag: grevlex, lex, or elimination of a leading block."""
 
     __slots__ = ("kind", "block")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, kind: str, block: int = 0) -> None:
         if kind not in ("grevlex", "lex", "elim"):
             raise ValueError(f"unknown monomial order: {kind!r}")
         if kind == "elim" and block < 1:
             raise ValueError("elimination order needs a leading block of size >= 1")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "block", block)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.block) == (other.kind, other.block)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.block))
-
-    def __reduce__(self):
-        return Order, (self.kind, self.block)
+        self._set(kind, block)
 
     @property
     def tag(self) -> str:
@@ -130,14 +143,14 @@ class RingMismatch(ValueError):
     """Operands from different rings met: an internal error, not bad input."""
 
 
-class RingSpec:
+class RingSpec(_Value):
     """A polynomial ring GF(p)[variables] with weights and a monomial order.
 
     Its hash is computed once, when it is made: rings are hashed with every
-    polynomial and packing memo lookup."""
+    polynomial and packing memo lookup.  The hash of a str differs between
+    processes, so a copy or an unpickled ring hashes anew."""
 
     __slots__ = ("field", "variables", "weights", "order", "_hash")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, field: PrimeField, variables: tuple, weights: tuple = (),
                  order: Order = GREVLEX) -> None:
@@ -153,24 +166,11 @@ class RingSpec:
             raise ValueError("weights must be positive integers")
         if order.kind == "elim" and order.block >= len(variables):
             raise ValueError("elimination block must leave at least one trailing variable")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_hash", hash((field, variables, weights, order)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.field, self.variables, self.weights, self.order)
-                == (other.field, other.variables, other.weights, other.order))
+        self._set(field, variables, weights, order)
+        object.__setattr__(self, "_hash", hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # the hash of a str differs between processes, so a copy rehashes
-        return RingSpec, (self.field, self.variables, self.weights, self.order)
 
     @property
     def nvars(self) -> int:

@@ -1,6 +1,8 @@
 import errno
 import json
 import logging
+import os
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,19 @@ def test_failed_write_leaves_no_temp_file(tmp_path, ring, gens, caplog, monkeypa
         cache.put(key_for(ring, gens), ring, groebner_basis(gens, ring))
     assert any("write failed" in rec.message for rec in caplog.records)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stale_temp_file_overwritten(tmp_path, ring, gens):
+    # a write that died before its replace leaves its temporary file, under
+    # a name no other writer uses; the next write of that name overwrites it
+    key = key_for(ring, gens)
+    stale = tmp_path / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+    stale.write_text("half an entry", encoding="utf-8")
+    basis = groebner_basis(gens, ring)
+    cache = BasisCache(tmp_path)
+    cache.put(key, ring, basis)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+    assert cache.get(key, ring) == basis
 
 
 def test_entry_payload_is_term_arrays(tmp_path, ring, gens):

@@ -92,12 +92,12 @@ PUBLIC = {  # module -> the names the package exports from it
 }
 
 
-def loaded_modules(code: str) -> set:
-    """The modules a fresh interpreter holds after running `code`, read
-    from the last line of its standard output."""
+def loaded_modules(code: str, *flags: str) -> set:
+    """The modules a fresh interpreter, started with `flags`, holds after
+    running `code`, read from the last line of its standard output."""
     script = code + "\nimport sys\nprint(' '.join(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())
@@ -107,6 +107,15 @@ def test_cli_import_defers_unused_layers():
     loaded = loaded_modules("import frobtool.cli")
     assert "frobtool.groebner" in loaded
     assert [m for m in DEFERRED if m in loaded] == []
+
+
+def test_cli_import_loads_no_tempfile():
+    """The cache writes its temporary file by name: `tempfile` would load
+    `shutil` and `random` on every CLI start.  Without `site` (-S), whose
+    .pth files may import `tempfile` themselves, none of the three loads."""
+    loaded = loaded_modules("import frobtool.cli", "-S")
+    assert "frobtool.cache" in loaded
+    assert [m for m in ("tempfile", "shutil", "random") if m in loaded] == []
 
 
 def test_colon_command_defers_unused_layers():

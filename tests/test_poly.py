@@ -238,7 +238,14 @@ def _value_types():
                          ids=[type(v).__name__ for v, _ in _value_types()])
 def test_value_type_hash_equality_and_copies(value, fields):
     """Each value type hashes as its field tuple, compares equal only to
-    its own type, survives pickling and copying, and rejects assignment."""
+    its own type, survives pickling and copying, and rejects assignment;
+    all of that comes from `polyring._Value`, and the constructor takes
+    the fields in order."""
+    cls = type(value)
+    assert isinstance(value, polyring._Value)
+    own = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__"} & set(vars(cls))
+    assert own == ({"__hash__"} if cls is RingSpec else set())
+    assert cls(*fields) == value
     assert hash(value) == hash(fields)
     assert value != fields
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
