@@ -18,6 +18,7 @@ from .groebner import (
     DEFAULT_DEGREE_GUARD,
     Ideal,
     frobenius_power,
+    _chain_bound,
     _colon,
     _collector_paused,
     _entry_dict,
@@ -111,7 +112,8 @@ def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
     """component(ideal, e, degree_guard), returned with (pk, its generators
     as `_minimal_forms` returned them in pk), or with None for e = 0.  pk
     is the given packing of the ring; without one, the colon's own, or on
-    a memo or store hit one sized for the colon's top degree."""
+    a memo or store hit one for the colon's top degree, which no form of
+    the minimalization exceeds."""
     ring = ideal.ring
     p = ring.field.p
     if e < 0:
@@ -212,11 +214,11 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
         raise ValueError("emax must be >= 1")
     ring = ideal.ring
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    # each colon chain sizes its packing for 1 + max(guard, input degrees),
-    # which this bounds, so every colon's packed basis arrives in this
-    # packing; one of another width would be packed from its polynomials
-    pk = _packing(ring, 1 + max([guard] + [ring.field.p ** emax * g.weighted_degree()
-                                           for g in ideal.generators]))
+    # the colon chain of the top degree has the largest bound, so every
+    # colon's packed basis arrives in this packing; one of another width
+    # would be packed from its polynomials
+    pk = _packing(ring, _chain_bound(frobenius_power(ideal, emax).generators,
+                                     ideal.generators, guard))
     comps, forms = [], []  # forms[e - 1]: the packed (degree, lead, form) of comps[e - 1]
     for e in range(1, emax + 1):
         comp, (_, comp_forms) = _component(ideal, e, degree_guard, pk)

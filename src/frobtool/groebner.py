@@ -18,10 +18,19 @@ frobenius.component minimalizes the entries as they are (`_colon`,
 and mutates no form, so fingen_probe passes them on.  Polynomials remain
 what the memo, the store, the reports and the public API hold, since they
 outlive a call and must not depend on its packing.  The fields are sized
-for the largest weighted degree among the inputs, the basis and the degree
-guard, and reduction checks the guard bits of every new product: a sum of
-two valid fields cannot carry, so an overflow always shows there and raises
-ArithmeticError instead of wrapping into a wrong answer.
+for a degree bound each call proves, with no bits to spare: on weighted
+grevlex or homogeneous input no term lies above its lead in degree, so a
+Buchberger run stays within twice the largest of its input degrees and
+the guard (a pair lcm, packed when the pair is made), a colon chain within
+twice the sum of that, the largest divisor degree and one for t
+(`_chain_bound`), a normal form within its input and basis degrees.
+Inhomogeneous input on lex and elimination orders has no such bound and
+gets SPARE_BITS of headroom (`polyring._headroom`).  Reduction checks the
+guard bits of every new product: a sum of two valid fields cannot carry,
+so an overflow always shows there and raises ArithmeticError instead of
+wrapping into a wrong answer.  Below the bound nothing overflows, and a
+packed computation is exact at any width that does not overflow, so the
+width changes no step.
 
 Buchberger keeps each live S-pair with the lcm of its leads and takes
 pairs from a heap keyed by (the caller's grading of the lcm, lcm, pair),
@@ -141,6 +150,7 @@ from .polyring import (
     Polynomial,
     RingMismatch,
     RingSpec,
+    _headroom,
     _overflow,
     _packing,
     _unpacked,
@@ -567,12 +577,33 @@ def groebner_basis(gens: Sequence[Polynomial], ring: RingSpec,
                      lambda: _reduced_basis([g for _, g in normalized], ring, guard)[0])
 
 
+def _graded(ring: RingSpec, polys) -> bool:
+    """Whether no term of a polynomial that reduction or S-polynomials make
+    from `polys` in `ring` lies above its lead in weighted degree, so that
+    a reduction step adds no term above the one it removes: the order is
+    weighted grevlex, whose first key is the weighted degree, or every
+    polynomial is homogeneous, which both operations keep."""
+    return ring.order.kind == "grevlex" or all(g.is_homogeneous() for g in polys)
+
+
+def _basis_bound(ring: RingSpec, gens, guard: int) -> int:
+    """The weighted degree the packing of a Buchberger run on `gens` holds:
+    twice D = max(guard, degrees of `gens`) when `_graded` holds.  Then an
+    input's normal form stays within its degree and a kept remainder within
+    the guard, which Buchberger checks, so every lead is within D, and the
+    lcm of two leads, which `_gm_update` packs for every new pair, pruned
+    later or not, within 2*D; an S-polynomial and its reduction stay within
+    their lcm.  Otherwise `_headroom(D)`."""
+    degree = max([guard] + [g.weighted_degree() for g in gens])
+    return 2 * degree if _graded(ring, gens) else _headroom(degree)
+
+
 def _reduced_basis(gens: Sequence[Polynomial], ring: RingSpec, guard: int, width: int = 0):
     """The reduced basis, ascending by lead, of the nonzero polynomials
     `gens` under the ring's order: one Buchberger run, with no memo, in a
-    packing pk of the ring at least `width` bits wide.  Returns the basis
-    and (pk, its monic packed entries (lm, tail))."""
-    pk = _packing(ring, max([guard] + [g.weighted_degree() for g in gens]), width)
+    packing pk of the ring for `_basis_bound`, at least `width` bits wide.
+    Returns the basis and (pk, its monic packed entries (lm, tail))."""
+    pk = _packing(ring, _basis_bound(ring, gens, guard), width)
     entries = _interreduce(_buchberger([pk.pack_terms(g.terms) for g in gens],
                                        pk, guard, pk.degree), pk)
     return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries), (pk, entries)
@@ -629,12 +660,15 @@ class Ideal:
         for reducing polynomials of weighted degree up to `degree`; kept,
         so every reduction against it shares one divisor index, and remade
         when a larger degree needs wider fields.  The index is complete
-        when made, so reductions only read it."""
+        when made, so reductions only read it.  The packing holds the
+        largest of `degree` and the basis degrees when `_graded` holds of
+        the basis, since no reduction step then adds a term above the one
+        it removes, and has `_headroom` otherwise."""
         held = self._reducer_held
         if held is None or held[0] < degree:
             basis = self.groebner_basis(degree_guard)
             degree = max([degree] + [g.weighted_degree() for g in basis])
-            pk = _packing(self.ring, degree)
+            pk = _packing(self.ring, degree if _graded(self.ring, basis) else _headroom(degree))
             entries = [_make_entry(pk.pack_terms(g.terms), pk.p) for g in basis]
             index = _Divisors(pk)
             index.sync(entries)
@@ -696,8 +730,8 @@ def _extended_ring(ring: RingSpec) -> RingSpec:
 
 class _Elimination:
     """Elimination of a new variable t over `ring`, in one packing of
-    _extended_ring(ring) for fields holding weighted degrees up to `degree`,
-    at least `width` bits wide.
+    _extended_ring(ring) for fields holding weighted degrees up to `degree`
+    (`_chain_bound`), at least `width` bits wide.
 
     The extended order is t-degree first, then weighted grevlex on the
     variables of `ring`, so the t-free packed monomials are the monomials
@@ -905,6 +939,28 @@ def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: int = 0):
     return Ideal._from_basis(ring, _memoized(key, ring, compute)), packed
 
 
+def _chain_bound(gens, divisors, guard: int) -> int:
+    """The weighted degree the packing of a colon chain holds, for `gens`
+    the generators of lhs and B and `divisors` the f_i.
+
+    On homogeneous input every polynomial of an elimination is homogeneous
+    in the degree of the variables of the ring, and its lead has the most
+    t, so no term lies above the lead in the full weighted degree, as
+    `_graded` asks.  A quotient q of R_i is then within G = max(guard,
+    degrees of `gens`), by induction from the generators of B: its t-free
+    entry f_i*q is a remainder, within the guard, or the normal form of an
+    input t*a, within deg a, or of (1-t)*f_i*q' for a quotient q' of
+    R_(i-1), and then deg q = deg q'.  So an input, a product
+    (1-t)*f_i*q included, and every lead are within D = 1 + G + max deg
+    f_i, and every pair lcm within 2*D (`_basis_bound`).  Other input
+    gets `_headroom`."""
+    degrees = [g.weighted_degree() for g in gens]
+    steps = [f.weighted_degree() for f in divisors]
+    if all(g.is_homogeneous() for g in itertools.chain(gens, divisors)):
+        return 2 * (1 + max([guard] + degrees) + max(steps))
+    return _headroom(1 + max([guard] + degrees + steps))
+
+
 def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], width: int = 0):
     """The reduced basis of B ∩ (lhs : (f_1..f_k)), B generated by `start`
     and f_1..f_k the `divisors`, in one _Elimination packing throughout, at
@@ -913,8 +969,7 @@ def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], width
     interreduced: the skip test needs only a Groebner basis, and the
     quotients are finished once, at the end."""
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    gens = itertools.chain(lhs.generators, start, divisors)
-    el = _Elimination(lhs.ring, 1 + max([guard] + [g.weighted_degree() for g in gens]), width)
+    el = _Elimination(lhs.ring, _chain_bound((*lhs.generators, *start), divisors, guard), width)
     pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [el.lift(g) for g in start]  # R_0 = B
@@ -1031,9 +1086,10 @@ def minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal,
     reduced only at the terms where a lead can newly divide (`_Shifts`).
 
     This function is the polynomial edge of the work, which runs on packed
-    ints in `_minimal_forms`: it packs its arguments into one packing sized
-    for the top candidate degree, chosen before any basis is computed, and
-    unpacks each survivor once, made monic, as its result.  Candidates are
+    ints in `_minimal_forms`: it packs its arguments into one packing that
+    holds the top candidate degree, which no form exceeds (every form has a
+    homogeneous candidate's degree), chosen before any basis is computed,
+    and unpacks each survivor once, made monic, as its result.  Candidates are
     packed once and their homogeneity is read from their packed degree
     fields, so a bad input raises before the modulus basis can abort.  Only
     basis entries up to the top degree are packed (a homogeneous reduced

@@ -20,8 +20,12 @@ the weighted degree; an elimination order packs that per block, head block
 on top; lex packs the exponents themselves.  So a product is an addition,
 an order comparison an int comparison, and lm divides m exactly when
 m - lm leaves every field's top (guard) bit clear.  Every field holds at
-most the weighted degree; W adds SPARE_BITS and the guard bit to a degree
-bound, and `pack` raises ArithmeticError on a monomial past it.  Term
+most the weighted degree, so a packing for a degree bound D has fields of
+bit_length(D) + 1 bits: D's bits and the guard bit.  Each caller asks for
+the bound it can prove its computation stays under; where none is proven
+(inhomogeneous input on lex and elimination orders, whose normal forms
+can outgrow every input degree) it asks for `_headroom`, SPARE_BITS more
+bits.  `pack` raises ArithmeticError on a monomial past the bound.  Term
 sorting, the cache's checks, monomial ideals and the Groebner engine all
 compare these ints; `_order_key` packs for any collection of monomials.
 """
@@ -88,6 +92,8 @@ class _Value:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
@@ -479,7 +485,9 @@ class Polynomial:
 # --------------------------------------------------------------------------
 # packed monomials: the one encoding of each ring's order
 
-SPARE_BITS = 32  # headroom of each packed field over the largest input degree
+# headroom of each packed field over the largest degree a computation
+# starts from, where no bound on the degrees it reaches is proven
+SPARE_BITS = 32
 PACKING_MEMO_SIZE = 32  # packings kept, least recently used evicted first
 COLUMNWISE_TERMS = 12  # the shortest input `_unpacked` unpacks field by field
 
@@ -570,9 +578,17 @@ _packing_of_width = lru_cache(maxsize=PACKING_MEMO_SIZE)(Packing)
 
 
 def _packing(ring: RingSpec, degree: int, width: int = 0) -> Packing:
-    """The packing whose fields hold weighted degrees up to `degree`
-    with SPARE_BITS bits to spare, and are at least `width` bits wide."""
-    return _packing_of_width(ring, max(width, max(degree, 1).bit_length() + SPARE_BITS + 1))
+    """The packing whose fields hold weighted degrees up to `degree`, the
+    degree bound the caller proves for its computation: bit_length(degree)
+    bits and the guard bit, or `width` bits if that is more."""
+    return _packing_of_width(ring, max(width, max(degree, 1).bit_length() + 1))
+
+
+def _headroom(degree: int) -> int:
+    """The bound to ask `_packing` for where a computation starts from
+    weighted degrees up to `degree` and no bound on the degrees it reaches
+    is proven: SPARE_BITS bits above it."""
+    return max(degree, 1) << SPARE_BITS
 
 
 def _order_key(ring: RingSpec, monos) -> Callable[[Mono], int]:

@@ -10,8 +10,9 @@ chained colon with it basis for basis.
 
 `chain_colon` is the chain as it was before it learned to skip a step: it
 runs the elimination of every step, R_i = (lhs ∩ f_i*R_{i-1})/f_i, on the
-library's packed helpers, even when f_i*R_{i-1} already lies in lhs, and
-finishes its quotients with the library's `_Elimination.reduced`.
+library's packed helpers, in a packing for the library's bound
+(`_chain_bound`), even when f_i*R_{i-1} already lies in lhs, and finishes
+its quotients with the library's `_Elimination.reduced`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from frobtool.groebner import (
     Ideal,
     _divide_exact as _packed_divide_exact,
     _Elimination,
+    _chain_bound,
     _entry_dict,
     _multiply,
     intersect,
@@ -88,8 +90,7 @@ def chain_colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> I
     if lhs.is_zero():
         return Ideal(ring, ())
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    el = _Elimination(ring, 1 + max([guard] + [g.weighted_degree() for g in
-                                               lhs.generators + rhs.generators]))
+    el = _Elimination(ring, _chain_bound((*lhs.generators, ring.one()), rhs.generators, guard))
     pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [{0: 1}]  # R_0 = (1); the monomial 1 packs to 0

@@ -1,6 +1,9 @@
+import contextlib
+from unittest.mock import patch
+
 import pytest
 
-from frobtool import groebner, polyring
+from frobtool import frobenius, groebner, polyring
 from frobtool.groebner import Ideal
 from frobtool.monomials import MonomialIdeal
 from frobtool.parsing import parse_polynomial
@@ -91,3 +94,18 @@ def minimal_forms_with(cands, modulus, products, degree_guard=None):
     forms = groebner._minimal_forms(pk, groebner._packed_candidates(cands, pk), packed,
                                     modulus, degree_guard, False)
     return [pk.polynomial(form.items()).monic() for _, _, form in forms]
+
+
+@contextlib.contextmanager
+def spare_bits():
+    """Every packing that groebner and frobenius ask for made SPARE_BITS
+    bits wider than the bound they ask for, as `_packing` sized its fields
+    before each call proved its bound: the width that the right-sized
+    packings must agree with, step for step."""
+    real = polyring._packing
+
+    def wide(ring, degree, width=0):
+        return real(ring, degree, max(width, real(ring, degree).width + polyring.SPARE_BITS))
+
+    with patch.object(groebner, "_packing", wide), patch.object(frobenius, "_packing", wide):
+        yield

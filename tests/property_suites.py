@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from unittest.mock import patch
 
-from frobtool import groebner
+from frobtool import groebner, polyring
 from frobtool.frobenius import (
     component,
     fingen_probe,
@@ -61,6 +61,7 @@ from conftest import (
     random_monomial_ideal,
     random_poly,
     reordered,
+    spare_bits,
 )
 
 
@@ -479,22 +480,76 @@ def run_deep_lift_check():
     Returns the number of lifts checked."""
     checked = 0
     for p, emax in ((2, 3), (3, 2)):
-        ring, ideal = minors_ideal(p)
-        d2, d3 = ideal.generators[1:]
-        x, y, z = (ring.variable(v) for v in ("x", "y", "z"))
         clear_memo()
-        for e in range(1, emax + 1):
-            q = p ** e
-            modulus = frobenius_power(ideal, e)
-            core = (d2 * d3) ** (q - 1)
-            for s in range(q):
-                for t in range(q - s):
-                    g, m = y ** s * z ** t * core, x ** (s + t)
-                    assert lift_by_nzd(g, m, modulus, 400) == \
-                        lift_oracle.lift_by_nzd(g, m, modulus, 400), (p, e, s, t)
-                    checked += 1
+        for g, m, modulus in _lift_family(p, emax):
+            assert lift_by_nzd(g, m, modulus, 400) == \
+                lift_oracle.lift_by_nzd(g, m, modulus, 400), (p, g, m)
+            checked += 1
     clear_memo()
     return checked
+
+
+def _lift_family(p, emax):
+    """The gallery's lift family of the minors over GF(p) for e <= emax:
+    each (y^s z^t (D2 D3)^(q-1), x^(s+t), I^[q]) with s + t <= q - 1."""
+    ring, ideal = minors_ideal(p)
+    d2, d3 = ideal.generators[1:]
+    x, y, z = (ring.variable(v) for v in ("x", "y", "z"))
+    for e in range(1, emax + 1):
+        q = p ** e
+        modulus = frobenius_power(ideal, e)
+        core = (d2 * d3) ** (q - 1)
+        for s in range(q):
+            for t in range(q - s):
+                yield y ** s * z ** t * core, x ** (s + t), modulus
+
+
+def _width_outputs():
+    """The text of every output run_deep_width_check compares, in order."""
+    out = []
+    for build, p, emax, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 7, 3, 4116)):
+        _, ideal = build(p)
+        clear_memo()
+        moduli = [frobenius_power(ideal, e) for e in range(1, emax + 1)]
+        out += [str(colon(lhs, ideal, guard).generators) for lhs in moduli]
+        # each component from the memo's colon, then each from a colon it computes
+        out += [repr(component(ideal, e, guard)) for e in range(1, emax + 1)]
+        clear_memo()
+        probe = fingen_probe(ideal, emax, guard)
+        out += [repr(probe.report)] + [repr(comp) for comp in probe.components]
+    clear_memo()
+    out += [str(lift_by_nzd(g, m, modulus, 400)) for g, m, modulus in _lift_family(3, 2)]
+    clear_memo()
+    try:
+        fingen_probe(katzman_ideal(3)[1], 4)
+    except DegreeGuardExceeded as exc:
+        assert (exc.degree, exc.phase) == (163, "pair lcm"), exc
+        out.append(str(exc))
+    else:
+        raise AssertionError("Katzman p=3 e=4 finished under the default guard")
+    clear_memo()
+    return out
+
+
+def run_deep_width_check():
+    """Right-sized packings against packings SPARE_BITS bits wider
+    (conftest.spare_bits), output for output, as text: colon(I^[q], I) and
+    component(I, e), from the memo's colon, at the minors p=2 e<=4 (guard
+    1000) and the twisted cubic p=7 e<=3 (guard 4116), and the probe rows
+    and components over them, whose colons hand on their packed bases; the
+    gallery's lift family at p=3 e<=2, guard 400; and Katzman's ideal at p=3
+    e<=4, whose probe must abort under the default guard at degree 163 on a
+    pair lcm in both (about 15 s; too slow for the tier-1 suite).  Not
+    collected by pytest; from the repository root, run
+    `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_width_check()"`.
+    Returns the number of outputs compared."""
+    right = _width_outputs()
+    with spare_bits():
+        wide = _width_outputs()
+    assert len(right) == len(wide)
+    for a, b in zip(right, wide):
+        assert a == b, (a[:200], b[:200])
+    return len(right)
 
 
 # an intersect input of the Buchberger oracle test (random.Random seed 1530)
@@ -533,7 +588,9 @@ def run_deep_elimination_check():
         checked += 1
         return basis
 
-    el = groebner._Elimination(RingSpec(PrimeField(2), ("x", "y", "z"), (1, 2, 1)), 40)
+    # an inhomogeneous elimination: no bound is proven, so it asks for headroom
+    el = groebner._Elimination(RingSpec(PrimeField(2), ("x", "y", "z"), (1, 2, 1)),
+                               polyring._headroom(40))
     with patch.object(groebner, "_buchberger", both_gradings):
         for build, p, e, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 7, 3, 4116)):
             _, ideal = build(p)

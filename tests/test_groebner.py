@@ -48,7 +48,7 @@ import buchberger_oracle
 import colon_oracle
 import lift_oracle
 from order_oracle import key_function
-from conftest import minimal_forms_with, random_monomial, random_poly
+from conftest import minimal_forms_with, random_monomial, random_poly, spare_bits
 from slice_oracle import GradedMembership, slice_minimal_generators_mod
 
 
@@ -442,6 +442,11 @@ class TestColonOracle:
             with pytest.raises(ArithmeticError, match="not exactly divisible"):
                 colon_oracle._divide_exact(off, g)
         degree = max(h.weighted_degree() for h in (f * g, off) if h is not None)
+        # a step of the division adds no term above the one it removes when
+        # the tail of g lies within its lead's degree; otherwise the division
+        # of off may pass every degree of its input
+        if not groebner._graded(ring, (g,)):
+            degree = polyring._headroom(degree)
         # in the ring's own packing and in the elimination packing of the chain
         pk = polyring._packing(ring, degree)
         el = groebner._Elimination(ring, degree + 1)
@@ -991,6 +996,11 @@ def _unpack_entry(pk, entry):
     return pk.unpack(lm), tuple((pk.unpack(m), c) for m, c in tail)
 
 
+def _buchberger_bound(inputs, ring, guard):
+    """The degree bound groebner_basis asks for on the input dicts."""
+    return groebner._basis_bound(ring, [Polynomial(ring, fd) for fd in inputs], guard)
+
+
 def _traced_buchberger(module, inputs, ring, guard, base=None):
     """Run one engine's _buchberger and record its steps: the leads of every
     S-pair it takes and every entry it makes, in order, as exponent tuples.
@@ -1004,7 +1014,7 @@ def _traced_buchberger(module, inputs, ring, guard, base=None):
     A guard abort is part of the outcome."""
     steps = []
     if module is groebner:
-        degree = max([guard] + [ring.weighted_degree(m) for fd in inputs for m in fd])
+        degree = _buchberger_bound(inputs, ring, guard)
         if base is None:
             pk = polyring._packing(ring, degree)
             grading = pk.degree
@@ -1111,9 +1121,12 @@ class TestBuchbergerOracle:
         p = ring.field.p
         basis = [buchberger_oracle._make_entry(fd, key, p) for fd in inputs]
         polys = [random_poly(ring, rng, max_terms=5, max_exp=4) for _ in range(3)]
-        pk = polyring._packing(ring, max(
-            [f.weighted_degree() for f in polys]
-            + [ring.weighted_degree(m) for fd in inputs for m in fd]))
+        degree = max([f.weighted_degree() for f in polys]
+                     + [ring.weighted_degree(m) for fd in inputs for m in fd])
+        # the bound of Ideal._reducer, on a basis that is the inputs
+        if not groebner._graded(ring, [Polynomial(ring, fd) for fd in inputs]):
+            degree = polyring._headroom(degree)
+        pk = polyring._packing(ring, degree)
         packed = [groebner._make_entry(pk.pack_terms(fd.items()), p) for fd in inputs]
         index = groebner._Divisors(pk)
         for f in polys:
@@ -1143,8 +1156,7 @@ class TestInterreduce:
     def test_matches_full_reduction(self, instance):
         ring, inputs, _, base = instance
         assume(base is None)
-        pk = polyring._packing(ring, max([40] + [ring.weighted_degree(m)
-                                                 for fd in inputs for m in fd]))
+        pk = polyring._packing(ring, _buchberger_bound(inputs, ring, 40))
         try:
             minimal = groebner._buchberger([pk.pack_terms(fd.items()) for fd in inputs],
                                            pk, 40, pk.degree)
@@ -1271,6 +1283,8 @@ class TestPacking:
                                          unique=True))
     def test_columnwise_unpack_matches_unpack(self, instance, more):
         ring, pk, monos = instance
+        # a packing that also holds the monomials of `more`
+        pk = polyring._packing(ring, max([pk._limit] + [ring.weighted_degree(m) for m in more]))
         items = [(m, 1) for m in dict.fromkeys(map(pk.pack, monos + more))]
         random.Random(len(items)).shuffle(items)
         # 0 and 1 terms, and both sides of polyring.COLUMNWISE_TERMS
@@ -1323,6 +1337,85 @@ class TestPacking:
         ideal = Ideal(ring, (P("x - y^2"), P("y - 2*z^3")))
         with pytest.raises(ArithmeticError):
             ideal.normal_form(P("x^3"))
+
+
+def _outcome(call):
+    """call() on an empty memo, or the type and message of what it raised."""
+    clear_memo()
+    try:
+        return call()
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _width_outcomes(ring, lhs, rhs, guard):
+    """The outcomes of every entry point that packs, on fresh ideals (an
+    Ideal keeps its basis and reducer): groebner_basis, normal_form,
+    intersect, colon, minimal_generators_mod and lift_by_nzd."""
+    fresh = lambda ideal: Ideal(ring, ideal.generators)
+    f, m = rhs.generators[0], rhs.generators[-1]
+    return [
+        _outcome(lambda: groebner.groebner_basis(lhs.generators, ring, guard)),
+        _outcome(lambda: [fresh(lhs).normal_form(g, guard) for g in (f, f * m, f ** 3)]),
+        _outcome(lambda: intersect(fresh(lhs), fresh(rhs), guard).generators),
+        _outcome(lambda: colon(fresh(lhs), fresh(rhs), guard).generators),
+        _outcome(lambda: minimal_generators_mod(rhs.generators, fresh(lhs), guard)),
+        _outcome(lambda: lift_by_nzd(f * m + lhs.generators[0], m, fresh(lhs), guard)),
+    ]
+
+
+class TestRightSizedPacking:
+    """Each packing holds the degree bound its call proves, with no bits to
+    spare.  A packed computation is exact at every width it does not
+    overflow, so with bounds that hold, every result, guard abort and error
+    is the one of packings SPARE_BITS bits wider (conftest.spare_bits)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(colon_instances(), st.integers(2, 40))
+    def test_results_match_spare_bits(self, instance, guard):
+        ring, lhs, rhs, _ = instance
+        right = _width_outcomes(ring, lhs, rhs, guard)
+        with spare_bits():
+            wide = _width_outcomes(ring, lhs, rhs, guard)
+        assert right == wide
+        clear_memo()
+
+    def test_divisor_products_above_the_guard(self, gf2_xyz):
+        # the products x^2*z^40*q of the third step, and its divisor, pass
+        # the guard 8 and every degree of lhs; the step is skipped, so the
+        # colon finishes, in a packing that holds them
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        lhs = Ideal(gf2_xyz, (P("x^2"), P("y^2")))
+        rhs = Ideal(gf2_xyz, (P("x"), P("y"), P("x^2*z^40")))
+        assert polyring._packing(gf2_xyz, 2 * (1 + 8))._limit < 42  # a bound without them
+        clear_memo()
+        result, count = _eliminations(lambda: colon(lhs, rhs, 8))
+        assert count == 2
+        assert result.generators == (P("y^2"), P("x*y"), P("x^2"))
+        clear_memo()
+
+    def test_pruned_pair_above_the_guard(self, gf2_xyz):
+        # y^8*z and x^8*z make the pair of lcm x^8*y^8*z, degree 17, above
+        # the guard 15 and the input degrees; x^4*y^5*z then prunes it by
+        # the chain criterion, so the run finishes, while _gm_update packed
+        # its lcm when it made the pair
+        P = lambda s: parse_polynomial(s, gf2_xyz)
+        gens = [P("y^8*z"), P("x^8*z"), P("x^4*y^5*z")]
+        assert polyring._packing(gf2_xyz, 15)._limit < 17  # the bound without the lcms
+        made = []
+        gm_update = groebner._gm_update
+
+        def recording(exps, pairs, t, pk):
+            kept, new = gm_update(exps, pairs, t, pk)
+            made.extend(pk.degree(lcm) for _, lcm in new)
+            return kept, new
+
+        clear_memo()
+        with patch.object(groebner, "_gm_update", recording):
+            basis = groebner.groebner_basis(gens, gf2_xyz, degree_guard=15)
+        assert basis == tuple(gens)  # ascending in grevlex
+        assert max(made) == 17
+        clear_memo()
 
 
 @st.composite
