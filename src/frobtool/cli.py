@@ -3,7 +3,9 @@
 Subcommands: gb, colon, fpow and fops read a .frob input file; gallery runs
 a named case.  Exit codes: 0 success with all expectations passing, 1 failed
 expectation, 2 usage or parse errors, 3 degree-guard abort, 4 internal error
-(a failed arithmetic invariant, a lift verification or a ring mismatch).
+(a failed arithmetic invariant, a lift verification or a ring mismatch), 5
+out of memory, with the construction that ran out named where a guard
+context knows it.
 Environment: FROBTOOL_CACHE (basis cache directory).
 
 Each command imports only the layers it runs: this module loads the
@@ -210,6 +212,9 @@ def main(argv=None) -> int:
     except DegreeGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 5
     except (ArithmeticError, LiftVerificationError, RingMismatch) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

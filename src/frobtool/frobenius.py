@@ -102,8 +102,10 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     the index of I^[q]: the colon contains I^[q], so no tail term of its
     reduced basis is reducible.  A colon from the memo or the store is
     only polynomials, and the store does not check that tails are reduced,
-    so those are packed and every term is looked up.  The generators are
-    unpacked once and made monic, for the result.
+    so those are packed and every term is looked up.  A generator that
+    needed no reduction is a monic colon basis element, and is returned as
+    the colon's own polynomial; only the reduced ones are unpacked and made
+    monic.
     """
     return _component(ideal, e, degree_guard)[0]
 
@@ -129,16 +131,19 @@ def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
     modulus = frobenius_power(ideal, e)
     with _guard_context(f"the colon I^[q]:I of component e={e} (q={q})"):
         col, packed = _colon(modulus, ideal, degree_guard, pk.width if pk else 0)
+    basis = col.generators  # its reduced basis, distinct and nonzero
     if packed is not None and (pk is None or packed[0].width == pk.width):
         pk, entries = packed
         cands = [(pk.degree(entry[0]), entry[0], _entry_dict(entry)) for entry in entries]
     else:  # a memo or store hit
-        basis = col.groebner_basis(degree_guard=degree_guard)
         pk = pk or _packing(ring, max([0] + [g.weighted_degree() for g in basis]))
         cands = _packed_candidates(basis, pk)
     with _guard_context(f"the basis of I^[q] of component e={e} (q={q})"):
         forms = _minimal_forms(pk, cands, (), modulus, degree_guard, packed is not None)
-    min_gens = tuple(pk.polynomial(form.items()).monic() for _, _, form in forms)
+    # a survivor that needed no reduction keeps its candidate's form
+    own = {id(form): g for (_, _, form), g in zip(cands, basis)}
+    min_gens = tuple(own.get(id(form)) or pk.polynomial(form.items(), descending=True).monic()
+                     for _, _, form in forms)
     return FrobeniusComponent(e, q, col, modulus, min_gens), (pk, forms)
 
 

@@ -11,9 +11,9 @@ encoding of the ring's order, taken per call at the boundary (a whole colon
 is one call): inputs are packed once on entry and results unpacked once on
 exit, already in canonical order (a long result field by field); another
 order is another ring, as in the elimination constructions.  One hand-off
-stays packed: the colon chain returns its reduced basis both as polynomials
-and as monic entries in the ring's packing of its own width, and
-frobenius.component minimalizes the entries as they are (`_colon`,
+stays packed: asked for it, the colon chain returns its reduced basis both
+as polynomials and as monic entries in the ring's packing of its own width,
+and frobenius.component minimalizes the entries as they are (`_colon`,
 `_minimal_forms`), which returns the (degree, lead, form) triples it takes
 and mutates no form, so fingen_probe passes them on.  Polynomials remain
 what the memo, the store, the reports and the public API hold, since they
@@ -103,14 +103,14 @@ or appear or vanish.
 The last elimination run also gives the final basis: its t-free part is a
 minimal grevlex basis of J ∩ f*R, the leads of f*R are lm(f) times those
 of R, and lm(b/f) = lm(b)/lm(f), so the monic quotients are a minimal
-grevlex basis of R.  _Elimination.reduced finishes it, and hands back
-its entries in the ring's packing of the same width with it: on a
-grevlex ring it interreduces the tails in the elimination packing (an
-entry whose tail no lead divides is kept as it is) and moves the entries
-over, and since both packings lay out their fields alike, a t-free
-monomial moves by shifts, with no tuple in between; on any other order it
-runs Buchberger once in the ring's order, with no memo, which packs in
-that order already.
+grevlex basis of R.  _Elimination.reduced finishes it: on a grevlex ring
+it interreduces the tails in the elimination packing, each tail term
+screened by degree and only the reducible ones reduced (`_interreduce`),
+unpacks the entries, born sorted, with no sort (`_make_entry`), and only
+for a caller that asks for them moves them to the ring's packing of the
+same width, by shifts, as both lay out their fields alike; on any other
+order it runs Buchberger once in the ring's order, with no memo, which
+packs in that order already.
 The memo and the persistent store see whole colons: one entry per colon,
 keyed by its normalized lhs and rhs.  intersect consults no memo.
 
@@ -162,6 +162,9 @@ DEFAULT_DEGREE_GUARD = 120
 # evicted first.  A golden case makes at most 16 distinct keys (gallery
 # lifts), the deep lifts cases (p=2 e=3, p=3 e=2) 34 and 28.
 GB_MEMO_SIZE = 512
+# the most leads of lower degree that `_interreduce` tests a tail term
+# against one by one, about where one divisor-index lookup costs as much
+FEW_LEADS = 8
 
 
 class DegreeGuardExceeded(RuntimeError):
@@ -187,11 +190,15 @@ class DegreeGuardExceeded(RuntimeError):
 
 @contextmanager
 def _guard_context(context: str):
-    """Name the construction `context` in a degree-guard abort inside it."""
+    """Name the construction `context` in a degree-guard abort or a
+    MemoryError inside it; the MemoryError is re-raised, not replaced."""
     try:
         yield
     except DegreeGuardExceeded as exc:
         raise DegreeGuardExceeded(exc.degree, exc.guard, exc.phase, context) from exc
+    except MemoryError as exc:
+        exc.args = (f"out of memory in {context}",)
+        raise
 
 
 def _collector_paused(fn):
@@ -333,19 +340,38 @@ def _reduce_full(fd, basis, pk, index):
     return remainder
 
 
-def _make_entry(fd, p):
-    """(lm, tail) with unit leading coefficient, tail sorted descending."""
-    lm = max(fd)
-    inv = pow(fd[lm], p - 2, p)
-    tail = tuple(sorted(((m, c * inv % p) for m, c in fd.items() if m != lm),
-                        reverse=True))
-    return lm, tail
+def _reduce_terms(row, sent, basis, pk, index):
+    """`row` made its normal form in place, for `sent` the monomials of the
+    terms of `row` that a lead may divide: by linearity, those terms are
+    replaced by the normal form of their sum.  Returns `row`, its keys out
+    of order."""
+    p = pk.p
+    for m, c in _reduce_full({m: row.pop(m) for m in sent}, basis, pk, index).items():
+        x = (row.get(m, 0) + c) % p
+        if x:
+            row[m] = x
+        else:
+            del row[m]
+    return row
+
+
+def _make_entry(fd, p, descending=False):
+    """(lm, tail) with unit leading coefficient, tail sorted descending.
+    With `descending`, the keys of fd already are, so neither `max` nor a
+    sort is needed: `_reduce_full` and `_divide_exact` insert their terms
+    largest first, and `_entry_dict` its lead first."""
+    items = iter(fd.items() if descending else sorted(fd.items(), reverse=True))
+    lm, c = next(items)
+    if c == 1:
+        return lm, tuple(items)
+    inv = pow(c, p - 2, p)
+    return lm, tuple((m, x * inv % p) for m, x in items)
 
 
 def _entry_dict(entry):
     lm, tail = entry
-    d = dict(tail)
-    d[lm] = 1
+    d = {lm: 1}
+    d.update(tail)
     return d
 
 
@@ -391,25 +417,39 @@ def _gm_update(exps, pairs, t, pk):
     return kept, new
 
 
-def _interreduce(minimal, pk):
-    """The reduced basis, ascending by lead, of a minimal Groebner basis of
-    monic packed entries: each tail is reduced against the whole minimal
-    set.  No lead divides a term below itself, so an entry is never picked
-    for its own tail.  An entry whose tail has no term that a lead divides
-    is already reduced and is kept as it is, after one index lookup per
-    term."""
+def _interreduce(minimal, pk, degree=None):
+    """The reduced basis of a minimal Groebner basis of monic packed
+    entries, both ascending by lead.  No lead divides a term below itself,
+    so an entry never reduces its own tail.  By linearity only the tail
+    terms that a lead divides are reduced (`_reduce_terms`), and an entry
+    with none is kept as it is.
+
+    `degree`, if given, is the weighted degree and the first key of the
+    order, so the leads ascend by it and no tail term exceeds its lead's
+    degree d.  A lead dividing a term is that term or of lower degree, so
+    a set lookup among the leads and guard-bit tests against the leads of
+    degree below d find the reducible terms, when those leads are at most
+    FEW_LEADS (a colon's lowest degrees hold few); else the index does."""
     index = _Divisors(pk)
     index.sync(minimal)
-    first = index.first
+    p, gbits = pk.p, pk.guard_bits
+    leads = {lm for lm, _ in minimal}
+    degrees = [degree(lm) for lm, _ in minimal] if degree else ()
     reduced = []
     for entry in minimal:
         lm, tail = entry
-        if any(first(m) >= 0 for m, _ in tail):
-            r = _reduce_full(dict(tail), minimal, pk, index)
-            r[lm] = 1
-            entry = _make_entry(r, pk.p)
+        # with `degree`, the first k leads are those of lower degree
+        k = bisect_left(degrees, degree(lm)) if degree else FEW_LEADS + 1
+        if k <= FEW_LEADS:
+            ms = [m for m, _ in tail]
+            hit = leads.intersection(ms)
+            for L, _ in minimal[:k]:
+                hit.update([m for m in ms if not (m - L) & gbits])
+        else:
+            hit = {m for m, _ in tail if index.first(m) >= 0}
+        if hit:
+            entry = _make_entry(_reduce_terms(_entry_dict(entry), hit, minimal, pk, index), p)
         reduced.append(entry)
-    reduced.sort(key=itemgetter(0))
     return reduced
 
 
@@ -444,7 +484,7 @@ def _buchberger(inputs, pk, guard, grading):
 
     def extend_basis(r):
         nonlocal pairs
-        basis.append(_make_entry(r, p))
+        basis.append(_make_entry(r, p, True))
         lms.append(basis[-1][0])
         exps.append(lms[-1] & pk.exps_mask)
         pairs, new = _gm_update(exps, pairs, len(basis) - 1, pk)
@@ -605,8 +645,9 @@ def _reduced_basis(gens: Sequence[Polynomial], ring: RingSpec, guard: int, width
     Returns the basis and (pk, its monic packed entries (lm, tail))."""
     pk = _packing(ring, _basis_bound(ring, gens, guard), width)
     entries = _interreduce(_buchberger([pk.pack_terms(g.terms) for g in gens],
-                                       pk, guard, pk.degree), pk)
-    return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries), (pk, entries)
+                                       pk, guard, pk.degree),
+                           pk, pk.degree if ring.order.kind == "grevlex" else None)
+    return tuple(pk.polynomial(((lm, 1),) + tail, True) for lm, tail in entries), (pk, entries)
 
 
 # --------------------------------------------------------------------------
@@ -685,7 +726,8 @@ class Ideal:
         pk, entries, index = self._reducer(f.weighted_degree(), degree_guard)
         if not entries:
             return f
-        return pk.polynomial(_reduce_full(pk.pack_terms(f.terms), entries, pk, index).items())
+        return pk.polynomial(_reduce_full(pk.pack_terms(f.terms), entries, pk, index).items(),
+                             descending=True)
 
     def contains(self, f: Polynomial, degree_guard: Optional[int] = None) -> bool:
         return self.normal_form(f, degree_guard=degree_guard).is_zero()
@@ -790,10 +832,12 @@ class _Elimination:
         return not any(_reduce_full({m + t: c for m, c in h.items()}, basis, pk, index)
                        for h in products)
 
-    def polynomial(self, items) -> Polynomial:
+    def polynomial(self, items, descending: bool = False) -> Polynomial:
         """The Polynomial over `ring` of t-free packed (monomial, coefficient)
-        items, sorted in the ring's order."""
-        return Polynomial(self.ring, _unpacked(items, self.pk.mask, self._shifts))
+        items, sorted in the ring's order; or with `descending`, on a
+        grevlex ring, unpacked in the order they come."""
+        terms = _unpacked(items, self.pk.mask, self._shifts, descending)
+        return (Polynomial._from_sorted if descending else Polynomial)(self.ring, terms)
 
     def ring_entries(self, entries):
         """(pk, the t-free packed entries (lm, tail) in pk), pk the packing
@@ -810,22 +854,33 @@ class _Elimination:
              tuple((((m >> hi) << lo) | (m & low), c) for m, c in tail))
             for lm, tail in entries]
 
-    def reduced(self, quotients, guard):
+    def reduced(self, quotients, guard, packed: bool = False):
         """The reduced basis over `ring`, ascending, of the packed t-free
-        dicts `quotients`, a minimal basis under weighted grevlex, and (pk,
-        the basis as monic packed entries (lm, tail)), pk a packing of
-        `ring` at least as wide as this one: their interreduction moved to
-        pk on a grevlex ring, else one Buchberger run in the ring's order.
-        `quotients` is emptied once read, so the caller's dicts are not held
-        through the finish."""
+        dicts `quotients` (keys descending), a minimal basis under weighted
+        grevlex; and with `packed`, (pk, its monic packed entries (lm,
+        tail)), pk a packing of `ring` at least as wide as this one, else
+        None.  On a grevlex ring they are interreduced here by degree, and
+        the entries, descending, are unpacked as they stand: from pk once
+        moved there if asked for, else from this packing, each dropped once
+        unpacked.  On any other order one Buchberger run in the ring's order
+        returns both.  `quotients` is emptied once read, so the caller's
+        dicts are not held through the finish."""
         if self.ring.order != GREVLEX:
             gens = [self.polynomial(q.items()) for q in quotients]
             quotients.clear()
             return _reduced_basis(gens, self.ring, guard, self.pk.width)
-        entries = _interreduce([_make_entry(q, self.pk.p) for q in quotients], self.pk)
+        entries = _interreduce([_make_entry(q, self.pk.p, True) for q in quotients],
+                               self.pk, self.degree)
         quotients.clear()
-        pk, entries = self.ring_entries(entries)
-        return tuple(pk.polynomial(((lm, 1),) + tail) for lm, tail in entries), (pk, entries)
+        if packed:
+            pk, entries = self.ring_entries(entries)
+            return (tuple(pk.polynomial(((lm, 1),) + tail, True) for lm, tail in entries),
+                    (pk, entries))
+        basis = []
+        for i, (lm, tail) in enumerate(entries):
+            entries[i] = None  # not held once unpacked
+            basis.append(self.polynomial(((lm, 1),) + tail, True))
+        return tuple(basis), None
 
 
 @_collector_paused
@@ -909,17 +964,16 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     given order: one elimination each, except that a step whose divisor
     already maps R_{i-1} into lhs is skipped and cannot abort (see the
     module docstring).  The result is memoized, and kept in the persistent
-    store, as one entry per colon; the packed basis that _colon also hands
-    back is dropped.
+    store, as one entry per colon; no packed basis is made for it.
     """
     return _colon(lhs, rhs, degree_guard)[0]
 
 
-def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: int = 0):
-    """colon(lhs, rhs, degree_guard), returned with (pk, its reduced basis
-    as monic packed entries (lm, tail), ascending), pk a packing of the
-    ring at least `width` bits wide, when this call computed the colon;
-    else with None.  A memo or store hit has only polynomials."""
+def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: Optional[int] = None):
+    """colon(lhs, rhs, degree_guard), returned with None, or given a `width`
+    and when this call computed the colon, with (pk, its reduced basis as
+    monic packed entries (lm, tail), ascending), pk a packing of the ring
+    at least `width` bits wide."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     if rhs.is_zero():
@@ -961,15 +1015,17 @@ def _chain_bound(gens, divisors, guard: int) -> int:
     return _headroom(1 + max([guard] + degrees + steps))
 
 
-def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], width: int = 0):
+def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int],
+                 width: Optional[int] = None):
     """The reduced basis of B ∩ (lhs : (f_1..f_k)), B generated by `start`
-    and f_1..f_k the `divisors`, in one _Elimination packing throughout, at
-    least `width` bits wide; returned with its packed entries as
-    _Elimination.reduced hands them back.  The basis of K is never
-    interreduced: the skip test needs only a Groebner basis, and the
-    quotients are finished once, at the end."""
+    and f_1..f_k the `divisors`, in one _Elimination packing throughout;
+    returned with None, or given a `width`, with its packed entries as
+    _Elimination.reduced hands them back, at least `width` bits wide.  The
+    basis of K is never interreduced: the skip test needs only a Groebner
+    basis, and the quotients are finished once, at the end."""
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    el = _Elimination(lhs.ring, _chain_bound((*lhs.generators, *start), divisors, guard), width)
+    el = _Elimination(lhs.ring, _chain_bound((*lhs.generators, *start), divisors, guard),
+                      width or 0)
     pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [el.lift(g) for g in start]  # R_0 = B
@@ -983,7 +1039,7 @@ def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], width
         basis = el.meet(lifted, products, guard)
         quotients = [_divide_exact(_entry_dict(b), fd, pk) for b in el.free(basis)]
     del basis  # not held through the final basis
-    return el.reduced(quotients, guard)
+    return el.reduced(quotients, guard, width is not None)
 
 
 def frobenius_power(ideal: Ideal, e: int) -> Ideal:
@@ -1156,7 +1212,7 @@ class _Shifts:
         pk = self.pk
         s, mask = pk.pack(m), pk.mask
         row = {mm + s: c for mm, c in form.items()}
-        sent = {}
+        sent = set()
         for i, k in enumerate(m):
             if k:
                 caught = self.caught.get((i, k))
@@ -1165,19 +1221,8 @@ class _Shifts:
                         u for lead in self.leads[i][1] for u in range(max(lead - k, 0), lead))
                 if caught:
                     v = self.leads[i][0]
-                    sent.update({mm + s: c for mm, c in form.items()
-                                 if (mm >> v) & mask in caught})
-        if sent:
-            for mm in sent:
-                del row[mm]
-            p = pk.p
-            for mm, c in _reduce_full(sent, self.basis, pk, self.index).items():
-                x = (row.get(mm, 0) + c) % p
-                if x:
-                    row[mm] = x
-                else:
-                    del row[mm]
-        return row
+                    sent.update({mm + s for mm in form if (mm >> v) & mask in caught})
+        return _reduce_terms(row, sent, self.basis, pk, self.index) if sent else row
 
 
 def _minimal_forms(pk, cands, products, modulus: Ideal, degree_guard: Optional[int],

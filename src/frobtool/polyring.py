@@ -553,20 +553,23 @@ class Packing:
         pack = self.pack
         return {pack(m): c for m, c in terms}
 
-    def polynomial(self, items) -> Polynomial:
+    def polynomial(self, items, descending: bool = False) -> Polynomial:
         """The Polynomial of packed (monomial, coefficient) items, sorted by
-        the packed ints."""
-        return Polynomial._from_sorted(self.ring,
-                                       _unpacked(items, self.mask, self._exponent_shifts))
+        the packed ints (`_unpacked`)."""
+        return Polynomial._from_sorted(
+            self.ring, _unpacked(items, self.mask, self._exponent_shifts, descending))
 
 
-def _unpacked(items, mask: int, shifts) -> tuple:
+def _unpacked(items, mask: int, shifts, descending: bool = False) -> tuple:
     """The terms (exponents, coefficient) of packed (monomial, coefficient)
     items whose exponent fields sit at `shifts`, descending by the packed
-    ints.  Unpacking goes field by field, one list comprehension over the
-    monomials per field, zipped at the end; below COLUMNWISE_TERMS terms it
-    goes term by term, where the per-field setup costs more than it saves."""
-    items = sorted(items, reverse=True)
+    ints; with `descending`, the items are in that order already, as the
+    terms of a packed entry are, and are not sorted again.  Unpacking goes
+    field by field, one list comprehension over the monomials per field,
+    zipped at the end; below COLUMNWISE_TERMS terms it goes term by term,
+    where the per-field setup costs more than it saves."""
+    if not descending:
+        items = sorted(items, reverse=True)
     if len(items) < COLUMNWISE_TERMS:
         return tuple((tuple([(m >> s) & mask for s in shifts]), c) for m, c in items)
     ms = [m for m, _ in items]

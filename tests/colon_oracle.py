@@ -11,8 +11,12 @@ chained colon with it basis for basis.
 `chain_colon` is the chain as it was before it learned to skip a step: it
 runs the elimination of every step, R_i = (lhs ∩ f_i*R_{i-1})/f_i, on the
 library's packed helpers, in a packing for the library's bound
-(`_chain_bound`), even when f_i*R_{i-1} already lies in lhs, and finishes
-its quotients with the library's `_Elimination.reduced`.
+(`_chain_bound`), even when f_i*R_{i-1} already lies in lhs.  It finishes
+its quotients apart from the library's finish: they are unpacked one
+monomial at a time, a minimal Groebner basis under weighted grevlex; on
+another order the library's Buchberger makes a minimal basis of them in
+the ring's order; and `_interreduced` makes the reduced basis with the
+tuple reduction of buchberger_oracle.py.
 """
 
 from __future__ import annotations
@@ -24,13 +28,16 @@ from frobtool.groebner import (
     Ideal,
     _divide_exact as _packed_divide_exact,
     _Elimination,
+    _basis_bound,
+    _buchberger,
     _chain_bound,
     _entry_dict,
     _multiply,
     intersect,
 )
-from frobtool.polyring import Polynomial, RingMismatch
+from frobtool.polyring import Polynomial, RingMismatch, _packing, mono_divides
 
+import buchberger_oracle
 from order_oracle import key_function
 
 
@@ -98,4 +105,41 @@ def chain_colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> I
         fd = el.lift(f)
         meet = el.free(el.meet(lifted, [_multiply(fd, q, pk) for q in quotients], guard))
         quotients = [_packed_divide_exact(_entry_dict(b), fd, pk) for b in meet]
-    return Ideal._from_basis(ring, el.reduced(quotients, guard)[0])
+    polys = [Polynomial(ring, {pk.unpack(m)[1:]: c for m, c in q.items()}) for q in quotients]
+    if ring.order.kind != "grevlex":
+        pk = _packing(ring, _basis_bound(ring, polys, guard))
+        polys = [Polynomial(ring, [(pk.unpack(m), 1)] + [(pk.unpack(mm), c) for mm, c in tail])
+                 for m, tail in _buchberger([pk.pack_terms(g.terms) for g in polys],
+                                            pk, guard, pk.degree)]
+    return Ideal._from_basis(ring, _interreduced(polys, ring))
+
+
+def _interreduced(minimal, ring):
+    """The reduced basis, ascending by lead, of the minimal Groebner basis
+    `minimal` under the ring's order.  A lead that divides a term m is m or
+    has a lower weighted degree, so only those leads are tested.  The
+    normal form is linear: the tail terms that a lead divides are reduced
+    against the other elements by buchberger_oracle's `_reduce_full`, and
+    the rest are added to the result as they are."""
+    key, p, degree = key_function(ring), ring.field.p, ring.weighted_degree
+    entries = sorted((buchberger_oracle._make_entry(dict(g.terms), key, p) for g in minimal),
+                     key=lambda entry: key(entry[0]))
+    leads = {lm for lm, _ in entries}
+    by_degree = {}
+    for lm in leads:
+        by_degree.setdefault(degree(lm), []).append(lm)
+
+    def reducible(m):
+        d = degree(m)
+        return m in leads or any(mono_divides(lm, m) for e, lms in by_degree.items() if e < d
+                                 for lm in lms)
+
+    basis = []
+    for i, (lm, tail) in enumerate(entries):
+        sent = {m: c for m, c in tail if reducible(m)}
+        terms = [(lm, 1)] + [(m, c) for m, c in tail if m not in sent]
+        if sent:
+            terms += buchberger_oracle._reduce_full(sent, entries[:i] + entries[i + 1:],
+                                                    key, p).items()
+        basis.append(Polynomial(ring, terms))
+    return tuple(basis)

@@ -400,18 +400,20 @@ def run_deep_left_factor_check():
 
 def run_deep_colon_check():
     """colon(I^[q], I) against the chain reference in colon_oracle.py, which
-    eliminates at every step, at the minors p=2 e=4 and the twisted cubic
-    p=7 e=3, and at lex and elim-1 copies of the minors p=2 e=4, whose
-    colons finish by a Buchberger run in the ring's order; and there, the
-    generators of component(I, e), which minimalizes the colon's packed
-    basis looking up only its leads, against minimal_generators_mod of the
-    colon's basis, which looks up every term (about 17 s in all; too slow
-    for the tier-1 suite).  Not collected by pytest; from the repository
-    root, run
+    eliminates at every step and finishes apart from the library, at the
+    minors p=2 e=4 and e=5 and the twisted cubic p=7 e=3, and at lex and
+    elim-1 copies of the minors p=2 e=4, whose colons finish by a
+    Buchberger run in the ring's order; and there, the generators of
+    component(I, e), which minimalizes the colon's packed basis looking up
+    only its leads, against minimal_generators_mod of the colon's basis,
+    which looks up every term (about 35 s in all, 25 s of it at e=5; too
+    slow for the tier-1 suite).  Not collected by pytest; from the
+    repository root, run
     `PYTHONPATH=src:tests python -c "import property_suites; property_suites.run_deep_colon_check()"`.
     Returns the number of colons checked."""
     _, minors = minors_ideal(2)
-    cases = [(minors, 2, 4, 1000), (twisted_cubic_ideal(7)[1], 7, 3, 4116),
+    cases = [(minors, 2, 4, 1000), (minors, 2, 5, 3000),
+             (twisted_cubic_ideal(7)[1], 7, 3, 4116),
              (reordered(minors, LEX), 2, 4, 1000),
              (reordered(minors, Order("elim", 1)), 2, 4, 1000)]
     checked = 0

@@ -228,6 +228,30 @@ def test_internal_error_exit4(capsys, katzman_file, monkeypatch, error):
     assert err == "internal error: planted failure\n"
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["colon", "--lhs", "I", "--rhs", "I"], " in the colon I : I"),
+    (["fops", "--ideal", "I", "--emax", "2"], " in the colon I^[q]:I of component e=1 (q=2)"),
+    (["fpow", "--ideal", "I", "--e", "1"], ""),
+])
+def test_memory_error_exit5(capsys, katzman_file, monkeypatch, argv, where):
+    # a planted MemoryError where each command would run out: one line
+    # naming the construction where a guard context knows it
+    import frobtool.cli as cli_mod
+    import frobtool.frobenius as frobenius_mod
+
+    monkeypatch.setattr(cli_mod, "colon", _out_of_memory)
+    monkeypatch.setattr(frobenius_mod, "_colon", _out_of_memory)
+    monkeypatch.setattr(cli_mod, "frobenius_power", _out_of_memory)
+    code = main([argv[0], "--input", katzman_file, *argv[1:], "--no-cache"])
+    out, err = capsys.readouterr()
+    assert code == 5
+    assert out == "" and err == f"error: out of memory{where}\n"
+
+
 def test_gallery_pass_and_fail_exit_codes(capsys, monkeypatch):
     assert main(["gallery", "fedder", "--p", "2", "--no-cache"]) == 0
     capsys.readouterr()

@@ -1147,6 +1147,58 @@ def _fully_interreduced(minimal, pk):
     return sorted(reduced)
 
 
+@st.composite
+def homogeneous_minimal_bases(draw):
+    """The packing, the minimal basis (ascending monic packed entries) that
+    Buchberger makes of random homogeneous forms over GF(2), GF(3) or GF(5)
+    under weighted grevlex, weights (1,1,1) or (1,2,1), with leads in two
+    or more degrees, and a random source."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    weights = draw(st.sampled_from(((1, 1, 1), (1, 2, 1))))
+    rng = draw(st.randoms(use_true_random=False))
+    ring = RingSpec(PrimeField(p), ("x", "y", "z"), weights)
+    gens = [_random_homogeneous(ring, rng, rng.randint(low, low + 2)) for low in (1, 2, 3)]
+    inputs = [dict(g.terms) for g in gens if not g.is_zero()]
+    assume(inputs)
+    pk = polyring._packing(ring, _buchberger_bound(inputs, ring, 40))
+    try:
+        minimal = groebner._buchberger([pk.pack_terms(fd.items()) for fd in inputs],
+                                       pk, 40, pk.degree)
+    except DegreeGuardExceeded:
+        assume(False)
+    assume(len({pk.degree(lm) for lm, _ in minimal}) >= 2)
+    return pk, minimal, rng
+
+
+def _plant(minimal, pk, rng, same_degree):
+    """`minimal` with one entry E replaced by E + c*u*F, for another entry F
+    whose lead has a lower degree, or with `same_degree`, the same degree
+    and a lower lead, and a monomial u of the degree that makes u*lead(F)
+    a term of E below lead(E): then u*lead(F) is a tail term of E, a
+    multiple of a lead of lower degree or a lead.  The ideal and the leads
+    stay, so it is still a minimal basis.  None when no E, F and u fit."""
+    degree, p = pk.degree, pk.p
+    pairs = [(e, f) for e in minimal for f in minimal
+             if (degree(f[0]) == degree(e[0]) and f[0] < e[0] if same_degree
+                 else degree(f[0]) < degree(e[0]))]
+    if not pairs:
+        return None
+    (lm, tail), (lf, tf) = rng.choice(pairs)
+    shifts = [s for s in map(pk.pack, monomials_of_weighted_degree(
+        pk.ring.weights, degree(lm) - degree(lf))) if s + lf < lm]
+    if not shifts:
+        return None
+    s = rng.choice(shifts)
+    work = dict(tail)
+    c = rng.randint(1, p - 1)
+    for m, cc in ((lf, 1),) + tf:
+        work[m + s] = (work.get(m + s, 0) + c * cc) % p
+    if not work[lf + s]:
+        return None
+    entry = (lm, tuple(sorted(((m, c) for m, c in work.items() if c), reverse=True)))
+    return [entry if e[0] == lm else e for e in minimal]
+
+
 class TestInterreduce:
     """_interreduce, which keeps an entry whose tail no lead divides,
     against the full reduction of every tail."""
@@ -1173,7 +1225,61 @@ class TestInterreduce:
                 work[m] = (work.get(m, 0) + c) % pk.p
         minimal[-1] = (lm, tuple(sorted(((m, c) for m, c in work.items() if c), reverse=True)))
         assert lm0 in dict(minimal[-1][1])
-        assert groebner._interreduce(minimal, pk) == _fully_interreduced(minimal, pk)
+        expected = _fully_interreduced(minimal, pk)
+        assert groebner._interreduce(minimal, pk) == expected
+        if ring.order == GREVLEX:
+            # inhomogeneous tails: the degree screen holds on every tail of
+            # a degree-first order; a cut of 0 sends each tail with a lead
+            # of lower degree to the index
+            for few in (0, groebner.FEW_LEADS, len(minimal)):
+                with patch.object(groebner, "FEW_LEADS", few):
+                    assert groebner._interreduce(minimal, pk, pk.degree) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_minimal_bases(), st.booleans())
+    def test_degree_screen_matches_full_reduction(self, instance, same_degree):
+        # a planted tail term is a lead of the same degree or a multiple of
+        # a lead of lower degree; each cut sends the tails with lower leads
+        # to the guard-bit tests (all of them) or to the index (none)
+        pk, minimal, rng = instance
+        planted = _plant(minimal, pk, rng, same_degree)
+        assume(planted is not None)
+        for basis in (minimal, planted):
+            expected = _fully_interreduced(basis, pk)
+            for few in (0, groebner.FEW_LEADS, len(basis)):
+                with patch.object(groebner, "FEW_LEADS", few):
+                    assert groebner._interreduce(basis, pk, pk.degree) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((2, 3, 5)),
+           st.lists(st.integers(0, 1 << 40), min_size=1, max_size=20, unique=True),
+           st.randoms(use_true_random=False))
+    def test_make_entry_of_descending_dict(self, p, monos, rng):
+        fd = {m: rng.randint(1, p - 1) for m in monos}
+        descending = dict(sorted(fd.items(), reverse=True))
+        assert groebner._make_entry(descending, p, True) == groebner._make_entry(fd, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(buchberger_instances())
+    def test_entries_are_born_descending(self, instance):
+        # _make_entry takes these dicts as they come: a remainder, a
+        # quotient and an entry's dict must have their keys descending
+        ring, inputs, rng, base = instance
+        assume(base is None)
+        pk = polyring._packing(ring, polyring._headroom(_buchberger_bound(inputs, ring, 40)))
+        basis = [groebner._make_entry(pk.pack_terms(fd.items()), pk.p) for fd in inputs]
+        index = groebner._Divisors(pk)
+        for entry in basis:
+            assert list(groebner._entry_dict(entry)) == sorted(groebner._entry_dict(entry),
+                                                              reverse=True)
+        for _ in range(3):
+            f = pk.pack_terms(random_poly(ring, rng, max_terms=5, max_exp=3).terms)
+            r = groebner._reduce_full(f, basis, pk, index)
+            assert list(r) == sorted(r, reverse=True)
+            for entry in basis:
+                g = groebner._entry_dict(entry)
+                q = groebner._divide_exact(groebner._multiply(f, g, pk), g, pk) if f else {}
+                assert q == f and list(q) == sorted(q, reverse=True)
 
 
 def _basis_or_abort(gens, ring, guard):
