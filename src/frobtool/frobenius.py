@@ -130,7 +130,7 @@ def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
         return FrobeniusComponent(0, 1, unit, ideal, (ring.one(),)), None
     modulus = frobenius_power(ideal, e)
     with _guard_context(f"the colon I^[q]:I of component e={e} (q={q})"):
-        col, packed = _colon(modulus, ideal, degree_guard, pk.width if pk else 0)
+        col, packed = _colon(modulus, ideal, degree_guard, pk.width if pk else 0, True)
     basis = col.generators  # its reduced basis, distinct and nonzero
     if packed is not None and (pk is None or packed[0].width == pk.width):
         pk, entries = packed

@@ -163,8 +163,9 @@ DEFAULT_DEGREE_GUARD = 120
 # lifts), the deep lifts cases (p=2 e=3, p=3 e=2) 34 and 28.
 GB_MEMO_SIZE = 512
 # the most leads of lower degree that `_interreduce` tests a tail term
-# against one by one, about where one divisor-index lookup costs as much
-FEW_LEADS = 8
+# against one by one: on the tails of the minors p=2 e=4 and e=5 colons
+# (six variables), 12 such tests cost as much as one divisor-index lookup
+FEW_LEADS = 12
 
 
 class DegreeGuardExceeded(RuntimeError):
@@ -860,11 +861,11 @@ class _Elimination:
         grevlex; and with `packed`, (pk, its monic packed entries (lm,
         tail)), pk a packing of `ring` at least as wide as this one, else
         None.  On a grevlex ring they are interreduced here by degree, and
-        the entries, descending, are unpacked as they stand: from pk once
-        moved there if asked for, else from this packing, each dropped once
-        unpacked.  On any other order one Buchberger run in the ring's order
-        returns both.  `quotients` is emptied once read, so the caller's
-        dicts are not held through the finish."""
+        the entries, descending, are unpacked from this packing as they
+        stand, each dropped once unpacked (and first moved to pk if asked
+        for).  On any other order one Buchberger run in the ring's order
+        returns both, asked for or not.  `quotients` is emptied once read,
+        so the caller's dicts are not held through the finish."""
         if self.ring.order != GREVLEX:
             gens = [self.polynomial(q.items()) for q in quotients]
             quotients.clear()
@@ -872,15 +873,12 @@ class _Elimination:
         entries = _interreduce([_make_entry(q, self.pk.p, True) for q in quotients],
                                self.pk, self.degree)
         quotients.clear()
-        if packed:
-            pk, entries = self.ring_entries(entries)
-            return (tuple(pk.polynomial(((lm, 1),) + tail, True) for lm, tail in entries),
-                    (pk, entries))
+        moved = self.ring_entries(entries) if packed else None
         basis = []
         for i, (lm, tail) in enumerate(entries):
             entries[i] = None  # not held once unpacked
             basis.append(self.polynomial(((lm, 1),) + tail, True))
-        return tuple(basis), None
+        return tuple(basis), moved
 
 
 @_collector_paused
@@ -969,11 +967,13 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     return _colon(lhs, rhs, degree_guard)[0]
 
 
-def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: Optional[int] = None):
-    """colon(lhs, rhs, degree_guard), returned with None, or given a `width`
-    and when this call computed the colon, with (pk, its reduced basis as
-    monic packed entries (lm, tail), ascending), pk a packing of the ring
-    at least `width` bits wide."""
+def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: int = 0,
+           packed: bool = False):
+    """colon(lhs, rhs, degree_guard), returned with (pk, its reduced basis
+    as monic packed entries (lm, tail), ascending), pk a packing of the
+    ring at least `width` bits wide, when this call computed the colon and
+    `packed` asks for them (on an order other than grevlex, also unasked);
+    else with None."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     if rhs.is_zero():
@@ -983,14 +983,15 @@ def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: Optional[
         return Ideal(ring, ()), None
     key = _content_key(ring, _normalized_gens(lhs.generators),
                        _normalized_gens(rhs.generators))
-    packed = None
+    entries = None
 
     def compute():
-        nonlocal packed
-        basis, packed = _colon_chain(lhs, (ring.one(),), rhs.generators, degree_guard, width)
+        nonlocal entries
+        basis, entries = _colon_chain(lhs, (ring.one(),), rhs.generators, degree_guard,
+                                      width, packed)
         return basis
 
-    return Ideal._from_basis(ring, _memoized(key, ring, compute)), packed
+    return Ideal._from_basis(ring, _memoized(key, ring, compute)), entries
 
 
 def _chain_bound(gens, divisors, guard: int) -> int:
@@ -1015,17 +1016,16 @@ def _chain_bound(gens, divisors, guard: int) -> int:
     return _headroom(1 + max([guard] + degrees + steps))
 
 
-def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int],
-                 width: Optional[int] = None):
+def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], width: int = 0,
+                 packed: bool = False):
     """The reduced basis of B ∩ (lhs : (f_1..f_k)), B generated by `start`
-    and f_1..f_k the `divisors`, in one _Elimination packing throughout;
-    returned with None, or given a `width`, with its packed entries as
-    _Elimination.reduced hands them back, at least `width` bits wide.  The
+    and f_1..f_k the `divisors`, in one _Elimination packing throughout, at
+    least `width` bits wide; returned with None, or with `packed`, with its
+    packed entries as _Elimination.reduced hands them back.  The
     basis of K is never interreduced: the skip test needs only a Groebner
     basis, and the quotients are finished once, at the end."""
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    el = _Elimination(lhs.ring, _chain_bound((*lhs.generators, *start), divisors, guard),
-                      width or 0)
+    el = _Elimination(lhs.ring, _chain_bound((*lhs.generators, *start), divisors, guard), width)
     pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [el.lift(g) for g in start]  # R_0 = B
@@ -1039,7 +1039,7 @@ def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int],
         basis = el.meet(lifted, products, guard)
         quotients = [_divide_exact(_entry_dict(b), fd, pk) for b in el.free(basis)]
     del basis  # not held through the final basis
-    return el.reduced(quotients, guard, width is not None)
+    return el.reduced(quotients, guard, packed)
 
 
 def frobenius_power(ideal: Ideal, e: int) -> Ideal:
