@@ -96,8 +96,10 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     generator is a nonzero constant.  A degree-guard abort names e, q and
     the step it happened in: the colon or the basis of I^[q].
 
-    The colon chain hands its reduced basis back packed as well, and the
-    minimalization takes those entries as they are, so the basis is
+    The component runs in one packing of the ring, for the bound of the
+    colon chain (`_chain_bound`), as fingen_probe's does.  The chain hands
+    its reduced basis back in it as well, and the minimalization takes
+    those entries as they are, so the basis is
     neither unpacked nor packed on the way; it looks up only each lead in
     the index of I^[q]: the colon contains I^[q], so no tail term of its
     reduced basis is reducible.  A colon from the memo or the store is
@@ -111,11 +113,11 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
 
 
 def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
-    """component(ideal, e, degree_guard), returned with (pk, its generators
-    as `_minimal_forms` returned them in pk), or with None for e = 0.  pk
-    is the given packing of the ring; without one, the colon's own, or on
-    a memo or store hit one for the colon's top degree, which no form of
-    the minimalization exceeds."""
+    """component(ideal, e, degree_guard), returned with its generators as
+    `_minimal_forms` returned them in pk, or with None for e = 0.  pk is
+    the given packing of the ring, or the one for `_chain_bound` of the
+    colon chain, as fingen_probe picks it; either holds the chain, so the
+    colon's entries come back in pk."""
     ring = ideal.ring
     p = ring.field.p
     if e < 0:
@@ -129,22 +131,22 @@ def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
         unit = Ideal(ring, (ring.one(),))
         return FrobeniusComponent(0, 1, unit, ideal, (ring.one(),)), None
     modulus = frobenius_power(ideal, e)
+    guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
+    pk = pk or _packing(ring, _chain_bound(modulus.generators, ideal.generators, guard))
     with _guard_context(f"the colon I^[q]:I of component e={e} (q={q})"):
-        col, packed = _colon(modulus, ideal, degree_guard, pk.width if pk else 0, True)
+        col, entries = _colon(modulus, ideal, degree_guard, pk)
     basis = col.generators  # its reduced basis, distinct and nonzero
-    if packed is not None and (pk is None or packed[0].width == pk.width):
-        pk, entries = packed
-        cands = [(pk.degree(entry[0]), entry[0], _entry_dict(entry)) for entry in entries]
-    else:  # a memo or store hit
-        pk = pk or _packing(ring, max([0] + [g.weighted_degree() for g in basis]))
+    if entries is None:  # a memo or store hit
         cands = _packed_candidates(basis, pk)
+    else:
+        cands = [(pk.degree(entry[0]), entry[0], _entry_dict(entry)) for entry in entries]
     with _guard_context(f"the basis of I^[q] of component e={e} (q={q})"):
-        forms = _minimal_forms(pk, cands, (), modulus, degree_guard, packed is not None)
+        forms = _minimal_forms(pk, cands, (), modulus, degree_guard, entries is not None)
     # a survivor that needed no reduction keeps its candidate's form
     own = {id(form): g for (_, _, form), g in zip(cands, basis)}
-    min_gens = tuple(own.get(id(form)) or pk.polynomial(form.items(), descending=True).monic()
+    min_gens = tuple(own.get(id(form)) or pk.polynomial(form.items()).monic()
                      for _, _, form in forms)
-    return FrobeniusComponent(e, q, col, modulus, min_gens), (pk, forms)
+    return FrobeniusComponent(e, q, col, modulus, min_gens), forms
 
 
 def generation_report(p: int, gens, product, outside, degree=None) -> FinGenReport:
@@ -219,14 +221,13 @@ def fingen_probe(ideal: Ideal, emax: int, degree_guard: Optional[int] = None) ->
         raise ValueError("emax must be >= 1")
     ring = ideal.ring
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    # the colon chain of the top degree has the largest bound, so every
-    # colon's packed basis arrives in this packing; one of another width
-    # would be packed from its polynomials
+    # the colon chain of the top degree has the largest bound, so this
+    # packing holds every colon's chain and each hands its basis over in it
     pk = _packing(ring, _chain_bound(frobenius_power(ideal, emax).generators,
                                      ideal.generators, guard))
     comps, forms = [], []  # forms[e - 1]: the packed (degree, lead, form) of comps[e - 1]
     for e in range(1, emax + 1):
-        comp, (_, comp_forms) = _component(ideal, e, degree_guard, pk)
+        comp, comp_forms = _component(ideal, e, degree_guard, pk)
         comps.append(comp)
         forms.append(comp_forms)
     report = generation_report(

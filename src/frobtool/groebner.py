@@ -11,9 +11,10 @@ encoding of the ring's order, taken per call at the boundary (a whole colon
 is one call): inputs are packed once on entry and results unpacked once on
 exit, already in canonical order (a long result field by field); another
 order is another ring, as in the elimination constructions.  One hand-off
-stays packed: asked for it, the colon chain returns its reduced basis both
-as polynomials and as monic entries in the ring's packing of its own width,
-and frobenius.component minimalizes the entries as they are (`_colon`,
+stays packed: given `into`, a packing of the ring that holds the colon
+chain's bound, the chain runs at its width and returns its reduced basis
+both as polynomials and as monic entries in `into`, and
+frobenius.component minimalizes the entries as they are (`_colon`,
 `_minimal_forms`), which returns the (degree, lead, form) triples it takes
 and mutates no form, so fingen_probe passes them on.  Polynomials remain
 what the memo, the store, the reports and the public API hold, since they
@@ -103,14 +104,15 @@ or appear or vanish.
 The last elimination run also gives the final basis: its t-free part is a
 minimal grevlex basis of J ∩ f*R, the leads of f*R are lm(f) times those
 of R, and lm(b/f) = lm(b)/lm(f), so the monic quotients are a minimal
-grevlex basis of R.  _Elimination.reduced finishes it: on a grevlex ring
-it interreduces the tails in the elimination packing, each tail term
-screened by degree and only the reducible ones reduced (`_interreduce`),
-unpacks the entries, born sorted, with no sort (`_make_entry`), and only
-for a caller that asks for them moves them to the ring's packing of the
-same width, by shifts, as both lay out their fields alike; on any other
-order it runs Buchberger once in the ring's order, with no memo, which
-packs in that order already.
+grevlex basis of R.  _Elimination.reduced finishes it with the code that
+finishes groebner_basis (`_finished`), in the ring's packing.  On a
+grevlex ring that is no move: a t-free monomial of the elimination packing
+is already the int of the ring's packing of the same width (the layout of
+`polyring.Packing`), so the quotients are interreduced as they stand, each
+tail term screened by degree and only the reducible ones reduced
+(`_interreduce`), and unpacked, born sorted, with no sort (`_make_entry`);
+the entries are kept only for a caller that passed `into`.  On any other
+order it runs Buchberger once in the ring's order, with no memo, first.
 The memo and the persistent store see whole colons: one entry per colon,
 keyed by its normalized lhs and rhs.  intersect consults no memo.
 
@@ -639,16 +641,34 @@ def _basis_bound(ring: RingSpec, gens, guard: int) -> int:
     return 2 * degree if _graded(ring, gens) else _headroom(degree)
 
 
-def _reduced_basis(gens: Sequence[Polynomial], ring: RingSpec, guard: int, width: int = 0):
+def _reduced_basis(gens: Sequence[Polynomial], ring: RingSpec, guard: int, into=None):
     """The reduced basis, ascending by lead, of the nonzero polynomials
-    `gens` under the ring's order: one Buchberger run, with no memo, in a
-    packing pk of the ring for `_basis_bound`, at least `width` bits wide.
-    Returns the basis and (pk, its monic packed entries (lm, tail))."""
-    pk = _packing(ring, _basis_bound(ring, gens, guard), width)
-    entries = _interreduce(_buchberger([pk.pack_terms(g.terms) for g in gens],
-                                       pk, guard, pk.degree),
-                           pk, pk.degree if ring.order.kind == "grevlex" else None)
-    return tuple(pk.polynomial(((lm, 1),) + tail, True) for lm, tail in entries), (pk, entries)
+    `gens` under the ring's order: one Buchberger run, with no memo, in
+    `into`, which holds `_basis_bound` (a colon chain's bound does), or
+    else in a packing of the ring for it, finished as `_finished` does."""
+    pk = into or _packing(ring, _basis_bound(ring, gens, guard))
+    return _finished(pk, _buchberger([pk.pack_terms(g.terms) for g in gens], pk, guard,
+                                     pk.degree), into)
+
+
+def _finished(pk, minimal, into):
+    """The reduced basis, ascending by lead, of `minimal`, a minimal Groebner
+    basis of monic packed entries (lm, tail) in the packing pk, ascending by
+    lead: interreduced (`_interreduce`, by degree on weighted grevlex) and
+    unpacked entry by entry, born sorted, with no sort.  Returned with its
+    monic packed entries when pk is `into`, the packing the caller wants
+    them in; else with None, each entry dropped once unpacked.  `minimal`
+    is emptied once interreduced, so the caller's list does not hold the
+    entries through the unpacking."""
+    entries = _interreduce(minimal, pk, pk.degree if pk.ring.order.kind == "grevlex" else None)
+    minimal.clear()
+    keep = pk is into
+    basis = []
+    for i, (lm, tail) in enumerate(entries):
+        if not keep:
+            entries[i] = None  # not held once unpacked
+        basis.append(pk.polynomial(((lm, 1),) + tail))
+    return tuple(basis), entries if keep else None
 
 
 # --------------------------------------------------------------------------
@@ -727,8 +747,7 @@ class Ideal:
         pk, entries, index = self._reducer(f.weighted_degree(), degree_guard)
         if not entries:
             return f
-        return pk.polynomial(_reduce_full(pk.pack_terms(f.terms), entries, pk, index).items(),
-                             descending=True)
+        return pk.polynomial(_reduce_full(pk.pack_terms(f.terms), entries, pk, index).items())
 
     def contains(self, f: Polynomial, degree_guard: Optional[int] = None) -> bool:
         return self.normal_form(f, degree_guard=degree_guard).is_zero()
@@ -777,9 +796,9 @@ class _Elimination:
     (`_chain_bound`), at least `width` bits wide.
 
     The extended order is t-degree first, then weighted grevlex on the
-    variables of `ring`, so the t-free packed monomials are the monomials
-    of `ring`, ordered by its weighted grevlex, and a t-free lead means a
-    t-free entry.
+    variables of `ring`, so a t-free packed monomial is the int of that
+    monomial of `ring` in the packing of `ring` under weighted grevlex of
+    the same width, and a t-free lead means a t-free entry.
     """
 
     def __init__(self, ring: RingSpec, degree: int, width: int = 0):
@@ -833,52 +852,32 @@ class _Elimination:
         return not any(_reduce_full({m + t: c for m, c in h.items()}, basis, pk, index)
                        for h in products)
 
-    def polynomial(self, items, descending: bool = False) -> Polynomial:
+    def polynomial(self, items) -> Polynomial:
         """The Polynomial over `ring` of t-free packed (monomial, coefficient)
-        items, sorted in the ring's order; or with `descending`, on a
-        grevlex ring, unpacked in the order they come."""
-        terms = _unpacked(items, self.pk.mask, self._shifts, descending)
-        return (Polynomial._from_sorted if descending else Polynomial)(self.ring, terms)
+        items, sorted in the ring's order."""
+        return Polynomial(self.ring, _unpacked(items, self.pk.mask, self._shifts))
 
-    def ring_entries(self, entries):
-        """(pk, the t-free packed entries (lm, tail) in pk), pk the packing
-        of `ring` of the same width.  Both lay out their fields alike, and
-        the two extra fields of this packing are zero on a t-free monomial:
-        the t-degree on top and the exponent of t just above the exponents
-        of `ring`.  So a monomial moves by two shifts and a mask, with no
-        tuple in between."""
-        width = self.pk.width
-        hi, lo = (self.ring.nvars + 1) * width, self.ring.nvars * width
-        low = (1 << lo) - 1
-        return _packing(self.ring, 0, width), [
-            (((lm >> hi) << lo) | (lm & low),
-             tuple((((m >> hi) << lo) | (m & low), c) for m, c in tail))
-            for lm, tail in entries]
-
-    def reduced(self, quotients, guard, packed: bool = False):
+    def reduced(self, quotients, guard, into):
         """The reduced basis over `ring`, ascending, of the packed t-free
         dicts `quotients` (keys descending), a minimal basis under weighted
-        grevlex; and with `packed`, (pk, its monic packed entries (lm,
-        tail)), pk a packing of `ring` at least as wide as this one, else
-        None.  On a grevlex ring they are interreduced here by degree, and
-        the entries, descending, are unpacked from this packing as they
-        stand, each dropped once unpacked (and first moved to pk if asked
-        for).  On any other order one Buchberger run in the ring's order
-        returns both, asked for or not.  `quotients` is emptied once read,
-        so the caller's dicts are not held through the finish."""
-        if self.ring.order != GREVLEX:
+        grevlex, returned as `_finished` returns it: with its monic packed
+        entries in `into`, a packing of `ring` that holds the chain's bound,
+        when given, else with None.  On a grevlex ring a t-free monomial of
+        this packing is the int of the ring's packing of the same width,
+        `into` or the one taken here, so the quotients are finished there as
+        they stand.  On any other order one Buchberger run in the ring's
+        order makes the minimal basis first (`_reduced_basis`).  `quotients`
+        is emptied once read, so the caller's dicts are not held through
+        the finish."""
+        ring = self.ring
+        if ring.order != GREVLEX:
             gens = [self.polynomial(q.items()) for q in quotients]
             quotients.clear()
-            return _reduced_basis(gens, self.ring, guard, self.pk.width)
-        entries = _interreduce([_make_entry(q, self.pk.p, True) for q in quotients],
-                               self.pk, self.degree)
+            return _reduced_basis(gens, ring, guard, into)
+        pk = into or _packing(ring, 0, self.pk.width)
+        minimal = [_make_entry(q, pk.p, True) for q in quotients]
         quotients.clear()
-        moved = self.ring_entries(entries) if packed else None
-        basis = []
-        for i, (lm, tail) in enumerate(entries):
-            entries[i] = None  # not held once unpacked
-            basis.append(self.polynomial(((lm, 1),) + tail, True))
-        return tuple(basis), moved
+        return _finished(pk, minimal, into)
 
 
 @_collector_paused
@@ -967,13 +966,11 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     return _colon(lhs, rhs, degree_guard)[0]
 
 
-def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: int = 0,
-           packed: bool = False):
-    """colon(lhs, rhs, degree_guard), returned with (pk, its reduced basis
-    as monic packed entries (lm, tail), ascending), pk a packing of the
-    ring at least `width` bits wide, when this call computed the colon and
-    `packed` asks for them (on an order other than grevlex, also unasked);
-    else with None."""
+def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], into=None):
+    """colon(lhs, rhs, degree_guard), returned with its reduced basis as
+    monic packed entries (lm, tail) in `into`, ascending, when this call
+    computed the colon and `into`, a packing of the ring that holds
+    `_chain_bound` of its chain, asks for them; else with None."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     if rhs.is_zero():
@@ -987,8 +984,7 @@ def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], width: int = 0,
 
     def compute():
         nonlocal entries
-        basis, entries = _colon_chain(lhs, (ring.one(),), rhs.generators, degree_guard,
-                                      width, packed)
+        basis, entries = _colon_chain(lhs, (ring.one(),), rhs.generators, degree_guard, into)
         return basis
 
     return Ideal._from_basis(ring, _memoized(key, ring, compute)), entries
@@ -1016,16 +1012,17 @@ def _chain_bound(gens, divisors, guard: int) -> int:
     return _headroom(1 + max([guard] + degrees + steps))
 
 
-def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], width: int = 0,
-                 packed: bool = False):
+def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], into=None):
     """The reduced basis of B ∩ (lhs : (f_1..f_k)), B generated by `start`
-    and f_1..f_k the `divisors`, in one _Elimination packing throughout, at
-    least `width` bits wide; returned with None, or with `packed`, with its
-    packed entries as _Elimination.reduced hands them back.  The
-    basis of K is never interreduced: the skip test needs only a Groebner
-    basis, and the quotients are finished once, at the end."""
+    and f_1..f_k the `divisors`, in one _Elimination packing throughout,
+    returned as _Elimination.reduced returns it.  With `into`, a packing
+    of the ring that holds `_chain_bound` of this chain, the elimination
+    packing has its width, so the entries come back in `into`.  The basis
+    of K is never interreduced: the skip test needs only a Groebner basis,
+    and the quotients are finished once, at the end."""
     guard = DEFAULT_DEGREE_GUARD if degree_guard is None else degree_guard
-    el = _Elimination(lhs.ring, _chain_bound((*lhs.generators, *start), divisors, guard), width)
+    el = (_Elimination(lhs.ring, 0, into.width) if into else
+          _Elimination(lhs.ring, _chain_bound((*lhs.generators, *start), divisors, guard)))
     pk = el.pk
     lifted = [el.lift(g, 1) for g in lhs.generators]
     quotients = [el.lift(g) for g in start]  # R_0 = B
@@ -1039,7 +1036,7 @@ def _colon_chain(lhs: Ideal, start, divisors, degree_guard: Optional[int], width
         basis = el.meet(lifted, products, guard)
         quotients = [_divide_exact(_entry_dict(b), fd, pk) for b in el.free(basis)]
     del basis  # not held through the final basis
-    return el.reduced(quotients, guard, packed)
+    return el.reduced(quotients, guard, into)
 
 
 def frobenius_power(ideal: Ideal, e: int) -> Ideal:

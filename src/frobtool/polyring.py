@@ -13,21 +13,27 @@ The value types `PrimeField`, `Order`, `RingSpec` and, in `monomials`,
 their public `__slots__`.  `Polynomial` does not: it equals ints too.
 
 The order is encoded once, as packed ints (Monagan and Pearce, CASC 2007):
-a `Packing` maps a monomial to M = (K << W*n) | P.  P packs the n exponents
-in fields of W bits; K packs n nonnegative linear forms whose integer order
-is the monomial order: grevlex packs (d, sum_{i<n-1} w_i m_i, ...), with d
-the weighted degree; an elimination order packs that per block, head block
-on top; lex packs the exponents themselves.  So a product is an addition,
-an order comparison an int comparison, and lm divides m exactly when
-m - lm leaves every field's top (guard) bit clear.  Every field holds at
-most the weighted degree, so a packing for a degree bound D has fields of
-bit_length(D) + 1 bits: D's bits and the guard bit.  Each caller asks for
-the bound it can prove its computation stays under; where none is proven
-(inhomogeneous input on lex and elimination orders, whose normal forms
-can outgrow every input degree) it asks for `_headroom`, SPARE_BITS more
-bits.  `pack` raises ArithmeticError on a monomial past the bound.  Term
-sorting, the cache's checks, monomial ideals and the Groebner engine all
-compare these ints; `_order_key` packs for any collection of monomials.
+a `Packing` maps a monomial to one int of 2n fields of W bits, n order
+fields K, nonnegative linear forms whose integer order is the monomial
+order, and n exponent fields P.  Grevlex packs M = (K << W*n) | P, with
+K = (d, sum_{i<n-1} w_i m_i, ...) and d the weighted degree, and lex the
+same with K the exponents themselves.  An elimination order packs each
+block as grevlex does, the head block on top: M = [K_1][P_1][K_2][P_2].
+A block's order fields determine its exponent fields, so where the head
+block's K_1 tie its P_1 tie too and the tail block decides, and a
+monomial free of the head block packs to its int in the tail variables'
+grevlex packing of the same width.  So a product is an addition, an
+order comparison an int comparison, and lm divides m exactly when m - lm
+leaves every field's top (guard) bit clear; `exps_mask` covers the
+fields P.  Every field holds at most the weighted degree, so a packing
+for a degree bound D has fields of bit_length(D) + 1 bits: D's bits and
+the guard bit.  Each caller asks for the bound it can prove its
+computation stays under; where none is proven (inhomogeneous input on
+lex and elimination orders, whose normal forms can outgrow every input
+degree) it asks for `_headroom`, SPARE_BITS more bits.  `pack` raises
+ArithmeticError on a monomial past the bound.  Term sorting, the cache's
+checks, monomial ideals and the Groebner engine all compare these ints;
+`_order_key` packs for any collection of monomials.
 """
 
 from __future__ import annotations
@@ -502,28 +508,31 @@ class Packing:
 
     def __init__(self, ring: RingSpec, width: int):
         n, weights, order = ring.nvars, ring.weights, ring.order
-        if order.kind == "lex":
-            forms = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        else:
-            cut = order.block if order.kind == "elim" else n
-            forms = [tuple(weights[i] if lo <= i < k else 0 for i in range(n))
-                     for lo, hi in ((0, cut), (cut, n)) for k in range(hi, lo, -1)]
-        shifts = [width * (2 * n - 1 - f) for f in range(2 * n)]  # most significant first
+        unit = lambda j: tuple(int(i == j) for i in range(n))
+        cuts = (0, order.block, n) if order.kind == "elim" else (0, n)
+        forms, exponent_fields = [], []  # each field's linear form, most significant first
+        for lo, hi in zip(cuts, cuts[1:]):  # per block: its order fields, then its exponents
+            forms += ([unit(i) for i in range(lo, hi)] if order.kind == "lex" else
+                      [tuple(weights[i] if lo <= i < k else 0 for i in range(n))
+                       for k in range(hi, lo, -1)])
+            exponent_fields += range(len(forms), len(forms) + hi - lo)
+            forms += [unit(i) for i in range(lo, hi)]
+        shifts = [width * (2 * n - 1 - f) for f in range(2 * n)]
         self.ring = ring
         self.width = width
         self.p = ring.field.p
         self.mask = (1 << width) - 1
         self.guard_bits = sum(1 << (s + width - 1) for s in shifts)
-        self.exps_mask = (1 << width * n) - 1  # the exponent fields P
+        self._exponent_shifts = tuple(shifts[f] for f in exponent_fields)
+        self.exps_mask = sum(self.mask << s for s in self._exponent_shifts)  # the fields P
         self.exps_guards = self.guard_bits & self.exps_mask
         self._limit = (1 << (width - 1)) - 1  # largest value a field may hold
         self._weights = weights
         self._units = tuple(sum(form[i] << s for form, s in zip(forms, shifts))
-                            + (1 << shifts[n + i]) for i in range(n))
-        self._exponent_shifts = tuple(shifts[n:])
+                            for i in range(n))
         # the K fields whose sum is the weighted degree; lex has none
         self._degree_shifts = ((shifts[0],) if order.kind == "grevlex" else
-                               (shifts[0], shifts[order.block]) if order.kind == "elim"
+                               (shifts[0], shifts[2 * order.block]) if order.kind == "elim"
                                else None)
 
     def pack(self, mono) -> int:
@@ -553,23 +562,21 @@ class Packing:
         pack = self.pack
         return {pack(m): c for m, c in terms}
 
-    def polynomial(self, items, descending: bool = False) -> Polynomial:
-        """The Polynomial of packed (monomial, coefficient) items, sorted by
-        the packed ints (`_unpacked`)."""
-        return Polynomial._from_sorted(
-            self.ring, _unpacked(items, self.mask, self._exponent_shifts, descending))
+    def polynomial(self, items) -> Polynomial:
+        """The Polynomial of packed (monomial, coefficient) items, which
+        come descending by the packed ints, as every packed form, entry and
+        remainder of the engine does, so they are not sorted again."""
+        return Polynomial._from_sorted(self.ring,
+                                       _unpacked(items, self.mask, self._exponent_shifts))
 
 
-def _unpacked(items, mask: int, shifts, descending: bool = False) -> tuple:
-    """The terms (exponents, coefficient) of packed (monomial, coefficient)
-    items whose exponent fields sit at `shifts`, descending by the packed
-    ints; with `descending`, the items are in that order already, as the
-    terms of a packed entry are, and are not sorted again.  Unpacking goes
-    field by field, one list comprehension over the monomials per field,
-    zipped at the end; below COLUMNWISE_TERMS terms it goes term by term,
-    where the per-field setup costs more than it saves."""
-    if not descending:
-        items = sorted(items, reverse=True)
+def _unpacked(items, mask: int, shifts) -> tuple:
+    """The terms (exponents, coefficient), in the order given, of the sized
+    collection of packed (monomial, coefficient) items whose exponent
+    fields sit at `shifts`.  Unpacking goes field by field, one list
+    comprehension over the monomials per field, zipped at the end; below
+    COLUMNWISE_TERMS terms it goes term by term, where the per-field setup
+    costs more than it saves."""
     if len(items) < COLUMNWISE_TERMS:
         return tuple((tuple([(m >> s) & mask for s in shifts]), c) for m, c in items)
     ms = [m for m, _ in items]

@@ -509,8 +509,10 @@ def _lift_family(p, emax):
 def _width_outputs():
     """The text of every output run_deep_width_check compares, in order."""
     out = []
-    for build, p, emax, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 7, 3, 4116)):
-        _, ideal = build(p)
+    minors = minors_ideal(2)[1]
+    for ideal, p, emax, guard in ((minors, 2, 4, 1000), (twisted_cubic_ideal(7)[1], 7, 3, 4116),
+                                  (reordered(minors, LEX), 2, 3, 1000),
+                                  (reordered(minors, Order("elim", 1)), 2, 3, 1000)):
         clear_memo()
         moduli = [frobenius_power(ideal, e) for e in range(1, emax + 1)]
         out += [str(colon(lhs, ideal, guard).generators) for lhs in moduli]
@@ -537,8 +539,10 @@ def run_deep_width_check():
     """Right-sized packings against packings SPARE_BITS bits wider
     (conftest.spare_bits), output for output, as text: colon(I^[q], I) and
     component(I, e), from the memo's colon, at the minors p=2 e<=4 (guard
-    1000) and the twisted cubic p=7 e<=3 (guard 4116), and the probe rows
-    and components over them, whose colons hand on their packed bases; the
+    1000), the twisted cubic p=7 e<=3 (guard 4116) and the lex and elim-1
+    copies of the minors p=2 e<=3 (guard 1000), whose colons finish by a
+    Buchberger run in the ring's order, and the probe rows and components
+    over them, whose colons hand on their packed bases; the
     gallery's lift family at p=3 e<=2, guard 400; and Katzman's ideal at p=3
     e<=4, whose probe must abort under the default guard at degree 163 on a
     pair lcm in both (about 15 s; too slow for the tier-1 suite).  Not

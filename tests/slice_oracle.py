@@ -21,24 +21,32 @@ from frobtool.polyring import (
 from order_oracle import key_function
 
 
-class _Echelon:
-    """Sparse row echelon over GF(p), pivot-monomial indexed.
+def _shifted_rows(g: Polynomial, d: int, key) -> list:
+    """The rows of the monomial shifts m*g of weighted degree d, each keyed
+    by the order keys of its monomials (`key`), computed once per term."""
+    weights = g.ring.weights
+    return [{key(tuple(a + b for a, b in zip(mm, m))): c for mm, c in g.terms}
+            for m in monomials_of_weighted_degree(weights, d - g.weighted_degree())]
 
-    The library's echelon as it was before packed monomials, unchanged:
-    the oracle works on exponent tuples ordered by a key function.
+
+class _Echelon:
+    """Sparse row echelon over GF(p), pivot indexed.
+
+    The library's echelon as it was before packed monomials, on rows whose
+    monomials stand as their order keys (order_oracle.key_function), so
+    each key is computed once, when its row is made, and a row's largest
+    monomial is its largest key.
     """
 
-    def __init__(self, key, p):
-        self.key = key
+    def __init__(self, p):
         self.p = p
         self.pivots: dict = {}
 
     def _reduce(self, row: dict) -> dict:
         p = self.p
-        key = self.key
         pivots = self.pivots
         while row:
-            m = max(row, key=key)
+            m = max(row)
             piv = pivots.get(m)
             if piv is None:
                 return row
@@ -56,7 +64,7 @@ class _Echelon:
         row = self._reduce(dict(row))
         if not row:
             return False
-        m = max(row, key=self.key)
+        m = max(row)
         inv = pow(row[m], self.p - 2, self.p)
         self.pivots[m] = {mm: cc * inv % self.p for mm, cc in row.items()}
         return True
@@ -66,7 +74,7 @@ class SliceEchelon(_Echelon):
     """An echelon that can be copied and queried without being extended."""
 
     def copy(self) -> "SliceEchelon":
-        dup = SliceEchelon(self.key, self.p)
+        dup = SliceEchelon(self.p)
         dup.pivots = dict(self.pivots)
         return dup
 
@@ -85,6 +93,7 @@ class GradedMembership:
 
     def __init__(self, generators: Sequence[Polynomial], ring: RingSpec):
         self.ring = ring
+        self.key = key_function(ring)
         gens = []
         for g in generators:
             if g.is_zero():
@@ -100,14 +109,9 @@ class GradedMembership:
     def _slice(self, d: int) -> SliceEchelon:
         ech = self._slices.get(d)
         if ech is None:
-            key = key_function(self.ring)
-            ech = SliceEchelon(key, self.ring.field.p)
+            ech = SliceEchelon(self.ring.field.p)
             for g in self.generators:
-                dg = g.weighted_degree()
-                if dg > d:
-                    continue
-                for m in monomials_of_weighted_degree(self.ring.weights, d - dg):
-                    row = {tuple(a + b for a, b in zip(mm, m)): c for mm, c in g.terms}
+                for row in _shifted_rows(g, d, self.key):
                     ech.add_row(row)
             self._slices[d] = ech
         return ech
@@ -122,7 +126,9 @@ class GradedMembership:
             raise ValueError("ring mismatch")
         if not f.is_homogeneous():
             raise ValueError("graded membership needs a homogeneous element")
-        return self._slice(f.weighted_degree()).reduces_to_zero(dict(f.terms))
+        key = self.key
+        return self._slice(f.weighted_degree()).reduces_to_zero(
+            {key(m): c for m, c in f.terms})
 
 
 def slice_minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal):
@@ -153,18 +159,18 @@ def slice_minimal_generators_mod(gens: Sequence[Polynomial], modulus: Ideal):
     cands.sort(key=lambda g: (g.weighted_degree(), key(g.leading_monomial())))
     base = GradedMembership(modulus.generators, ring)
     alive = [True] * len(cands)
+    shifted = {}  # (j, d) -> the rows of the shifts of cands[j] to degree d, made once
     for i, g in enumerate(cands):
         d = g.weighted_degree()
         ech = base.slice_echelon(d)
         for j, h in enumerate(cands):
-            if j == i or not alive[j]:
+            if j == i or not alive[j] or h.weighted_degree() > d:
                 continue
-            dh = h.weighted_degree()
-            if dh > d:
-                continue
-            for m in monomials_of_weighted_degree(ring.weights, d - dh):
-                row = {tuple(a + b for a, b in zip(mm, m)): c for mm, c in h.terms}
+            rows = shifted.get((j, d))
+            if rows is None:
+                rows = shifted[j, d] = _shifted_rows(h, d, key)
+            for row in rows:
                 ech.add_row(row)
-        if ech.reduces_to_zero(dict(g.terms)):
+        if ech.reduces_to_zero({key(m): c for m, c in g.terms}):
             alive[i] = False
     return [g for i, g in enumerate(cands) if alive[i]]

@@ -47,7 +47,7 @@ from frobtool.polyring import (
 import buchberger_oracle
 import colon_oracle
 import lift_oracle
-from order_oracle import key_function
+from order_oracle import compare, key_function
 from conftest import minimal_forms_with, random_monomial, random_poly, spare_bits
 from slice_oracle import GradedMembership, slice_minimal_generators_mod
 
@@ -259,7 +259,7 @@ class TestIntersect:
             lifted = _lift(f, ext)
             assert el.lift(f) == el.pk.pack_terms(lifted.terms)
             assert el.lift(f, 1) == el.pk.pack_terms((t * lifted).terms)
-            projected = el.polynomial(el.lift(f).items())
+            projected = el.polynomial(sorted(el.lift(f).items(), reverse=True))
             assert projected.terms == f.terms
             if f.is_zero() or g.is_zero():
                 continue
@@ -1281,6 +1281,46 @@ class TestInterreduce:
                 q = groebner._divide_exact(groebner._multiply(f, g, pk), g, pk) if f else {}
                 assert q == f and list(q) == sorted(q, reverse=True)
 
+    @settings(max_examples=100, deadline=None)
+    @given(graded_instances())
+    def test_forms_are_born_descending(self, instance):
+        # Packing.polynomial unpacks these forms as they come: a packed
+        # candidate, a survivor of _minimal_forms (its candidate's form or
+        # a remainder) and a product's normal form must have their keys
+        # descending
+        ring, modulus, cands, rng = instance
+        known = [_random_homogeneous(ring, rng, rng.randint(0, 3)) for _ in range(2)]
+        pk = polyring._packing(ring, max(g.weighted_degree() for g in itertools.chain(
+            cands, modulus.groebner_basis(), known) if not g.is_zero()))
+        packed = groebner._packed_candidates(cands, pk)
+        products = [(h.weighted_degree(), pk.pack_terms(h.terms), 1, {0: 1})
+                    for h in known if not h.is_zero()]
+        for tails_reduced in (False, True):
+            forms = [form for _, _, form in packed]
+            if tails_reduced:  # candidates that are normal forms, as in the probe
+                forms = [groebner._reduce_full(form, *_modulus_reducer(modulus, pk))
+                         for form in forms]
+                packed = [(d, max(form), form) for (d, _, _), form in zip(packed, forms)
+                          if form]
+            for form in forms:
+                assert list(form) == sorted(form, reverse=True)
+            survivors = groebner._minimal_forms(pk, packed, products, modulus, None,
+                                                tails_reduced)
+            for d, lead, form in survivors:
+                assert list(form) == sorted(form, reverse=True) and lead == max(form)
+                assert pk.polynomial(form.items()) == Polynomial(ring, [
+                    (pk.unpack(m), c) for m, c in form.items()])
+
+
+def _modulus_reducer(modulus, pk):
+    """(basis, pk, index): the reduced basis of `modulus` as monic packed
+    entries in pk, with its divisor index, for _reduce_full."""
+    basis = [groebner._make_entry(pk.pack_terms(g.terms), pk.p)
+             for g in modulus.groebner_basis()]
+    index = groebner._Divisors(pk)
+    index.sync(basis)
+    return basis, pk, index
+
 
 def _basis_or_abort(gens, ring, guard):
     try:
@@ -1332,13 +1372,19 @@ def packing_instances(draw):
 
 
 @st.composite
-def elimination_instances(draw):
-    """A grevlex ring of 1 to 5 variables with random weights, and t-free
-    monomials over it for an elimination packing, some scaled past 2^45."""
+def layout_instances(draw):
+    """A ring of 1 to 5 variables with random weights under grevlex, lex or
+    an elimination order of any block size, and monomials over it: every
+    permutation of one of them, which makes ties in degree, and others
+    drawn freely or as its multiples, some scaled past 2^45."""
     n = draw(st.integers(1, 5))
     weights = tuple(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
-    ring = RingSpec(PrimeField(3), tuple(f"x{i}" for i in range(n)), weights)
-    monos = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=8))
+    order = draw(st.sampled_from([GREVLEX, LEX] + [Order("elim", b) for b in range(1, n)]))
+    ring = RingSpec(PrimeField(3), tuple(f"x{i}" for i in range(n)), weights, order)
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    a = draw(exps)
+    monos = sorted(set(itertools.permutations(a)))[:6] + draw(st.lists(st.one_of(
+        exps, exps.map(lambda c: tuple(map(add, a, c)))), min_size=1, max_size=6))
     scale = draw(st.sampled_from((1, 2 ** 45 + 1)))
     return ring, [tuple(scale * e for e in m) for m in monos]
 
@@ -1380,8 +1426,8 @@ class TestPacking:
         # the packed sort is the ring's order, so the output is canonical
         distinct = list(dict.fromkeys(monos))
         random.Random(len(distinct)).shuffle(distinct)
-        assert pk.polynomial([(pk.pack(m), 1) for m in distinct]).terms == \
-            Polynomial(ring, [(m, 1) for m in distinct]).terms
+        items = sorted([(pk.pack(m), 1) for m in distinct], reverse=True)
+        assert pk.polynomial(items).terms == Polynomial(ring, [(m, 1) for m in distinct]).terms
 
     @settings(max_examples=200, deadline=None)
     @given(packing_instances(), st.lists(st.tuples(*[st.integers(0, 3)] * 3),
@@ -1395,25 +1441,33 @@ class TestPacking:
         random.Random(len(items)).shuffle(items)
         # 0 and 1 terms, and both sides of polyring.COLUMNWISE_TERMS
         for size in (0, 1, polyring.COLUMNWISE_TERMS - 1, len(items)):
-            expected = tuple((pk.unpack(m), c) for m, c in sorted(items[:size], reverse=True))
-            assert polyring._unpacked(items[:size], pk.mask, pk._exponent_shifts) == expected
-            assert pk.polynomial(items[:size]).terms == expected
+            # _unpacked keeps the order given; Packing.polynomial takes it descending
+            descending = sorted(items[:size], reverse=True)
+            expected = tuple((pk.unpack(m), c) for m, c in descending)
+            assert polyring._unpacked(descending, pk.mask, pk._exponent_shifts) == expected
+            assert pk.polynomial(descending).terms == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(elimination_instances())
-    def test_elimination_entries_move_to_the_ring_packing(self, instance):
+    @given(layout_instances())
+    def test_layout_matches_order_oracle(self, instance):
+        # every order, elimination blocks 1..n-1 included: the int order is
+        # the oracle's, the guard bits test divisibility, exps_mask covers
+        # the exponents, and a monomial free of t packs in _extended_ring
+        # to the int of the ring's grevlex packing of the same width
         ring, monos = instance
-        degree = 1 + max(map(ring.weighted_degree, monos))
-        el = groebner._Elimination(ring, degree)
-        lead, *tail = sorted({el.pk.pack((0,) + m) for m in monos}, reverse=True)
-        pk, entries = el.ring_entries([(lead, tuple((m, 1) for m in tail))])
-        assert pk.ring == ring and pk.width == el.pk.width
-        unpack = lambda m: el.pk.unpack(m)[1:]  # drop the exponent of t, 0
-        assert entries == [(pk.pack(unpack(lead)), tuple((pk.pack(unpack(m)), 1) for m in tail))]
-        # the t-free part of the elimination order is the ring's own
-        items = [(lead, 1)] + [(m, 1) for m in tail]
-        assert el.polynomial(items).terms == \
-            tuple((unpack(m), c) for m, c in sorted(items, reverse=True))
+        pk = polyring._packing(ring, 2 * max(map(ring.weighted_degree, monos)))
+        packed = [pk.pack(m) for m in monos]
+        for a, ma in zip(monos, packed):
+            assert pk.unpack(ma) == a
+            assert ma & pk.exps_mask == sum(e << s for e, s in zip(a, pk._exponent_shifts))
+            for b, mb in zip(monos, packed):
+                assert (ma > mb) - (ma < mb) == compare(ring, a, b)
+                assert (not (mb - ma) & pk.guard_bits) == mono_divides(a, b)
+        el = groebner._Elimination(ring, 1 + max(map(ring.weighted_degree, monos)))
+        grevlex = polyring._packing(RingSpec(ring.field, ring.variables, ring.weights),
+                                    0, el.pk.width)
+        for m in monos:
+            assert el.pk.pack((0,) + m) == grevlex.pack(m)
 
     def test_big_exponent_colon(self):
         # q = 2^40 needs fields wider than 32 bits; a fixed 32-bit width
