@@ -102,8 +102,8 @@ def component(ideal: Ideal, e: int, degree_guard: Optional[int] = None) -> Frobe
     those entries as they are, so the basis is
     neither unpacked nor packed on the way; it looks up only each lead in
     the index of I^[q]: the colon contains I^[q], so no tail term of its
-    reduced basis is reducible.  A colon from the memo or the store is
-    only polynomials, and the store does not check that tails are reduced,
+    reduced basis is reducible.  A colon from the store is only
+    polynomials, and the store does not check that tails are reduced,
     so those are packed and every term is looked up.  A generator that
     needed no reduction is a monic colon basis element, and is returned as
     the colon's own polynomial; only the reduced ones are unpacked and made
@@ -117,7 +117,8 @@ def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
     `_minimal_forms` returned them in pk, or with None for e = 0.  pk is
     the given packing of the ring, or the one for `_chain_bound` of the
     colon chain, as fingen_probe picks it; either holds the chain, so the
-    colon's entries come back in pk."""
+    entries of a colon computed here, not read from the store, come back
+    in pk."""
     ring = ideal.ring
     p = ring.field.p
     if e < 0:
@@ -136,7 +137,7 @@ def _component(ideal: Ideal, e: int, degree_guard: Optional[int], pk=None):
     with _guard_context(f"the colon I^[q]:I of component e={e} (q={q})"):
         col, entries = _colon(modulus, ideal, degree_guard, pk)
     basis = col.generators  # its reduced basis, distinct and nonzero
-    if entries is None:  # a memo or store hit
+    if entries is None:  # a store hit
         cands = _packed_candidates(basis, pk)
     else:
         cands = [(pk.degree(entry[0]), entry[0], _entry_dict(entry)) for entry in entries]

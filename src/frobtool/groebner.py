@@ -17,7 +17,7 @@ both as polynomials and as monic entries in `into`, and
 frobenius.component minimalizes the entries as they are (`_colon`,
 `_minimal_forms`), which returns the (degree, lead, form) triples it takes
 and mutates no form, so fingen_probe passes them on.  Polynomials remain
-what the memo, the store, the reports and the public API hold, since they
+what the store, the reports and the public API hold, since they
 outlive a call and must not depend on its packing.  The fields are sized
 for a degree bound each call proves, with no bits to spare: on weighted
 grevlex or homogeneous input no term lies above its lead in degree, so a
@@ -84,7 +84,7 @@ t*h = t*a + (1-t)*b with a in lhs gives h = a at t = 1.
 So before step i >= 2 each t*f_i*q, over the quotients q of R_{i-1}, is
 reduced against that basis; if all reduce to zero, R_{i-1} lies in
 lhs : f_i, so R_i = R_{i-1} and the quotients are kept.  The check
-computes no basis of lhs and touches no memo; the basis of K is held
+computes no basis of lhs and touches no store; the basis of K is held
 only for it, dropped before the elimination that replaces it and before
 the final basis.  A skipped step runs no Buchberger, so it cannot abort.
 On a grevlex ring, when the skipped steps are the last ones (as in every
@@ -112,9 +112,9 @@ is already the int of the ring's packing of the same width (the layout of
 tail term screened by degree and only the reducible ones reduced
 (`_interreduce`), and unpacked, born sorted, with no sort (`_make_entry`);
 the entries are kept only for a caller that passed `into`.  On any other
-order it runs Buchberger once in the ring's order, with no memo, first.
-The memo and the persistent store see whole colons: one entry per colon,
-keyed by its normalized lhs and rhs.  intersect consults no memo.
+order it runs Buchberger once in the ring's order, with no store, first.
+The persistent store sees whole colons: one entry per colon, keyed by its
+normalized lhs and rhs.  intersect consults no store.
 
 Lift.  lift_by_nzd(g, m, J), J and m homogeneous, deg m > 0, adjoins t of
 weight deg m, last in weighted grevlex, and takes r = NF(g) modulo the
@@ -127,9 +127,12 @@ J, is the lift, unique as m is a nonzerodivisor; g need not be homogeneous.
 A t-free term in r means g is not in J + (m) (NoLiftExists), or else an
 internal fault (LiftVerificationError).  A unit m needs no t: NF(g)/m.
 
-Ideal values are logically immutable; the per-ideal basis cache and the
-process-wide content-addressed memo are the only mutation points, and
-concurrent fills of one key always carry identical canonical values.
+Ideal values are logically immutable; the per-ideal basis cache is their
+only mutation point.  The engine keeps no process-wide state of results: a
+basis or colon comes from its inputs, or from the persistent store when one
+is installed (`set_persistent_cache`), whose concurrent fills of one key
+always carry identical canonical values.  So a call's result and its guard
+outcome do not depend on what ran before it in the process.
 """
 
 from __future__ import annotations
@@ -137,9 +140,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
-import threading
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from contextlib import contextmanager
 from functools import wraps
 from heapq import heapify, heappop, heappush
@@ -160,10 +161,6 @@ from .polyring import (
 )
 
 DEFAULT_DEGREE_GUARD = 120
-# Reduced bases and colons the process-wide memo keeps, least recently used
-# evicted first.  A golden case makes at most 16 distinct keys (gallery
-# lifts), the deep lifts cases (p=2 e=3, p=3 e=2) 34 and 28.
-GB_MEMO_SIZE = 512
 # the most leads of lower degree that `_interreduce` tests a tail term
 # against one by one: on the tails of the minors p=2 e=4 and e=5 colons
 # (six variables), 12 such tests cost as much as one divisor-index lookup
@@ -526,8 +523,6 @@ def _buchberger(inputs, pk, guard, grading):
 # --------------------------------------------------------------------------
 # content-addressed caching
 
-_GB_MEMO: OrderedDict = OrderedDict()
-_GB_MEMO_LOCK = threading.Lock()  # an LRU lookup or insertion is two steps
 _PERSISTENT = None
 
 
@@ -541,26 +536,6 @@ def set_persistent_cache(store) -> None:
     _PERSISTENT = store
 
 
-def clear_memo() -> None:
-    _GB_MEMO.clear()
-
-
-def _memo_get(key: str):
-    with _GB_MEMO_LOCK:
-        basis = _GB_MEMO.get(key)
-        if basis is not None:
-            _GB_MEMO.move_to_end(key)
-        return basis
-
-
-def _memo_put(key: str, basis) -> None:
-    with _GB_MEMO_LOCK:
-        _GB_MEMO[key] = basis
-        _GB_MEMO.move_to_end(key)
-        if len(_GB_MEMO) > GB_MEMO_SIZE:
-            _GB_MEMO.popitem(last=False)
-
-
 def _normalized_gens(gens: Sequence[Polynomial]):
     """The distinct monic nonzero generators as (text, polynomial) pairs,
     sorted by text; each text is computed once."""
@@ -569,7 +544,7 @@ def _normalized_gens(gens: Sequence[Polynomial]):
 
 
 def _content_key(ring: RingSpec, normalized, divisors=None) -> str:
-    """The memo and store key of the basis of `normalized`, or with
+    """The store key of the basis of `normalized`, or with
     `divisors`, of the colon normalized : divisors; a colon key starts with
     its own tag, so it never equals a basis key."""
     h = hashlib.sha256()
@@ -588,21 +563,15 @@ def _content_key(ring: RingSpec, normalized, divisors=None) -> str:
 
 
 def _memoized(key: str, ring: RingSpec, compute):
-    """The basis under `key`: from the memo, else from the persistent
-    store, else compute() and keep it in both."""
-    basis = _memo_get(key)
-    if basis is not None:
-        return basis
-    if _PERSISTENT is not None:
-        stored = _PERSISTENT.get(key, ring)
-        if stored is not None:
-            basis = tuple(stored)
-            _memo_put(key, basis)
-            return basis
+    """The basis under `key`: from the persistent store, else compute()
+    and put it there."""
+    if _PERSISTENT is None:
+        return compute()
+    stored = _PERSISTENT.get(key, ring)
+    if stored is not None:
+        return tuple(stored)
     basis = compute()
-    _memo_put(key, basis)
-    if _PERSISTENT is not None:
-        _PERSISTENT.put(key, ring, basis)
+    _PERSISTENT.put(key, ring, basis)
     return basis
 
 
@@ -643,7 +612,7 @@ def _basis_bound(ring: RingSpec, gens, guard: int) -> int:
 
 def _reduced_basis(gens: Sequence[Polynomial], ring: RingSpec, guard: int, into=None):
     """The reduced basis, ascending by lead, of the nonzero polynomials
-    `gens` under the ring's order: one Buchberger run, with no memo, in
+    `gens` under the ring's order: one Buchberger run, with no store, in
     `into`, which holds `_basis_bound` (a colon chain's bound does), or
     else in a packing of the ring for it, finished as `_finished` does."""
     pk = into or _packing(ring, _basis_bound(ring, gens, guard))
@@ -883,7 +852,7 @@ class _Elimination:
 @_collector_paused
 def intersect(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     """Ideal intersection as the one-step colon chain rhs ∩ (lhs : (1)), the
-    elimination of t*lhs + (1-t)*rhs; it consults no memo."""
+    elimination of t*lhs + (1-t)*rhs; it consults no store."""
     if lhs.ring != rhs.ring:
         raise RingMismatch("ring mismatch")
     ring = lhs.ring
@@ -960,8 +929,9 @@ def colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int] = None) -> Ideal:
     The colon chain from R_0 = (1) over the generators of rhs, in their
     given order: one elimination each, except that a step whose divisor
     already maps R_{i-1} into lhs is skipped and cannot abort (see the
-    module docstring).  The result is memoized, and kept in the persistent
-    store, as one entry per colon; no packed basis is made for it.
+    module docstring).  The result is read from the persistent store, or
+    computed and put there, as one entry per colon; no packed basis is made
+    for it.
     """
     return _colon(lhs, rhs, degree_guard)[0]
 
@@ -980,14 +950,13 @@ def _colon(lhs: Ideal, rhs: Ideal, degree_guard: Optional[int], into=None):
         return Ideal(ring, ()), None
     key = _content_key(ring, _normalized_gens(lhs.generators),
                        _normalized_gens(rhs.generators))
-    entries = None
-
-    def compute():
-        nonlocal entries
-        basis, entries = _colon_chain(lhs, (ring.one(),), rhs.generators, degree_guard, into)
-        return basis
-
-    return Ideal._from_basis(ring, _memoized(key, ring, compute)), entries
+    stored = None if _PERSISTENT is None else _PERSISTENT.get(key, ring)
+    if stored is not None:
+        return Ideal._from_basis(ring, tuple(stored)), None
+    basis, entries = _colon_chain(lhs, (ring.one(),), rhs.generators, degree_guard, into)
+    if _PERSISTENT is not None:
+        _PERSISTENT.put(key, ring, basis)
+    return Ideal._from_basis(ring, basis), entries
 
 
 def _chain_bound(gens, divisors, guard: int) -> int:

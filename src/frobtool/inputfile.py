@@ -62,8 +62,8 @@ def parse_input_text(text: str) -> InputDocument:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, *rest = line.split(None, 1)  # a tab separates as a space does
+        rest = rest[0] if rest else ""
         if head != "ideal" and first.setdefault(head, lineno) != lineno:
             raise InputFileError(f"{head!r} declared twice (first on line {first[head]})", lineno)
         if head == "char":

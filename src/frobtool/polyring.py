@@ -464,7 +464,11 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, self.terms))
+            terms = self.terms
+            if terms and any(terms[0][0]):
+                self._hash = hash((self.ring, terms))
+            else:  # a constant equals its int (`__eq__`), so it hashes as that int
+                self._hash = hash(terms[0][1] if terms else 0)
         return self._hash
 
     def __str__(self) -> str:

@@ -3,11 +3,13 @@ acceptance module.  Every function raises AssertionError on the first
 violation and returns a count of checked instances."""
 
 import random
+import tempfile
 from itertools import combinations_with_replacement
 from math import comb
 from unittest.mock import patch
 
 from frobtool import groebner, polyring
+from frobtool.cache import BasisCache
 from frobtool.frobenius import (
     component,
     fingen_probe,
@@ -24,13 +26,13 @@ from frobtool.gallery import (
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
-    clear_memo,
     colon,
     frobenius_power,
     ideal_equal,
     intersect,
     lift_by_nzd,
     minimal_generators_mod,
+    set_persistent_cache,
 )
 
 # random draws occasionally build genuinely explosive inputs; the guard
@@ -387,11 +389,9 @@ def run_deep_left_factor_check():
     for make, p, emax, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 2, 4, 1000),
                                  (twisted_cubic_ideal, 7, 3, 4116), (katzman_ideal, 3, 4, 1000)):
         _, ideal = make(p)
-        clear_memo()
         rows = fingen_probe(ideal, emax, guard).report.rows
         assert rows == probe_oracle.fingen_probe(ideal, emax, guard).report.rows, (make, p)
         checked += len(rows)
-    clear_memo()
     comps = [segre_component_2x3(2, e).minimalize() for e in range(1, 7)]
     rows = fractional_fingen_probe(comps, 2, degree=sum).rows
     assert rows == monomial_oracle.fractional_fingen_probe(comps, 2, degree=sum).rows
@@ -420,15 +420,12 @@ def run_deep_colon_check():
     for ideal, p, e, guard in cases:
         where = (ideal.ring.order, p, e)
         lhs = frobenius_power(ideal, e)
-        clear_memo()
         result = colon(lhs, ideal, guard)
         assert result.generators == colon_oracle.chain_colon(lhs, ideal, guard).generators, where
-        clear_memo()  # so the component computes its colon and hands it on packed
         comp = component(ideal, e, guard)
         assert comp.colon.generators == result.generators, where
         assert comp.min_gens == tuple(minimal_generators_mod(result.generators, lhs, guard)), where
         checked += 1
-    clear_memo()
     return checked
 
 
@@ -447,7 +444,6 @@ def run_deep_root_check():
             for u in component(ideal, e, guard).colon.generators:
                 assert root_oracle.in_frobenius_colon(u, ideal, p ** e), (build.__name__, p, e, u)
                 checked += 1
-    clear_memo()
     return checked
 
 
@@ -464,11 +460,9 @@ def run_deep_completeness_check():
     for build, p, emax in ((minors_ideal, 2, 2), (minors_ideal, 3, 1), (twisted_cubic_ideal, 2, 2),
                            (twisted_cubic_ideal, 3, 1), (twisted_cubic_ideal, 7, 1)):
         _, ideal = build(p)
-        clear_memo()
         for e in range(1, emax + 1):
             col = component(ideal, e, 1000).colon
             checked += 1 + colon_completeness.check_frobenius_colon(ideal, e, col, 1000)
-    clear_memo()
     return checked
 
 
@@ -482,12 +476,10 @@ def run_deep_lift_check():
     Returns the number of lifts checked."""
     checked = 0
     for p, emax in ((2, 3), (3, 2)):
-        clear_memo()
         for g, m, modulus in _lift_family(p, emax):
             assert lift_by_nzd(g, m, modulus, 400) == \
                 lift_oracle.lift_by_nzd(g, m, modulus, 400), (p, g, m)
             checked += 1
-    clear_memo()
     return checked
 
 
@@ -513,17 +505,18 @@ def _width_outputs():
     for ideal, p, emax, guard in ((minors, 2, 4, 1000), (twisted_cubic_ideal(7)[1], 7, 3, 4116),
                                   (reordered(minors, LEX), 2, 3, 1000),
                                   (reordered(minors, Order("elim", 1)), 2, 3, 1000)):
-        clear_memo()
         moduli = [frobenius_power(ideal, e) for e in range(1, emax + 1)]
-        out += [str(colon(lhs, ideal, guard).generators) for lhs in moduli]
-        # each component from the memo's colon, then each from a colon it computes
-        out += [repr(component(ideal, e, guard)) for e in range(1, emax + 1)]
-        clear_memo()
+        with tempfile.TemporaryDirectory() as root:
+            set_persistent_cache(BasisCache(root))
+            try:
+                out += [str(colon(lhs, ideal, guard).generators) for lhs in moduli]
+                # each component from its stored colon, then each from a colon it computes
+                out += [repr(component(ideal, e, guard)) for e in range(1, emax + 1)]
+            finally:
+                set_persistent_cache(None)
         probe = fingen_probe(ideal, emax, guard)
         out += [repr(probe.report)] + [repr(comp) for comp in probe.components]
-    clear_memo()
     out += [str(lift_by_nzd(g, m, modulus, 400)) for g, m, modulus in _lift_family(3, 2)]
-    clear_memo()
     try:
         fingen_probe(katzman_ideal(3)[1], 4)
     except DegreeGuardExceeded as exc:
@@ -531,15 +524,14 @@ def _width_outputs():
         out.append(str(exc))
     else:
         raise AssertionError("Katzman p=3 e=4 finished under the default guard")
-    clear_memo()
     return out
 
 
 def run_deep_width_check():
     """Right-sized packings against packings SPARE_BITS bits wider
     (conftest.spare_bits), output for output, as text: colon(I^[q], I) and
-    component(I, e), from the memo's colon, at the minors p=2 e<=4 (guard
-    1000), the twisted cubic p=7 e<=3 (guard 4116) and the lex and elim-1
+    component(I, e), from the colon in a persistent store, at the minors
+    p=2 e<=4 (guard 1000), the twisted cubic p=7 e<=3 (guard 4116) and the lex and elim-1
     copies of the minors p=2 e<=3 (guard 1000), whose colons finish by a
     Buchberger run in the ring's order, and the probe rows and components
     over them, whose colons hand on their packed bases; the
@@ -600,11 +592,9 @@ def run_deep_elimination_check():
     with patch.object(groebner, "_buchberger", both_gradings):
         for build, p, e, guard in ((minors_ideal, 2, 4, 1000), (twisted_cubic_ideal, 7, 3, 4116)):
             _, ideal = build(p)
-            clear_memo()
             colon(frobenius_power(ideal, e), ideal, guard)
         groebner._buchberger([el.pk.pack_terms(fd.items()) for fd in SLOW_INTERSECT_INPUT],
                              el.pk, 40, el.degree)
-    clear_memo()
     return checked
 
 
@@ -643,7 +633,6 @@ def run_deep_complete_intersections(count=24, seed=1800):
         ideal = complete_intersections.random_forms(n, degrees, p, rng)
         if not complete_intersections.passes_hilbert_screen(ideal, degrees):
             continue
-        clear_memo()
         probe = fingen_probe(ideal, emax[p], complete_intersections.GUARD)
         where = (p, degrees, ideal.generators)
         assert all(r.new_gen_count == 0 and r.generated_from_lower
@@ -652,5 +641,4 @@ def run_deep_complete_intersections(count=24, seed=1800):
             assert comp.min_gens == (complete_intersections.fedder_generator(ideal, comp),), where
             checked += 1
         drawn += 1
-    clear_memo()
     return checked

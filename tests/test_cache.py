@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from frobtool.cache import BasisCache, _ring_payload
 from frobtool.groebner import (
     DegreeGuardExceeded,
-    clear_memo,
     groebner_basis,
     set_persistent_cache,
     _content_key,
@@ -34,10 +33,8 @@ def gens(ring):
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    clear_memo()
     set_persistent_cache(None)
     yield
-    clear_memo()
     set_persistent_cache(None)
 
 
@@ -58,7 +55,6 @@ def test_engine_hits_store(tmp_path, ring, gens):
     cache = BasisCache(tmp_path)
     set_persistent_cache(cache)
     first = groebner_basis(gens, ring)
-    clear_memo()
     second = groebner_basis(gens, ring)
     assert first == second
     assert cache.hits >= 1
@@ -68,7 +64,6 @@ def test_redundant_generating_sets_hit_after_normalization(tmp_path, ring, gens)
     cache = BasisCache(tmp_path)
     set_persistent_cache(cache)
     groebner_basis(gens, ring)
-    clear_memo()
     shuffled = [gens[1], gens[0], gens[0]]
     groebner_basis(shuffled, ring)
     assert cache.hits >= 1
@@ -87,7 +82,6 @@ def test_corrupt_entry_recomputed(tmp_path, ring, gens, caplog):
     assert any("corrupt" in rec.message for rec in caplog.records)
     # engine recomputes silently after the discard
     set_persistent_cache(cache)
-    clear_memo()
     assert groebner_basis(gens, ring) == basis
 
 
@@ -260,7 +254,6 @@ def test_mutated_entry_discarded(tmp_path, ring3, mutate):
     path.write_text(json.dumps(entry), encoding="utf-8")
     assert_discarded(cache, key, ring3)
     set_persistent_cache(cache)
-    clear_memo()
     assert groebner_basis(gens, ring3) == basis
 
 
@@ -272,13 +265,11 @@ def test_version_1_entry_rewritten_once(tmp_path, ring, gens, caplog):
     path.write_text(json.dumps({"version": 1, "key": key, "ring": _ring_payload(ring),
                                 "basis": [str(g) for g in basis]}), encoding="utf-8")
     set_persistent_cache(cache)
-    clear_memo()
     with caplog.at_level(logging.WARNING, logger="frobtool"):
         assert groebner_basis(gens, ring) == basis
     assert any("version" in rec.message for rec in caplog.records)
     assert (cache.discarded, cache.misses, cache.hits) == (1, 1, 0)
     assert json.loads(path.read_text())["version"] == 2
-    clear_memo()
     assert groebner_basis(gens, ring) == basis
     assert (cache.discarded, cache.misses, cache.hits) == (1, 1, 1)
 
@@ -318,7 +309,7 @@ def test_round_trip_any_ring(tmp_path_factory, instance):
 
 def test_content_key_is_stable():
     # digests of the key text from before each generator's text was
-    # computed once; memo and persistent-cache keys must not move
+    # computed once; persistent-cache keys must not move
     ring = RingSpec(PrimeField(3), ("x", "y", "z"), (1, 2, 1))
     gens = [parse_polynomial(s, ring)
             for s in ("2*x*y + z^3", "y^2 + 2*x^2*z^2", "x*z - y", "2*x*z + y", "x^4")]

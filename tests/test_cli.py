@@ -11,7 +11,6 @@ from frobtool.groebner import (
     DEFAULT_DEGREE_GUARD,
     LiftVerificationError,
     NoLiftExists,
-    clear_memo,
     set_persistent_cache,
 )
 from frobtool.polyring import RingMismatch
@@ -28,10 +27,8 @@ ideal I = x*y, y*z
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    clear_memo()
     set_persistent_cache(None)
     yield
-    clear_memo()
     set_persistent_cache(None)
 
 
@@ -295,7 +292,6 @@ def test_twisted_poly(capsys):
 def test_json_reports_byte_stable(capsys, katzman_file):
     code1, rep1 = run_json(capsys, ["fops", "--input", katzman_file, "--ideal", "I",
                                     "--emax", "2", "--json", "--no-cache"])
-    clear_memo()
     code2, rep2 = run_json(capsys, ["fops", "--input", katzman_file, "--ideal", "I",
                                     "--emax", "2", "--json", "--no-cache"])
     rep1.pop("timing")
@@ -308,7 +304,6 @@ def test_cache_dir_env_and_hits(capsys, katzman_file, tmp_path, monkeypatch):
     code1, rep1 = run_json(capsys, ["fops", "--input", katzman_file, "--ideal", "I",
                                     "--emax", "2", "--json"])
     assert code1 == 0
-    clear_memo()
     code2, rep2 = run_json(capsys, ["fops", "--input", katzman_file, "--ideal", "I",
                                     "--emax", "2", "--json"])
     assert code2 == 0
@@ -330,7 +325,6 @@ def test_non_object_cache_entry_discarded(capsys, tmp_path, monkeypatch):
     assert code1 == 0
     (entry,) = root.glob("*.json")  # the one colon entry
     entry.write_text("[]", encoding="utf-8")
-    clear_memo()
     code2, rep2 = run_json(capsys, argv)
     assert code2 == 0
     assert rep2["timing"]["persistent_cache"] == {"hits": 0, "misses": 1, "discarded": 1}

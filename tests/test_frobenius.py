@@ -24,7 +24,6 @@ from frobtool.gallery import (
 from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
-    clear_memo,
     colon,
     frobenius_power,
     minimal_generators_mod,
@@ -454,8 +453,7 @@ class TestOtherOrderFinish:
     Buchberger run in the ring's order, whose packed entries the component
     minimalizes as they are; the probe and the components against the
     oracles of tests/probe_oracle.py on lex and elim-1 copies of the minors.
-    The memo is cleared first, so every colon is computed and handed on
-    packed."""
+    No store is installed, so every colon is computed and handed on packed."""
 
     ORDERS = [pytest.param(LEX, id="lex"), pytest.param(Order("elim", 1), id="elim1")]
 
@@ -463,9 +461,7 @@ class TestOtherOrderFinish:
     @pytest.mark.parametrize("p, emax", [(2, 3), (3, 2)])
     def test_probe_rows_match_oracle(self, order, p, emax):
         ideal = reordered(minors_ideal(p)[1], order)
-        clear_memo()
         rows = fingen_probe(ideal, emax, 1000).report.rows
-        clear_memo()
         assert rows == probe_oracle.fingen_probe(ideal, emax, 1000).report.rows
 
     @pytest.mark.parametrize("order", ORDERS)
@@ -473,10 +469,8 @@ class TestOtherOrderFinish:
     def test_components_match_slice_oracle(self, order, p, emax):
         ideal = reordered(minors_ideal(p)[1], order)
         for e in range(1, emax + 1):
-            clear_memo()
             assert component(ideal, e, 1000).min_gens == probe_oracle.component_min_gens(
                 ideal, e, 1000, probe_oracle.slice_survivors), e
-        clear_memo()
 
 
 @st.composite
@@ -559,8 +553,8 @@ class TestPackedProducts:
 class TestPackedHandOff:
     """The colon hands its reduced basis to the minimalization packed, and
     the probe keeps each component's generators packed, so neither is
-    packed again; a colon from the memo or the store is packed and every
-    term of it looked up."""
+    packed again; a colon from the store is packed and every term of it
+    looked up."""
 
     def test_probe_packs_no_candidate_and_no_factor(self):
         _, ideal = minors_ideal(2)
@@ -572,10 +566,8 @@ class TestPackedHandOff:
             packed.append(terms)
             return pack_terms(self, terms)
 
-        clear_memo()
         with patch.object(polyring.Packing, "pack_terms", recording):
             comps = fingen_probe(ideal, 3).components
-        clear_memo()
         # the colon's inputs and the moduli's bases are still packed, and a
         # modulus's basis elements lie in the colon's basis too
         moduli = {g.terms for c in comps for g in c.modulus.groebner_basis()}
@@ -596,23 +588,26 @@ class TestPackedHandOff:
             calls.append((cands, tails_reduced, forms))
             return forms
 
-        clear_memo()
         with patch.object(frobenius, "_minimal_forms", recording):
             fingen_probe(ideal, 3)
-        clear_memo()
         # three components from the colon, then degrees 2 and 3 of the probe
         assert [reduced for _, reduced, _ in calls] == [True] * 5
         for cands, _, forms in calls:
             assert forms and all(any(f is c for c in cands) for f in forms)
 
-    def test_probe_from_the_memo_matches_a_fresh_one(self):
+    def test_probe_from_the_store_matches_a_fresh_one(self, tmp_path):
         _, ideal = twisted_cubic_ideal(2)
-        clear_memo()
-        fresh = fingen_probe(ideal, 3, 1000)
-        remembered = fingen_probe(ideal, 3, 1000)  # every colon from the memo
-        clear_memo()
-        assert remembered.report == fresh.report
-        assert [c.min_gens for c in remembered.components] == \
+        store = BasisCache(tmp_path)
+        set_persistent_cache(store)
+        try:
+            fresh = fingen_probe(ideal, 3, 1000)
+            assert store.hits == 0
+            stored = fingen_probe(ideal, 3, 1000)  # every colon and basis from the store
+        finally:
+            set_persistent_cache(None)
+        assert store.hits == store.misses
+        assert stored.report == fresh.report
+        assert [c.min_gens for c in stored.components] == \
             [c.min_gens for c in fresh.components]
 
     def test_stored_colon_with_unreduced_tail(self, tmp_path):
@@ -622,7 +617,6 @@ class TestPackedHandOff:
         _, ideal = minors_ideal(2)
         ring, e = ideal.ring, 2
         modulus = frobenius_power(ideal, e)
-        clear_memo()
         fresh = component(ideal, e, 1000)
         basis = list(fresh.colon.generators)
         key = key_function(ring)
@@ -638,13 +632,11 @@ class TestPackedHandOff:
         store.put(groebner._content_key(ring, groebner._normalized_gens(modulus.generators),
                                         groebner._normalized_gens(ideal.generators)),
                   ring, basis)
-        clear_memo()
         set_persistent_cache(store)
         try:
             stored = component(ideal, e, 1000)
         finally:
             set_persistent_cache(None)
-            clear_memo()
         assert store.hits == 1
         assert stored.colon.generators == tuple(basis)
         assert stored.min_gens == fresh.min_gens
@@ -653,32 +645,33 @@ class TestPackedHandOff:
 class TestGuardContext:
     """A guard abort inside component names e, q and the step."""
 
-    def test_abort_names_component_and_step(self, gf2_xyz):
+    def test_abort_names_component_and_step(self, gf2_xyz, tmp_path):
         P = lambda s: parse_polynomial(s, gf2_xyz)
         ideal = Ideal(gf2_xyz, (P("x^2 + y*z"), P("x*y + z^2")))
-        clear_memo()
         with pytest.raises(DegreeGuardExceeded, match=(
                 r"^intermediate weighted degree 7 \(pair lcm\) exceeds the degree guard 6 "
                 r"in the colon I\^\[q\]:I of component e=1 \(q=2\); ")) as info:
             component(ideal, 1, 6)
         assert (info.value.degree, info.value.guard, info.value.phase) == (7, 6, "pair lcm")
-        clear_memo()
-        colon(frobenius_power(ideal, 1), ideal, 100)  # the colon is remembered
-        with pytest.raises(DegreeGuardExceeded, match=(
-                r"in the basis of I\^\[q\] of component e=1 \(q=2\); ")):
-            component(ideal, 1, 5)
-        clear_memo()
+        # with the colon in the store, the basis of I^[q] is the first step to run
+        set_persistent_cache(BasisCache(tmp_path))
+        try:
+            colon(frobenius_power(ideal, 1), ideal, 100)
+            with pytest.raises(DegreeGuardExceeded, match=(
+                    r"^intermediate weighted degree 6 \(pair lcm\) exceeds the degree guard 5 "
+                    r"in the basis of I\^\[q\] of component e=1 \(q=2\); ")):
+                component(ideal, 1, 5)
+        finally:
+            set_persistent_cache(None)
         with pytest.raises(DegreeGuardExceeded, match=(
                 r"exceeds the degree guard 9 in the colon I\^\[q\]:I of "
                 r"component e=2 \(q=4\); ")):
             fingen_probe(ideal, 2, 9)
-        clear_memo()
         # no basis of I is computed, so the first step that can abort is the colon
         with pytest.raises(DegreeGuardExceeded, match=(
                 r"^intermediate weighted degree 5 \(pair lcm\) exceeds the degree guard 3 "
                 r"in the colon I\^\[q\]:I of component e=1 \(q=2\); ")):
             component(Ideal(gf2_xyz, ideal.generators), 1, 3)
-        clear_memo()
 
     def test_constant_generator_rejected_without_a_basis(self, gf2_xyz, monkeypatch):
         def no_basis(*args, **kwargs):

@@ -15,7 +15,7 @@ import pytest
 
 from frobtool.cli import main
 from frobtool.gallery import run_case
-from frobtool.groebner import clear_memo, set_persistent_cache
+from frobtool.groebner import set_persistent_cache
 from frobtool.report import (
     comparable,
     digest_params,
@@ -78,7 +78,6 @@ def test_gallery_golden(slug, case_name, kwargs):
 
 @pytest.mark.parametrize("slug,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
 def test_cli_golden(slug, argv):
-    clear_memo()
     set_persistent_cache(None)
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):

@@ -19,7 +19,6 @@ from frobtool.groebner import (
     DegreeGuardExceeded,
     Ideal,
     NoLiftExists,
-    clear_memo,
     colon,
     frobenius_power,
     ideal_equal,
@@ -129,15 +128,12 @@ class TestBasis:
             return real(*args)
 
         with patch.object(groebner, "_reduced_basis", spy):
-            clear_memo()
             assert gc.isenabled()
             groebner.groebner_basis((f, g), gf2_xyz)
             assert gc.isenabled() and seen == [False]
-            clear_memo()
             with pytest.raises(DegreeGuardExceeded):
                 groebner.groebner_basis((f, g), gf2_xyz, degree_guard=2)
             assert gc.isenabled()
-            clear_memo()
             gc.disable()
             try:
                 groebner.groebner_basis((f, g), gf2_xyz)
@@ -156,24 +152,29 @@ class TestBasis:
     def test_degree_guard_names_phase(self, gens, order, guard, degree, phase):
         ring = RingSpec(PrimeField(2), ("x", "y", "z"), order=order)
         ideal = Ideal(ring, [parse_polynomial(g, ring) for g in gens])
-        clear_memo()
         with pytest.raises(DegreeGuardExceeded, match=f"\\({phase}\\)") as info:
             ideal.groebner_basis(degree_guard=guard)
         assert (info.value.degree, info.value.guard, info.value.phase) == (degree, guard, phase)
 
-    def test_memo_stays_bounded(self, gf2_xyz):
-        # more distinct bases than the memo holds; the basis used between
-        # them stays, the least recently used ones go
-        clear_memo()
-        x = gf2_xyz.variable("x")
-        first = groebner.groebner_basis([x], gf2_xyz)
-        for a, b in itertools.islice(itertools.product(range(1, 40), repeat=2),
-                                     groebner.GB_MEMO_SIZE + 100):
-            groebner.groebner_basis([gf2_xyz.monomial((0, a, b))], gf2_xyz)
-            assert groebner.groebner_basis([x], gf2_xyz) is first
-            assert len(groebner._GB_MEMO) <= groebner.GB_MEMO_SIZE
-        assert len(groebner._GB_MEMO) == groebner.GB_MEMO_SIZE
-        clear_memo()
+
+class TestNoProcessState:
+    """The engine keeps no results between calls: what a call returns, or
+    the guard it aborts at, comes from its inputs alone, whatever ran
+    before it in the process."""
+
+    @pytest.mark.parametrize("call, low", [
+        (lambda ideal, guard: groebner.groebner_basis(ideal.generators, ideal.ring, guard), 2),
+        (lambda ideal, guard: colon(frobenius_power(ideal, 1), ideal, guard), 6),
+        (lambda ideal, guard: component(ideal, 1, guard), 6),
+    ], ids=("groebner_basis", "colon", "component"))
+    def test_guard_outcome_ignores_history(self, gf2_xyz, call, low):
+        def fresh():
+            P = lambda s: parse_polynomial(s, gf2_xyz)
+            return Ideal(gf2_xyz, (P("x^2 + y*z"), P("x*y + z^2")))
+
+        call(fresh(), 100)
+        with pytest.raises(DegreeGuardExceeded):
+            call(fresh(), low)
 
 
 class TestNormalForm:
@@ -357,17 +358,15 @@ COLON_GUARD = 30
 
 @contextlib.contextmanager
 def _colon_store():
-    """A persistent store in a temporary directory, installed over an empty
-    memo for the duration."""
+    """A persistent store in a temporary directory, installed for the
+    duration."""
     with tempfile.TemporaryDirectory() as root:
         store = BasisCache(root)
-        clear_memo()
         set_persistent_cache(store)
         try:
             yield store
         finally:
             set_persistent_cache(None)
-            clear_memo()
 
 
 def _colon_or_abort(colon_fn, lhs, rhs, guard=COLON_GUARD):
@@ -400,7 +399,6 @@ class TestColonOracle:
         with _colon_store() as store:
             computed = _colon_or_abort(groebner.colon, lhs, rhs)
             assume(computed is not None)
-            clear_memo()
             hits = store.hits
             stored = groebner.colon(lhs, rhs, COLON_GUARD).generators
             assert store.hits == hits + 1
@@ -421,7 +419,6 @@ class TestColonOracle:
                                         groebner._normalized_gens(rhs.generators))
             path = store.root / f"{key}.json"
             path.write_text(path.read_text()[:20], encoding="utf-8")
-            clear_memo()
             recomputed = groebner.colon(lhs, rhs, COLON_GUARD).generators
             assert store.discarded == 1
             # the recomputed colon is stored again
@@ -522,7 +519,6 @@ class TestEliminationGrading:
     @given(homogeneous_pairs())
     def test_colon_matches_oracle(self, instance):
         ring, lhs, rhs = instance
-        clear_memo()
         new = _colon_or_abort(groebner.colon, lhs, rhs)
         old = _colon_or_abort(colon_oracle.colon, lhs, rhs)
         assume(new is not None and old is not None)
@@ -568,7 +564,6 @@ class TestColonSkip:
     @given(colon_instances())
     def test_matches_chain_reference(self, instance):
         ring, lhs, rhs, _ = instance
-        clear_memo()
         new = _colon_or_abort(groebner.colon, lhs, rhs)
         old = _colon_or_abort(colon_oracle.chain_colon, lhs, rhs)
         assume(new is not None and old is not None)
@@ -578,7 +573,6 @@ class TestColonSkip:
     @given(frobenius_colon_instances())
     def test_frobenius_colon_matches_chain_reference(self, instance):
         lhs, ideal, guard = instance
-        clear_memo()
         new = _colon_or_abort(groebner.colon, lhs, ideal, guard)
         old = _colon_or_abort(colon_oracle.chain_colon, lhs, ideal, guard)
         assume(new is not None and old is not None)
@@ -591,24 +585,20 @@ class TestColonSkip:
         # the benchmark's colons: R_2 is already I^[q] : I
         _, ideal = build(p)
         lhs = frobenius_power(ideal, e)
-        clear_memo()
         result, count = _eliminations(lambda: colon(lhs, ideal, guard))
         assert count == 2
         reference, count = _eliminations(lambda: colon_oracle.chain_colon(lhs, ideal, guard))
         assert count == 3
         assert result.generators == reference.generators
-        clear_memo()
 
     def test_no_step_skipped(self, gf2_xyz):
         # x*R_0, y*R_1 = y*(x^2, y^3, z^3) and z*R_2 each leave (x^3, y^3, z^3)
         P = lambda s: parse_polynomial(s, gf2_xyz)
         lhs = Ideal(gf2_xyz, (P("x^3"), P("y^3"), P("z^3")))
         rhs = Ideal(gf2_xyz, (P("x"), P("y"), P("z")))
-        clear_memo()
         result, count = _eliminations(lambda: colon(lhs, rhs))
         assert count == 3
         assert result.generators == colon_oracle.chain_colon(lhs, rhs).generators
-        clear_memo()
 
     def test_skipped_step_cannot_abort(self, gf2_xyz):
         # f_3 is a multiple of x^2, so its step is skipped; the chain
@@ -616,13 +606,11 @@ class TestColonSkip:
         P = lambda s: parse_polynomial(s, gf2_xyz)
         lhs = Ideal(gf2_xyz, (P("x^2"), P("y^2")))
         rhs = Ideal(gf2_xyz, (P("x"), P("y"), P("x^2*z^10")))
-        clear_memo()
         result, count = _eliminations(lambda: colon(lhs, rhs, 8))
         assert count == 2
         assert ideal_equal(result, Ideal(gf2_xyz, (P("x*y"), P("x^2"), P("y^2"))))
         with pytest.raises(DegreeGuardExceeded):
             colon_oracle.chain_colon(lhs, rhs, 8)
-        clear_memo()
 
 
 INTERSECT_RINGS = {
@@ -661,7 +649,7 @@ def homogeneous_intersect_pairs(draw):
 
 class TestIntersectBasis:
     """intersect is the one-step colon chain: on every order its generators
-    are its reduced basis, kept in gb_cache, and it writes no memo or store
+    are its reduced basis, kept in gb_cache, and it writes no store
     entry."""
 
     @pytest.mark.parametrize("kind", sorted(INTERSECT_RINGS))
@@ -674,7 +662,6 @@ class TestIntersectBasis:
             gens = [[random_poly(ring, rng, max_terms=3, max_exp=2)
                      for _ in range(rng.randint(1, 2))] for _ in range(2)]
             lhs, rhs = (Ideal(ring, g) for g in gens)
-            clear_memo()
             try:
                 meet = intersect(lhs, rhs, COLON_GUARD)
                 # the same intersection on grevlex, carried over to this order
@@ -690,8 +677,7 @@ class TestIntersectBasis:
 
     @pytest.mark.parametrize("kind", sorted(INTERSECT_RINGS))
     def test_store_entries(self, kind):
-        # a colon keeps one entry, in the memo and in the store, on every
-        # order; intersect keeps none
+        # a colon keeps one store entry on every order; intersect keeps none
         weights, order = INTERSECT_RINGS[kind]
         ring = RingSpec(PrimeField(3), ("x", "y", "z"), weights, order)
         P = lambda s: parse_polynomial(s, ring)
@@ -699,9 +685,9 @@ class TestIntersectBasis:
         rhs = Ideal(ring, (P("x + z"), P("y^2")))
         with _colon_store() as store:
             intersect(lhs, rhs)
-            assert not groebner._GB_MEMO and not list(store.root.iterdir())
+            assert not list(store.root.iterdir())
             colon(lhs, rhs)
-            assert len(groebner._GB_MEMO) == 1 and len(list(store.root.iterdir())) == 1
+            assert len(list(store.root.iterdir())) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(homogeneous_intersect_pairs())
@@ -810,7 +796,6 @@ class TestMinimalGenerators:
     def test_degree_guard_reaches_modulus_basis(self, gf2_xyz):
         P = lambda s: parse_polynomial(s, gf2_xyz)
         J = Ideal(gf2_xyz, (P("x^2*y + z^3"), P("x*y*z + y^3")))
-        clear_memo()  # a basis memoized by another test would skip the guard
         with pytest.raises(DegreeGuardExceeded):
             minimal_generators_mod([P("x")], J, degree_guard=2)
 
@@ -842,10 +827,8 @@ class TestMinimalGenerators:
         P = lambda s: parse_polynomial(s, ring)
         J = Ideal(ring, (P("x^2*y + z^4"), P("x*y*z + y^2")))
         message = "minimal generators need homogeneous input"
-        clear_memo()
         with pytest.raises(DegreeGuardExceeded):
             minimal_generators_mod([P("x")], J, degree_guard=4)
-        clear_memo()
         for gens in ([P("x + y")], [P("y + x*z^2")], [P("y + z^2"), P("x + y")]):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 minimal_generators_mod(gens, J, degree_guard=4)
@@ -1343,7 +1326,6 @@ class TestFrobeniusOracle:
         ring, inputs, _, _ = instance
         q = ring.field.p ** e
         gens = [Polynomial(ring, fd) for fd in inputs]
-        clear_memo()  # a memoized basis would skip the guard
         base = _basis_or_abort(gens, ring, 40)
         power = _basis_or_abort([g.frobenius_power(e) for g in gens], ring, 40 * q)
         if base and base[0] == "guard":
@@ -1475,7 +1457,6 @@ class TestPacking:
         q = 2 ** 40
         ring = RingSpec(PrimeField(2), ("x", "y", "z"))
         ideal = Ideal(ring, [parse_polynomial(s, ring) for s in ("x*y", "z^2")])
-        clear_memo()
         result = colon(frobenius_power(ideal, 40), ideal, 2 ** 44)
         assert [str(g) for g in result.generators] == [
             f"z^{2 * q}", f"x^{q}*y^{q}", f"x^{q - 1}*y^{q - 1}*z^{2 * q - 2}"]
@@ -1500,8 +1481,7 @@ class TestPacking:
 
 
 def _outcome(call):
-    """call() on an empty memo, or the type and message of what it raised."""
-    clear_memo()
+    """call(), or the type and message of what it raised."""
     try:
         return call()
     except (ArithmeticError, RuntimeError, ValueError) as exc:
@@ -1538,7 +1518,6 @@ class TestRightSizedPacking:
         with spare_bits():
             wide = _width_outcomes(ring, lhs, rhs, guard)
         assert right == wide
-        clear_memo()
 
     def test_divisor_products_above_the_guard(self, gf2_xyz):
         # the products x^2*z^40*q of the third step, and its divisor, pass
@@ -1548,11 +1527,9 @@ class TestRightSizedPacking:
         lhs = Ideal(gf2_xyz, (P("x^2"), P("y^2")))
         rhs = Ideal(gf2_xyz, (P("x"), P("y"), P("x^2*z^40")))
         assert polyring._packing(gf2_xyz, 2 * (1 + 8))._limit < 42  # a bound without them
-        clear_memo()
         result, count = _eliminations(lambda: colon(lhs, rhs, 8))
         assert count == 2
         assert result.generators == (P("y^2"), P("x*y"), P("x^2"))
-        clear_memo()
 
     def test_pruned_pair_above_the_guard(self, gf2_xyz):
         # y^8*z and x^8*z make the pair of lcm x^8*y^8*z, degree 17, above
@@ -1570,12 +1547,10 @@ class TestRightSizedPacking:
             made.extend(pk.degree(lcm) for _, lcm in new)
             return kept, new
 
-        clear_memo()
         with patch.object(groebner, "_gm_update", recording):
             basis = groebner.groebner_basis(gens, gf2_xyz, degree_guard=15)
         assert basis == tuple(gens)  # ascending in grevlex
         assert max(made) == 17
-        clear_memo()
 
 
 @st.composite
@@ -1763,7 +1738,6 @@ class TestLift:
         P = lambda s: parse_polynomial(s, gf2_xyz)
         modulus = Ideal(gf2_xyz, (P("x^2 + y*z"), P("x*y + z^2")))
         m = P("x^2 + y*z + z^2")
-        clear_memo()
         modulus.groebner_basis(degree_guard=4)  # the basis of J fits the guard
         with pytest.raises(DegreeGuardExceeded, match=(
                 r"^intermediate weighted degree 5 \(pair lcm\) exceeds the degree guard 4 "
@@ -1771,7 +1745,6 @@ class TestLift:
                 )) as info:
             lift_by_nzd(m * P("x"), m, modulus, 4)
         assert (info.value.degree, info.value.guard, info.value.phase) == (5, 4, "pair lcm")
-        clear_memo()
 
 
 @st.composite

@@ -60,6 +60,14 @@ def test_comments_and_blank_lines():
     assert doc.ring.variables == ("x", "y")
 
 
+def test_tab_separates_a_directive():
+    doc = parse_input_text("char\t2\nvars\tx y\nweights \t1\t2\nideal\tI = x\n")
+    assert (doc.ring.field.p, doc.ring.variables, doc.ring.weights) == (2, ("x", "y"), (1, 2))
+    assert [str(g) for g in doc.ideals["I"]] == ["x"]
+    with pytest.raises(InputFileError, match="unknown directive 'foo'"):
+        parse_input_text("char 2\nvars x\nfoo\tbar\n")
+
+
 class TestErrors:
     def test_missing_char(self):
         with pytest.raises(InputFileError, match="missing 'char'"):

@@ -58,6 +58,13 @@ class TestArithmetic:
         assert f ** 3 == f * f * f
         assert f ** 0 == gf2_xyz.one()
 
+    def test_constant_hashes_as_its_int(self):
+        R = ring(5, ("x", "y"))
+        for c in range(5):
+            assert R.constant(c) == c and hash(R.constant(c)) == hash(c)
+        assert 1 in {R.one()} and 0 in {R.zero()} and {R.one(): "one"}[1] == "one"
+        assert R.one() in {1} and R.variable("x") not in {0, 1}
+
 
 class TestFrobeniusPower:
     def test_char2_linear(self, gf2_xyz):
